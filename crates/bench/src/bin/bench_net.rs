@@ -22,7 +22,7 @@
 //! syscall. The `batched` arm is the shipped [`serve`] loop over the
 //! `recvmmsg`/`sendmmsg` transport. The `io_uring` arm runs the same
 //! serve loop over `IoUringTransport` (multishot provided-buffer
-//! receive with a registered fixed file on capable kernels) behind the
+//! receive on a registered file) behind the
 //! *same* mmsg client as the batched arm — the client is held constant
 //! so the delta isolates the server-side transport swap — and exists
 //! only where the startup capability probe validates it; the probe
@@ -60,11 +60,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tq_core::Nanos;
 use tq_runtime::net::{
-    decode_request, decode_response, encode_request, encode_response, serve, NetConfig, NetStats,
-    ServeOutcome,
+    self, decode_request, decode_response, encode_request, encode_response, serve, NetConfig,
+    NetStats, ServeOutcome,
 };
 use tq_runtime::transport::{set_socket_buffers, Frame, Transport, UdpTransport, MAX_BATCH};
-use tq_runtime::uring::{self, IoUringTransport, UringConfig, UringMode};
+use tq_runtime::uring;
 use tq_runtime::{ServerConfig, SpinJob, TinyQuanta, TscClock};
 
 /// `--check` fails when a gated arm's ns/request rises above
@@ -181,8 +181,8 @@ fn make_transport(socket: UdpSocket, batched: bool) -> UdpTransport {
 /// arm deliberately reuses the batched client — the client is the load
 /// generator, not the system under test, and holding it constant makes
 /// the batched→io_uring delta attribute entirely to the server-side
-/// transport swap. (The connected io_uring client tiers are exercised
-/// by the conformance suite and `tq-loadgen`, not gated here.)
+/// transport swap. (`tq-loadgen --transport io_uring` is what runs the
+/// io_uring transport in the client role; it is not gated here.)
 fn client_transport(arm: Arm) -> Box<dyn Transport + Send> {
     let socket = UdpSocket::bind("127.0.0.1:0").expect("bind client");
     match arm {
@@ -198,22 +198,8 @@ fn server_transport(arm: Arm, socket: UdpSocket, net_config: &NetConfig) -> Box<
     match arm {
         Arm::PerDatagram => unreachable!("per_datagram runs serve_legacy"),
         Arm::Batched => Box::new(UdpTransport::batched(socket).expect("transport")),
-        Arm::IoUring => {
-            // Same sizing rule as `net::server_transport`: armed receive
-            // depth covers the admission bound plus one burst of slack.
-            let pool = net_config.max_in_flight.saturating_add(MAX_BATCH).min(1024);
-            Box::new(
-                IoUringTransport::server_with(
-                    socket,
-                    UringConfig {
-                        mode: UringMode::Auto,
-                        recv_pool: pool,
-                        send_pool: pool,
-                    },
-                )
-                .expect("uring server"),
-            )
-        }
+        // The arm only runs where the probe passed, so this is io_uring.
+        Arm::IoUring => net::server_transport(socket, net_config).expect("uring server"),
     }
 }
 

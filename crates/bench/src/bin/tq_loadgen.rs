@@ -47,11 +47,11 @@
 //! `--clients N` (default 1), `--workload kv|spin|<preset>` (a
 //! hostile-traffic preset name from `tq_workloads::hostile` runs its
 //! workload *and* arrival process as spin jobs), `--workers`,
-//! `--transport mmsg|syscall|io_uring` (both sides; `io_uring` uses the
-//! connected fixed-buffer client tier against an io_uring server and
-//! skips loudly — exit 0 with the probe's reason — where the kernel
-//! lacks it), `--out`; `TQ_SEED`, `TQ_AUDIT`, `TQ_RT_WORKERS` as
-//! everywhere else.
+//! `--transport mmsg|syscall|io_uring` (both sides; `io_uring` runs the
+//! one io_uring transport in both roles, each on its own unconnected
+//! socket, and skips loudly — exit 0 with the probe's reason — where
+//! the kernel lacks it), `--out`; `TQ_SEED`, `TQ_AUDIT`, `TQ_RT_WORKERS`
+//! as everywhere else.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -62,9 +62,9 @@ use tq_core::job::Completion;
 use tq_core::Nanos;
 use tq_harness::{json, ClientRtt, NetMeta, Pacer, PolicyMeta, RtEngine, RunRecord, RunSpec};
 use tq_runtime::kv::{kv_factory, kv_store};
-use tq_runtime::net::{decode_response, encode_request, serve, NetConfig, ServeOutcome};
-use tq_runtime::transport::{set_socket_buffers, Frame, Transport, UdpTransport, MAX_BATCH};
-use tq_runtime::uring::{self, IoUringTransport, UringConfig, UringMode};
+use tq_runtime::net::{self, decode_response, encode_request, serve, NetConfig, ServeOutcome};
+use tq_runtime::transport::{set_socket_buffers, Frame, Transport, UdpTransport};
+use tq_runtime::uring::{self, IoUringTransport, UringConfig};
 use tq_runtime::{ServerConfig, SpinJob, TinyQuanta, TscClock};
 use tq_sim::TailStats;
 use tq_workloads::{table1, ArrivalProcess};
@@ -87,8 +87,8 @@ enum TransportChoice {
     Syscall,
     /// `recvmmsg`/`sendmmsg` batching (`udp:mmsg`).
     Mmsg,
-    /// io_uring: connected fixed-buffer client tier against an
-    /// io_uring server; requires the capability probe to pass.
+    /// io_uring (`uring:multishot`) on both sides; requires the
+    /// capability probe to pass.
     IoUring,
 }
 
@@ -244,8 +244,9 @@ fn gate_uring_or_skip() {
     }
 }
 
-/// The server-side transport for a choice; io_uring pools are sized as
-/// in `net::server_transport` (admission bound plus a burst of slack).
+/// The server-side transport for a choice. The io_uring choice is only
+/// reached past [`gate_uring_or_skip`], where `net::server_transport`
+/// yields io_uring.
 fn server_wire(
     choice: TransportChoice,
     socket: UdpSocket,
@@ -254,24 +255,13 @@ fn server_wire(
     Ok(match choice {
         TransportChoice::Syscall => Box::new(UdpTransport::per_datagram(socket)?),
         TransportChoice::Mmsg => Box::new(UdpTransport::batched(socket)?),
-        TransportChoice::IoUring => {
-            let pool = net_config.max_in_flight.saturating_add(MAX_BATCH).min(1024);
-            Box::new(IoUringTransport::server_with(
-                socket,
-                UringConfig {
-                    mode: UringMode::Auto,
-                    recv_pool: pool,
-                    send_pool: pool,
-                },
-            )?)
-        }
+        TransportChoice::IoUring => net::server_transport(socket, net_config)?,
     })
 }
 
-/// A client transport aimed at `srv_addr`: the io_uring choice uses the
-/// connected tier (registered fixed buffers where the probe allows),
-/// the others their mmsg/syscall counterparts.
-fn client_wire(choice: TransportChoice, srv_addr: SocketAddr) -> Box<dyn Transport + Send> {
+/// A client transport on its own unconnected socket; every frame the
+/// client sends carries the server's address.
+fn client_wire(choice: TransportChoice) -> Box<dyn Transport + Send> {
     let socket = UdpSocket::bind("127.0.0.1:0").expect("bind client socket");
     set_socket_buffers(&socket, 1 << 20).expect("socket buffers");
     match choice {
@@ -280,13 +270,11 @@ fn client_wire(choice: TransportChoice, srv_addr: SocketAddr) -> Box<dyn Transpo
         }
         TransportChoice::Mmsg => Box::new(UdpTransport::batched(socket).expect("client transport")),
         TransportChoice::IoUring => {
-            socket.connect(srv_addr).expect("connect client");
-            // Armed receive depth covers an open-loop backlog burst.
+            // Receive depth covers an open-loop backlog burst.
             Box::new(
-                IoUringTransport::connected_with(
+                IoUringTransport::server_with(
                     socket,
                     UringConfig {
-                        mode: UringMode::Auto,
                         recv_pool: 512,
                         send_pool: 512,
                     },
@@ -338,7 +326,7 @@ fn run_client(
     horizon: Nanos,
     smoke: bool,
 ) -> ClientOutcome {
-    let mut transport = client_wire(choice, srv_addr);
+    let mut transport = client_wire(choice);
     let mut rx = vec![Frame::empty(); transport.max_batch()];
     let mut state = ClientState {
         recv_time: vec![None; schedule.len()],

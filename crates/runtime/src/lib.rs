@@ -21,9 +21,9 @@
 //!   trait and a UDP implementation moving up to 64 frames per
 //!   `recvmmsg`/`sendmmsg` syscall.
 //! * [`uring`] — the completion-driven io_uring implementation of the
-//!   same trait: mmap'd SQ/CQ rings, registered fixed buffers, and
-//!   provided-buffer multishot receive, with a startup capability probe
-//!   that degrades feature-by-feature down to the mmsg transport.
+//!   same trait: mmap'd SQ/CQ rings, a registered file, and
+//!   provided-buffer multishot receive, behind a startup self-test
+//!   whose failure means the mmsg transport serves instead.
 //! * [`net`] — the socket front end speaking the paper's client
 //!   protocol over a [`transport::Transport`], burst-submitting into the
 //!   dispatch pipeline.

@@ -469,13 +469,17 @@ pub fn serve_udp(
     serve(server, &mut transport, &stop, &NetConfig::default()).map(|o| o.net)
 }
 
-/// Builds the best server-side transport the host supports: io_uring
-/// when the startup capability probe validated it (receive pool sized
-/// against the config's in-flight bound, so the armed SQE depth covers
-/// everything the admission control will let in), the batched
-/// `recvmmsg`/`sendmmsg` transport otherwise. The choice is observable
-/// through [`Transport::label`]; callers that need the fallback *reason*
-/// print [`crate::uring::probe`]'s summary.
+/// Builds the server-side transport the host supports: io_uring
+/// (`uring:multishot`) when the startup capability probe validated it,
+/// the batched `recvmmsg`/`sendmmsg` transport (`udp:mmsg`) otherwise.
+/// The io_uring pools are sized to the config's in-flight bound plus one
+/// burst of slack, capped at 1024 — so with the default
+/// `max_in_flight` of 8192 the posted receive buffers cover 1024
+/// datagrams, not everything admission control will let in; past that
+/// the socket's receive buffer absorbs the burst until the next reap
+/// recycles buffers. The choice is observable through
+/// [`Transport::label`]; callers that need the fallback *reason* print
+/// [`crate::uring::probe`]'s summary.
 ///
 /// # Errors
 ///
@@ -486,16 +490,13 @@ pub fn server_transport(
     socket: UdpSocket,
     config: &NetConfig,
 ) -> io::Result<Box<dyn Transport + Send>> {
-    let caps = crate::uring::probe();
-    if caps.available {
-        // Depth covers the admission bound plus one burst of slack so a
-        // full slab still leaves armed receives for the datagrams that
-        // will be shed; `UringConfig` clamps to its own 1..=1024 range.
+    if crate::uring::probe().available {
+        // One burst of slack so a full slab still leaves posted buffers
+        // for the datagrams that will be shed.
         let pool = config.max_in_flight.saturating_add(MAX_BATCH).min(1024);
         let transport = crate::uring::IoUringTransport::server_with(
             socket,
             crate::uring::UringConfig {
-                mode: crate::uring::UringMode::Auto,
                 recv_pool: pool,
                 send_pool: pool,
             },
@@ -670,6 +671,14 @@ mod tests {
         // a second batched-mmsg round trip (the fallback is the point).
         let caps = crate::uring::probe();
         println!("server_transport probe: {}", caps.summary());
+        let chosen = server_transport(
+            UdpSocket::bind("127.0.0.1:0").expect("bind"),
+            &NetConfig::default(),
+        )
+        .expect("server transport");
+        let expected = if caps.available { "uring:multishot" } else { "udp:mmsg" };
+        assert_eq!(chosen.label(), expected, "the probe alone decides the wire");
+        drop(chosen);
         let server = spin_server(1);
         let srv_sock = UdpSocket::bind("127.0.0.1:0").expect("bind server");
         let srv_addr = srv_sock.local_addr().unwrap();

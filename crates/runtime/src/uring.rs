@@ -4,30 +4,34 @@
 //! The mmsg transport ([`crate::transport::UdpTransport`]) already
 //! amortizes syscall cost over 64-frame bursts, but every burst still
 //! pays two syscalls (one `recvmmsg`, one `sendmmsg`). io_uring removes
-//! the receive syscall entirely: the server keeps a steady pool of
-//! in-flight receive SQEs, and on loopback the *sender's* syscall
+//! the receive syscall entirely: the server keeps one receive armed over
+//! a pool of pre-posted buffers, and on loopback the *sender's* syscall
 //! context posts completion CQEs straight into the server's completion
 //! ring — the serve loop reaps frames from shared memory without
 //! entering the kernel at all. Only responses need an `io_uring_enter`,
-//! and one `enter` carries the whole response burst plus every receive
+//! and one `enter` carries the whole response burst plus any receive
 //! re-arm staged since the last poll (DESIGN.md "DPDK substitution").
 //!
-//! Three feature tiers, selected by a startup capability probe
-//! ([`probe`]) that degrades feature-by-feature — every environment
-//! still runs, ultimately by falling back to the mmsg transport:
+//! One configuration, validated once per process by a live loopback
+//! self-test ([`probe`]); a host that fails any step of it serves over
+//! the mmsg transport instead ([`crate::net::server_transport`]):
 //!
-//! * `uring:multishot` — the server tier on modern kernels (≥ 6.0): a
-//!   registered provided-buffer ring (`IORING_REGISTER_PBUF_RING`) feeds
-//!   one *multishot* `RECVMSG` that keeps producing a CQE per datagram
-//!   without re-arming — the io_uring analogue of a DPDK mempool backing
-//!   an RX queue.
-//! * `uring:recvmsg` — the server fallback tier (≥ 5.4): a pool of
-//!   oneshot `RECVMSG` SQEs, one per slot, re-armed on completion.
-//! * `uring:fixed` / `uring:rw` — the *connected*-socket tiers used by
-//!   the load generator: `READ_FIXED`/`WRITE_FIXED` over a
-//!   pre-registered buffer region (`IORING_REGISTER_BUFFERS`, skipping
-//!   per-op page pinning — the analogue of DPDK's hugepage-pinned
-//!   mbufs), or plain `RECV`/`SEND` where fixed ops are missing.
+//! * **in** — a registered provided-buffer ring
+//!   (`IORING_REGISTER_PBUF_RING`) feeds one *multishot* `RECVMSG` that
+//!   keeps producing a CQE per datagram without re-arming — the io_uring
+//!   analogue of a DPDK mempool backing an RX queue;
+//! * **out** — one `SENDMSG` per frame from a fixed pool of send slots,
+//!   a whole burst per `io_uring_enter`;
+//! * both on a registered file (`IORING_REGISTER_FILES`), so no op pays
+//!   the `fget`/`fput` refcount pair.
+//!
+//! That needs a 6.0 kernel, which is why setup asks for everything such
+//! a kernel has (`COOP_TASKRUN`, the single ring mapping) without
+//! fallbacks of its own: older kernels already have a complete transport
+//! in mmsg. The socket is unconnected and every frame carries its peer
+//! address, so the same transport serves both roles — the server behind
+//! [`crate::net::serve`] and the `tq-loadgen --transport io_uring`
+//! client. Its label is `uring:multishot`.
 //!
 //! Everything is hand-rolled FFI in the repo's house style: raw
 //! `syscall(425/426/427)` plus `mmap`, no liburing, no new crates. The
@@ -37,31 +41,11 @@
 
 use crate::transport::MAX_BATCH;
 
-/// Tier selection for [`IoUringTransport`] construction. `Auto` follows
-/// the capability probe; the explicit variants force one tier (used by
-/// the probe's own self-tests and by the conformance suite).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UringMode {
-    /// Pick the best tier the probe validated for this socket kind.
-    Auto,
-    /// Server tier: provided-buffer multishot `RECVMSG` (`uring:multishot`).
-    Multishot,
-    /// Server tier: oneshot `RECVMSG` pool (`uring:recvmsg`).
-    Oneshot,
-    /// Connected tier: registered fixed buffers, `READ_FIXED`/`WRITE_FIXED`
-    /// (`uring:fixed`).
-    Fixed,
-    /// Connected tier: plain `RECV`/`SEND` (`uring:rw`).
-    Plain,
-}
-
-/// Pool sizing and tier override for [`IoUringTransport`].
+/// Pool sizing for [`IoUringTransport`].
 #[derive(Debug, Clone, Copy)]
 pub struct UringConfig {
-    /// Tier override (default [`UringMode::Auto`]).
-    pub mode: UringMode,
-    /// In-flight receive SQEs (or provided buffers, in the multishot
-    /// tier) kept armed — the receive depth. Clamped to `1..=1024`.
+    /// Provided buffers kept posted for the multishot receive — the
+    /// receive depth. Clamped to `1..=1024`.
     pub recv_pool: usize,
     /// Send slots that may be in flight at once; `send_batch` reclaims
     /// completed slots when the pool is exhausted. Clamped to `1..=1024`.
@@ -71,7 +55,6 @@ pub struct UringConfig {
 impl Default for UringConfig {
     fn default() -> Self {
         UringConfig {
-            mode: UringMode::Auto,
             // Twice the burst bound so receives stay armed while a full
             // burst's worth of frames sits in the pending queue.
             recv_pool: 2 * MAX_BATCH,
@@ -83,20 +66,15 @@ impl Default for UringConfig {
 /// What the startup capability probe established, cached per process.
 #[derive(Debug, Clone)]
 pub struct UringCaps {
-    /// io_uring works at all: `io_uring_setup` succeeded and the oneshot
-    /// `RECVMSG` tier passed a live loopback self-test. When false, the
-    /// caller must fall back to the mmsg transport.
+    /// The shipping configuration passed its live loopback self-test:
+    /// ring setup, file and buffer-ring registration, and a datagram
+    /// each way. When false, the caller must fall back to the mmsg
+    /// transport.
     pub available: bool,
-    /// The provided-buffer multishot `RECVMSG` tier passed its
-    /// self-test (kernel ≥ 6.0 and a registrable buffer ring).
-    pub multishot: bool,
-    /// The registered-fixed-buffer connected tier passed its self-test
-    /// (`READ_FIXED`/`WRITE_FIXED` opcodes + `IORING_REGISTER_BUFFERS`).
-    pub fixed: bool,
-    /// `"ok"` when available, otherwise why not (errno from
-    /// `io_uring_setup` under seccomp, missing opcodes, failed
-    /// self-test) — recorded so a skipped bench arm is loud, never
-    /// silently green.
+    /// `"ok"` when available, otherwise the step that failed and its
+    /// error (errno from `io_uring_setup` under seccomp, a register op
+    /// the kernel lacks, a lost datagram) — recorded so a skipped bench
+    /// arm is loud, never silently green.
     pub reason: String,
 }
 
@@ -105,21 +83,17 @@ impl UringCaps {
     /// io_uring arm runs, per the gate contract).
     pub fn summary(&self) -> String {
         if self.available {
-            format!(
-                "io_uring: available (multishot recvmsg: {}, registered fixed buffers: {})",
-                if self.multishot { "yes" } else { "no" },
-                if self.fixed { "yes" } else { "no" },
-            )
+            "io_uring: available (multishot recvmsg over a provided-buffer ring)".to_string()
         } else {
             format!("io_uring: UNAVAILABLE — {}", self.reason)
         }
     }
 }
 
-/// Probes io_uring support once per process (cached): attempts
-/// `io_uring_setup`, walks `IORING_REGISTER_PROBE` opcode support, then
-/// runs live loopback self-tests of each tier — a tier is only reported
-/// workable after a real datagram round-tripped through it.
+/// Probes io_uring support once per process (cached) by running one
+/// live loopback self-test of the configuration [`IoUringTransport`]
+/// ships: it is reported workable only after real datagrams
+/// round-tripped through it.
 pub fn probe() -> &'static UringCaps {
     static CAPS: std::sync::OnceLock<UringCaps> = std::sync::OnceLock::new();
     CAPS.get_or_init(|| {
@@ -131,8 +105,6 @@ pub fn probe() -> &'static UringCaps {
         {
             UringCaps {
                 available: false,
-                multishot: false,
-                fixed: false,
                 reason: "io_uring is Linux-only".to_string(),
             }
         }
@@ -173,19 +145,6 @@ mod stub {
             Self::server(_socket)
         }
 
-        /// Always fails off Linux.
-        pub fn connected(_socket: UdpSocket) -> io::Result<IoUringTransport> {
-            Err(io::Error::new(io::ErrorKind::Unsupported, "io_uring is Linux-only"))
-        }
-
-        /// Always fails off Linux.
-        pub fn connected_with(
-            _socket: UdpSocket,
-            _cfg: UringConfig,
-        ) -> io::Result<IoUringTransport> {
-            Self::connected(_socket)
-        }
-
         /// Unreachable (no instance can exist).
         pub fn local_addr(&self) -> io::Result<SocketAddr> {
             match self.never {}
@@ -216,13 +175,14 @@ mod stub {
 // ---------------------------------------------------------------------------
 #[cfg(target_os = "linux")]
 mod imp {
-    use super::{UringCaps, UringConfig, UringMode};
+    use super::{UringCaps, UringConfig};
     use crate::transport::{
         decode_sockaddr, effective_socket_buffers, encode_sockaddr, sys as tsys, Frame, Transport,
         TransportStats, MAX_BATCH, MAX_FRAME,
     };
     use std::collections::VecDeque;
     use std::io;
+    use std::mem::ManuallyDrop;
     use std::net::{SocketAddr, UdpSocket};
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
     use std::sync::atomic::{AtomicU16, AtomicU32, Ordering};
@@ -245,7 +205,6 @@ mod imp {
         pub const MAP_POPULATE: i32 = 0x8000;
 
         pub const IORING_OFF_SQ_RING: i64 = 0;
-        pub const IORING_OFF_CQ_RING: i64 = 0x8000000;
         pub const IORING_OFF_SQES: i64 = 0x10000000;
 
         pub const IORING_SETUP_CQSIZE: u32 = 1 << 3;
@@ -261,17 +220,11 @@ mod imp {
         pub const IORING_SQ_CQ_OVERFLOW: u32 = 1 << 1;
         pub const IORING_SQ_TASKRUN: u32 = 1 << 2;
 
-        pub const IORING_OP_READ_FIXED: u8 = 4;
-        pub const IORING_OP_WRITE_FIXED: u8 = 5;
         pub const IORING_OP_SENDMSG: u8 = 9;
         pub const IORING_OP_RECVMSG: u8 = 10;
         pub const IORING_OP_ASYNC_CANCEL: u8 = 14;
-        pub const IORING_OP_SEND: u8 = 26;
-        pub const IORING_OP_RECV: u8 = 27;
 
-        pub const IORING_REGISTER_BUFFERS: u32 = 0;
         pub const IORING_REGISTER_FILES: u32 = 2;
-        pub const IORING_REGISTER_PROBE: u32 = 8;
         pub const IORING_REGISTER_PBUF_RING: u32 = 22;
 
         pub const IOSQE_FIXED_FILE: u8 = 1 << 0;
@@ -282,7 +235,6 @@ mod imp {
         pub const IORING_CQE_BUFFER_SHIFT: u32 = 16;
         pub const IORING_ASYNC_CANCEL_ALL: u32 = 1;
         pub const IORING_ASYNC_CANCEL_ANY: u32 = 4;
-        pub const IO_URING_OP_SUPPORTED: u16 = 1;
 
         pub const EINTR: i32 = 4;
         pub const EAGAIN: i32 = 11;
@@ -293,8 +245,8 @@ mod imp {
 
         /// 64-byte submission queue entry (`struct io_uring_sqe`). The
         /// kernel's unions are flattened to the fields this module uses:
-        /// `off`/`addr`/`len`/`op_flags` cover the read/write/msg/cancel
-        /// shapes, `buf_index` doubles as `buf_group` for buffer select.
+        /// `off`/`addr`/`len`/`op_flags` cover the msg/cancel shapes,
+        /// `buf_index` doubles as `buf_group` for buffer select.
         #[repr(C)]
         #[derive(Clone, Copy)]
         pub struct Sqe {
@@ -372,25 +324,6 @@ mod imp {
             pub resv: [u32; 3],
             pub sq_off: SqringOffsets,
             pub cq_off: CqringOffsets,
-        }
-
-        /// `struct io_uring_probe` with room for every current opcode.
-        #[repr(C)]
-        pub struct ProbeHdr {
-            pub last_op: u8,
-            pub ops_len: u8,
-            pub resv: u16,
-            pub resv2: [u32; 3],
-            pub ops: [ProbeOp; 64],
-        }
-
-        #[repr(C)]
-        #[derive(Clone, Copy)]
-        pub struct ProbeOp {
-            pub op: u8,
-            pub resv: u8,
-            pub flags: u16,
-            pub resv2: u32,
         }
 
         /// `struct io_uring_buf_reg` for `IORING_REGISTER_PBUF_RING`.
@@ -491,6 +424,13 @@ mod imp {
         }
     }
 
+    /// Names the setup step an error came from, so the probe's `reason`
+    /// (and a constructor's error) says which part of the one verdict
+    /// failed.
+    fn step(what: &str, e: io::Error) -> io::Error {
+        io::Error::new(e.kind(), format!("{what}: {e}"))
+    }
+
     /// Loads a kernel-shared ring index with acquire ordering.
     ///
     /// # Safety
@@ -507,15 +447,14 @@ mod imp {
         (*(p as *const AtomicU32)).store(v, Ordering::Release)
     }
 
-    /// One io_uring instance: the fd, the three mmap'd regions, and the
+    /// One io_uring instance: the fd, the two mmap'd regions, and the
     /// raw head/tail pointers into them. SQEs are staged locally
     /// (`push`) and published+submitted in batches (`submit`), so a
     /// whole response burst plus its receive re-arms ride one
     /// `io_uring_enter`.
     struct Ring {
         fd: OwnedFd,
-        _sq_ring: Mmap,
-        _cq_ring: Option<Mmap>,
+        _rings: Mmap,
         _sqe_mem: Mmap,
         sq_khead: *const u32,
         sq_ktail: *mut u32,
@@ -542,90 +481,80 @@ mod imp {
     unsafe impl Send for Ring {}
 
     impl Ring {
-        /// `io_uring_setup` + the three mmaps. `cq_entries` oversizes the
-        /// completion ring (multishot can post many CQEs per armed SQE).
+        /// `io_uring_setup` + the two mmaps. `cq_entries` oversizes the
+        /// completion ring (multishot posts many CQEs per armed SQE).
         fn new(sq_entries: u32, cq_entries: u32) -> io::Result<Ring> {
-            // Prefer cooperative task running: completions are batched
-            // onto the next kernel transition instead of costing a
-            // `TWA_SIGNAL` interrupt each, and `IORING_SQ_TASKRUN` tells
-            // the reaper when one flush enter is owed. Older kernels
-            // reject the flags with EINVAL; fall back feature-by-feature
-            // like everything else in this module.
-            let try_setup = |flags: u32| {
-                let mut params = sys::IoUringParams {
-                    flags,
-                    cq_entries: cq_entries.next_power_of_two(),
-                    ..Default::default()
-                };
-                // SAFETY: params is a valid zero-initialized
-                // io_uring_params; the kernel fills in the offsets on
-                // success.
-                let rc = unsafe {
-                    sys::syscall(
-                        sys::SYS_IO_URING_SETUP,
-                        sq_entries.next_power_of_two() as i64,
-                        &mut params as *mut sys::IoUringParams,
-                    )
-                };
-                (rc, params)
-            };
-            let (mut rc, mut params) = try_setup(
-                sys::IORING_SETUP_CQSIZE
+            // Cooperative task running: completions are batched onto the
+            // next kernel transition instead of costing a `TWA_SIGNAL`
+            // interrupt each, and `IORING_SQ_TASKRUN` tells the reaper
+            // when one flush enter is owed. A kernel too old for these
+            // flags is too old for multishot `RECVMSG` as well, so the
+            // EINVAL is the verdict, not something to retry around.
+            let mut params = sys::IoUringParams {
+                flags: sys::IORING_SETUP_CQSIZE
                     | sys::IORING_SETUP_COOP_TASKRUN
                     | sys::IORING_SETUP_TASKRUN_FLAG,
-            );
+                cq_entries: cq_entries.next_power_of_two(),
+                ..Default::default()
+            };
+            // SAFETY: params is a valid zero-initialized io_uring_params;
+            // the kernel fills in the offsets on success.
+            let rc = unsafe {
+                sys::syscall(
+                    sys::SYS_IO_URING_SETUP,
+                    sq_entries.next_power_of_two() as i64,
+                    &mut params as *mut sys::IoUringParams,
+                )
+            };
             if rc < 0 {
-                (rc, params) = try_setup(sys::IORING_SETUP_CQSIZE);
-            }
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
+                return Err(step(
+                    "io_uring_setup (seccomp filter or kernel < 5.19?)",
+                    io::Error::last_os_error(),
+                ));
             }
             // SAFETY: rc is a fresh fd we own exclusively.
             let fd = unsafe { OwnedFd::from_raw_fd(rc as i32) };
             let raw = fd.as_raw_fd();
+            if params.features & sys::IORING_FEAT_SINGLE_MMAP == 0 {
+                return Err(io::Error::new(
+                    io::ErrorKind::Unsupported,
+                    "io_uring_setup: kernel lacks IORING_FEAT_SINGLE_MMAP",
+                ));
+            }
 
+            // One mapping covers both rings (`IORING_FEAT_SINGLE_MMAP`).
             let sq_size = params.sq_off.array as usize + params.sq_entries as usize * 4;
             let cq_size =
                 params.cq_off.cqes as usize + params.cq_entries as usize * std::mem::size_of::<sys::Cqe>();
-            let single = params.features & sys::IORING_FEAT_SINGLE_MMAP != 0;
-            let sq_ring = Mmap::ring(
-                raw,
-                if single { sq_size.max(cq_size) } else { sq_size },
-                sys::IORING_OFF_SQ_RING,
-            )?;
-            let (cq_base, cq_ring) = if single {
-                (sq_ring.ptr, None)
-            } else {
-                let m = Mmap::ring(raw, cq_size, sys::IORING_OFF_CQ_RING)?;
-                (m.ptr, Some(m))
-            };
+            let rings = Mmap::ring(raw, sq_size.max(cq_size), sys::IORING_OFF_SQ_RING)
+                .map_err(|e| step("mmap of the SQ/CQ rings", e))?;
             let sqe_mem = Mmap::ring(
                 raw,
                 params.sq_entries as usize * std::mem::size_of::<sys::Sqe>(),
                 sys::IORING_OFF_SQES,
-            )?;
+            )
+            .map_err(|e| step("mmap of the SQE array", e))?;
 
-            let sq_base = sq_ring.ptr;
+            let base = rings.ptr;
             // SAFETY: every offset below comes from the kernel's params
             // for these freshly created mappings.
             unsafe {
                 Ok(Ring {
-                    sq_khead: sq_base.add(params.sq_off.head as usize) as *const u32,
-                    sq_ktail: sq_base.add(params.sq_off.tail as usize) as *mut u32,
-                    sq_kflags: sq_base.add(params.sq_off.flags as usize) as *const u32,
-                    sq_array: sq_base.add(params.sq_off.array as usize) as *mut u32,
-                    sq_mask: *(sq_base.add(params.sq_off.ring_mask as usize) as *const u32),
+                    sq_khead: base.add(params.sq_off.head as usize) as *const u32,
+                    sq_ktail: base.add(params.sq_off.tail as usize) as *mut u32,
+                    sq_kflags: base.add(params.sq_off.flags as usize) as *const u32,
+                    sq_array: base.add(params.sq_off.array as usize) as *mut u32,
+                    sq_mask: *(base.add(params.sq_off.ring_mask as usize) as *const u32),
                     sq_entries: params.sq_entries,
-                    cq_khead: cq_base.add(params.cq_off.head as usize) as *mut u32,
-                    cq_ktail: cq_base.add(params.cq_off.tail as usize) as *const u32,
-                    cqes: cq_base.add(params.cq_off.cqes as usize) as *const sys::Cqe,
-                    cq_mask: *(cq_base.add(params.cq_off.ring_mask as usize) as *const u32),
+                    cq_khead: base.add(params.cq_off.head as usize) as *mut u32,
+                    cq_ktail: base.add(params.cq_off.tail as usize) as *const u32,
+                    cqes: base.add(params.cq_off.cqes as usize) as *const sys::Cqe,
+                    cq_mask: *(base.add(params.cq_off.ring_mask as usize) as *const u32),
                     sqe_base: sqe_mem.ptr as *mut sys::Sqe,
-                    local_tail: load_acq(sq_base.add(params.sq_off.tail as usize) as *const u32),
-                    submitted_tail: load_acq(sq_base.add(params.sq_off.tail as usize) as *const u32),
+                    local_tail: load_acq(base.add(params.sq_off.tail as usize) as *const u32),
+                    submitted_tail: load_acq(base.add(params.sq_off.tail as usize) as *const u32),
                     fd,
-                    _sq_ring: sq_ring,
-                    _cq_ring: cq_ring,
+                    _rings: rings,
                     _sqe_mem: sqe_mem,
                     enter_calls: 0,
                 })
@@ -863,34 +792,17 @@ mod imp {
                 (*(self.ring.ptr.add(14) as *const AtomicU16)).store(self.tail, Ordering::Release);
             }
         }
-
-        /// Leaks both mappings (drop-path safety valve: the kernel may
-        /// still write them if a drain timed out).
-        fn leak(self) {
-            std::mem::forget(self.ring);
-            std::mem::forget(self.bufs);
-        }
-    }
-
-    /// Internal tier (the validated flavour of [`UringMode`]).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Tier {
-        Multishot,
-        Oneshot,
-        Fixed,
-        Plain,
     }
 
     // user_data encoding: kind in the high 32 bits, slot index below.
-    const KIND_RX: u64 = 1;
     const KIND_TX: u64 = 2;
     const KIND_MS: u64 = 3;
     const KIND_CANCEL: u64 = 4;
 
-    /// Per-slot scratch for `SENDMSG`/oneshot-`RECVMSG` ops: payload,
-    /// sockaddr, iovec and msghdr at stable heap addresses (the Vec is
-    /// sized once and never grown — the kernel holds pointers into it
-    /// while an op is in flight).
+    /// Per-slot scratch for `SENDMSG` ops: payload, sockaddr, iovec and
+    /// msghdr at stable heap addresses (the Vec is sized once and never
+    /// grown — the kernel holds pointers into it while an op is in
+    /// flight).
     struct MsgSlot {
         payload: [u8; MAX_FRAME],
         addr: tsys::SockAddrStorage,
@@ -917,23 +829,29 @@ mod imp {
         }
     }
 
-    /// The io_uring implementation of [`Transport`]. See the module docs
-    /// for the tier structure; construct via [`IoUringTransport::server`]
-    /// (unconnected socket, addresses decoded per frame) or
-    /// [`IoUringTransport::connected`] (connected socket, fixed-buffer
-    /// fast path).
+    /// Everything the kernel holds pointers into while ops are in
+    /// flight. Freed only after a successful drain (see `Drop`).
+    struct KernelMem {
+        send_slots: Vec<MsgSlot>,
+        bufring: BufRing,
+        /// Template msghdr of the multishot receive: name space only
+        /// (the kernel reserves `msg_namelen` bytes per provided buffer
+        /// for the source address); no iov, payload comes from the
+        /// buffer group.
+        ms_hdr: Box<tsys::MsgHdr>,
+    }
+
+    /// The io_uring implementation of [`Transport`]: provided-buffer
+    /// multishot `RECVMSG` in, `SENDMSG` out, on a registered file (see
+    /// the module docs). Construct via [`IoUringTransport::server`] on an
+    /// unconnected socket; addresses are decoded per received frame and
+    /// taken from each sent one.
     pub struct IoUringTransport {
         ring: Ring,
         socket: UdpSocket,
-        tier: Tier,
-        peer: Option<SocketAddr>,
         recv_pool: usize,
         send_pool: usize,
-        recv_slots: Vec<MsgSlot>,
-        send_slots: Vec<MsgSlot>,
-        region: Option<Mmap>,
-        bufring: Option<BufRing>,
-        ms_hdr: Option<Box<tsys::MsgHdr>>,
+        mem: ManuallyDrop<KernelMem>,
         free_send: Vec<u32>,
         pending_rx: VecDeque<Frame>,
         /// While `recv_batch` reaps, these describe the caller's output
@@ -943,9 +861,6 @@ mod imp {
         out_cap: usize,
         out_len: usize,
         cq_scratch: Vec<sys::Cqe>,
-        /// Socket registered as fixed-file index 0 — SQEs address it by
-        /// index instead of paying a file refcount per op.
-        fixed_file: bool,
         in_flight: u32,
         tx_since_enter: bool,
         draining: bool,
@@ -954,7 +869,7 @@ mod imp {
     }
 
     // SAFETY: every raw pointer the kernel holds targets heap storage
-    // owned by this struct (slot Vecs, the Box'd msghdr template, mmap
+    // owned by `mem` (the slot Vec, the Box'd msghdr template, mmap
     // regions) whose addresses survive moves of the struct itself; the
     // transport is driven through `&mut self` by one thread at a time.
     unsafe impl Send for IoUringTransport {}
@@ -972,87 +887,28 @@ mod imp {
     }
 
     impl IoUringTransport {
-        /// Server transport on an unconnected socket: best validated
-        /// server tier ([`UringCaps::multishot`] decides), default pools.
+        /// Transport on an unconnected socket with default pools. Errors
+        /// with [`io::ErrorKind::Unsupported`] where [`super::probe`]
+        /// failed.
         pub fn server(socket: UdpSocket) -> io::Result<IoUringTransport> {
             Self::server_with(socket, UringConfig::default())
         }
 
-        /// Server transport with explicit tier/pool configuration.
-        /// `Fixed`/`Plain` modes are rejected (those are connected-socket
-        /// tiers).
+        /// Transport with explicit pool sizes.
         pub fn server_with(socket: UdpSocket, cfg: UringConfig) -> io::Result<IoUringTransport> {
-            let tier = match cfg.mode {
-                UringMode::Auto => {
-                    let caps = super::probe();
-                    if !caps.available {
-                        return Err(io::Error::new(
-                            io::ErrorKind::Unsupported,
-                            format!("io_uring unavailable: {}", caps.reason),
-                        ));
-                    }
-                    if caps.multishot {
-                        Tier::Multishot
-                    } else {
-                        Tier::Oneshot
-                    }
-                }
-                UringMode::Multishot => Tier::Multishot,
-                UringMode::Oneshot => Tier::Oneshot,
-                UringMode::Fixed | UringMode::Plain => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "Fixed/Plain are connected-socket tiers; use connected_with",
-                    ))
-                }
-            };
-            Self::build(socket, tier, None, cfg)
+            let caps = super::probe();
+            if !caps.available {
+                return Err(io::Error::new(
+                    io::ErrorKind::Unsupported,
+                    format!("io_uring unavailable: {}", caps.reason),
+                ));
+            }
+            Self::build(socket, cfg)
         }
 
-        /// Client transport on a *connected* socket (errors if
-        /// `peer_addr` is unset): registered fixed buffers where the
-        /// probe validated them, plain `RECV`/`SEND` otherwise.
-        pub fn connected(socket: UdpSocket) -> io::Result<IoUringTransport> {
-            Self::connected_with(socket, UringConfig::default())
-        }
-
-        /// Connected-socket transport with explicit tier/pool
-        /// configuration. `Multishot`/`Oneshot` modes are rejected.
-        pub fn connected_with(socket: UdpSocket, cfg: UringConfig) -> io::Result<IoUringTransport> {
-            let peer = socket.peer_addr()?;
-            let tier = match cfg.mode {
-                UringMode::Auto => {
-                    let caps = super::probe();
-                    if !caps.available {
-                        return Err(io::Error::new(
-                            io::ErrorKind::Unsupported,
-                            format!("io_uring unavailable: {}", caps.reason),
-                        ));
-                    }
-                    if caps.fixed {
-                        Tier::Fixed
-                    } else {
-                        Tier::Plain
-                    }
-                }
-                UringMode::Fixed => Tier::Fixed,
-                UringMode::Plain => Tier::Plain,
-                UringMode::Multishot | UringMode::Oneshot => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "Multishot/Oneshot are server tiers; use server_with",
-                    ))
-                }
-            };
-            Self::build(socket, tier, Some(peer), cfg)
-        }
-
-        fn build(
-            socket: UdpSocket,
-            tier: Tier,
-            peer: Option<SocketAddr>,
-            cfg: UringConfig,
-        ) -> io::Result<IoUringTransport> {
+        /// Sets the transport up without consulting the probe (the probe's
+        /// self-test is built on it).
+        fn build(socket: UdpSocket, cfg: UringConfig) -> io::Result<IoUringTransport> {
             let recv_pool = cfg.recv_pool.clamp(1, 1024);
             let send_pool = cfg.send_pool.clamp(1, 1024);
             // SQ holds one slot per possible in-flight op plus cancel
@@ -1065,76 +921,36 @@ mod imp {
                 stats.rcvbuf_bytes = rcv as u64;
                 stats.sndbuf_bytes = snd as u64;
             }
+            ring.register_files(socket.as_raw_fd())
+                .map_err(|e| step("IORING_REGISTER_FILES", e))?;
+            let bufring = BufRing::new(&ring, recv_pool as u32)
+                .map_err(|e| step("IORING_REGISTER_PBUF_RING (kernel < 5.19?)", e))?;
+            let mut ms_hdr = Box::new(MsgSlot::zeroed().hdr);
+            ms_hdr.msg_namelen = PBUF_NAME as u32;
             let mut t = IoUringTransport {
                 ring,
                 socket,
-                tier,
-                peer,
                 recv_pool,
                 send_pool,
-                recv_slots: Vec::new(),
-                send_slots: Vec::new(),
-                region: None,
-                bufring: None,
-                ms_hdr: None,
+                mem: ManuallyDrop::new(KernelMem {
+                    send_slots: (0..send_pool).map(|_| MsgSlot::zeroed()).collect(),
+                    bufring,
+                    ms_hdr,
+                }),
                 free_send: (0..send_pool as u32).rev().collect(),
                 pending_rx: VecDeque::with_capacity(recv_pool),
                 out_ptr: std::ptr::null_mut(),
                 out_cap: 0,
                 out_len: 0,
                 cq_scratch: Vec::with_capacity(cq as usize),
-                fixed_file: false,
                 in_flight: 0,
                 tx_since_enter: false,
                 draining: false,
                 broken: None,
                 stats,
             };
-            // Best-effort: a kernel or seccomp filter that rejects file
-            // registration just means SQEs carry the raw fd.
-            t.fixed_file = t.ring.register_files(t.socket.as_raw_fd()).is_ok();
-            match tier {
-                Tier::Multishot => {
-                    t.bufring = Some(BufRing::new(&t.ring, recv_pool as u32)?);
-                    let mut hdr = MsgSlot::zeroed().hdr;
-                    // Template msghdr: name space only (the kernel
-                    // reserves msg_namelen bytes per provided buffer for
-                    // the source address); no iov, payload comes from the
-                    // buffer group.
-                    hdr.msg_namelen = PBUF_NAME as u32;
-                    t.ms_hdr = Some(Box::new(hdr));
-                    t.send_slots = (0..send_pool).map(|_| MsgSlot::zeroed()).collect();
-                    t.arm_multishot()?;
-                }
-                Tier::Oneshot => {
-                    t.recv_slots = (0..recv_pool).map(|_| MsgSlot::zeroed()).collect();
-                    t.send_slots = (0..send_pool).map(|_| MsgSlot::zeroed()).collect();
-                    for i in 0..recv_pool {
-                        t.arm_recv_msg(i)?;
-                    }
-                }
-                Tier::Fixed | Tier::Plain => {
-                    let used = (recv_pool + send_pool) * MAX_FRAME;
-                    let region = Mmap::anon((used + 4095) & !4095)?;
-                    if tier == Tier::Fixed {
-                        // One big registered buffer (index 0) covering
-                        // both pools: pages are pinned once at
-                        // registration instead of per-op.
-                        let iov = tsys::IoVec { iov_base: region.ptr, iov_len: used };
-                        t.ring.register(
-                            sys::IORING_REGISTER_BUFFERS,
-                            &iov as *const tsys::IoVec as *const u8,
-                            1,
-                        )?;
-                    }
-                    t.region = Some(region);
-                    for i in 0..recv_pool {
-                        t.arm_recv_connected(i)?;
-                    }
-                }
-            }
-            // Arm the whole receive pool with a single enter.
-            t.ring.submit(0)?;
+            t.arm_multishot()?;
+            t.ring.submit(0).map_err(|e| step("arming the multishot RECVMSG", e))?;
             Ok(t)
         }
 
@@ -1146,22 +962,6 @@ mod imp {
         /// Borrows the underlying socket (e.g. to tune buffer sizes).
         pub fn socket(&self) -> &UdpSocket {
             &self.socket
-        }
-
-        fn recv_ptr(&self, i: usize) -> *mut u8 {
-            // SAFETY: i < recv_pool; region covers (recv+send)*MAX_FRAME.
-            unsafe { self.region.as_ref().expect("connected tier has region").ptr.add(i * MAX_FRAME) }
-        }
-
-        fn send_ptr(&self, j: usize) -> *mut u8 {
-            // SAFETY: j < send_pool; offset stays inside the region.
-            unsafe {
-                self.region
-                    .as_ref()
-                    .expect("connected tier has region")
-                    .ptr
-                    .add((self.recv_pool + j) * MAX_FRAME)
-            }
         }
 
         /// Stages one SQE, flushing first if the SQ is full; tracks the
@@ -1193,24 +993,20 @@ mod imp {
             Ok(())
         }
 
-        /// Points `sqe` at the socket: registered index 0 when file
-        /// registration succeeded, the raw fd otherwise.
-        fn sqe_socket(&self, sqe: &mut sys::Sqe) {
-            if self.fixed_file {
-                sqe.fd = 0;
-                sqe.flags |= sys::IOSQE_FIXED_FILE;
-            } else {
-                sqe.fd = self.socket.as_raw_fd();
-            }
+        /// An SQE for `opcode` on the socket, addressed as registered
+        /// file index 0.
+        fn socket_sqe(opcode: u8) -> sys::Sqe {
+            let mut sqe = sys::Sqe::zeroed();
+            sqe.opcode = opcode;
+            sqe.fd = 0;
+            sqe.flags = sys::IOSQE_FIXED_FILE;
+            sqe
         }
 
         /// Arms (or re-arms) the multishot receive.
         fn arm_multishot(&mut self) -> io::Result<()> {
-            let hdr = self.ms_hdr.as_ref().expect("multishot tier has template");
-            let mut sqe = sys::Sqe::zeroed();
-            sqe.opcode = sys::IORING_OP_RECVMSG;
-            self.sqe_socket(&mut sqe);
-            sqe.addr = &**hdr as *const tsys::MsgHdr as u64;
+            let mut sqe = Self::socket_sqe(sys::IORING_OP_RECVMSG);
+            sqe.addr = &*self.mem.ms_hdr as *const tsys::MsgHdr as u64;
             // len stays 0: the provided buffer dictates capacity (a
             // nonzero len would clamp the buffer-select length below the
             // recvmsg_out header and fail).
@@ -1218,46 +1014,6 @@ mod imp {
             sqe.flags |= sys::IOSQE_BUFFER_SELECT;
             sqe.buf_index = BGID; // buf_group in this SQE shape
             sqe.user_data = KIND_MS << 32;
-            self.stage(sqe)?;
-            Ok(())
-        }
-
-        /// Arms (or re-arms) oneshot `RECVMSG` slot `i`.
-        fn arm_recv_msg(&mut self, i: usize) -> io::Result<()> {
-            let slot = &mut self.recv_slots[i];
-            slot.addr = tsys::SockAddrStorage::zeroed();
-            slot.iov = tsys::IoVec { iov_base: slot.payload.as_mut_ptr(), iov_len: MAX_FRAME };
-            slot.hdr = tsys::MsgHdr {
-                msg_name: slot.addr.bytes.as_mut_ptr(),
-                msg_namelen: 128,
-                msg_iov: &mut slot.iov,
-                msg_iovlen: 1,
-                msg_control: std::ptr::null_mut(),
-                msg_controllen: 0,
-                msg_flags: 0,
-            };
-            let mut sqe = sys::Sqe::zeroed();
-            sqe.opcode = sys::IORING_OP_RECVMSG;
-            sqe.addr = &self.recv_slots[i].hdr as *const tsys::MsgHdr as u64;
-            sqe.len = 1;
-            sqe.user_data = (KIND_RX << 32) | i as u64;
-            self.sqe_socket(&mut sqe);
-            self.stage(sqe)
-        }
-
-        /// Arms (or re-arms) connected-tier receive slot `i`.
-        fn arm_recv_connected(&mut self, i: usize) -> io::Result<()> {
-            let mut sqe = sys::Sqe::zeroed();
-            sqe.opcode = if self.tier == Tier::Fixed {
-                sys::IORING_OP_READ_FIXED
-            } else {
-                sys::IORING_OP_RECV
-            };
-            self.sqe_socket(&mut sqe);
-            sqe.addr = self.recv_ptr(i) as u64;
-            sqe.len = MAX_FRAME as u32;
-            sqe.buf_index = 0;
-            sqe.user_data = (KIND_RX << 32) | i as u64;
             self.stage(sqe)
         }
 
@@ -1297,34 +1053,6 @@ mod imp {
             let kind = cqe.user_data >> 32;
             let idx = (cqe.user_data & 0xffff_ffff) as usize;
             match kind {
-                KIND_RX => {
-                    self.in_flight -= 1;
-                    if cqe.res >= 0 {
-                        if let Some(f) = self.frame_from_rx(idx, cqe.res as usize) {
-                            self.deliver(f);
-                        }
-                    } else {
-                        match -cqe.res {
-                            // Shutdown cancel: the slot stays down.
-                            sys::ECANCELED => return Ok(()),
-                            // ICMP bounce / transient: re-arm silently.
-                            sys::ECONNREFUSED | sys::EINTR | sys::EAGAIN => {}
-                            _ => {
-                                self.broken =
-                                    Some(io::Error::from_raw_os_error(-cqe.res).kind());
-                                return Ok(());
-                            }
-                        }
-                    }
-                    if !self.draining {
-                        match self.tier {
-                            Tier::Oneshot => self.arm_recv_msg(idx)?,
-                            Tier::Fixed | Tier::Plain => self.arm_recv_connected(idx)?,
-                            Tier::Multishot => unreachable!("multishot uses KIND_MS"),
-                        }
-                    }
-                    Ok(())
-                }
                 KIND_MS => {
                     if cqe.res >= 0 {
                         if cqe.flags & sys::IORING_CQE_F_BUFFER != 0 {
@@ -1332,10 +1060,7 @@ mod imp {
                             if let Some(f) = self.frame_from_pbuf(bid, cqe.res as usize) {
                                 self.deliver(f);
                             }
-                            self.bufring
-                                .as_mut()
-                                .expect("multishot tier has bufring")
-                                .recycle(bid);
+                            self.mem.bufring.recycle(bid);
                         }
                         if cqe.flags & sys::IORING_CQE_F_MORE == 0 {
                             // Terminal CQE: the arm is gone, restore it.
@@ -1387,41 +1112,13 @@ mod imp {
             }
         }
 
-        /// Decodes a completed oneshot/connected receive into a frame.
-        fn frame_from_rx(&self, idx: usize, res: usize) -> Option<Frame> {
-            let mut f = Frame::empty();
-            f.len = res.min(MAX_FRAME) as u16;
-            match self.tier {
-                Tier::Oneshot => {
-                    let slot = &self.recv_slots[idx];
-                    f.addr = decode_sockaddr(&slot.addr, 128)?;
-                    f.buf[..f.len as usize].copy_from_slice(&slot.payload[..f.len as usize]);
-                }
-                Tier::Fixed | Tier::Plain => {
-                    f.addr = self.peer.expect("connected tier has peer");
-                    // SAFETY: the kernel wrote `res <= MAX_FRAME` bytes
-                    // into this slot; the op completed so it no longer
-                    // writes there.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            self.recv_ptr(idx),
-                            f.buf.as_mut_ptr(),
-                            f.len as usize,
-                        );
-                    }
-                }
-                Tier::Multishot => unreachable!("multishot uses frame_from_pbuf"),
-            }
-            Some(f)
-        }
-
         /// Decodes a multishot completion out of provided buffer `bid`:
         /// recvmsg_out header, then the source address, then the payload.
         fn frame_from_pbuf(&self, bid: u16, total: usize) -> Option<Frame> {
             if !(PBUF_PAYLOAD_OFF..=PBUF_SIZE).contains(&total) {
                 return None;
             }
-            let p = self.bufring.as_ref().expect("multishot tier has bufring").buf_ptr(bid);
+            let p = self.mem.bufring.buf_ptr(bid);
             // SAFETY: the kernel wrote `total >= header+name` bytes into
             // this PBUF_SIZE buffer; the CQE hands us exclusive access
             // until recycle().
@@ -1469,51 +1166,26 @@ mod imp {
                     return Err(io::Error::from(k));
                 }
             };
-            let mut sqe = sys::Sqe::zeroed();
-            self.sqe_socket(&mut sqe);
+            let slot = &mut self.mem.send_slots[slot_idx];
+            slot.payload[..f.len as usize].copy_from_slice(f.payload());
+            let namelen = encode_sockaddr(&f.addr, &mut slot.addr);
+            slot.iov = tsys::IoVec {
+                iov_base: slot.payload.as_mut_ptr(),
+                iov_len: f.len as usize,
+            };
+            slot.hdr = tsys::MsgHdr {
+                msg_name: slot.addr.bytes.as_mut_ptr(),
+                msg_namelen: namelen,
+                msg_iov: &mut slot.iov,
+                msg_iovlen: 1,
+                msg_control: std::ptr::null_mut(),
+                msg_controllen: 0,
+                msg_flags: 0,
+            };
+            let mut sqe = Self::socket_sqe(sys::IORING_OP_SENDMSG);
+            sqe.addr = &slot.hdr as *const tsys::MsgHdr as u64;
+            sqe.len = 1;
             sqe.user_data = (KIND_TX << 32) | slot_idx as u64;
-            match self.tier {
-                Tier::Multishot | Tier::Oneshot => {
-                    let slot = &mut self.send_slots[slot_idx];
-                    slot.payload[..f.len as usize].copy_from_slice(f.payload());
-                    let namelen = encode_sockaddr(&f.addr, &mut slot.addr);
-                    slot.iov = tsys::IoVec {
-                        iov_base: slot.payload.as_mut_ptr(),
-                        iov_len: f.len as usize,
-                    };
-                    slot.hdr = tsys::MsgHdr {
-                        msg_name: slot.addr.bytes.as_mut_ptr(),
-                        msg_namelen: namelen,
-                        msg_iov: &mut slot.iov,
-                        msg_iovlen: 1,
-                        msg_control: std::ptr::null_mut(),
-                        msg_controllen: 0,
-                        msg_flags: 0,
-                    };
-                    sqe.opcode = sys::IORING_OP_SENDMSG;
-                    sqe.addr = &slot.hdr as *const tsys::MsgHdr as u64;
-                    sqe.len = 1;
-                }
-                Tier::Fixed | Tier::Plain => {
-                    // SAFETY: slot_idx < send_pool; the slot is free (not
-                    // referenced by any in-flight op).
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            f.payload().as_ptr(),
-                            self.send_ptr(slot_idx),
-                            f.len as usize,
-                        );
-                    }
-                    sqe.opcode = if self.tier == Tier::Fixed {
-                        sys::IORING_OP_WRITE_FIXED
-                    } else {
-                        sys::IORING_OP_SEND
-                    };
-                    sqe.addr = self.send_ptr(slot_idx) as u64;
-                    sqe.len = f.len as u32;
-                    sqe.buf_index = 0;
-                }
-            }
             self.stage(sqe)?;
             self.tx_since_enter = true;
             self.stats.send_frames += 1;
@@ -1580,8 +1252,8 @@ mod imp {
                 return Err(io::Error::from(k));
             }
             if n == 0 {
-                // Idle poll: flush staged re-arms so the receive pool
-                // stays armed even when no send traffic carries them.
+                // Idle poll: flush a staged re-arm so the receive stays
+                // armed even when no send traffic carries it.
                 self.flush(0)?;
             } else {
                 self.stats.recv_calls += 1;
@@ -1603,7 +1275,7 @@ mod imp {
             for f in frames {
                 self.stage_send(f)?;
             }
-            // One enter for the whole burst — response SQEs plus every
+            // One enter for the whole burst — response SQEs plus any
             // receive re-arm staged since the last poll.
             self.flush(0)
         }
@@ -1613,12 +1285,7 @@ mod imp {
         }
 
         fn label(&self) -> &'static str {
-            match self.tier {
-                Tier::Multishot => "uring:multishot",
-                Tier::Oneshot => "uring:recvmsg",
-                Tier::Fixed => "uring:fixed",
-                Tier::Plain => "uring:rw",
-            }
+            "uring:multishot"
         }
 
         fn stats(&self) -> TransportStats {
@@ -1631,169 +1298,75 @@ mod imp {
     impl Drop for IoUringTransport {
         fn drop(&mut self) {
             self.draining = true;
-            let drained = self.cancel_and_drain().is_ok() && self.in_flight == 0;
-            if !drained {
-                // The kernel may still write these buffers while the
-                // ring tears down; leaking them is the only safe exit
-                // (registered regions stay pinned by the dying ring).
-                std::mem::forget(std::mem::take(&mut self.recv_slots));
-                std::mem::forget(std::mem::take(&mut self.send_slots));
-                if let Some(b) = self.bufring.take() {
-                    b.leak();
-                }
-                if let Some(r) = self.region.take() {
-                    std::mem::forget(r);
-                }
-                if let Some(h) = self.ms_hdr.take() {
-                    std::mem::forget(h);
-                }
+            if self.cancel_and_drain().is_ok() && self.in_flight == 0 {
+                // SAFETY: dropped exactly once, here, and never touched
+                // again; with nothing in flight the kernel no longer
+                // reads or writes any of it.
+                unsafe { ManuallyDrop::drop(&mut self.mem) };
             }
+            // Otherwise the kernel may still write these buffers while
+            // the ring tears down; leaking them is the only safe exit.
         }
     }
 
-    /// Builds the process-wide [`UringCaps`]: setup attempt, opcode
-    /// probe, then a live loopback round trip through each tier.
+    /// Builds the process-wide [`UringCaps`] from the one self-test.
     pub(super) fn compute_caps() -> UringCaps {
-        let unavailable = |reason: String| UringCaps {
-            available: false,
-            multishot: false,
-            fixed: false,
-            reason,
-        };
-        // 1. Can we create a ring at all? (seccomp / ancient kernel)
-        let ring = match Ring::new(8, 32) {
-            Ok(r) => r,
-            Err(e) => {
-                return unavailable(format!(
-                    "io_uring_setup failed: {e} (seccomp filter or kernel < 5.1?)"
-                ))
-            }
-        };
-        // 2. Which opcodes does this kernel support?
-        let mut op_supported = [false; 64];
-        let mut probe_hdr: sys::ProbeHdr = {
-            // SAFETY: ProbeHdr is plain-old-data; the kernel fills it in.
-            unsafe { std::mem::zeroed() }
-        };
-        let probe_ok = ring
-            .register(
-                sys::IORING_REGISTER_PROBE,
-                &mut probe_hdr as *mut sys::ProbeHdr as *const u8,
-                64,
-            )
-            .is_ok();
-        if probe_ok {
-            for op in probe_hdr.ops.iter().take(probe_hdr.ops_len as usize) {
-                if (op.flags & sys::IO_URING_OP_SUPPORTED) != 0 && (op.op as usize) < 64 {
-                    op_supported[op.op as usize] = true;
-                }
-            }
+        match self_test() {
+            Ok(()) => UringCaps { available: true, reason: "ok".to_string() },
+            Err(e) => UringCaps { available: false, reason: format!("self-test failed at {e}") },
         }
-        drop(ring);
-        if probe_ok
-            && !(op_supported[sys::IORING_OP_RECVMSG as usize]
-                && op_supported[sys::IORING_OP_SENDMSG as usize])
-        {
-            return unavailable("kernel io_uring lacks RECVMSG/SENDMSG opcodes".to_string());
-        }
-        // 3. Live self-tests: a tier only counts if a real datagram
-        // round-tripped through it on loopback.
-        let oneshot = match server_self_test(UringMode::Oneshot) {
-            Ok(()) => true,
-            Err(e) => return unavailable(format!("oneshot RECVMSG self-test failed: {e}")),
-        };
-        let _ = oneshot;
-        let multishot = server_self_test(UringMode::Multishot).is_ok();
-        let fixed = probe_ok
-            && op_supported[sys::IORING_OP_READ_FIXED as usize]
-            && op_supported[sys::IORING_OP_WRITE_FIXED as usize]
-            && connected_self_test(UringMode::Fixed).is_ok();
-        UringCaps { available: true, multishot, fixed, reason: "ok".to_string() }
     }
 
-    /// Round-trips two datagrams through a server-tier transport and one
-    /// response back out of it.
-    fn server_self_test(mode: UringMode) -> io::Result<()> {
+    /// Sets the shipping configuration up on a loopback socket and
+    /// round-trips two datagrams into it and one response back out.
+    fn self_test() -> io::Result<()> {
         let srv_sock = UdpSocket::bind("127.0.0.1:0")?;
         let srv_addr = srv_sock.local_addr()?;
-        let mut t = IoUringTransport::server_with(
-            srv_sock,
-            UringConfig { mode, recv_pool: 8, send_pool: 8 },
-        )?;
+        let mut t = IoUringTransport::build(srv_sock, UringConfig { recv_pool: 8, send_pool: 8 })?;
         let client = UdpSocket::bind("127.0.0.1:0")?;
         let client_addr = client.local_addr()?;
         client.send_to(b"probe-a", srv_addr)?;
         client.send_to(b"probe-b", srv_addr)?;
-        let mut out = vec![Frame::empty(); 8];
-        let mut got = 0usize;
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-        while got < 2 {
-            let n = t.recv_batch(&mut out)?;
-            for f in out.iter().take(n) {
-                if f.addr != client_addr {
-                    return Err(io::Error::other(format!(
-                        "source address decoded as {} instead of {client_addr}",
-                        f.addr
-                    )));
+        let mut receive = || -> io::Result<()> {
+            let mut out = vec![Frame::empty(); 8];
+            let mut got = 0usize;
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+            while got < 2 {
+                let n = t.recv_batch(&mut out)?;
+                for f in out.iter().take(n) {
+                    if f.addr != client_addr {
+                        return Err(io::Error::other(format!(
+                            "source address decoded as {} instead of {client_addr}",
+                            f.addr
+                        )));
+                    }
+                    if !f.payload().starts_with(b"probe-") {
+                        return Err(io::Error::other("payload corrupted in transit"));
+                    }
                 }
-                if !f.payload().starts_with(b"probe-") {
-                    return Err(io::Error::other("payload corrupted in transit"));
+                got += n;
+                if n == 0 {
+                    if std::time::Instant::now() > deadline {
+                        return Err(io::ErrorKind::TimedOut.into());
+                    }
+                    std::thread::yield_now();
                 }
             }
-            got += n;
-            if n == 0 {
-                if std::time::Instant::now() > deadline {
-                    return Err(io::ErrorKind::TimedOut.into());
-                }
-                std::thread::yield_now();
-            }
-        }
+            Ok(())
+        };
+        receive().map_err(|e| step("multishot RECVMSG receive", e))?;
         // Exercise the tx path too.
-        t.send_batch(&[Frame::new(b"pong", client_addr)])?;
-        client.set_read_timeout(Some(std::time::Duration::from_secs(2)))?;
-        let mut buf = [0u8; 16];
-        let (n, _) = client.recv_from(&mut buf)?;
-        if &buf[..n] != b"pong" {
-            return Err(io::Error::other("response payload corrupted"));
-        }
-        Ok(())
-    }
-
-    /// Round-trips a datagram each way through a connected-tier transport.
-    fn connected_self_test(mode: UringMode) -> io::Result<()> {
-        let a = UdpSocket::bind("127.0.0.1:0")?;
-        let b = UdpSocket::bind("127.0.0.1:0")?;
-        let b_addr = b.local_addr()?;
-        a.connect(b_addr)?;
-        b.connect(a.local_addr()?)?;
-        let mut t = IoUringTransport::connected_with(
-            a,
-            UringConfig { mode, recv_pool: 8, send_pool: 8 },
-        )?;
-        b.send(b"ping")?;
-        let mut out = vec![Frame::empty(); 8];
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-        loop {
-            let n = t.recv_batch(&mut out)?;
-            if n > 0 {
-                if out[0].payload() != b"ping" || out[0].addr != b_addr {
-                    return Err(io::Error::other("connected receive corrupted"));
-                }
-                break;
+        let mut reply = || -> io::Result<()> {
+            t.send_batch(&[Frame::new(b"pong", client_addr)])?;
+            client.set_read_timeout(Some(std::time::Duration::from_secs(2)))?;
+            let mut buf = [0u8; 16];
+            let (n, _) = client.recv_from(&mut buf)?;
+            if &buf[..n] != b"pong" {
+                return Err(io::Error::other("response payload corrupted"));
             }
-            if std::time::Instant::now() > deadline {
-                return Err(io::ErrorKind::TimedOut.into());
-            }
-            std::thread::yield_now();
-        }
-        t.send_batch(&[Frame::new(b"pong", b_addr)])?;
-        b.set_read_timeout(Some(std::time::Duration::from_secs(2)))?;
-        let mut buf = [0u8; 16];
-        let n = b.recv(&mut buf)?;
-        if &buf[..n] != b"pong" {
-            return Err(io::Error::other("connected response corrupted"));
-        }
-        Ok(())
+            Ok(())
+        };
+        reply().map_err(|e| step("SENDMSG reply", e))
     }
 }
 
@@ -1812,8 +1385,10 @@ mod tests {
         caps.available.then_some(caps)
     }
 
-    fn recv_all(t: &mut IoUringTransport, n: usize) -> Vec<Frame> {
-        let mut out = vec![Frame::empty(); MAX_BATCH];
+    /// Polls `recv_batch` with a `slice`-frame output until `n` frames
+    /// arrived, keeping arrival order.
+    fn recv_in_slices(t: &mut IoUringTransport, n: usize, slice: usize) -> Vec<Frame> {
+        let mut out = vec![Frame::empty(); slice];
         let mut got = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(5);
         while got.len() < n {
@@ -1827,13 +1402,21 @@ mod tests {
         got
     }
 
-    fn server(mode: UringMode) -> IoUringTransport {
+    fn recv_all(t: &mut IoUringTransport, n: usize) -> Vec<Frame> {
+        recv_in_slices(t, n, MAX_BATCH)
+    }
+
+    fn tags(frames: &[Frame]) -> Vec<u64> {
+        frames.iter().map(|f| u64::from_le_bytes(f.payload().try_into().unwrap())).collect()
+    }
+
+    fn transport_with(cfg: UringConfig) -> IoUringTransport {
         let s = UdpSocket::bind("127.0.0.1:0").expect("bind");
-        IoUringTransport::server_with(
-            s,
-            UringConfig { mode, ..UringConfig::default() },
-        )
-        .expect("server transport")
+        IoUringTransport::server_with(s, cfg).expect("transport")
+    }
+
+    fn server() -> IoUringTransport {
+        transport_with(UringConfig::default())
     }
 
     #[test]
@@ -1847,26 +1430,28 @@ mod tests {
 
     #[test]
     fn multishot_server_round_trip() {
-        let Some(caps) = caps_or_skip() else { return };
-        if !caps.multishot {
-            eprintln!("skipping: multishot tier not supported here");
-            return;
-        }
-        let mut t = server(UringMode::Multishot);
+        let Some(_) = caps_or_skip() else { return };
+        let mut t = server();
         assert_eq!(t.label(), "uring:multishot");
         let dst = t.local_addr().unwrap();
         let client = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let n = 200usize; // > recv_pool: exercises buffer recycling
+        // More datagrams than posted buffers before the first reap: the
+        // arm runs out (ENOBUFS) with the rest still queued on the
+        // socket, and must be restored once buffers are recycled.
+        let n = UringConfig::default().recv_pool + 72;
         for i in 0..n {
             client.send_to(&(i as u64).to_le_bytes(), dst).unwrap();
         }
-        let got = recv_all(&mut t, n);
-        let mut seen: Vec<u64> =
-            got.iter().map(|f| u64::from_le_bytes(f.payload().try_into().unwrap())).collect();
+        let mut seen = tags(&recv_all(&mut t, n));
+        // The restored arm keeps receiving after the backlog is gone.
+        client.send_to(&(n as u64).to_le_bytes(), dst).unwrap();
+        seen.extend(tags(&recv_all(&mut t, 1)));
         seen.sort_unstable();
-        assert_eq!(seen, (0..n as u64).collect::<Vec<_>>());
+        assert_eq!(seen, (0..=n as u64).collect::<Vec<_>>(), "each datagram exactly once");
+        let mut out = vec![Frame::empty(); MAX_BATCH];
+        assert_eq!(t.recv_batch(&mut out).expect("not broken"), 0, "nothing delivered twice");
         let s = t.stats();
-        assert_eq!(s.recv_frames, n as u64);
+        assert_eq!(s.recv_frames, n as u64 + 1);
         assert!(
             s.recv_calls <= s.recv_frames,
             "reap passes can't outnumber frames delivered"
@@ -1874,10 +1459,9 @@ mod tests {
     }
 
     #[test]
-    fn oneshot_server_round_trip_and_reply() {
+    fn server_round_trip_and_reply() {
         let Some(_) = caps_or_skip() else { return };
-        let mut t = server(UringMode::Oneshot);
-        assert_eq!(t.label(), "uring:recvmsg");
+        let mut t = server();
         let dst = t.local_addr().unwrap();
         let client = UdpSocket::bind("127.0.0.1:0").unwrap();
         let client_addr = client.local_addr().unwrap();
@@ -1908,10 +1492,10 @@ mod tests {
     #[test]
     fn receives_cost_no_syscall_once_armed() {
         let Some(_) = caps_or_skip() else { return };
-        let mut t = server(UringMode::Oneshot);
+        let mut t = server();
         let dst = t.local_addr().unwrap();
         let client = UdpSocket::bind("127.0.0.1:0").unwrap();
-        // Drain the (already armed) pool once so any startup flushes
+        // Poll the (already armed) transport once so any startup flushes
         // are behind us.
         let mut out = vec![Frame::empty(); MAX_BATCH];
         let _ = t.recv_batch(&mut out).unwrap();
@@ -1922,8 +1506,8 @@ mod tests {
         let got = recv_all(&mut t, 8);
         assert_eq!(got.len(), 8);
         // The loopback sender posted our CQEs; reaping them is pure
-        // shared-memory reads. Re-arms are staged but only flushed on an
-        // idle poll, so at most the trailing empty polls entered.
+        // shared-memory reads, and the multishot arm needs no re-arm, so
+        // at most the trailing empty polls entered.
         let enters_after = t.stats().enter_calls;
         assert!(
             enters_after - enters_before <= got.len() as u64,
@@ -1933,66 +1517,39 @@ mod tests {
     }
 
     #[test]
-    fn connected_fixed_round_trip() {
-        let Some(caps) = caps_or_skip() else { return };
-        if !caps.fixed {
-            eprintln!("skipping: fixed-buffer tier not supported here");
-            return;
-        }
-        let a = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let b = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let b_addr = b.local_addr().unwrap();
-        a.connect(b_addr).unwrap();
-        b.connect(a.local_addr().unwrap()).unwrap();
-        let mut t = IoUringTransport::connected(a).unwrap();
-        assert_eq!(t.label(), "uring:fixed");
-        for i in 0..50u64 {
-            b.send(&i.to_le_bytes()).unwrap();
-        }
-        let got = recv_all(&mut t, 50);
-        assert!(got.iter().all(|f| f.addr == b_addr), "peer address attached");
-        let frames: Vec<Frame> =
-            (0..50u64).map(|i| Frame::new(&i.to_le_bytes(), b_addr)).collect();
-        t.send_batch(&frames).unwrap();
-        b.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-        let mut buf = [0u8; MAX_FRAME];
-        for _ in 0..50 {
-            b.recv(&mut buf).expect("echoed frame");
-        }
-        let s = t.stats();
-        assert_eq!((s.recv_frames, s.send_frames), (50, 50));
-    }
-
-    #[test]
-    fn connected_plain_round_trip() {
+    fn client_and_server_roles_round_trip() {
+        // Two transports talking to each other as `tq-loadgen --transport
+        // io_uring` runs them: both on unconnected sockets, the client's
+        // frames addressed to the server, the server's replies addressed
+        // to whatever source each request decoded to.
         let Some(_) = caps_or_skip() else { return };
-        let a = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let b = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let b_addr = b.local_addr().unwrap();
-        a.connect(b_addr).unwrap();
-        b.connect(a.local_addr().unwrap()).unwrap();
-        let mut t = IoUringTransport::connected_with(
-            a,
-            UringConfig { mode: UringMode::Plain, ..UringConfig::default() },
-        )
-        .unwrap();
-        assert_eq!(t.label(), "uring:rw");
-        b.send(b"hello").unwrap();
-        let got = recv_all(&mut t, 1);
-        assert_eq!(got[0].payload(), b"hello");
+        let mut srv = server();
+        let mut cli = server();
+        let srv_addr = srv.local_addr().unwrap();
+        let cli_addr = cli.local_addr().unwrap();
+        let requests: Vec<Frame> =
+            (0..50u64).map(|i| Frame::new(&i.to_le_bytes(), srv_addr)).collect();
+        cli.send_batch(&requests).unwrap();
+        let got = recv_all(&mut srv, 50);
+        assert!(got.iter().all(|f| f.addr == cli_addr), "client address decoded");
+        let replies: Vec<Frame> = got.iter().map(|f| Frame::new(f.payload(), f.addr)).collect();
+        srv.send_batch(&replies).unwrap();
+        let echoed = recv_all(&mut cli, 50);
+        assert!(echoed.iter().all(|f| f.addr == srv_addr), "server address decoded");
+        let mut seen = tags(&echoed);
+        seen.sort_unstable();
+        assert_eq!(seen, (0..50u64).collect::<Vec<_>>());
+        for s in [srv.stats(), cli.stats()] {
+            assert_eq!((s.recv_frames, s.send_frames), (50, 50));
+        }
     }
 
     #[test]
     fn send_bursts_larger_than_the_pool_reclaim_slots() {
         let Some(_) = caps_or_skip() else { return };
-        let srv = UdpSocket::bind("127.0.0.1:0").unwrap();
         let dst_sock = UdpSocket::bind("127.0.0.1:0").unwrap();
         let dst = dst_sock.local_addr().unwrap();
-        let mut t = IoUringTransport::server_with(
-            srv,
-            UringConfig { mode: UringMode::Oneshot, recv_pool: 4, send_pool: 4 },
-        )
-        .unwrap();
+        let mut t = transport_with(UringConfig { recv_pool: 4, send_pool: 4 });
         let n = 64usize; // 16x the send pool
         let frames: Vec<Frame> =
             (0..n).map(|i| Frame::new(&(i as u64).to_le_bytes(), dst)).collect();
@@ -2006,27 +1563,60 @@ mod tests {
     }
 
     #[test]
-    fn oversized_datagrams_truncate_to_max_frame() {
-        let Some(caps) = caps_or_skip() else { return };
-        for mode in [UringMode::Oneshot, UringMode::Multishot] {
-            if mode == UringMode::Multishot && !caps.multishot {
-                continue;
+    fn a_failed_send_surfaces_on_the_next_call() {
+        let Some(_) = caps_or_skip() else { return };
+        let mut t = server();
+        // UDP refuses destination port 0 with EINVAL. The SQE stages and
+        // submits fine; the refusal comes back as a completion.
+        let unsendable = Frame::new(b"x", "127.0.0.1:0".parse().unwrap());
+        t.send_batch(&[unsendable]).expect("the error arrives as a completion");
+        let mut out = vec![Frame::empty(); MAX_BATCH];
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let err = loop {
+            match t.recv_batch(&mut out) {
+                Err(e) => break e,
+                Ok(_) => assert!(Instant::now() < deadline, "send error never surfaced"),
             }
-            let mut t = server(mode);
-            let dst = t.local_addr().unwrap();
-            let client = UdpSocket::bind("127.0.0.1:0").unwrap();
-            let big = [0xA5u8; 2 * MAX_FRAME];
-            client.send_to(&big, dst).unwrap();
-            let got = recv_all(&mut t, 1);
-            assert_eq!(got[0].len as usize, MAX_FRAME, "{:?} truncates", mode);
-            assert!(got[0].payload().iter().all(|&b| b == 0xA5));
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        let again = t.send_batch(&[unsendable]).expect_err("the transport stays broken");
+        assert_eq!(again.kind(), err.kind());
+    }
+
+    #[test]
+    fn bursts_larger_than_the_output_slice_spill_in_send_order() {
+        let Some(_) = caps_or_skip() else { return };
+        let mut t = server();
+        let dst = t.local_addr().unwrap();
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let n = 40u64;
+        for i in 0..n {
+            client.send_to(&i.to_le_bytes(), dst).unwrap();
         }
+        // The first reap takes every completion off the CQ; all but
+        // three of the frames wait in the spill queue for later calls.
+        let got = recv_in_slices(&mut t, n as usize, 3);
+        assert_eq!(tags(&got), (0..n).collect::<Vec<_>>(), "send order, none lost");
+        assert_eq!(t.stats().recv_frames, n);
+    }
+
+    #[test]
+    fn oversized_datagrams_truncate_to_max_frame() {
+        let Some(_) = caps_or_skip() else { return };
+        let mut t = server();
+        let dst = t.local_addr().unwrap();
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let big = [0xA5u8; 2 * MAX_FRAME];
+        client.send_to(&big, dst).unwrap();
+        let got = recv_all(&mut t, 1);
+        assert_eq!(got[0].len as usize, MAX_FRAME);
+        assert!(got[0].payload().iter().all(|&b| b == 0xA5));
     }
 
     #[test]
     fn empty_batches_are_noops() {
         let Some(_) = caps_or_skip() else { return };
-        let mut t = server(UringMode::Oneshot);
+        let mut t = server();
         assert_eq!(t.recv_batch(&mut []).unwrap(), 0);
         t.send_batch(&[]).unwrap();
         let s = t.stats();
@@ -2044,46 +1634,22 @@ mod tests {
         let Some(_) = caps_or_skip() else { return };
         let s = UdpSocket::bind("127.0.0.1:0").unwrap();
         crate::transport::set_socket_buffers(&s, 1 << 20).unwrap();
-        let t = IoUringTransport::server_with(
-            s,
-            UringConfig { mode: UringMode::Oneshot, ..UringConfig::default() },
-        )
-        .unwrap();
+        let t = IoUringTransport::server(s).unwrap();
         assert!(t.stats().rcvbuf_bytes > 0);
         assert!(t.stats().sndbuf_bytes > 0);
     }
 
     #[test]
     fn drop_with_inflight_receives_does_not_hang() {
-        let Some(caps) = caps_or_skip() else { return };
-        // A freshly armed server has recv_pool ops in flight and no
+        let Some(_) = caps_or_skip() else { return };
+        // A freshly armed transport has its receive in flight and no
         // traffic; drop must cancel + drain within its deadline.
         let start = Instant::now();
-        for mode in [UringMode::Oneshot, UringMode::Multishot] {
-            if mode == UringMode::Multishot && !caps.multishot {
-                continue;
-            }
-            let t = server(mode);
-            drop(t);
-        }
+        drop(server());
         assert!(
             start.elapsed() < Duration::from_secs(5),
             "shutdown drain took {:?}",
             start.elapsed()
         );
-    }
-
-    #[test]
-    fn server_modes_reject_connected_modes_and_vice_versa() {
-        let s = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let err = IoUringTransport::server_with(
-            s,
-            UringConfig { mode: UringMode::Fixed, ..UringConfig::default() },
-        )
-        .unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-        // Unconnected socket can't build a connected transport at all.
-        let s = UdpSocket::bind("127.0.0.1:0").unwrap();
-        assert!(IoUringTransport::connected(s).is_err());
     }
 }

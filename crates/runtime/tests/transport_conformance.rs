@@ -1,8 +1,8 @@
 //! Transport conformance suite.
 //!
 //! One shared harness run against every [`Transport`] implementation —
-//! `per_datagram`, `batched`, and each io_uring tier the host's
-//! capability probe validates — so future transports cannot silently
+//! `per_datagram`, `batched`, and `uring:multishot` where the host's
+//! capability probe validates it — so future transports cannot silently
 //! diverge on the contracts the serve loop leans on:
 //!
 //! * **exact-length frames**: a delivered frame's `len` equals the bytes
@@ -15,14 +15,13 @@
 //! * **shutdown drain**: frames accepted by `send_batch` reach the wire
 //!   even when the transport is dropped immediately afterwards.
 //!
-//! io_uring tiers that the probe reports unavailable are skipped
-//! *loudly* (the skip and its reason are printed) rather than silently
-//! passing.
+//! Where the probe reports io_uring unavailable it is skipped *loudly*
+//! (the skip and its reason are printed) rather than silently passing.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 use tq_runtime::transport::{Frame, Transport, UdpTransport, MAX_BATCH, MAX_FRAME};
-use tq_runtime::uring::{self, IoUringTransport, UringConfig, UringMode};
+use tq_runtime::uring::{self, IoUringTransport};
 
 /// A (transport, peer socket, transport address) triple for one run.
 struct Pair {
@@ -71,42 +70,13 @@ fn build_pairs() -> Vec<Pair> {
     if caps.available {
         let (s, addr) = fresh();
         pairs.push(Pair {
-            name: "uring:recvmsg".into(),
-            transport: Box::new(
-                IoUringTransport::server_with(
-                    s,
-                    UringConfig {
-                        mode: UringMode::Oneshot,
-                        ..UringConfig::default()
-                    },
-                )
-                .expect("probe said oneshot works"),
-            ),
+            name: "uring:multishot".into(),
+            transport: Box::new(IoUringTransport::server(s).expect("probe said io_uring works")),
             peer: peer(),
             addr,
         });
-        if caps.multishot {
-            let (s, addr) = fresh();
-            pairs.push(Pair {
-                name: "uring:multishot".into(),
-                transport: Box::new(
-                    IoUringTransport::server_with(
-                        s,
-                        UringConfig {
-                            mode: UringMode::Multishot,
-                            ..UringConfig::default()
-                        },
-                    )
-                    .expect("probe said multishot works"),
-                ),
-                peer: peer(),
-                addr,
-            });
-        } else {
-            println!("SKIP uring:multishot — probe: {}", caps.reason);
-        }
     } else {
-        println!("SKIP io_uring tiers — probe: {}", caps.reason);
+        println!("SKIP uring:multishot — probe: {}", caps.reason);
     }
     pairs
 }
