@@ -1,33 +1,42 @@
 //! The dispatcher thread (§4 "Dispatcher").
 //!
 //! Performs *only* job load balancing: it never parses requests for
-//! scheduling hints and never schedules quanta. It drains the submit
-//! channel in bursts — blocking for the first request, then taking up to
-//! [`crate::ServerConfig::dispatch_burst`] more without blocking — takes
-//! *one* load snapshot per burst (maintained incrementally as picks
+//! scheduling hints and never schedules quanta. It polls the submit (RX)
+//! ring — the stand-in for the NIC's — taking up to
+//! [`crate::ServerConfig::dispatch_burst`] requests with one `pop_batch`,
+//! takes *one* load snapshot per burst (maintained incrementally as picks
 //! assign), and pushes each worker's share of the burst as one ring
 //! sub-batch (one Release publish per worker per burst). A full ring is
 //! backpressure: the dispatcher *bans* that worker for the retry round
 //! and re-picks the leftovers among the other workers
 //! ([`Dispatcher::pick_excluding`]); only when every ring is full does it
 //! yield, re-snapshot, and start over with a clean mask. The per-item
-//! costs of the old pipeline — a blocking recv, an n-worker atomic
-//! snapshot, and an Acquire/Release pair per request — are all amortized
-//! over the burst. `RingAuditLog::on_forward` stays per-item, so the
-//! FIFO audit contract is unchanged.
+//! costs of the old pipeline — a receive, an n-worker atomic snapshot,
+//! and an Acquire/Release pair per request — are all amortized over the
+//! burst. `RingAuditLog::on_forward` stays per-item, so the FIFO audit
+//! contract is unchanged.
+//!
+//! TQ's dispatcher owns a core and never stops polling. Ours shares its
+//! host with the workers and the submitter, so an empty poll spins
+//! [`crate::ServerConfig::idle_spins`] times and then parks; the submit
+//! side unparks it only when it is actually asleep (the `parked`
+//! handshake on `ShutdownSignal`).
 //!
 //! The dispatcher is also phase 1 of the shutdown drain protocol (see
-//! DESIGN.md): it exits only after every request it will ever forward is
-//! in a ring, then sets `dispatcher_done` — the signal workers need
-//! before they may even consider exiting. On an aborted teardown
+//! DESIGN.md): it exits only after submission is `closed` and every
+//! request it will ever forward is in a ring, then sets `dispatcher_done`
+//! — the signal workers need before they may even consider exiting — from
+//! a drop guard, so a panicking dispatcher raises it too and neither the
+//! workers nor a blocked `submit` wait on a thread that is gone. On an
+//! aborted teardown
 //! ([`crate::TinyQuanta`] dropped without `shutdown`) it stops
 //! forwarding and *counts* the remainder as dropped instead of pushing
 //! into rings whose workers may never drain them — conservation then
 //! balances as `submitted = completed + dropped(shutdown_abort)`.
 
-use crate::ring::Producer;
+use crate::clock::TscClock;
+use crate::ring::{Consumer, Producer};
 use crate::server::{RtRequest, ServerConfig, ShutdownSignal};
-use crossbeam::channel::Receiver;
 use crossbeam::queue::ArrayQueue;
 use std::sync::Arc;
 use tq_audit::RingAuditLog;
@@ -46,14 +55,18 @@ pub struct DispatcherStats {
     /// down (dropped) before a clean shutdown — the named drop bucket
     /// that keeps conservation balanced on the abort path.
     pub dropped_on_abort: u64,
-    /// Bursts drained from the submit channel (`forwarded / bursts` is
-    /// the mean burst size actually achieved).
+    /// Bursts drained from the submit ring (`forwarded / bursts` is the
+    /// mean burst size actually achieved).
     pub bursts: u64,
-    /// Wall time spent inside burst processing — snapshot, picks, ring
-    /// pushes, and any backpressure retries — excluding blocking waits
-    /// for arrivals. `busy_nanos / forwarded` is the dispatch cost per
-    /// request.
+    /// Time spent inside burst processing — snapshot, picks, ring pushes,
+    /// and any backpressure retries — excluding polls and waits for
+    /// arrivals, measured on the server's [`TscClock`].
+    /// `busy_nanos / forwarded` is the dispatch cost per request.
     pub busy_nanos: u64,
+    /// Times the dispatcher gave up spinning on an empty submit ring and
+    /// went to sleep (or found a request on its last look before doing
+    /// so); each costs the submit side at most one wake-up.
+    pub parks: u64,
 }
 
 impl DispatcherStats {
@@ -105,45 +118,50 @@ impl std::fmt::Debug for DispatchTx {
     }
 }
 
-/// Spawns the dispatcher thread. It exits once the submit channel
-/// disconnects and every received request is either in a ring or counted
-/// as dropped (abort path); only then does it set `dispatcher_done`,
-/// opening phase 2 of the drain protocol for the workers.
+/// Spawns the dispatcher thread. It exits once submission is closed and
+/// every request in the submit ring is either in a worker's ring or
+/// counted as dropped (abort path); only then does it set
+/// `dispatcher_done`, opening phase 2 of the drain protocol for the
+/// workers.
 pub(crate) fn spawn(
     config: &ServerConfig,
-    rx: Receiver<RtRequest>,
+    rx: Consumer<RtRequest>,
     rings: DispatchTx,
     counters: Arc<Vec<SharedCounters>>,
     signal: Arc<ShutdownSignal>,
     audit: Option<Arc<RingAuditLog>>,
+    clock: TscClock,
 ) -> std::thread::JoinHandle<DispatcherStats> {
-    let policy = config.dispatch;
-    let n_workers = config.workers;
-    let seed = config.seed;
-    let burst_max = config.dispatch_burst.max(1);
+    let config = config.clone();
     std::thread::Builder::new()
         .name("tq-dispatcher".into())
         .spawn(move || {
-            run_dispatcher(
-                policy, n_workers, seed, burst_max, rx, rings, &counters, &signal, audit,
-            )
+            // Phase 1 ends when this thread does, however it does: after
+            // the last ring push below, or unwinding from a panic.
+            struct Done<'a>(&'a ShutdownSignal);
+            impl Drop for Done<'_> {
+                fn drop(&mut self) {
+                    self.0.set_dispatcher_done();
+                }
+            }
+            let _done = Done(&signal);
+            run_dispatcher(&config, rx, rings, &counters, &signal, audit, &clock)
         })
         .expect("spawn dispatcher thread")
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_dispatcher(
-    policy: tq_core::policy::DispatchPolicy,
-    n_workers: usize,
-    seed: u64,
-    burst_max: usize,
-    rx: Receiver<RtRequest>,
+    config: &ServerConfig,
+    rx: Consumer<RtRequest>,
     rings: DispatchTx,
     counters: &[SharedCounters],
     signal: &ShutdownSignal,
     audit: Option<Arc<RingAuditLog>>,
+    clock: &TscClock,
 ) -> DispatcherStats {
-    let mut dispatcher = Dispatcher::new(policy, n_workers, seed);
+    let n_workers = config.workers;
+    let burst_max = config.dispatch_burst.max(1);
+    let mut dispatcher = Dispatcher::new(config.dispatch, n_workers, config.seed);
     let mut ledger = DispatcherLedger::new(n_workers);
     let mut loads: Vec<WorkerLoad> = Vec::with_capacity(n_workers);
     let mut stats = DispatcherStats::default();
@@ -157,24 +175,35 @@ fn run_dispatcher(
     } else {
         (1u64 << n_workers) - 1
     };
-    // Blocking recv: returns Err only when every sender is gone and the
-    // channel is drained — the shutdown signal.
-    'recv: while let Ok(first) = rx.recv() {
+    let mut busy = 0u64; // cycles; converted once at exit
+    let mut idle_polls: u32 = 0;
+    'poll: loop {
+        // Read `closed` before polling: every submit precedes the close,
+        // so an empty ring *after* seeing it is empty for good.
+        let closed = signal.closed();
         batch.clear();
-        batch.push(first);
-        while batch.len() < burst_max {
-            match rx.try_recv() {
-                Ok(req) => batch.push(req),
-                Err(_) => break,
+        if rx.pop_batch(&mut batch, burst_max) == 0 {
+            if closed {
+                break;
             }
+            if idle_polls < config.idle_spins {
+                idle_polls += 1;
+                std::hint::spin_loop();
+            } else {
+                idle_polls = 0;
+                stats.parks += 1;
+                signal.park_unless(|| !rx.is_empty());
+            }
+            continue;
         }
+        idle_polls = 0;
         if signal.abort_requested() {
-            // Aborted teardown: drain the channel, accounting every
+            // Aborted teardown: drain the ring, accounting every
             // undelivered request by name.
             stats.dropped_on_abort += batch.len() as u64;
-            continue 'recv;
+            continue;
         }
-        let burst_started = std::time::Instant::now();
+        let burst_started = clock.now().0;
         stats.bursts += 1;
         // One snapshot per burst; each pick bumps its target's queued
         // count so later picks in the burst see the earlier assignments.
@@ -229,8 +258,8 @@ fn run_dispatcher(
                 for sub in per_worker.iter_mut() {
                     sub.clear();
                 }
-                stats.busy_nanos += burst_started.elapsed().as_nanos() as u64;
-                continue 'recv;
+                busy += clock.now().0.wrapping_sub(burst_started);
+                continue 'poll;
             }
             stats.ring_full_retries += leftover;
             if banned == bannable {
@@ -254,11 +283,12 @@ fn run_dispatcher(
                 per_worker[w].push(req);
             }
         }
-        stats.busy_nanos += burst_started.elapsed().as_nanos() as u64;
+        busy += clock.now().0.wrapping_sub(burst_started);
     }
     // Phase 1 complete: nothing will ever be pushed into a ring again.
-    // Workers may now exit once their queues are empty.
-    signal.set_dispatcher_done();
+    // The caller's drop guard tells the workers, who may then exit once
+    // their queues are empty.
+    stats.busy_nanos = clock.to_nanos(tq_core::Cycles(busy)).0;
     stats
 }
 

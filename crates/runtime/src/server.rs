@@ -1,9 +1,13 @@
 //! The [`TinyQuanta`] server facade.
 //!
 //! Wires together the dispatcher thread, worker threads, rings, shared
-//! counters and the clock, exposing a submit/collect API. The real system
-//! polls a NIC; here requests arrive through an in-process channel (the
-//! network was never the paper's bottleneck — see DESIGN.md).
+//! counters and the clock, exposing a submit/collect API. The real system's
+//! dispatcher polls a NIC RX ring; here `submit`/`try_submit_burst` are the
+//! NIC: they write a burst into an SPSC RX ring with one Release publish
+//! and the dispatcher polls it (the network was never the paper's
+//! bottleneck — see DESIGN.md). Unlike a dedicated dispatcher core, ours
+//! shares its host, so after a short spin it parks, and a submit wakes it
+//! only when the `parked` flag is up — see [`ShutdownSignal`].
 //!
 //! Shutdown follows a two-phase drain protocol (DESIGN.md "Shutdown and
 //! drain"): phase 1, the dispatcher forwards (or, on abort, counts as
@@ -19,8 +23,8 @@ use crate::dispatcher;
 use crate::job::Job;
 use crate::ring;
 use crate::worker::{self, WorkerHandle};
-use crossbeam::channel;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::RefCell;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use tq_audit::fault::FaultPlan;
 use tq_audit::{AuditReport, DropReason, InvariantAuditor, RingAuditLog};
@@ -66,22 +70,66 @@ impl Completion {
     }
 }
 
-/// Coordination flags for the two-phase shutdown drain protocol.
+/// Capacity of the submit (RX) ring between the facade and the
+/// dispatcher: the largest `max_in_flight` a front end runs with
+/// ([`crate::net::NetConfig`]'s default), so a serve loop inside its
+/// in-flight bound never finds it full. A caller that outruns the
+/// dispatcher by more than this yields in `submit` until there is room —
+/// memory stays bounded where the channel this replaced grew without
+/// limit.
+const SUBMIT_RING_CAPACITY: usize = 8192;
+
+/// Coordination flags between the facade, the dispatcher and the workers:
+/// the two-phase shutdown drain protocol and the dispatcher's sleep/wake
+/// handshake.
 ///
-/// `dispatcher_done` is phase 1: set by the dispatcher only after every
-/// request it will ever deliver is in a ring (nothing can appear in any
-/// queue afterwards). Workers use it as the gate for phase 2: exit once
-/// it is up *and* every queue they can receive from is empty. `abort` is
-/// the teardown-without-shutdown path: the dispatcher stops forwarding
-/// and accounts the remainder as [`DropReason::ShutdownAbort`] drops
-/// rather than pushing into rings whose workers may already be gone.
+/// `closed` ends submission: set (by `shutdown`/`Drop`) after the last
+/// request was published to the submit ring, so a dispatcher that reads
+/// it and *then* finds the ring empty has seen everything. `abort` is the
+/// teardown-without-shutdown path: the dispatcher stops forwarding and
+/// accounts the remainder as [`DropReason::ShutdownAbort`] drops rather
+/// than pushing into rings whose workers may already be gone.
+/// `dispatcher_done` is phase 1: set when the dispatcher thread ends —
+/// after every request it will ever deliver is in a ring, or by unwinding
+/// — so nothing can appear in any queue afterwards. Workers use it as the
+/// gate for phase 2 (exit once it is up *and* every queue they can receive
+/// from is empty), and the submit side reads it as "nobody will ever pop
+/// the submit ring again".
+///
+/// `parked` makes a wake-up cost one futex call per dispatcher *sleep*
+/// instead of one per request. The two sides run the store-buffering
+/// handshake, each with a `SeqCst` fence between its store and its load:
+///
+/// ```text
+/// submit:      publish to ring ; fence ; load parked  → if up: clear, unpark
+/// dispatcher:  store parked=up ; fence ; re-check ring → if empty: park
+/// ```
+///
+/// Whichever fence comes second sees the other side's store, so either
+/// the submitter sees `parked` (and unparks; the token makes a later
+/// `park` return at once) or the dispatcher's re-check sees the request.
+/// `tests/wake_protocol.rs` checks every interleaving of the handshake.
 #[derive(Debug, Default)]
 pub(crate) struct ShutdownSignal {
+    closed: AtomicBool,
     abort: AtomicBool,
     dispatcher_done: AtomicBool,
+    parked: AtomicBool,
 }
 
 impl ShutdownSignal {
+    /// Ends submission and wakes the dispatcher so it drains and exits.
+    /// The unpark is unconditional: this runs once, and a dispatcher that
+    /// has not parked yet keeps the token for when it does.
+    pub(crate) fn close(&self, dispatcher: &std::thread::Thread) {
+        self.closed.store(true, Ordering::Release);
+        dispatcher.unpark();
+    }
+
+    pub(crate) fn closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
+    }
+
     pub(crate) fn request_abort(&self) {
         self.abort.store(true, Ordering::Release);
     }
@@ -96,6 +144,27 @@ impl ShutdownSignal {
 
     pub(crate) fn dispatcher_done(&self) -> bool {
         self.dispatcher_done.load(Ordering::Acquire)
+    }
+
+    /// Submit side of the handshake; call after publishing to the ring.
+    fn wake_if_parked(&self, dispatcher: &std::thread::Thread) {
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Relaxed) {
+            self.parked.store(false, Ordering::Relaxed);
+            dispatcher.unpark();
+        }
+    }
+
+    /// Dispatcher side of the handshake: sleeps until a submit or a close
+    /// unparks this thread, unless `has_work` already holds after the
+    /// flag went up. May return spuriously; the caller polls again.
+    pub(crate) fn park_unless(&self, has_work: impl FnOnce() -> bool) {
+        self.parked.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        if !has_work() && !self.closed() {
+            std::thread::park();
+        }
+        self.parked.store(false, Ordering::Relaxed);
     }
 }
 
@@ -243,9 +312,27 @@ impl ServerStats {
 }
 
 /// A running Tiny Quanta server.
+///
+/// The handle is `Send` but deliberately not `Sync`: it is the *single*
+/// producer of the submit ring, which is what lets a burst be one ring
+/// publish instead of a lock per request.
+///
+/// ```
+/// fn assert_send<T: Send>() {}
+/// assert_send::<tq_runtime::TinyQuanta>();
+/// ```
+///
+/// ```compile_fail
+/// fn assert_sync<T: Sync>() {}
+/// assert_sync::<tq_runtime::TinyQuanta>();
+/// ```
 #[derive(Debug)]
 pub struct TinyQuanta {
-    submit_tx: Option<channel::Sender<RtRequest>>,
+    /// Producer half of the submit (RX) ring the dispatcher polls.
+    submit_tx: ring::Producer<RtRequest>,
+    /// Staging for [`TinyQuanta::try_submit_burst`], so a burst reaches
+    /// the ring as one slice.
+    submit_buf: RefCell<Vec<RtRequest>>,
     /// One SPSC completion ring per worker (that worker is the sole
     /// producer), replacing the old unbounded MPSC channel: a completion
     /// publish is a ring write instead of a channel send, and a burst of
@@ -307,7 +394,7 @@ impl TinyQuanta {
         let audit_log = config
             .audit
             .then(|| Arc::new(RingAuditLog::new(config.workers)));
-        let (submit_tx, submit_rx) = channel::unbounded::<RtRequest>();
+        let (submit_tx, submit_rx) = ring::spsc::<RtRequest>(SUBMIT_RING_CAPACITY);
         let mut completion_rx = Vec::with_capacity(config.workers);
         let mut completion_tx = Vec::with_capacity(config.workers);
         for _ in 0..config.workers {
@@ -369,10 +456,12 @@ impl TinyQuanta {
             Arc::clone(&counters),
             Arc::clone(&signal),
             audit_log.clone(),
+            clock.clone(),
         );
 
         TinyQuanta {
-            submit_tx: Some(submit_tx),
+            submit_tx,
+            submit_buf: RefCell::new(Vec::new()),
             completion_rx,
             dispatcher: Some(dispatcher),
             workers,
@@ -400,50 +489,40 @@ impl TinyQuanta {
     }
 
     /// Submits a synthetic request of the given class and service time.
-    /// Returns its id.
+    /// Returns its id. Blocks (yielding) while the submit ring is full.
     ///
     /// # Panics
     ///
-    /// Panics if called after [`TinyQuanta::shutdown`].
+    /// Panics if the dispatcher thread is gone (it panicked).
     pub fn submit(&self, class: u16, service: Nanos) -> JobId {
-        let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let req = RtRequest {
-            id,
-            class: ClassId(class),
-            service,
-            submitted: self.clock.wall_nanos(),
-        };
-        self.submit_tx
-            .as_ref()
-            .expect("server is shut down")
-            .send(req)
-            .expect("dispatcher exited early");
-        id
+        self.submit_burst(&[(class, service)])
     }
 
     /// Submits a whole burst of `(class, service)` requests, returning
     /// the id of the first; the rest follow sequentially. The burst pays
-    /// one clock read and one id-range reservation instead of one of
-    /// each per request, and arrives at the dispatcher back-to-back so
-    /// it is drained as (at most a few) dispatch bursts — one ledger
-    /// snapshot each — rather than `reqs.len()` singletons. All requests
-    /// in the burst share one submission timestamp: the burst *arrived*
-    /// together (a batched socket read delivers its frames at one
-    /// instant).
+    /// one clock read, one id-range reservation and one ring publish
+    /// instead of one of each per request, and arrives at the dispatcher
+    /// back-to-back so it is drained as (at most a few) dispatch bursts —
+    /// one ledger snapshot each — rather than `reqs.len()` singletons.
+    /// All requests in the burst share one submission timestamp: the
+    /// burst *arrived* together (a batched socket read delivers its
+    /// frames at one instant). Blocks (yielding) while the submit ring
+    /// is full.
     ///
     /// # Panics
     ///
-    /// Panics on an empty burst or if called after
-    /// [`TinyQuanta::shutdown`].
+    /// Panics on an empty burst or if the dispatcher thread is gone (it
+    /// panicked).
     pub fn submit_burst(&self, reqs: &[(u16, Nanos)]) -> JobId {
         self.try_submit_burst(reqs)
-            .expect("server is shut down or dispatcher exited early")
+            .expect("dispatcher exited early")
     }
 
     /// Fallible [`TinyQuanta::submit_burst`] for callers that own a
-    /// serving loop: a dispatcher that is gone (shutdown race, or a
-    /// dispatcher panic) surfaces as `None` so the loop can drain its
-    /// transport and report an error instead of aborting its thread.
+    /// serving loop: a dispatcher that is gone (it panicked) surfaces as
+    /// `None` so the loop can drain its transport and report an error
+    /// instead of aborting its thread — or waiting forever on a full
+    /// ring nobody will pop.
     ///
     /// # Panics
     ///
@@ -454,17 +533,36 @@ impl TinyQuanta {
         let n = reqs.len() as u64;
         let first = self.next_id.fetch_add(n, Ordering::Relaxed);
         let now = self.clock.wall_nanos();
-        let tx = self.submit_tx.as_ref()?;
-        for (i, &(class, service)) in reqs.iter().enumerate() {
-            tx.send(RtRequest {
-                id: JobId(first + i as u64),
-                class: ClassId(class),
-                service,
-                submitted: now,
-            })
-            .ok()?;
+        let dispatcher = self.dispatcher.as_ref()?.thread();
+        let mut buf = self.submit_buf.borrow_mut();
+        buf.clear();
+        buf.extend(
+            reqs.iter()
+                .zip(first..)
+                .map(|(&(class, service), id)| RtRequest {
+                    id: JobId(id),
+                    class: ClassId(class),
+                    service,
+                    submitted: now,
+                }),
+        );
+        let mut rest = &buf[..];
+        loop {
+            if self.signal.dispatcher_done() {
+                return None;
+            }
+            let k = self.submit_tx.push_batch_copy(rest);
+            if k > 0 {
+                self.signal.wake_if_parked(dispatcher);
+            }
+            rest = &rest[k..];
+            if rest.is_empty() {
+                return Some(JobId(first));
+            }
+            // Full ring: the dispatcher is behind (its workers' rings are
+            // full too). Give it the CPU.
+            std::thread::yield_now();
         }
-        Some(JobId(first))
     }
 
     /// The server's wall clock (for aligning external measurements).
@@ -499,16 +597,11 @@ impl TinyQuanta {
     /// and — when `ServerConfig::audit` was set — the invariant-audit
     /// report in `ServerStats::audit`.
     pub fn shutdown_with_stats(mut self) -> (Vec<Completion>, ServerStats) {
-        self.submit_tx.take(); // dispatcher sees disconnect after drain
-        let dispatcher_stats = self
-            .dispatcher
-            .take()
-            .map(|d| d.join().expect("dispatcher panicked"))
-            .unwrap_or_default();
-        // The dispatcher thread is gone, so "nothing will ever be pushed
-        // again" holds even if it died without setting the flag itself —
-        // without this, a dispatcher panic would wedge phase 2 forever.
-        self.signal.set_dispatcher_done();
+        let dispatcher = self.dispatcher.take().expect("shutdown runs once");
+        // The dispatcher drains the submit ring to the last request, then
+        // sees `closed` and exits.
+        self.signal.close(dispatcher.thread());
+        let dispatcher_stats = dispatcher.join().expect("dispatcher panicked");
         // Phase 1 is complete: the dispatcher set `dispatcher_done` after
         // its last ring push. Phase 2: each worker exits once it confirms
         // every queue it can receive from is empty — spin-flushing any
@@ -565,22 +658,20 @@ impl TinyQuanta {
 impl Drop for TinyQuanta {
     fn drop(&mut self) {
         // A dropped (not shut down) server must still terminate cleanly:
-        // request an abort so the dispatcher drains the submit channel
+        // request an abort so the dispatcher drains the submit ring
         // *accounting* undelivered requests as drops instead of pushing
         // them into rings, then runs phase 1/2 of the drain protocol as
         // usual. (Previously this path raised the workers' drain flag
         // before the dispatcher finished: requests could land in rings
         // whose workers had already exited — silently lost — or the
         // dispatcher could retry a full ring forever and hang the join.)
-        self.submit_tx.take();
-        self.signal.request_abort();
+        // A panicked dispatcher raised `dispatcher_done` while unwinding,
+        // so the worker joins below cannot wedge on it either.
         if let Some(d) = self.dispatcher.take() {
+            self.signal.request_abort();
+            self.signal.close(d.thread());
             let _ = d.join();
         }
-        // As in `shutdown_with_stats`: once the dispatcher thread is gone
-        // the phase-1 condition is true no matter how it exited; set it
-        // here so even a panicked dispatcher cannot wedge the join below.
-        self.signal.set_dispatcher_done();
         // Same drain-while-joining dance as `shutdown_with_stats`: the
         // workers' exit flush blocks on full completion rings until
         // someone pops. The drained completions are discarded — this is
@@ -701,6 +792,87 @@ mod tests {
         let server = spin_server(2, 10);
         server.submit(0, Nanos::from_micros(5));
         drop(server); // must not hang
+    }
+
+    /// Spins until the dispatcher has raised `parked`: it is then asleep,
+    /// or past the point where only an unpark token (or the re-check)
+    /// can keep it from sleeping.
+    fn await_parked(server: &TinyQuanta) {
+        while !server.signal.parked.load(Ordering::Relaxed) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn shutdown_wakes_a_parked_dispatcher() {
+        let server = spin_server(1, 10);
+        server.submit(0, Nanos::from_micros(5));
+        await_parked(&server);
+        let (completions, stats) = server.shutdown_with_stats();
+        assert_eq!(completions.len(), 1);
+        assert!(stats.dispatcher.parks >= 1);
+    }
+
+    #[test]
+    fn drop_wakes_a_parked_dispatcher() {
+        let server = spin_server(1, 10);
+        await_parked(&server);
+        drop(server); // must not hang on a dispatcher nobody unparks
+    }
+
+    #[test]
+    fn submit_wakes_a_parked_dispatcher() {
+        let server = spin_server(1, 10);
+        let mut done = Vec::new();
+        for _ in 0..100 {
+            await_parked(&server);
+            server.submit(0, Nanos::ZERO);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            done.clear();
+            while done.is_empty() {
+                assert!(std::time::Instant::now() < deadline, "lost wake-up");
+                server.drain_completions_into(&mut done);
+                std::thread::yield_now();
+            }
+        }
+        let (_, stats) = server.shutdown_with_stats();
+        assert!(stats.dispatcher.parks >= 100);
+    }
+
+    /// The abort path with requests still in the submit ring: the one
+    /// worker is stalled behind a two-slot ring, so the dispatcher sits
+    /// in its backpressure loop while the flood queues up behind it.
+    /// Every request must end up completed or counted as dropped.
+    #[test]
+    fn abort_with_a_non_empty_submit_ring_counts_every_drop() {
+        let clock = TscClock::calibrated();
+        let server = TinyQuanta::start_with_clock(
+            ServerConfig {
+                workers: 1,
+                ring_capacity: 2,
+                audit: true,
+                fault: Some(FaultPlan::stall_worker(
+                    0,
+                    Nanos::ZERO,
+                    Nanos::from_millis(100),
+                )),
+                ..ServerConfig::default()
+            },
+            clock.clone(),
+            move |req| Box::new(SpinJob::with_clock(req, &clock)),
+        );
+        let n = 1000;
+        server.submit_burst(&vec![(0, Nanos::ZERO); n]);
+        // What `Drop` does, but keeping the stats it throws away.
+        server.signal.request_abort();
+        let (completions, stats) = server.shutdown_with_stats();
+        assert!(stats.dispatcher.dropped_on_abort > 0, "nothing was aborted");
+        assert_eq!(
+            completions.len() as u64 + stats.dispatcher.dropped_on_abort,
+            n as u64
+        );
+        let report = stats.audit.as_ref().expect("audit was enabled");
+        assert!(report.is_clean(), "audit violations: {report}");
     }
 
     #[test]

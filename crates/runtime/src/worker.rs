@@ -63,8 +63,9 @@ pub struct WorkerStats {
     /// Jobs stolen from siblings (work-stealing mode).
     pub steals: u64,
     /// High-water mark of the worker's dispatch ring (requests waiting
-    /// to be admitted into task slots), sampled at each admit pass —
-    /// the live system's analogue of the simulators' queue depth.
+    /// to be admitted into task slots), sampled at each admit pass
+    /// (right before the worker pops) — the live system's analogue of
+    /// the simulators' queue depth.
     pub max_ring_occupancy: u64,
     /// Scheduler-loop iterations skipped inside an injected stall window.
     pub stalled_iterations: u64,
@@ -329,8 +330,6 @@ fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
                 continue;
             }
         }
-        // Ring high-water mark, sampled before admission drains it.
-        stats.max_ring_occupancy = stats.max_ring_occupancy.max(rx.local_len() as u64);
         // Publish any buffered completions (one Release per burst); the
         // un-pushed overflow simply stays buffered for the next pass.
         if !done_buf.is_empty() {
@@ -339,6 +338,10 @@ fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
         // Admit pending requests into idle coroutine slots, pulled from
         // the ring in one burst sized to the free slots.
         if !free.is_empty() {
+            // Ring high-water mark. Only this worker pops its private
+            // ring, so occupancy can only have grown since the last pop:
+            // sampling right before each one keeps the mark exact.
+            stats.max_ring_occupancy = stats.max_ring_occupancy.max(rx.local_len() as u64);
             rx.pop_local_batch(&mut admit_buf, free.len());
             for req in admit_buf.drain(..) {
                 if let Some(log) = &audit {
@@ -501,6 +504,62 @@ mod tests {
         WorkerRx::Shared {
             index,
             queues: queues.to_vec(),
+        }
+    }
+
+    /// The ring fills to `k` while the worker is stalled; its first admit
+    /// pass after the stall samples the mark before popping, so the mark
+    /// is `k` even though only `task_slots` requests are popped at once.
+    #[test]
+    fn ring_high_water_mark_is_exact_after_a_stall() {
+        let k = 20;
+        let config = ServerConfig {
+            workers: 1,
+            ring_capacity: 64,
+            fault: Some(FaultPlan::stall_worker(
+                0,
+                Nanos::ZERO,
+                Nanos::from_millis(5),
+            )),
+            ..ServerConfig::default()
+        };
+        assert!(config.task_slots < k as usize);
+        let (tx, rx) = crate::ring::spsc::<RtRequest>(config.ring_capacity);
+        for id in 0..k {
+            tx.push(req(id)).unwrap();
+        }
+        let (done_tx, done_rx) = crate::ring::spsc::<Completion>(config.ring_capacity);
+        // Phase 1 is already over: the worker drains the ring and exits.
+        let signal = Arc::new(ShutdownSignal::default());
+        signal.set_dispatcher_done();
+        let stats = spawn(
+            0,
+            &config,
+            Arc::new(AtomicU64::new(config.quantum.0)),
+            WorkerRx::Spsc(rx),
+            Arc::new(|_: &RtRequest| -> Box<dyn Job> { Box::new(Once) }),
+            Arc::new(vec![SharedCounters::new()]),
+            done_tx,
+            signal,
+            None,
+            TscClock::calibrated(),
+        )
+        .join();
+        assert_eq!(stats.completed, k);
+        assert!(
+            stats.stalled_iterations > 0,
+            "the stall window never applied"
+        );
+        assert_eq!(stats.max_ring_occupancy, k);
+        assert_eq!(done_rx.len() as u64, k);
+    }
+
+    /// A job that finishes in its first quantum.
+    struct Once;
+
+    impl Job for Once {
+        fn run(&mut self, _: &mut QuantumCtx) -> JobStatus {
+            JobStatus::Done
         }
     }
 
