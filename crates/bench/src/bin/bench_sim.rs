@@ -36,11 +36,11 @@
 //! [`CHECK_TOLERANCE`] — or the sharded rack arm more than
 //! [`RACK_CHECK_TOLERANCE`] — against the committed `BENCH_sim.json`;
 //! it never rewrites the baseline. Events/sec is a rate, so quick CI
-//! runs gate against the committed full baseline. The rack floor is
-//! looser because the sharded arm's thread count depends on the host's
-//! core count, which CI runners vary. Full mode keeps the best of 5
-//! trials per engine, so the committed number measures the code, not
-//! host noise.
+//! runs gate against the committed full baseline. The rack arm is
+//! gated only when the baseline's `threads` equals this run's (it
+//! follows the host's cores), else loudly skipped. Full mode keeps the
+//! best of 5 trials per engine, so the committed number measures the
+//! code, not host noise.
 //!
 //! `TQ_SIM_MILLIS`, `TQ_SEED`, and `TQ_JOBS` apply as everywhere else.
 //! Comparing two checkouts: run with the same settings and diff the
@@ -413,14 +413,14 @@ fn measure_summarize(n: usize, reps: usize) -> SummarizeMeasure {
     }
 }
 
-/// Extracts `"events_per_sec": <number>` from the sweep object labeled
+/// Extracts `"<field>": <number>` from the sweep object labeled
 /// `label` in a committed `BENCH_sim.json` (v1 or v2 — the field order
 /// puts the sweep total before any `per_model` entries).
-fn baseline_events_per_sec(json: &str, label: &str) -> Option<f64> {
+fn baseline_field(json: &str, label: &str, field: &str) -> Option<f64> {
     let at = json.find(&format!("\"{label}\""))?;
     let rest = &json[at..];
-    let key = "\"events_per_sec\": ";
-    let v = &rest[rest.find(key)? + key.len()..];
+    let key = format!("\"{field}\": ");
+    let v = &rest[rest.find(&key)? + key.len()..];
     let end = v.find([',', '}', '\n'])?;
     v[..end].trim().parse().ok()
 }
@@ -577,7 +577,7 @@ fn main() {
     if check {
         let committed = std::fs::read_to_string("BENCH_sim.json")
             .expect("--check needs a committed BENCH_sim.json");
-        let baseline = baseline_events_per_sec(&committed, "sweep_serial")
+        let baseline = baseline_field(&committed, "sweep_serial", "events_per_sec")
             .expect("BENCH_sim.json has no sweep_serial events_per_sec");
         let current = serial.events_per_sec();
         let ratio = current / baseline;
@@ -614,7 +614,13 @@ fn main() {
             sharded.threads,
             sharded.windows,
         );
-        match baseline_events_per_sec(&committed, "rack_sharded") {
+        // A baseline from another thread count measures the host, not the code.
+        let base_threads = baseline_field(&committed, "rack_sharded", "threads").unwrap_or(0.0);
+        match baseline_field(&committed, "rack_sharded", "events_per_sec") {
+            Some(_) if base_threads != sharded.threads as f64 => println!(
+                "rack gate: baseline recorded at {base_threads} threads, this run {} (skipped)",
+                sharded.threads
+            ),
             Some(rack_baseline) => {
                 let ratio = sharded.events_per_sec() / rack_baseline;
                 println!(

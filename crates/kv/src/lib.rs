@@ -33,6 +33,6 @@ pub mod skiplist;
 pub mod store;
 pub mod trace;
 
-pub use skiplist::SkipList;
+pub use skiplist::{Cursor, SkipList};
 pub use store::KvStore;
 pub use trace::AccessTrace;

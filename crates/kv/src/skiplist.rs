@@ -9,6 +9,14 @@
 //! Nodes live in an arena (`Vec`) and link by index, which keeps the
 //! implementation safe Rust and — useful for the cache study — gives
 //! every node a stable synthetic "address" for access tracing.
+//!
+//! It also makes a walk resumable: a [`Cursor`] is the arena index of the
+//! last entry yielded (the head sentinel before the first) — four `Copy`
+//! bytes, no borrow. The arena is append-only (nodes never move or go;
+//! an overwrite swaps the value in place), so an index is valid for the
+//! list's life and needs no generation check. A resumed walk follows
+//! `next[0]` as it is *now*: exactly the entries a fresh seek of "first
+//! key > last key yielded" returns, whatever was inserted in between.
 
 use std::fmt;
 
@@ -25,6 +33,10 @@ struct Node {
     /// Forward pointers, one per level; length = tower height.
     next: Vec<u32>,
 }
+
+/// A resumable position in a level-0 walk: just after one entry (module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cursor(u32);
 
 /// An ordered map from byte keys to byte values.
 ///
@@ -104,34 +116,42 @@ impl SkipList {
 
     /// Point lookup.
     pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
-        let idx = self.seek(key, &mut |_| {});
-        match idx {
-            Some(i) if self.nodes[i as usize].key == key => {
-                Some(self.nodes[i as usize].value.as_slice())
-            }
-            _ => None,
-        }
+        self.get_traced(key, &mut |_| {})
     }
 
     /// Point lookup that reports every arena index visited during the
     /// descent (head excluded) — the raw material for access traces.
     pub fn get_traced(&self, key: &[u8], visit: &mut impl FnMut(u32)) -> Option<&[u8]> {
-        let idx = self.seek(key, visit);
-        match idx {
-            Some(i) if self.nodes[i as usize].key == key => {
-                Some(self.nodes[i as usize].value.as_slice())
-            }
+        let mut cur = self.seek(key, visit);
+        match self.cursor_next(&mut cur) {
+            Some((k, v)) if k == key => Some(v),
             _ => None,
         }
     }
 
+    /// One descent: the position just after the last key below `start`.
+    pub fn cursor_before(&self, start: &[u8]) -> Cursor {
+        self.seek(start, &mut |_| {})
+    }
+
+    /// One `next[0]` hop: yields the entry after `cur` and moves `cur`
+    /// onto it, or returns `None` at the end and leaves `cur` where it is.
+    pub fn cursor_next(&self, cur: &mut Cursor) -> Option<(&[u8], &[u8])> {
+        let next = self.nodes[cur.0 as usize].next[0];
+        if next == NIL {
+            return None;
+        }
+        *cur = Cursor(next);
+        let node = &self.nodes[next as usize];
+        Some((node.key.as_slice(), node.value.as_slice()))
+    }
+
     /// Iterates entries with keys ≥ `start`, in order.
     pub fn iter_from(&self, start: &[u8]) -> IterFrom<'_> {
-        let first = match self.seek(start, &mut |_| {}) {
-            Some(i) => i,
-            None => NIL,
-        };
-        IterFrom { list: self, cur: first }
+        IterFrom {
+            list: self,
+            cursor: self.cursor_before(start),
+        }
     }
 
     /// Like [`SkipList::iter_from`], reporting each visited arena index.
@@ -141,22 +161,13 @@ impl SkipList {
         count: usize,
         visit: &mut impl FnMut(u32),
     ) -> Vec<(&[u8], &[u8])> {
-        let mut out = Vec::with_capacity(count);
-        let mut cur = match self.seek(start, visit) {
-            Some(i) => i,
-            None => NIL,
-        };
-        while cur != NIL && out.len() < count {
-            visit(cur);
-            let node = &self.nodes[cur as usize];
-            out.push((node.key.as_slice(), node.value.as_slice()));
-            cur = node.next[0];
-        }
-        out
+        let mut cur = self.seek(start, visit);
+        let walk = std::iter::from_fn(|| self.cursor_next(&mut cur).inspect(|_| visit(cur.0)));
+        walk.take(count).collect()
     }
 
-    /// Finds the first node with key ≥ `key`, reporting visited nodes.
-    fn seek(&self, key: &[u8], visit: &mut impl FnMut(u32)) -> Option<u32> {
+    /// Descends to the last node with key < `key` (or the head), reporting visits.
+    fn seek(&self, key: &[u8], visit: &mut impl FnMut(u32)) -> Cursor {
         let mut pred = 0u32; // head
         for level in (0..self.height).rev() {
             loop {
@@ -172,8 +183,7 @@ impl SkipList {
                 }
             }
         }
-        let first = self.nodes[pred as usize].next[0];
-        (first != NIL).then_some(first)
+        Cursor(pred)
     }
 
     /// Finds predecessors at every level; returns the node index if the
@@ -230,19 +240,14 @@ impl fmt::Debug for SkipList {
 #[derive(Debug)]
 pub struct IterFrom<'a> {
     list: &'a SkipList,
-    cur: u32,
+    cursor: Cursor,
 }
 
 impl<'a> Iterator for IterFrom<'a> {
     type Item = (&'a [u8], &'a [u8]);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.cur == NIL {
-            return None;
-        }
-        let node = &self.list.nodes[self.cur as usize];
-        self.cur = node.next[0];
-        Some((node.key.as_slice(), node.value.as_slice()))
+        self.list.cursor_next(&mut self.cursor)
     }
 }
 
@@ -251,6 +256,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
+    use std::ops::Bound;
 
     #[test]
     fn insert_get_roundtrip() {
@@ -340,12 +346,79 @@ mod tests {
         assert_eq!(build(), build());
     }
 
+    #[test]
+    fn slicing_a_traced_scan_adds_no_visits() {
+        let mut sl = SkipList::new(5);
+        for i in 0..5_000u32 {
+            sl.insert(i.to_be_bytes().to_vec(), vec![1]);
+        }
+        let start = 100u32.to_be_bytes();
+        let mut whole = Vec::new();
+        let want = sl.scan_traced(&start, 2_000, &mut |i| whole.push(i));
+        assert_eq!(want.len(), 2_000);
+
+        // The same scan re-entered every 32 entries from a saved cursor:
+        // one descent, then exactly the unsliced walk's node sequence
+        // (re-seeking per slice, as the parent did, adds 62 descents).
+        let mut sliced = Vec::new();
+        let mut got = Vec::new();
+        let mut saved = sl.seek(&start, &mut |i| sliced.push(i));
+        let descent = sliced.len();
+        while got.len() < 2_000 {
+            let mut cur = saved; // a slice resumes from four saved bytes
+            for _ in 0..32.min(2_000 - got.len()) {
+                got.push(sl.cursor_next(&mut cur).expect("5000 keys"));
+                sliced.push(cur.0);
+            }
+            saved = cur;
+        }
+        assert_eq!(got, want);
+        assert_eq!(sliced, whole);
+        assert_eq!(sliced.len(), descent + 2_000);
+    }
+
+    #[test]
+    fn exhausted_cursors_stay_exhausted() {
+        let mut sl = SkipList::new(5);
+        assert_eq!(sl.cursor_next(&mut sl.cursor_before(b"")), None);
+        for i in 0..100u32 {
+            sl.insert(i.to_be_bytes().to_vec(), vec![1]);
+        }
+        // A start key past the last key.
+        let mut cur = sl.cursor_before(&100u32.to_be_bytes());
+        let at_end = cur;
+        assert_eq!(sl.cursor_next(&mut cur), None);
+        assert_eq!(sl.cursor_next(&mut cur), None);
+        assert_eq!(cur, at_end);
+        assert_eq!(sl.iter_from(&100u32.to_be_bytes()).count(), 0);
+        // A walk that runs off the end stops on the last entry.
+        let mut cur = sl.cursor_before(&90u32.to_be_bytes());
+        let mut n = 0;
+        while sl.cursor_next(&mut cur).is_some() {
+            n += 1;
+        }
+        assert_eq!((n, cur), (10, at_end));
+        assert_eq!(sl.cursor_next(&mut cur), None);
+        assert_eq!(cur, at_end);
+        // count == 0 reads nothing, at the end or anywhere else.
+        assert!(sl.scan_traced(b"", 0, &mut |_| ()).is_empty());
+        assert_eq!(sl.iter_from(b"").take(0).count(), 0);
+    }
+
+    type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
+
+    fn pairs(max: usize) -> impl Strategy<Value = Pairs> {
+        let bytes = || prop::collection::vec(any::<u8>(), 0..8);
+        prop::collection::vec((bytes(), bytes()), 0..max)
+    }
+
     proptest! {
         #[test]
-        fn behaves_like_btreemap(ops in prop::collection::vec(
-            (prop::collection::vec(any::<u8>(), 0..8), prop::collection::vec(any::<u8>(), 0..8)),
-            0..200,
-        )) {
+        fn behaves_like_btreemap(
+            ops in pairs(200),
+            start in prop::collection::vec(any::<u8>(), 0..8),
+            walk in prop::collection::vec((0usize..40, pairs(6)), 0..12),
+        ) {
             let mut sl = SkipList::new(42);
             let mut model = BTreeMap::new();
             for (k, v) in &ops {
@@ -361,6 +434,32 @@ mod tests {
             let got: Vec<_> = sl.iter_from(&[]).map(|(k, _)| k.to_vec()).collect();
             let expect: Vec<_> = model.keys().cloned().collect();
             prop_assert_eq!(got, expect);
+
+            // A cursor walk from `start`, stopped after each `hops` and
+            // resumed after `inserts` (new keys and overwrites) landed,
+            // yields what re-seeking "first key > last yielded" would:
+            // no duplicate, no reorder, no key skipped that was present
+            // when its turn came, overwritten values as they are now.
+            // Before the first hop the cursor sits after the last key
+            // below `start`, so `last` starts there.
+            let mut cur = sl.cursor_before(&start);
+            let below = (Bound::Unbounded, Bound::Excluded(start.as_slice()));
+            let mut last = model.range::<[u8], _>(below).next_back().map(|(k, _)| k.clone());
+            for (hops, inserts) in &walk {
+                for _ in 0..*hops {
+                    let above = last.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
+                    let expect = model.range::<[u8], _>((above, Bound::Unbounded)).next();
+                    let got = sl.cursor_next(&mut cur);
+                    prop_assert_eq!(got, expect.map(|(k, v)| (k.as_slice(), v.as_slice())));
+                    if let Some((k, _)) = got {
+                        last = Some(k.to_vec());
+                    }
+                }
+                for (k, v) in inserts {
+                    let expect = model.insert(k.clone(), v.clone());
+                    prop_assert_eq!(sl.insert(k.clone(), v.clone()), expect);
+                }
+            }
         }
     }
 }

@@ -4,7 +4,7 @@
 //! workload issues — GET and SCAN — plus deterministic population and
 //! optional access tracing for the Figure 15 reuse-distance study.
 
-use crate::skiplist::SkipList;
+use crate::skiplist::{Cursor, SkipList};
 use crate::trace::AccessTrace;
 
 /// Bytes of synthetic address space per skip-list arena slot: a node
@@ -52,7 +52,12 @@ impl KvStore {
     /// The canonical key of entry `i` (big-endian, so numeric order is
     /// byte order).
     pub fn nth_key(i: u64) -> Vec<u8> {
-        i.to_be_bytes().to_vec()
+        Self::nth_key_bytes(i).to_vec()
+    }
+
+    /// [`KvStore::nth_key`] without the allocation.
+    pub fn nth_key_bytes(i: u64) -> [u8; 8] {
+        i.to_be_bytes()
     }
 
     /// Fills the store with `n` entries of `value_size`-byte values,
@@ -78,6 +83,16 @@ impl KvStore {
     /// Range scan: up to `count` entries with keys ≥ `start`.
     pub fn scan(&self, start: &[u8], count: usize) -> Vec<(&[u8], &[u8])> {
         self.list.iter_from(start).take(count).collect()
+    }
+
+    /// Where a resumable scan of keys ≥ `start` begins: one descent.
+    pub fn cursor_before(&self, start: &[u8]) -> Cursor {
+        self.list.cursor_before(start)
+    }
+
+    /// The next entry of a resumable scan: one pointer hop (see [`Cursor`]).
+    pub fn cursor_next(&self, cur: &mut Cursor) -> Option<(&[u8], &[u8])> {
+        self.list.cursor_next(cur)
     }
 
     /// GET with a synthetic memory-access trace: descent node touches,

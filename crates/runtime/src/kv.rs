@@ -9,6 +9,12 @@
 //! paper's LLVM pass places these probes automatically in C code; a Rust
 //! job expresses them explicitly — see DESIGN.md.)
 //!
+//! A resumed slice redoes nothing: the SCAN descends the skip list once,
+//! on its first slice (inside the quantum: service time, not admit
+//! time), then holds a [`tq_kv::Cursor`] — the arena index of the last
+//! entry read — so a slice costs one pointer hop per entry and a yield
+//! saves four bytes. The arena only grows, so the index needs no check.
+//!
 //! This used to live inside `examples/kv_server.rs`; it moved here so
 //! the socket front end (`tq-loadgen`, the net smoke job) and the
 //! example serve the *same* workload rather than divergent copies.
@@ -16,40 +22,39 @@
 use crate::job::{Job, JobStatus, QuantumCtx};
 use crate::server::{JobFactory, RtRequest};
 use std::sync::Arc;
-use tq_kv::KvStore;
+use tq_kv::{Cursor, KvStore};
+
+/// Where a SCAN stands: a start key until its first slice has sought, then a cursor.
+#[derive(Debug, Clone, Copy)]
+pub enum ScanPos {
+    /// Not started: the first key to read (inclusive).
+    Start([u8; 8]),
+    /// Started: just after the last entry read.
+    At(Cursor),
+}
 
 /// A GET or SCAN against the shared store, resumable at quantum
 /// boundaries.
+#[derive(Debug)]
 pub enum KvJob {
     /// A point lookup; far shorter than any quantum, runs to completion.
     Get {
         /// The shared store.
         store: Arc<KvStore>,
         /// The key to fetch.
-        key: Vec<u8>,
+        key: [u8; 8],
     },
     /// A long range scan, preemptible between batches.
     Scan {
         /// The shared store.
         store: Arc<KvStore>,
-        /// Continuation cursor: next key to read (exclusive resume).
-        cursor: Vec<u8>,
+        /// Start key, then continuation cursor.
+        pos: ScanPos,
         /// Entries left to read.
         remaining: usize,
         /// Bytes checksum, so the scan work is not optimized away.
         checksum: u64,
     },
-}
-
-impl std::fmt::Debug for KvJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            KvJob::Get { .. } => f.write_str("KvJob::Get"),
-            KvJob::Scan { remaining, .. } => {
-                write!(f, "KvJob::Scan {{ remaining: {remaining} }}")
-            }
-        }
-    }
 }
 
 impl Job for KvJob {
@@ -65,29 +70,29 @@ impl Job for KvJob {
             }
             KvJob::Scan {
                 store,
-                cursor,
+                pos,
                 remaining,
                 checksum,
             } => {
                 // Probe between 32-entry batches: the explicit equivalent
                 // of TQ's instrumented loop gate.
                 const BATCH: usize = 32;
+                let mut cur = match *pos {
+                    ScanPos::Start(key) => store.cursor_before(&key),
+                    ScanPos::At(cur) => cur,
+                };
                 while *remaining > 0 {
-                    let batch = store.scan(cursor, BATCH.min(*remaining));
-                    if batch.is_empty() {
-                        return JobStatus::Done;
-                    }
-                    for (k, v) in &batch {
+                    for _ in 0..BATCH.min(*remaining) {
+                        let Some((k, v)) = store.cursor_next(&mut cur) else {
+                            return JobStatus::Done;
+                        };
                         *checksum = checksum
                             .wrapping_mul(31)
                             .wrapping_add(v.len() as u64 + k.len() as u64);
+                        *remaining -= 1;
                     }
-                    *remaining -= batch.len();
-                    // Advance the cursor past the last key served.
-                    let mut next = batch.last().expect("non-empty").0.to_vec();
-                    next.push(0);
-                    *cursor = next;
                     if *remaining > 0 && ctx.probe() {
+                        *pos = ScanPos::At(cur);
                         return JobStatus::Yielded;
                     }
                 }
@@ -116,12 +121,14 @@ pub fn kv_factory(store: Arc<KvStore>, n_keys: u64, scan_len: usize) -> Box<JobF
         if req.class.0 == 0 {
             Box::new(KvJob::Get {
                 store: Arc::clone(&store),
-                key: KvStore::nth_key((req.id.0 * 7919) % n_keys.max(1)),
+                key: KvStore::nth_key_bytes((req.id.0 * 7919) % n_keys.max(1)),
             })
         } else {
             Box::new(KvJob::Scan {
                 store: Arc::clone(&store),
-                cursor: KvStore::nth_key((req.id.0 * 104_729) % (n_keys / 2).max(1)),
+                pos: ScanPos::Start(KvStore::nth_key_bytes(
+                    (req.id.0 * 104_729) % (n_keys / 2).max(1),
+                )),
                 remaining: scan_len,
                 checksum: 0,
             })
@@ -164,50 +171,95 @@ mod tests {
         assert!(scan_quanta > 1, "scan finished in one quantum");
     }
 
+    fn scan_job(store: &Arc<KvStore>, start: u64, remaining: usize) -> KvJob {
+        KvJob::Scan {
+            store: Arc::clone(store),
+            pos: ScanPos::Start(KvStore::nth_key_bytes(start)),
+            remaining,
+            checksum: 0,
+        }
+    }
+
+    /// Runs `job` to completion with a quantum of `quantum` cycles per
+    /// slice; returns its checksum and how often it yielded.
+    fn run_scan(mut job: KvJob, quantum: u64) -> (u64, u32) {
+        let mut ctx = QuantumCtx::new(crate::TscClock::calibrated());
+        let mut yields = 0u32;
+        loop {
+            ctx.arm(tq_core::Cycles(quantum));
+            match job.run(&mut ctx) {
+                JobStatus::Yielded => yields += 1,
+                JobStatus::Done => break,
+            }
+            // Once sought, a SCAN never goes back to its start key.
+            assert!(matches!(
+                job,
+                KvJob::Scan {
+                    pos: ScanPos::At(_),
+                    ..
+                }
+            ));
+            assert!(yields < 10_000, "scan not making progress");
+        }
+        match job {
+            KvJob::Scan { checksum, .. } => (checksum, yields),
+            KvJob::Get { .. } => unreachable!(),
+        }
+    }
+
+    /// A quantum that never expires / one that has expired before the
+    /// first probe (a yield at every 32-entry batch).
+    const NEVER: u64 = u64::MAX / 2;
+    const ALWAYS: u64 = 0;
+
     #[test]
     fn scan_resumes_from_cursor_with_consistent_checksum() {
         let store = kv_store(7, 1_000, 32);
-        // Run the same scan once un-preempted and once through the
-        // runtime; the checksums must agree (cursor save/restore is
+        // Run the same scan once un-preempted and once yielding at every
+        // probe; the checksums must agree (cursor save/restore is
         // lossless).
-        let mut reference = KvJob::Scan {
-            store: Arc::clone(&store),
-            cursor: KvStore::nth_key(0),
-            remaining: 500,
-            checksum: 0,
-        };
-        let clock = crate::TscClock::calibrated();
-        let mut ctx = QuantumCtx::new(clock.clone());
-        ctx.arm(tq_core::Cycles(u64::MAX / 2)); // effectively never expires
-        assert!(matches!(reference.run(&mut ctx), JobStatus::Done));
-        let want = match reference {
-            KvJob::Scan { checksum, .. } => checksum,
-            KvJob::Get { .. } => unreachable!(),
-        };
+        let (want, yields) = run_scan(scan_job(&store, 0, 500), NEVER);
+        assert_eq!(yields, 0);
         assert_ne!(want, 0);
-
-        // Now force a yield at every probe (zero-length quantum) and
-        // check the resumed scan reads exactly the same entries.
-        let mut preempted = KvJob::Scan {
-            store,
-            cursor: KvStore::nth_key(0),
-            remaining: 500,
-            checksum: 0,
-        };
-        let mut resumes = 0u32;
-        loop {
-            ctx.arm(tq_core::Cycles(0)); // already expired: yield ASAP
-            match preempted.run(&mut ctx) {
-                JobStatus::Yielded => resumes += 1,
-                JobStatus::Done => break,
-            }
-            assert!(resumes < 10_000, "scan not making progress");
-        }
-        assert!(resumes > 0, "zero-length quantum never preempted");
-        let got = match preempted {
-            KvJob::Scan { checksum, .. } => checksum,
-            KvJob::Get { .. } => unreachable!(),
-        };
+        let (got, yields) = run_scan(scan_job(&store, 0, 500), ALWAYS);
+        assert_eq!(yields, 500 / 32, "one yield per full batch");
         assert_eq!(got, want, "preempted scan diverged from reference");
+    }
+
+    #[test]
+    fn scan_past_the_end_of_the_store_finishes_with_the_same_checksum() {
+        let store = kv_store(7, 1_000, 32);
+        // 100 entries left, 500 asked for: both forms stop at the end.
+        let (want, _) = run_scan(scan_job(&store, 900, 500), NEVER);
+        let (got, yields) = run_scan(scan_job(&store, 900, 500), ALWAYS);
+        assert_eq!(got, want);
+        assert_eq!(yields, 100 / 32);
+        assert_eq!(want, run_scan(scan_job(&store, 900, 100), NEVER).0);
+        // Nothing at or after the start key: Done at once, nothing read.
+        assert_eq!(run_scan(scan_job(&store, 1_000, 500), ALWAYS), (0, 0));
+    }
+
+    #[test]
+    fn scan_preempted_on_its_first_probe_resumes_at_the_cursor_it_saved() {
+        let store = kv_store(7, 1_000, 32);
+        let mut job = scan_job(&store, 123, 64);
+        let mut ctx = QuantumCtx::new(crate::TscClock::calibrated());
+        ctx.arm(tq_core::Cycles(ALWAYS));
+        assert!(matches!(job.run(&mut ctx), JobStatus::Yielded));
+        // The seek is spent: the saved position is the 32nd entry read,
+        // and the next slice hops on from it instead of descending again.
+        let KvJob::Scan {
+            pos: ScanPos::At(saved),
+            remaining: 32,
+            ..
+        } = job
+        else {
+            panic!("first probe did not save a cursor: {job:?}");
+        };
+        let mut walk = store.cursor_before(&KvStore::nth_key_bytes(123));
+        for _ in 0..32 {
+            store.cursor_next(&mut walk).expect("1000 keys");
+        }
+        assert_eq!(saved, walk);
     }
 }

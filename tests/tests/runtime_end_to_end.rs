@@ -2,10 +2,8 @@
 //! forced-multitasking jobs. Sized for a small (possibly single-core) CI
 //! host — these verify behavior, not 16-core throughput.
 
-use std::sync::Arc;
 use tq_core::Nanos;
-use tq_kv::KvStore;
-use tq_runtime::{Job, JobStatus, QuantumCtx, ServerConfig, SpinJob, TinyQuanta, TscClock};
+use tq_runtime::{kv, Job, JobStatus, QuantumCtx, ServerConfig, SpinJob, TinyQuanta, TscClock};
 
 fn spin_server(workers: usize, quantum_us: u64) -> TinyQuanta {
     let clock = TscClock::calibrated();
@@ -107,56 +105,21 @@ fn critical_sections_suppress_preemption_but_jobs_finish() {
 }
 
 /// The KV store behind the runtime: concurrent workers share one store
-/// and a preemptible SCAN coexists with GETs.
-struct ScanJob {
-    store: Arc<KvStore>,
-    cursor: Vec<u8>,
-    remaining: usize,
-}
-
-impl Job for ScanJob {
-    fn run(&mut self, ctx: &mut QuantumCtx) -> JobStatus {
-        while self.remaining > 0 {
-            let batch = self.store.scan(&self.cursor, 64.min(self.remaining));
-            if batch.is_empty() {
-                break;
-            }
-            self.remaining -= batch.len();
-            let mut next = batch.last().unwrap().0.to_vec();
-            next.push(0);
-            self.cursor = next;
-            if self.remaining > 0 && ctx.probe() {
-                return JobStatus::Yielded;
-            }
-        }
-        JobStatus::Done
-    }
-}
-
+/// and preemptible SCANs (`tq_runtime::kv`, the job every front end
+/// serves) yield and complete.
 #[test]
 fn kv_scan_jobs_yield_and_complete() {
-    let mut store = KvStore::new(3);
-    store.populate(50_000, 64);
-    let store = Arc::new(store);
+    let store = kv::kv_store(3, 50_000, 64);
     let server = TinyQuanta::start(
         ServerConfig {
             workers: 2,
             quantum: Nanos::from_micros(5),
             ..ServerConfig::default()
         },
-        {
-            let store = Arc::clone(&store);
-            move |req| -> Box<dyn Job> {
-                Box::new(ScanJob {
-                    store: Arc::clone(&store),
-                    cursor: KvStore::nth_key(req.id.0 % 10_000),
-                    remaining: 5_000,
-                })
-            }
-        },
+        kv::kv_factory(store, 50_000, 5_000),
     );
     for _ in 0..20 {
-        server.submit(0, Nanos::ZERO);
+        server.submit(1, Nanos::ZERO); // class 1: SCAN
     }
     let completions = server.shutdown();
     assert_eq!(completions.len(), 20);
