@@ -63,7 +63,9 @@ use tq_runtime::net::{
     self, decode_request, decode_response, encode_request, encode_response, serve, NetConfig,
     NetStats, ServeOutcome,
 };
-use tq_runtime::transport::{set_socket_buffers, Frame, Transport, UdpTransport, MAX_BATCH};
+use tq_runtime::transport::{
+    set_socket_buffers, Frame, Transport, TransportStats, UdpTransport, MAX_BATCH,
+};
 use tq_runtime::uring;
 use tq_runtime::{ServerConfig, SpinJob, TinyQuanta, TscClock};
 
@@ -120,9 +122,8 @@ struct NetMeasure {
     window: usize,
     trials: usize,
     wall_nanos: u64,
-    /// Client syscall counters from the best trial.
-    client_send_calls: u64,
-    client_recv_calls: u64,
+    /// Client transport counters from the best trial.
+    client: TransportStats,
     /// Server-side ledger and syscall amortization from the best trial.
     server: NetStats,
 }
@@ -146,7 +147,9 @@ impl NetMeasure {
                 "\"krps\": {:.2}, \"client_send_calls\": {}, ",
                 "\"client_recv_calls\": {}, \"server_recv_calls\": {}, ",
                 "\"server_send_calls\": {}, \"server_frames_per_recv\": {:.2}, ",
-                "\"server_frames_per_send\": {:.2}, \"responded\": {}}}"
+                "\"server_frames_per_send\": {:.2}, \"server_send_msgs\": {}, ",
+                "\"server_frames_per_msg\": {:.2}, \"client_send_msgs\": {}, ",
+                "\"client_frames_per_msg\": {:.2}, \"responded\": {}}}"
             ),
             self.arm,
             self.requests,
@@ -155,12 +158,16 @@ impl NetMeasure {
             self.wall_nanos,
             self.ns_per_request(),
             self.krps(),
-            self.client_send_calls,
-            self.client_recv_calls,
+            self.client.send_calls,
+            self.client.recv_calls,
             self.server.transport.recv_calls,
             self.server.transport.send_calls,
             self.server.transport.frames_per_recv_call(),
             self.server.transport.frames_per_send_call(),
+            self.server.transport.send_msgs,
+            self.server.transport.frames_per_msg(),
+            self.client.send_msgs,
+            self.client.frames_per_msg(),
             self.server.responded,
         )
     }
@@ -194,7 +201,6 @@ fn client_transport(arm: Arm) -> Box<dyn Transport + Send> {
 /// The server-side transport for an arm (the `per_datagram` arm never
 /// gets here — it runs [`serve_legacy`] on the raw socket).
 fn server_transport(arm: Arm, socket: UdpSocket, net_config: &NetConfig) -> Box<dyn Transport + Send> {
-    set_socket_buffers(&socket, 1 << 20).expect("socket buffers");
     match arm {
         Arm::PerDatagram => unreachable!("per_datagram runs serve_legacy"),
         Arm::Batched => Box::new(UdpTransport::batched(socket).expect("transport")),
@@ -230,6 +236,7 @@ fn serve_legacy(
                 socket.send_to(&resp, addr)?;
                 net.responded += 1;
                 net.transport.send_calls += 1;
+                net.transport.send_msgs += 1;
                 net.transport.send_frames += 1;
             }
         }
@@ -279,7 +286,7 @@ fn run_trial(
     audit: bool,
     seed: u64,
     clock: &TscClock,
-) -> (u64, u64, u64, ServeOutcome) {
+) -> (u64, TransportStats, ServeOutcome) {
     let config = ServerConfig {
         workers,
         quantum: Nanos::from_micros(5),
@@ -292,6 +299,9 @@ fn run_trial(
         Box::new(SpinJob::with_clock(req, &job_clock))
     });
     let srv_socket = UdpSocket::bind("127.0.0.1:0").expect("bind server");
+    // Sized before the client can send its first window: the default
+    // SO_RCVBUF holds 256 lone datagrams but only 253 segments of a train.
+    set_socket_buffers(&srv_socket, 1 << 20).expect("socket buffers");
     let srv_addr: SocketAddr = srv_socket.local_addr().unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let serve_thread = {
@@ -302,7 +312,6 @@ fn run_trial(
         };
         std::thread::spawn(move || {
             if arm == Arm::PerDatagram {
-                set_socket_buffers(&srv_socket, 1 << 20).expect("socket buffers");
                 serve_legacy(server, &srv_socket, &stop)
             } else {
                 let mut t = server_transport(arm, srv_socket, &net_config);
@@ -339,7 +348,10 @@ fn run_trial(
         } else {
             assert!(
                 last_progress.elapsed() < Duration::from_secs(5),
-                "flood stalled at {done}/{n} responses (datagram lost on loopback?)"
+                "[{}] flood stalled at {done}/{n} responses (datagram lost on loopback?); \
+                 client {:?}",
+                arm.name(),
+                transport.stats(),
             );
             // Yield, don't spin: on a host with fewer cores than threads
             // a spinning client serializes all progress to OS timeslices
@@ -359,8 +371,7 @@ fn run_trial(
             assert!(report.is_clean(), "server audit: {report}");
         }
     }
-    let cs = transport.stats();
-    (wall_nanos, cs.send_calls, cs.recv_calls, outcome)
+    (wall_nanos, transport.stats(), outcome)
 }
 
 /// Best (lowest ns/request) of `trials` floods for one arm.
@@ -377,16 +388,14 @@ fn measure(
 ) -> NetMeasure {
     let mut best: Option<NetMeasure> = None;
     for _ in 0..trials.max(1) {
-        let (wall_nanos, send_calls, recv_calls, outcome) =
-            run_trial(arm, n, window, workers, audit, seed, clock);
+        let (wall_nanos, client, outcome) = run_trial(arm, n, window, workers, audit, seed, clock);
         let m = NetMeasure {
             arm: arm.name(),
             requests: n,
             window,
             trials: trials.max(1),
             wall_nanos,
-            client_send_calls: send_calls,
-            client_recv_calls: recv_calls,
+            client,
             server: outcome.net,
         };
         if best.as_ref().is_none_or(|b| m.wall_nanos < b.wall_nanos) {
@@ -399,14 +408,19 @@ fn measure(
 fn print_measure(m: &NetMeasure) {
     println!(
         "{:>12}: {:>8.1} ns/request  ({:>7.1} krps, server {:.1} frames/recv syscall, \
-         {:.1} frames/send, client {} sends {} recvs)",
+         {:.1} frames/send, {} send_msgs = {:.1} frames/msg; client {} sends {} recvs, \
+         {} send_msgs = {:.1} frames/msg)",
         m.arm,
         m.ns_per_request(),
         m.krps(),
         m.server.transport.frames_per_recv_call(),
         m.server.transport.frames_per_send_call(),
-        m.client_send_calls,
-        m.client_recv_calls,
+        m.server.transport.send_msgs,
+        m.server.transport.frames_per_msg(),
+        m.client.send_calls,
+        m.client.recv_calls,
+        m.client.send_msgs,
+        m.client.frames_per_msg(),
     );
 }
 

@@ -734,6 +734,8 @@ fn main() {
             m.server_shed = o.net.shed;
             m.frames_per_recv = o.net.transport.frames_per_recv_call();
             m.frames_per_send = o.net.transport.frames_per_send_call();
+            m.send_msgs = o.net.transport.send_msgs;
+            m.frames_per_msg = o.net.transport.frames_per_msg();
             m.rcvbuf_bytes = o.net.transport.rcvbuf_bytes;
             m.sndbuf_bytes = o.net.transport.sndbuf_bytes;
         }
@@ -800,11 +802,14 @@ fn main() {
             o.net.received, o.net.responded, o.net.malformed, o.net.shed, o.net.max_in_flight
         );
         println!(
-            "        {:.1} frames per recv syscall, {:.1} per send ({} recv calls, {} send calls)",
+            "        {:.1} frames per recv syscall, {:.1} per send ({} recv calls, {} send calls), \
+             {:.1} frames per message ({} send_msgs)",
             o.net.transport.frames_per_recv_call(),
             o.net.transport.frames_per_send_call(),
             o.net.transport.recv_calls,
             o.net.transport.send_calls,
+            o.net.transport.frames_per_msg(),
+            o.net.transport.send_msgs,
         );
     }
     if let Some(report) = &audit_report {

@@ -274,6 +274,10 @@ pub struct NetMeta {
     pub frames_per_recv: f64,
     /// Mean frames moved per send syscall on the server.
     pub frames_per_send: f64,
+    /// Messages the server handed to the kernel to carry its responses.
+    pub send_msgs: u64,
+    /// Mean frames per such message — the train length (1.0 = none).
+    pub frames_per_msg: f64,
     /// Achieved server receive-buffer size in bytes (kernel read-back
     /// after `SO_RCVBUF`; 0 when the server ran out of process).
     pub rcvbuf_bytes: u64,

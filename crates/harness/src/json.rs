@@ -171,7 +171,8 @@ fn net_json(m: Option<&NetMeta>) -> String {
                     "\"rtt_p999_ns\": {}, \"server_received\": {}, ",
                     "\"server_responded\": {}, \"server_malformed\": {}, ",
                     "\"server_shed\": {}, \"frames_per_recv\": {}, ",
-                    "\"frames_per_send\": {}, \"rcvbuf_bytes\": {}, ",
+                    "\"frames_per_send\": {}, \"send_msgs\": {}, ",
+                    "\"frames_per_msg\": {}, \"rcvbuf_bytes\": {}, ",
                     "\"sndbuf_bytes\": {}, \"rtt_p999_spread_ns\": {}, ",
                     "\"clients\": [{}]}}"
                 ),
@@ -188,6 +189,8 @@ fn net_json(m: Option<&NetMeta>) -> String {
                 m.server_shed,
                 json_f64(m.frames_per_recv),
                 json_f64(m.frames_per_send),
+                m.send_msgs,
+                json_f64(m.frames_per_msg),
                 m.rcvbuf_bytes,
                 m.sndbuf_bytes,
                 m.rtt_p999_spread_ns,
@@ -366,6 +369,8 @@ mod tests {
                 server_shed: 1,
                 frames_per_recv: 3.5,
                 frames_per_send: f64::NAN, // must render as null, not NaN
+                send_msgs: 3,
+                frames_per_msg: 3.0,
                 rcvbuf_bytes: 2 << 20,
                 sndbuf_bytes: 2 << 20,
                 rtt_p999_spread_ns: 4_000,

@@ -15,8 +15,9 @@
 //!
 //! * [`UdpTransport::batched`] — `recvmmsg`/`sendmmsg` on Linux (bound
 //!   via a local `extern "C"` declaration: the build environment vendors
-//!   no `libc` crate, but std already links the platform libc), falling
-//!   back to a `recv_from`/`send_to` drain loop on other targets.
+//!   no `libc` crate, but std already links the platform libc), one
+//!   message per run of frames ("Trains" below), falling back to a
+//!   `recv_from`/`send_to` drain loop on other targets.
 //! * [`UdpTransport::per_datagram`] — one syscall per datagram, the
 //!   pre-batching behaviour, kept as the measurable baseline arm of
 //!   `bench_net` (exactly like the `per_item` arm of `BENCH_rt.json`).
@@ -25,6 +26,36 @@
 //! is the caller's job (the serve loop owns a spin → yield → sleep
 //! backoff, mirroring the worker idle contract), which keeps the
 //! transport itself allocation- and policy-free.
+//!
+//! ## Trains
+//!
+//! `sendmmsg` amortizes the *syscall*; each datagram in it still walks
+//! the kernel's UDP send path on its own, and that walk is most of a
+//! send (EXPERIMENTS.md "Segmented sends"). So `send_batch` — here and
+//! in [`crate::uring`] — sends every maximal run of *consecutive* frames
+//! with the same peer and the same non-zero length as **one** message:
+//! payloads back to back, one `msghdr`, one `SOL_UDP`/`UDP_SEGMENT`
+//! control message carrying the length. The kernel walks its send path
+//! once and cuts the datagrams apart at the far end; the peer receives
+//! exactly the datagrams it would have, in order — the nearer analogue
+//! of a DPDK TX burst. A train is capped at [`MAX_BATCH`] segments (≤
+//! `UDP_MAX_SEGMENTS` wherever the option exists) and at the payload
+//! buffer; a run of one is the same message minus the control message.
+//! Consecutive only: bucketing by peer would reorder frames.
+//! [`train_len`] is the whole policy; [`TransportStats::send_msgs`]
+//! counts its result.
+//!
+//! One fallback, decided by the kernel's answer alone: a message that
+//! *carried the control message* and fails with `EINVAL`/`EIO`
+//! (`udp_send_skb` refusing to segment: `SO_NO_CHECK`, an IPsec route,
+//! on older kernels a device without checksum offload) delivered
+//! nothing, so the transport sends that run's frames singly and builds
+//! no train for the rest of its life. The same errno on a message
+//! *without* it (destination port 0, say) is the error it always was.
+//!
+//! A segment out of a train (18-byte payload) costs its receiver ≈841 B
+//! of `SO_RCVBUF`, a lone datagram 832 B: the default 212 992 bytes hold
+//! 256 of these, 253 of those. Size buffers before traffic, not after.
 
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, SocketAddrV4, SocketAddrV6, UdpSocket};
@@ -102,6 +133,9 @@ pub struct TransportStats {
     pub send_calls: u64,
     /// Frames sent.
     pub send_frames: u64,
+    /// Messages that carried them (`mmsghdr` entries, `SENDMSG` SQEs,
+    /// `send_to` calls): `send_frames / send_msgs` is the train length.
+    pub send_msgs: u64,
     /// `io_uring_enter` syscalls issued over the transport's lifetime
     /// (0 for the mmsg/per-datagram transports — they have no ring).
     pub enter_calls: u64,
@@ -122,6 +156,11 @@ impl TransportStats {
     /// Mean frames moved per send syscall.
     pub fn frames_per_send_call(&self) -> f64 {
         self.send_frames as f64 / self.send_calls.max(1) as f64
+    }
+
+    /// Mean frames carried per message (1.0 = no train was built).
+    pub fn frames_per_msg(&self) -> f64 {
+        self.send_frames as f64 / self.send_msgs.max(1) as f64
     }
 }
 
@@ -183,6 +222,7 @@ impl<T: Transport + ?Sized> Transport for Box<T> {
 // ---------------------------------------------------------------------------
 #[cfg(target_os = "linux")]
 pub(crate) mod sys {
+    use std::net::SocketAddr;
     use std::os::fd::RawFd;
 
     pub const AF_INET: u16 = 2;
@@ -191,6 +231,10 @@ pub(crate) mod sys {
     pub const SOL_SOCKET: i32 = 1;
     pub const SO_SNDBUF: i32 = 7;
     pub const SO_RCVBUF: i32 = 8;
+    pub const SOL_UDP: i32 = 17;
+    pub const UDP_SEGMENT: i32 = 103;
+    pub const EIO: i32 = 5;
+    pub const EINVAL: i32 = 22;
 
     #[repr(C)]
     #[derive(Clone, Copy)]
@@ -211,6 +255,20 @@ pub(crate) mod sys {
         pub msg_flags: i32,
     }
 
+    impl MsgHdr {
+        pub fn zeroed() -> Self {
+            MsgHdr {
+                msg_name: std::ptr::null_mut(),
+                msg_namelen: 0,
+                msg_iov: std::ptr::null_mut(),
+                msg_iovlen: 0,
+                msg_control: std::ptr::null_mut(),
+                msg_controllen: 0,
+                msg_flags: 0,
+            }
+        }
+    }
+
     #[repr(C)]
     #[derive(Clone, Copy)]
     pub struct MMsgHdr {
@@ -229,6 +287,62 @@ pub(crate) mod sys {
     impl SockAddrStorage {
         pub fn zeroed() -> Self {
             SockAddrStorage { bytes: [0u8; 128] }
+        }
+    }
+
+    /// `SOL_UDP`/`UDP_SEGMENT` control message carrying the segment length:
+    /// `struct cmsghdr` + `u16`, padded by the alignment to `CMSG_SPACE(2)`.
+    #[repr(C, align(8))]
+    #[derive(Clone, Copy)]
+    pub struct SegmentCmsg {
+        cmsg_len: usize,
+        cmsg_level: i32,
+        cmsg_type: i32,
+        pub gso_size: u16,
+    }
+
+    /// What one `msghdr` points at besides its payload: peer address,
+    /// iovec and (sends only) the segmentation cmsg.
+    #[derive(Clone, Copy)]
+    pub struct MsgMeta {
+        pub addr: SockAddrStorage,
+        pub iov: IoVec,
+        pub cmsg: SegmentCmsg,
+    }
+
+    impl MsgMeta {
+        pub fn zeroed() -> Self {
+            MsgMeta {
+                addr: SockAddrStorage::zeroed(),
+                iov: IoVec { iov_base: std::ptr::null_mut(), iov_len: 0 },
+                cmsg: SegmentCmsg {
+                    // CMSG_LEN(2): header plus payload, unpadded.
+                    cmsg_len: std::mem::offset_of!(SegmentCmsg, gso_size) + 2,
+                    cmsg_level: SOL_UDP,
+                    cmsg_type: UDP_SEGMENT,
+                    gso_size: 0,
+                },
+            }
+        }
+
+        /// The header that sends `payload` to `to`: one datagram, or — when
+        /// `payload` is longer than `seg` — a train of `seg`-byte ones (a
+        /// zero `msg_controllen` hides the cmsg otherwise). It points into
+        /// `self` and `payload`: both stay put until the send has completed.
+        pub fn send_hdr(&mut self, to: &SocketAddr, payload: &mut [u8], seg: u16) -> MsgHdr {
+            let train = payload.len() > seg as usize;
+            let msg_namelen = super::encode_sockaddr(to, &mut self.addr);
+            self.iov = IoVec { iov_base: payload.as_mut_ptr(), iov_len: payload.len() };
+            self.cmsg.gso_size = seg;
+            MsgHdr {
+                msg_name: self.addr.bytes.as_mut_ptr(),
+                msg_namelen,
+                msg_iov: &mut self.iov,
+                msg_iovlen: 1,
+                msg_control: &mut self.cmsg as *mut SegmentCmsg as *mut u8,
+                msg_controllen: if train { std::mem::size_of::<SegmentCmsg>() } else { 0 },
+                msg_flags: 0,
+            }
         }
     }
 
@@ -382,43 +496,41 @@ pub(crate) fn encode_sockaddr(addr: &SocketAddr, storage: &mut sys::SockAddrStor
     }
 }
 
-/// Preallocated scratch for the mmsg syscalls: header, iovec and address
-/// storage per batch slot. The embedded pointers are wired to the
-/// caller's [`Frame`] buffers for the duration of one syscall only.
+/// How many leading frames of `frames` go down as one message: those
+/// that share the first one's peer and non-zero length, at most `cap`
+/// (1 from a transport the kernel has refused a train).
+#[cfg(target_os = "linux")]
+pub(crate) fn train_len(frames: &[Frame], cap: usize) -> usize {
+    let (len, addr) = (frames[0].len, frames[0].addr);
+    let cap = if len == 0 { 1 } else { cap.max(1) };
+    frames.iter().take(cap).take_while(|f| f.len == len && f.addr == addr).count()
+}
+
+/// Preallocated scratch for the mmsg syscalls: a header and its
+/// address/iovec/cmsg per message, plus one flat buffer the send path
+/// packs payloads into (a train must be contiguous). On receive the
+/// iovecs point at the caller's [`Frame`]s for one syscall only.
 #[cfg(target_os = "linux")]
 struct MmsgScratch {
     hdrs: Vec<sys::MMsgHdr>,
-    iovs: Vec<sys::IoVec>,
-    addrs: Vec<sys::SockAddrStorage>,
-    payloads: Vec<[u8; MAX_FRAME]>,
+    meta: Vec<sys::MsgMeta>,
+    payloads: Vec<u8>,
+    /// Frames carried by each message of the `sendmmsg` being built.
+    runs: Vec<usize>,
+    /// [`MAX_BATCH`] until the kernel refuses a train, 1 from then on.
+    max_train: usize,
 }
 
 #[cfg(target_os = "linux")]
 impl MmsgScratch {
     fn new(batch: usize) -> Self {
-        let zero_hdr = sys::MMsgHdr {
-            msg_hdr: sys::MsgHdr {
-                msg_name: std::ptr::null_mut(),
-                msg_namelen: 0,
-                msg_iov: std::ptr::null_mut(),
-                msg_iovlen: 0,
-                msg_control: std::ptr::null_mut(),
-                msg_controllen: 0,
-                msg_flags: 0,
-            },
-            msg_len: 0,
-        };
+        let zero_hdr = sys::MMsgHdr { msg_hdr: sys::MsgHdr::zeroed(), msg_len: 0 };
         MmsgScratch {
             hdrs: vec![zero_hdr; batch],
-            iovs: vec![
-                sys::IoVec {
-                    iov_base: std::ptr::null_mut(),
-                    iov_len: 0,
-                };
-                batch
-            ],
-            addrs: vec![sys::SockAddrStorage::zeroed(); batch],
-            payloads: vec![[0u8; MAX_FRAME]; batch],
+            meta: vec![sys::MsgMeta::zeroed(); batch],
+            payloads: vec![0u8; batch * MAX_FRAME],
+            runs: vec![0; batch],
+            max_train: MAX_BATCH,
         }
     }
 }
@@ -531,6 +643,7 @@ impl UdpTransport {
                 }
             }
             self.stats.send_calls += 1;
+            self.stats.send_msgs += 1;
             self.stats.send_frames += 1;
         }
         Ok(())
@@ -542,20 +655,19 @@ impl UdpTransport {
         let scratch = self.scratch.as_mut().expect("batched mode has scratch");
         let want = out.len().min(self.batch);
         for (i, frame) in out.iter_mut().enumerate().take(want) {
-            scratch.iovs[i] = sys::IoVec {
+            let meta = &mut scratch.meta[i];
+            meta.iov = sys::IoVec {
                 iov_base: frame.buf.as_mut_ptr(),
                 iov_len: MAX_FRAME,
             };
-            scratch.addrs[i] = sys::SockAddrStorage::zeroed();
+            meta.addr = sys::SockAddrStorage::zeroed();
             scratch.hdrs[i] = sys::MMsgHdr {
                 msg_hdr: sys::MsgHdr {
-                    msg_name: scratch.addrs[i].bytes.as_mut_ptr(),
+                    msg_name: meta.addr.bytes.as_mut_ptr(),
                     msg_namelen: 128,
-                    msg_iov: &mut scratch.iovs[i],
+                    msg_iov: &mut meta.iov,
                     msg_iovlen: 1,
-                    msg_control: std::ptr::null_mut(),
-                    msg_controllen: 0,
-                    msg_flags: 0,
+                    ..sys::MsgHdr::zeroed()
                 },
                 msg_len: 0,
             };
@@ -586,7 +698,7 @@ impl UdpTransport {
             // the stored length is what reached the buffer, and the
             // exact-length decoders reject it downstream.
             let len = (scratch.hdrs[i].msg_len as usize).min(MAX_FRAME);
-            match decode_sockaddr(&scratch.addrs[i], scratch.hdrs[i].msg_hdr.msg_namelen) {
+            match decode_sockaddr(&scratch.meta[i].addr, scratch.hdrs[i].msg_hdr.msg_namelen) {
                 Some(addr) => {
                     out[n].len = len as u16;
                     out[n].addr = addr;
@@ -612,61 +724,68 @@ impl UdpTransport {
         let mut sent = 0usize;
         while sent < frames.len() {
             let scratch = self.scratch.as_mut().expect("batched mode has scratch");
-            let want = (frames.len() - sent).min(self.batch);
-            for i in 0..want {
-                let f = &frames[sent + i];
-                // Payloads are copied into owned scratch so the headers
-                // never borrow the caller's frames across the retry loop.
-                scratch.payloads[i][..f.len as usize].copy_from_slice(f.payload());
-                let namelen = encode_sockaddr(&f.addr, &mut scratch.addrs[i]);
-                scratch.iovs[i] = sys::IoVec {
-                    iov_base: scratch.payloads[i].as_mut_ptr(),
-                    iov_len: f.len as usize,
-                };
-                scratch.hdrs[i] = sys::MMsgHdr {
-                    msg_hdr: sys::MsgHdr {
-                        msg_name: scratch.addrs[i].bytes.as_mut_ptr(),
-                        msg_namelen: namelen,
-                        msg_iov: &mut scratch.iovs[i],
-                        msg_iovlen: 1,
-                        msg_control: std::ptr::null_mut(),
-                        msg_controllen: 0,
-                        msg_flags: 0,
-                    },
+            // One message per run (module docs, "Trains") until headers,
+            // frames or payload buffer run out; payloads are copied so no
+            // header borrows the caller's frames across the retry loop.
+            let (mut msgs, mut staged, mut used) = (0usize, sent, 0usize);
+            while msgs < self.batch && staged < frames.len() {
+                let rest = &frames[staged..];
+                let len = rest[0].len as usize;
+                let room = (scratch.payloads.len() - used) / len.max(1);
+                if room == 0 {
+                    break;
+                }
+                let n = train_len(rest, scratch.max_train.min(room));
+                let payload = &mut scratch.payloads[used..used + n * len];
+                for (chunk, f) in payload.chunks_exact_mut(len.max(1)).zip(rest) {
+                    chunk.copy_from_slice(f.payload());
+                }
+                scratch.hdrs[msgs] = sys::MMsgHdr {
+                    msg_hdr: scratch.meta[msgs].send_hdr(&rest[0].addr, payload, rest[0].len),
                     msg_len: 0,
                 };
+                scratch.runs[msgs] = n;
+                (msgs, staged, used) = (msgs + 1, staged + n, used + n * len);
             }
             // SAFETY: as in recv — headers reference scratch initialized
-            // above, vlen bounds the initialized prefix.
+            // above (cmsgs and payload ranges included) and untouched
+            // until the call returns; vlen bounds the initialized prefix.
             let rc = unsafe {
                 sys::sendmmsg(
                     self.socket.as_raw_fd(),
                     scratch.hdrs.as_mut_ptr(),
-                    want as u32,
+                    msgs as u32,
                     sys::MSG_DONTWAIT,
                 )
             };
             if rc < 0 {
                 let err = io::Error::last_os_error();
+                let refused = matches!(err.raw_os_error(), Some(sys::EINVAL | sys::EIO));
                 match err.kind() {
                     io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted => {
                         std::thread::yield_now();
-                        continue;
                     }
-                    // ICMP bounce from a vanished peer: skip the frame.
+                    // ICMP bounce from a vanished peer: skip the message.
                     io::ErrorKind::ConnectionRefused => {
-                        sent += 1;
-                        self.stats.send_frames += 1;
-                        continue;
+                        sent += scratch.runs[0];
+                        self.stats.send_frames += scratch.runs[0] as u64;
                     }
+                    // The kernel refused to segment and sent nothing of
+                    // the train: no more trains; the next pass rebuilds
+                    // the run as single datagrams. Without a cmsg the
+                    // same errno is a real error.
+                    _ if refused && scratch.runs[0] > 1 => scratch.max_train = 1,
                     _ => return Err(err),
                 }
+                continue;
             }
-            let pushed = (rc as usize).min(want);
+            let pushed = (rc as usize).min(msgs);
+            let moved: usize = scratch.runs[..pushed].iter().sum();
             self.stats.send_calls += 1;
-            self.stats.send_frames += pushed as u64;
-            sent += pushed;
-            if pushed < want {
+            self.stats.send_msgs += pushed as u64;
+            self.stats.send_frames += moved as u64;
+            sent += moved;
+            if pushed < msgs {
                 std::thread::yield_now();
             }
         }
@@ -751,13 +870,18 @@ mod tests {
             (0..n).map(|i| Frame::new(&(i as u64).to_le_bytes(), dst)).collect();
         tx.send_batch(&frames).expect("send");
         let got = recv_all(&mut rx, n);
-        let mut seen: Vec<u64> = got
+        let seen: Vec<u64> = got
             .iter()
             .map(|f| u64::from_le_bytes(f.payload().try_into().unwrap()))
             .collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..n as u64).collect::<Vec<_>>());
+        assert_eq!(seen, (0..n as u64).collect::<Vec<_>>(), "exactly once, in send order");
         assert_eq!(rx.stats().recv_frames, n as u64);
+        assert_eq!(tx.stats().send_frames, n as u64);
+        // 200 equal frames to one peer: trains of 64, 64, 64 and 8.
+        if tx.label() == "udp:mmsg" {
+            assert_eq!(tx.stats().send_msgs, 4);
+            assert_eq!(tx.stats().send_calls, 1, "and one sendmmsg carries all four");
+        }
         // Batching must actually batch: far fewer syscalls than frames.
         if rx.label() == "udp:mmsg" {
             assert!(

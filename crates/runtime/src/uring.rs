@@ -20,10 +20,26 @@
 //!   (`IORING_REGISTER_PBUF_RING`) feeds one *multishot* `RECVMSG` that
 //!   keeps producing a CQE per datagram without re-arming — the io_uring
 //!   analogue of a DPDK mempool backing an RX queue;
-//! * **out** — one `SENDMSG` per frame from a fixed pool of send slots,
-//!   a whole burst per `io_uring_enter`;
+//! * **out** — one `SENDMSG` per *run* of frames (a train: consecutive
+//!   frames of one peer and one length leave as a single `UDP_SEGMENT`
+//!   message — [`crate::transport`] "Trains") from a fixed pool of send
+//!   slots, a whole burst per `io_uring_enter`;
 //! * both on a registered file (`IORING_REGISTER_FILES`), so no op pays
 //!   the `fget`/`fput` refcount pair.
+//!
+//! A send's payload lives in one flat arena of `send_pool × MAX_FRAME`
+//! bytes, handed out front to back (a train's segments must be
+//! contiguous, and the arena caps its length) and rewound whenever no
+//! send is in flight — which UDP sends, completing inside the `enter`
+//! that submits them, almost always satisfy by the next `send_batch`;
+//! when arena or slots run out mid-burst it waits for a completion. If
+//! the kernel refuses to segment (`-EINVAL`/`-EIO` on a message that
+//! carried the control message; without one the errno latches the
+//! transport broken, as before), the reap that sees the completion
+//! resends the train's frames singly out of the arena and no train is
+//! built again; until one train has succeeded `send_batch` reaps its
+//! trains' completions before returning, so a refusal is repaired by the
+//! call that caused it.
 //!
 //! That needs a 6.0 kernel, which is why setup asks for everything such
 //! a kernel has (`COOP_TASKRUN`, the single ring mapping) without
@@ -177,7 +193,7 @@ mod stub {
 mod imp {
     use super::{UringCaps, UringConfig};
     use crate::transport::{
-        decode_sockaddr, effective_socket_buffers, encode_sockaddr, sys as tsys, Frame, Transport,
+        decode_sockaddr, effective_socket_buffers, sys as tsys, train_len, Frame, Transport,
         TransportStats, MAX_BATCH, MAX_FRAME,
     };
     use std::collections::VecDeque;
@@ -799,40 +815,24 @@ mod imp {
     const KIND_MS: u64 = 3;
     const KIND_CANCEL: u64 = 4;
 
-    /// Per-slot scratch for `SENDMSG` ops: payload, sockaddr, iovec and
+    /// Per-slot scratch for `SENDMSG` ops: sockaddr, iovec, cmsg and
     /// msghdr at stable heap addresses (the Vec is sized once and never
     /// grown — the kernel holds pointers into it while an op is in
-    /// flight).
+    /// flight). The payload bytes are a range of [`KernelMem::arena`].
+    #[derive(Clone, Copy)]
     struct MsgSlot {
-        payload: [u8; MAX_FRAME],
-        addr: tsys::SockAddrStorage,
-        iov: tsys::IoVec,
+        meta: tsys::MsgMeta,
         hdr: tsys::MsgHdr,
-    }
-
-    impl MsgSlot {
-        fn zeroed() -> MsgSlot {
-            MsgSlot {
-                payload: [0u8; MAX_FRAME],
-                addr: tsys::SockAddrStorage::zeroed(),
-                iov: tsys::IoVec { iov_base: std::ptr::null_mut(), iov_len: 0 },
-                hdr: tsys::MsgHdr {
-                    msg_name: std::ptr::null_mut(),
-                    msg_namelen: 0,
-                    msg_iov: std::ptr::null_mut(),
-                    msg_iovlen: 0,
-                    msg_control: std::ptr::null_mut(),
-                    msg_controllen: 0,
-                    msg_flags: 0,
-                },
-            }
-        }
     }
 
     /// Everything the kernel holds pointers into while ops are in
     /// flight. Freed only after a successful drain (see `Drop`).
     struct KernelMem {
         send_slots: Vec<MsgSlot>,
+        /// Payload bytes of the sends in flight, `send_pool × MAX_FRAME`:
+        /// one contiguous range per message, handed out front to back
+        /// and rewound whenever no send is in flight.
+        arena: Vec<u8>,
         bufring: BufRing,
         /// Template msghdr of the multishot receive: name space only
         /// (the kernel reserves `msg_namelen` bytes per provided buffer
@@ -853,6 +853,16 @@ mod imp {
         send_pool: usize,
         mem: ManuallyDrop<KernelMem>,
         free_send: Vec<u32>,
+        /// Arena bytes handed out since the last rewind.
+        arena_used: usize,
+        /// Sends staged or submitted whose CQE has not been reaped.
+        sends_in_flight: u32,
+        /// [`MAX_BATCH`] until the kernel refuses a train, 1 from then on.
+        max_train: usize,
+        /// A train has succeeded (until then `send_batch` awaits verdicts).
+        train_proven: bool,
+        /// Frames of refused trains, waiting to go out again singly.
+        resend: Vec<Frame>,
         pending_rx: VecDeque<Frame>,
         /// While `recv_batch` reaps, these describe the caller's output
         /// slice so completed receives land in it directly instead of
@@ -925,7 +935,7 @@ mod imp {
                 .map_err(|e| step("IORING_REGISTER_FILES", e))?;
             let bufring = BufRing::new(&ring, recv_pool as u32)
                 .map_err(|e| step("IORING_REGISTER_PBUF_RING (kernel < 5.19?)", e))?;
-            let mut ms_hdr = Box::new(MsgSlot::zeroed().hdr);
+            let mut ms_hdr = Box::new(tsys::MsgHdr::zeroed());
             ms_hdr.msg_namelen = PBUF_NAME as u32;
             let mut t = IoUringTransport {
                 ring,
@@ -933,11 +943,20 @@ mod imp {
                 recv_pool,
                 send_pool,
                 mem: ManuallyDrop::new(KernelMem {
-                    send_slots: (0..send_pool).map(|_| MsgSlot::zeroed()).collect(),
+                    send_slots: vec![
+                        MsgSlot { meta: tsys::MsgMeta::zeroed(), hdr: tsys::MsgHdr::zeroed() };
+                        send_pool
+                    ],
+                    arena: vec![0u8; send_pool * MAX_FRAME],
                     bufring,
                     ms_hdr,
                 }),
                 free_send: (0..send_pool as u32).rev().collect(),
+                arena_used: 0,
+                sends_in_flight: 0,
+                max_train: MAX_BATCH,
+                train_proven: false,
+                resend: Vec::new(),
                 pending_rx: VecDeque::with_capacity(recv_pool),
                 out_ptr: std::ptr::null_mut(),
                 out_cap: 0,
@@ -1046,7 +1065,16 @@ mod imp {
                 }
             }
             self.cq_scratch = cqes;
-            result
+            result?;
+            // A refused train delivered nothing: its frames go out again,
+            // singly now that `max_train` is 1.
+            if !self.resend.is_empty() {
+                for f in &std::mem::take(&mut self.resend) {
+                    self.stage_send(std::slice::from_ref(f))?;
+                }
+                self.flush(0)?;
+            }
+            Ok(())
         }
 
         fn handle_cqe(&mut self, cqe: sys::Cqe) -> io::Result<()> {
@@ -1090,12 +1118,30 @@ mod imp {
                 }
                 KIND_TX => {
                     self.in_flight -= 1;
+                    self.sends_in_flight -= 1;
                     self.free_send.push(idx as u32);
-                    if cqe.res < 0 {
+                    let slot = &self.mem.send_slots[idx];
+                    let train = slot.hdr.msg_controllen != 0;
+                    if cqe.res >= 0 {
+                        self.train_proven |= train;
+                    } else {
                         match -cqe.res {
                             // Matches the mmsg transport: a refused UDP
                             // send still counts as sent.
                             sys::ECONNREFUSED | sys::ECANCELED | sys::EINTR => {}
+                            // The kernel refused to segment and sent
+                            // nothing of the train: no more trains, and
+                            // this one's frames are read back out of the
+                            // arena bytes the slot owned until now.
+                            tsys::EINVAL | tsys::EIO if train => {
+                                self.max_train = 1;
+                                let to = decode_sockaddr(&slot.meta.addr, slot.hdr.msg_namelen)
+                                    .expect("stage_send encoded it");
+                                let at = slot.meta.iov.iov_base as usize - self.mem.arena.as_ptr() as usize;
+                                let bytes = &self.mem.arena[at..at + slot.meta.iov.iov_len];
+                                let seg = slot.meta.cmsg.gso_size as usize;
+                                self.resend.extend(bytes.chunks(seg).map(|p| Frame::new(p, to)));
+                            }
                             _ => {
                                 self.broken =
                                     Some(io::Error::from_raw_os_error(-cqe.res).kind());
@@ -1151,44 +1197,46 @@ mod imp {
             Some(f)
         }
 
-        /// Stages one outbound frame, reclaiming a send slot (waiting on
-        /// completions) if the pool is exhausted.
-        fn stage_send(&mut self, f: &Frame) -> io::Result<()> {
+        /// Stages one outbound message carrying `run` (one peer, one
+        /// length, no larger than the arena), reclaiming a send slot and
+        /// arena room (waiting on completions) if either is exhausted.
+        fn stage_send(&mut self, run: &[Frame]) -> io::Result<()> {
+            let len = run[0].len as usize;
+            let bytes = run.len() * len;
             let slot_idx = loop {
-                if let Some(i) = self.free_send.pop() {
-                    break i as usize;
+                if self.sends_in_flight == 0 {
+                    self.arena_used = 0;
                 }
-                // Pool exhausted: put staged work on the wire, wait for
-                // one completion, reclaim.
+                if self.arena_used + bytes <= self.mem.arena.len() {
+                    if let Some(i) = self.free_send.pop() {
+                        break i as usize;
+                    }
+                }
+                // Exhausted, so sends are in flight (with none the arena
+                // is rewound and the pool full): put staged work on the
+                // wire, wait for one completion, reclaim.
                 self.flush(1)?;
                 self.reap_and_process()?;
                 if let Some(k) = self.broken {
                     return Err(io::Error::from(k));
                 }
             };
-            let slot = &mut self.mem.send_slots[slot_idx];
-            slot.payload[..f.len as usize].copy_from_slice(f.payload());
-            let namelen = encode_sockaddr(&f.addr, &mut slot.addr);
-            slot.iov = tsys::IoVec {
-                iov_base: slot.payload.as_mut_ptr(),
-                iov_len: f.len as usize,
-            };
-            slot.hdr = tsys::MsgHdr {
-                msg_name: slot.addr.bytes.as_mut_ptr(),
-                msg_namelen: namelen,
-                msg_iov: &mut slot.iov,
-                msg_iovlen: 1,
-                msg_control: std::ptr::null_mut(),
-                msg_controllen: 0,
-                msg_flags: 0,
-            };
+            let mem = &mut *self.mem;
+            let payload = &mut mem.arena[self.arena_used..self.arena_used + bytes];
+            for (chunk, f) in payload.chunks_exact_mut(len.max(1)).zip(run) {
+                chunk.copy_from_slice(f.payload());
+            }
+            let slot = &mut mem.send_slots[slot_idx];
+            slot.hdr = slot.meta.send_hdr(&run[0].addr, payload, run[0].len);
             let mut sqe = Self::socket_sqe(sys::IORING_OP_SENDMSG);
             sqe.addr = &slot.hdr as *const tsys::MsgHdr as u64;
             sqe.len = 1;
             sqe.user_data = (KIND_TX << 32) | slot_idx as u64;
             self.stage(sqe)?;
+            self.arena_used += bytes;
+            self.sends_in_flight += 1;
             self.tx_since_enter = true;
-            self.stats.send_frames += 1;
+            self.stats.send_msgs += 1;
             Ok(())
         }
 
@@ -1272,12 +1320,30 @@ mod imp {
             // Reclaim completed send slots (and pick up any received
             // frames) before staging the burst.
             self.reap_and_process()?;
-            for f in frames {
-                self.stage_send(f)?;
+            // One message per run, none larger than the arena.
+            let (mut rest, mut tried) = (frames, false);
+            while !rest.is_empty() {
+                let room = self.mem.arena.len() / (rest[0].len as usize).max(1);
+                let n = train_len(rest, self.max_train.min(room));
+                self.stage_send(&rest[..n])?;
+                self.stats.send_frames += n as u64;
+                tried |= n > 1;
+                rest = &rest[n..];
             }
             // One enter for the whole burst — response SQEs plus any
             // receive re-arm staged since the last poll.
-            self.flush(0)
+            self.flush(0)?;
+            // Until the kernel has taken one train, see this burst's
+            // verdicts before returning (module docs); sends complete in
+            // the enter above, so the first reap normally ends it.
+            while tried && !self.train_proven {
+                self.reap_and_process()?;
+                if self.train_proven || self.sends_in_flight == 0 {
+                    break;
+                }
+                self.flush(1)?;
+            }
+            Ok(())
         }
 
         fn max_batch(&self) -> usize {
@@ -1549,17 +1615,24 @@ mod tests {
         let Some(_) = caps_or_skip() else { return };
         let dst_sock = UdpSocket::bind("127.0.0.1:0").unwrap();
         let dst = dst_sock.local_addr().unwrap();
+        dst_sock.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        // A 256-byte arena: 8-byte frames ride trains of 32 (the arena,
+        // not MAX_BATCH, is the cap), full-size ones trains of 4, and
+        // every burst after the first finds the arena used up with
+        // nothing in flight — it must rewind, not wait.
         let mut t = transport_with(UringConfig { recv_pool: 4, send_pool: 4 });
         let n = 64usize; // 16x the send pool
-        let frames: Vec<Frame> =
-            (0..n).map(|i| Frame::new(&(i as u64).to_le_bytes(), dst)).collect();
-        t.send_batch(&frames).expect("send with slot reclaim");
-        assert_eq!(t.stats().send_frames, n as u64);
-        dst_sock.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-        let mut buf = [0u8; MAX_FRAME];
-        for _ in 0..n {
-            dst_sock.recv_from(&mut buf).expect("frame delivered");
+        for len in [8usize, MAX_FRAME, 8] {
+            let frames: Vec<Frame> = (0..n).map(|i| Frame::new(&vec![i as u8; len], dst)).collect();
+            t.send_batch(&frames).expect("send with slot and arena reclaim");
+            let mut buf = [0u8; MAX_FRAME];
+            for f in &frames {
+                let (got, _) = dst_sock.recv_from(&mut buf).expect("frame delivered");
+                assert_eq!(&buf[..got], f.payload(), "length {len}, in send order");
+            }
         }
+        assert_eq!(t.stats().send_frames, 3 * n as u64);
+        assert_eq!(t.stats().send_msgs, 2 + 16 + 2, "trains sized by the arena");
     }
 
     #[test]

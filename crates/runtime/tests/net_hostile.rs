@@ -3,7 +3,8 @@
 //! The serve loop's contract (see `net.rs` module docs) is that the
 //! *ledger* survives anything a UDP peer can do: duplicate tags,
 //! interleaved clients, clients that stop reading, floods past the
-//! in-flight bound, and a stop request while jobs are mid-service. None
+//! in-flight bound, a socket on which the kernel refuses segmented sends,
+//! and a stop request while jobs are mid-service. None
 //! of these may lose a datagram unaccounted — `received == responded +
 //! malformed + shed` always — and shutdown must drain every admitted
 //! job over the socket rather than wedging or dropping it.
@@ -56,6 +57,13 @@ impl Served {
     /// Spawns an audited spin-job server behind the given wire's
     /// transport.
     fn start(workers: usize, net_config: NetConfig, wire: Wire) -> Served {
+        let socket = UdpSocket::bind("127.0.0.1:0").expect("bind server");
+        Served::start_on(socket, workers, net_config, wire)
+    }
+
+    /// The same, on a socket the caller has already bound (and set
+    /// options on).
+    fn start_on(socket: UdpSocket, workers: usize, net_config: NetConfig, wire: Wire) -> Served {
         let clock = TscClock::calibrated();
         let job_clock = clock.clone();
         let server = TinyQuanta::start_with_clock(
@@ -68,7 +76,6 @@ impl Served {
             clock,
             move |req| Box::new(SpinJob::with_clock(req, &job_clock)),
         );
-        let socket = UdpSocket::bind("127.0.0.1:0").expect("bind server");
         set_socket_buffers(&socket, 1 << 20).expect("socket buffers");
         let addr = socket.local_addr().unwrap();
         let stop = Arc::new(AtomicBool::new(false));
@@ -182,6 +189,61 @@ fn interleaved_clients_scenario(wire: Wire) {
     let outcome = served.finish();
     assert_eq!(outcome.net.received, 2 * PER_CLIENT);
     assert_eq!(outcome.net.responded, 2 * PER_CLIENT);
+}
+
+/// A server socket on which the kernel refuses `UDP_SEGMENT` (here:
+/// `SO_NO_CHECK`, see `transport_conformance.rs`) still answers every
+/// request exactly once: the first train of responses comes back
+/// `EINVAL`, the transport resends its frames singly and builds no train
+/// again. Four clients queue their requests in chunks before the server
+/// polls, so responses to one client come in runs (trains to refuse)
+/// that interleave with the other clients'.
+#[cfg(target_os = "linux")]
+#[test]
+fn refused_segmentation_falls_back_without_losing_a_response() {
+    wires().into_iter().for_each(refused_segmentation_scenario);
+}
+
+#[cfg(target_os = "linux")]
+fn refused_segmentation_scenario(wire: Wire) {
+    use std::os::fd::AsRawFd;
+    extern "C" {
+        fn setsockopt(fd: i32, level: i32, name: i32, val: *const i32, len: u32) -> i32;
+    }
+    const PER_CLIENT: u64 = 64;
+    const CHUNK: u64 = 16;
+    let socket = UdpSocket::bind("127.0.0.1:0").expect("bind server");
+    let addr = socket.local_addr().unwrap();
+    let on: i32 = 1;
+    // SAFETY: a live fd and a 4-byte int: SOL_SOCKET (1), SO_NO_CHECK (11).
+    let rc = unsafe { setsockopt(socket.as_raw_fd(), 1, 11, &on, 4) };
+    assert_eq!(rc, 0, "SO_NO_CHECK: {}", std::io::Error::last_os_error());
+    set_socket_buffers(&socket, 1 << 20).expect("room for all 256 requests");
+    let clients: Vec<UdpSocket> = (0..4).map(|_| client()).collect();
+    for first in (0..PER_CLIENT).step_by(CHUNK as usize) {
+        for sock in &clients {
+            for tag in first..first + CHUNK {
+                sock.send_to(&encode_request(0, Nanos::ZERO, tag), addr).unwrap();
+            }
+        }
+    }
+    let served = Served::start_on(socket, 2, NetConfig::default(), wire);
+    for sock in &clients {
+        let mut seen = HashSet::new();
+        for _ in 0..PER_CLIENT {
+            let (tag, _, _) = recv_response(sock).expect("response timed out");
+            assert!(tag < PER_CLIENT && seen.insert(tag), "tag {tag} unknown or answered twice");
+        }
+    }
+    let outcome = served.finish();
+    let net = &outcome.net;
+    println!("{wire:?} refused segmentation: {:?}", net.transport);
+    assert_eq!(net.received, 4 * PER_CLIENT);
+    assert_eq!(net.received, net.responded + net.malformed + net.shed);
+    assert_eq!(net.responded, 4 * PER_CLIENT, "{wire:?}: nothing shed, nothing malformed");
+    // Every response that went out went out alone (refused trains are
+    // the surplus the io_uring wire counts).
+    assert!(net.transport.send_msgs >= net.transport.send_frames, "{wire:?}: {:?}", net.transport);
 }
 
 /// A client that stops reading its socket must not corrupt the server's

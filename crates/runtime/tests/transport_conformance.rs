@@ -13,22 +13,39 @@
 //! * **stats agree with frames moved**: `recv_frames`/`send_frames`
 //!   count exactly the frames the harness saw cross;
 //! * **shutdown drain**: frames accepted by `send_batch` reach the wire
-//!   even when the transport is dropped immediately afterwards.
+//!   even when the transport is dropped immediately afterwards;
+//! * **trains**: consecutive frames of one peer and one non-zero length
+//!   share a message (`send_msgs` counts them — 64 segments at most),
+//!   nothing else does, and no frame is reordered, merged or resized by
+//!   it; a socket on which the kernel refuses to segment (`SO_NO_CHECK`)
+//!   delivers the same frames as single datagrams, without an error.
 //!
 //! Where the probe reports io_uring unavailable it is skipped *loudly*
 //! (the skip and its reason are printed) rather than silently passing.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
-use tq_runtime::transport::{Frame, Transport, UdpTransport, MAX_BATCH, MAX_FRAME};
+use tq_runtime::transport::{
+    set_socket_buffers, Frame, Transport, UdpTransport, MAX_BATCH, MAX_FRAME,
+};
 use tq_runtime::uring::{self, IoUringTransport};
 
 /// A (transport, peer socket, transport address) triple for one run.
 struct Pair {
     name: String,
     transport: Box<dyn Transport + Send>,
+    /// A second handle on the transport's own socket (socket options).
+    sock: UdpSocket,
     peer: UdpSocket,
     addr: SocketAddr,
+}
+
+impl Pair {
+    /// Whether this transport builds trains (`per_datagram` is the
+    /// baseline arm: one `send_to` per frame, always).
+    fn trains(&self) -> bool {
+        self.name != "per_datagram"
+    }
 }
 
 /// Builds every available transport, each with its own bound socket and
@@ -41,17 +58,13 @@ fn build_pairs() -> Vec<Pair> {
     let fresh = || {
         let s = UdpSocket::bind("127.0.0.1:0").expect("bind");
         let addr = s.local_addr().unwrap();
-        (s, addr)
-    };
-    let peer = || {
-        let s = UdpSocket::bind("127.0.0.1:0").expect("bind peer");
-        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        s
+        (s.try_clone().expect("dup"), s, addr)
     };
 
     {
-        let (s, addr) = fresh();
+        let (sock, s, addr) = fresh();
         pairs.push(Pair {
+            sock,
             name: "per_datagram".into(),
             transport: Box::new(UdpTransport::per_datagram(s).expect("per_datagram")),
             peer: peer(),
@@ -59,8 +72,9 @@ fn build_pairs() -> Vec<Pair> {
         });
     }
     {
-        let (s, addr) = fresh();
+        let (sock, s, addr) = fresh();
         pairs.push(Pair {
+            sock,
             name: "batched".into(),
             transport: Box::new(UdpTransport::batched(s).expect("batched")),
             peer: peer(),
@@ -68,8 +82,9 @@ fn build_pairs() -> Vec<Pair> {
         });
     }
     if caps.available {
-        let (s, addr) = fresh();
+        let (sock, s, addr) = fresh();
         pairs.push(Pair {
+            sock,
             name: "uring:multishot".into(),
             transport: Box::new(IoUringTransport::server(s).expect("probe said io_uring works")),
             peer: peer(),
@@ -79,6 +94,38 @@ fn build_pairs() -> Vec<Pair> {
         println!("SKIP uring:multishot — probe: {}", caps.reason);
     }
     pairs
+}
+
+/// A receiving socket with its buffers sized before any traffic (a train
+/// segment is charged more against `SO_RCVBUF` than a lone datagram).
+fn peer() -> UdpSocket {
+    let s = UdpSocket::bind("127.0.0.1:0").expect("bind peer");
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    set_socket_buffers(&s, 1 << 20).expect("peer buffers");
+    s
+}
+
+/// Reads `want` datagrams off `peer`, in arrival order.
+fn peer_recv(name: &str, peer: &UdpSocket, want: usize) -> Vec<Vec<u8>> {
+    let mut buf = [0u8; 2 * MAX_FRAME];
+    let mut got = Vec::with_capacity(want);
+    while got.len() < want {
+        match peer.recv_from(&mut buf) {
+            Ok((len, _)) => got.push(buf[..len].to_vec()),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => panic!("[{name}] peer recv after {}/{want}: {e}", got.len()),
+        }
+    }
+    got
+}
+
+/// `n` eight-byte frames for `to`, tagged `first..first + n`.
+fn tagged(first: u64, n: usize, to: SocketAddr) -> Vec<Frame> {
+    (first..first + n as u64).map(|i| Frame::new(&i.to_le_bytes(), to)).collect()
+}
+
+fn tags(datagrams: &[Vec<u8>]) -> Vec<u64> {
+    datagrams.iter().map(|d| u64::from_le_bytes(d[..].try_into().expect("8-byte tag"))).collect()
 }
 
 /// Polls `recv_batch` until `want` frames arrive or the deadline passes.
@@ -105,6 +152,7 @@ fn frames_arrive_with_exact_lengths_and_payloads() {
             mut transport,
             peer,
             addr,
+            ..
         } = pair;
         // One datagram per length 1..=MAX_FRAME, payload = length marker
         // bytes, so both length and content corruption are detectable.
@@ -166,6 +214,7 @@ fn stats_counters_agree_with_frames_moved() {
             mut transport,
             peer,
             addr,
+            ..
         } = pair;
         let peer_addr = peer.local_addr().unwrap();
         for i in 0..IN {
@@ -217,7 +266,7 @@ fn frames_accepted_by_send_batch_survive_immediate_drop() {
             name,
             mut transport,
             peer,
-            addr: _,
+            ..
         } = pair;
         let peer_addr = peer.local_addr().unwrap();
         let out: Vec<Frame> = (0..OUT)
@@ -243,5 +292,118 @@ fn frames_accepted_by_send_batch_survive_immediate_drop() {
                 Err(e) => panic!("[{name}] peer recv: {e}"),
             }
         }
+    }
+}
+
+#[test]
+fn equal_frames_to_one_peer_share_messages_and_keep_their_order() {
+    const OUT: usize = 200; // 64 + 64 + 64 + 8
+    for mut pair in build_pairs() {
+        let name = pair.name.clone();
+        let to = pair.peer.local_addr().unwrap();
+        pair.transport.send_batch(&tagged(0, OUT, to)).expect("send_batch");
+        let got = tags(&peer_recv(&name, &pair.peer, OUT));
+        assert_eq!(got, (0..OUT as u64).collect::<Vec<_>>(), "[{name}] exactly once, in order");
+        let stats = pair.transport.stats();
+        assert_eq!(stats.send_frames, OUT as u64, "[{name}]");
+        let msgs = if pair.trains() { OUT.div_ceil(MAX_BATCH) } else { OUT };
+        assert_eq!(stats.send_msgs, msgs as u64, "[{name}] trains of at most {MAX_BATCH}");
+    }
+}
+
+#[test]
+fn interleaved_peers_get_no_train_and_no_reordering() {
+    const EACH: usize = 40;
+    for mut pair in build_pairs() {
+        let name = pair.name.clone();
+        let other = peer();
+        let (a, b) = (pair.peer.local_addr().unwrap(), other.local_addr().unwrap());
+        // A, B, A, B, …: no two consecutive frames share a peer.
+        let out: Vec<Frame> = (0..2 * EACH as u64)
+            .map(|i| Frame::new(&(i / 2).to_le_bytes(), if i % 2 == 0 { a } else { b }))
+            .collect();
+        pair.transport.send_batch(&out).expect("send_batch");
+        for sock in [&pair.peer, &other] {
+            let got = tags(&peer_recv(&name, sock, EACH));
+            assert_eq!(got, (0..EACH as u64).collect::<Vec<_>>(), "[{name}] send order per peer");
+        }
+        let stats = pair.transport.stats();
+        assert_eq!(stats.send_frames, 2 * EACH as u64, "[{name}]");
+        assert_eq!(stats.send_msgs, stats.send_frames, "[{name}] nothing to coalesce");
+    }
+}
+
+#[test]
+fn mixed_lengths_in_one_batch_arrive_with_their_own_lengths() {
+    // Runs of equal length, length changes, zero-length frames (alone and
+    // adjacent), the largest frame, and a length that comes back later.
+    const M: usize = MAX_FRAME;
+    const LENS: [usize; 17] = [18, 18, 18, 0, 0, 1, 1, 24, 24, 24, 24, M, M, 18, 0, M, 1];
+    // A message per run of equal non-zero lengths, one per empty frame.
+    let runs = 1 + LENS.windows(2).filter(|w| w[0] != w[1] || w[0] == 0).count();
+    for mut pair in build_pairs() {
+        let name = pair.name.clone();
+        let to = pair.peer.local_addr().unwrap();
+        let out: Vec<Frame> =
+            LENS.iter().enumerate().map(|(i, &len)| Frame::new(&vec![i as u8; len], to)).collect();
+        pair.transport.send_batch(&out).expect("send_batch");
+        let got = peer_recv(&name, &pair.peer, LENS.len());
+        for (i, (d, &len)) in got.iter().zip(&LENS).enumerate() {
+            assert_eq!(d, &vec![i as u8; len], "[{name}] frame {i} (length {len})");
+        }
+        let stats = pair.transport.stats();
+        assert_eq!(stats.send_frames, LENS.len() as u64, "[{name}]");
+        let msgs = if pair.trains() { runs } else { LENS.len() };
+        assert_eq!(stats.send_msgs, msgs as u64, "[{name}] a new length or an empty frame ends a run");
+    }
+}
+
+/// `SO_NO_CHECK` (no UDP checksum on transmit) is one of the conditions
+/// under which `udp_send_skb` refuses a segmented send with `EINVAL`
+/// while lone datagrams still go — the real kernel's refusal, no mock.
+#[cfg(target_os = "linux")]
+fn refuse_segmentation(sock: &UdpSocket) {
+    use std::os::fd::AsRawFd;
+    extern "C" {
+        fn setsockopt(fd: i32, level: i32, name: i32, val: *const i32, len: u32) -> i32;
+    }
+    const SOL_SOCKET: i32 = 1;
+    const SO_NO_CHECK: i32 = 11;
+    let on: i32 = 1;
+    // SAFETY: a live fd and a 4-byte int, as SO_NO_CHECK requires.
+    let rc = unsafe { setsockopt(sock.as_raw_fd(), SOL_SOCKET, SO_NO_CHECK, &on, 4) };
+    assert_eq!(rc, 0, "SO_NO_CHECK: {}", std::io::Error::last_os_error());
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_socket_the_kernel_will_not_segment_on_falls_back_to_single_datagrams() {
+    const FIRST: usize = 130; // 64 + 64 + 2: three trains, all refused
+    const LATER: usize = 70;
+    for mut pair in build_pairs() {
+        let name = pair.name.clone();
+        refuse_segmentation(&pair.sock);
+        let to = pair.peer.local_addr().unwrap();
+        pair.transport.send_batch(&tagged(0, FIRST, to)).expect("a refusal is not an error");
+        // Every frame is on the wire when send_batch returns: nothing
+        // below touches the transport before the peer has them all.
+        let got = tags(&peer_recv(&name, &pair.peer, FIRST));
+        assert_eq!(got, (0..FIRST as u64).collect::<Vec<_>>(), "[{name}] exactly once, in order");
+        let before = pair.transport.stats();
+        assert_eq!(before.send_frames, FIRST as u64, "[{name}] resent frames are not counted twice");
+        println!("[{name}] refused burst: {before:?}");
+        assert!(before.send_msgs >= FIRST as u64, "[{name}] {} messages", before.send_msgs);
+
+        pair.transport.send_batch(&tagged(FIRST as u64, LATER, to)).expect("not broken");
+        let got = tags(&peer_recv(&name, &pair.peer, LATER));
+        assert_eq!(got, (FIRST as u64..(FIRST + LATER) as u64).collect::<Vec<_>>(), "[{name}]");
+        let after = pair.transport.stats();
+        assert_eq!(after.send_frames - before.send_frames, LATER as u64, "[{name}]");
+        assert_eq!(after.send_msgs - before.send_msgs, LATER as u64, "[{name}] no train is tried again");
+        let mut scratch = vec![Frame::empty(); MAX_BATCH];
+        assert_eq!(pair.transport.recv_batch(&mut scratch).expect("not broken"), 0, "[{name}]");
+        // Nothing arrives twice.
+        pair.peer.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
+        assert!(pair.peer.recv_from(&mut [0u8; MAX_FRAME]).is_err(), "[{name}] a duplicate arrived");
     }
 }
