@@ -50,7 +50,7 @@
 //! stalls fails the process — on loopback with sized socket buffers and
 //! a bounded window, loss means a bug, not weather.
 //!
-//! Knobs: `TQ_NET_REQUESTS` (per trial; default 48k full / 12k check),
+//! Knobs: `TQ_NET_REQUESTS` (per trial; default 240k full / 48k check),
 //! `TQ_NET_WINDOW` (outstanding requests, default 256), `TQ_RT_WORKERS`
 //! (default 2), `TQ_SEED`, `TQ_AUDIT`.
 
@@ -84,6 +84,12 @@ const URING_BASELINE_FLOOR: f64 = 1.0;
 /// within this fraction of the batched arm's speed (a lost completion
 /// path shows up as a multiple, not a percent).
 const URING_CHECK_FLOOR: f64 = 0.8;
+
+/// Requests per trial, `--throughput` and `--check`: five and four times
+/// what they were before trains were received coalesced, when a request
+/// cost five times as much, so a trial still lasts ≈ 90 and ≈ 20 ms.
+const FULL_REQUESTS: u64 = 240_000;
+const CHECK_REQUESTS: u64 = 48_000;
 
 /// The measurable arms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,7 +155,9 @@ impl NetMeasure {
                 "\"server_send_calls\": {}, \"server_frames_per_recv\": {:.2}, ",
                 "\"server_frames_per_send\": {:.2}, \"server_send_msgs\": {}, ",
                 "\"server_frames_per_msg\": {:.2}, \"client_send_msgs\": {}, ",
-                "\"client_frames_per_msg\": {:.2}, \"responded\": {}}}"
+                "\"client_frames_per_msg\": {:.2}, \"server_recv_msgs\": {}, ",
+                "\"server_frames_per_recv_msg\": {:.2}, \"client_recv_msgs\": {}, ",
+                "\"client_frames_per_recv_msg\": {:.2}, \"responded\": {}}}"
             ),
             self.arm,
             self.requests,
@@ -168,6 +176,10 @@ impl NetMeasure {
             self.server.transport.frames_per_msg(),
             self.client.send_msgs,
             self.client.frames_per_msg(),
+            self.server.transport.recv_msgs,
+            self.server.transport.frames_per_recv_msg(),
+            self.client.recv_msgs,
+            self.client.frames_per_recv_msg(),
             self.server.responded,
         )
     }
@@ -247,6 +259,7 @@ fn serve_legacy(
             Ok((len, addr)) => {
                 net.received += 1;
                 net.transport.recv_calls += 1;
+                net.transport.recv_msgs += 1;
                 net.transport.recv_frames += 1;
                 match decode_request(&buf[..len]) {
                     Some((class, service, tag)) => {
@@ -408,8 +421,9 @@ fn measure(
 fn print_measure(m: &NetMeasure) {
     println!(
         "{:>12}: {:>8.1} ns/request  ({:>7.1} krps, server {:.1} frames/recv syscall, \
-         {:.1} frames/send, {} send_msgs = {:.1} frames/msg; client {} sends {} recvs, \
-         {} send_msgs = {:.1} frames/msg)",
+         {:.1} frames/send, {} send_msgs = {:.1} frames/msg, {} recv_msgs = {:.1} frames/msg; \
+         client {} sends {} recvs, {} send_msgs = {:.1} frames/msg, \
+         {} recv_msgs = {:.1} frames/msg)",
         m.arm,
         m.ns_per_request(),
         m.krps(),
@@ -417,10 +431,14 @@ fn print_measure(m: &NetMeasure) {
         m.server.transport.frames_per_send_call(),
         m.server.transport.send_msgs,
         m.server.transport.frames_per_msg(),
+        m.server.transport.recv_msgs,
+        m.server.transport.frames_per_recv_msg(),
         m.client.send_calls,
         m.client.recv_calls,
         m.client.send_msgs,
         m.client.frames_per_msg(),
+        m.client.recv_msgs,
+        m.client.frames_per_recv_msg(),
     );
 }
 
@@ -505,7 +523,7 @@ fn run_throughput(n: u64, window: usize, workers: usize, audit: bool, seed: u64)
         seed,
         audit,
         tq_bench::host_cores(),
-        n < 48_000, // reduced flood via TQ_NET_REQUESTS: not a full baseline
+        n < FULL_REQUESTS, // reduced flood via TQ_NET_REQUESTS: not a full baseline
         caps.summary(),
         arms.join(",\n    "),
         speedup,
@@ -618,11 +636,11 @@ fn main() {
     let audit = audit_enabled();
     let seed = tq_bench::seed();
     if mode_check {
-        let n = env_u64("TQ_NET_REQUESTS", 12_000);
+        let n = env_u64("TQ_NET_REQUESTS", CHECK_REQUESTS);
         run_check(n, window, workers, audit, seed);
     }
     if mode_throughput {
-        let n = env_u64("TQ_NET_REQUESTS", 48_000);
+        let n = env_u64("TQ_NET_REQUESTS", FULL_REQUESTS);
         run_throughput(n, window, workers, audit, seed);
     }
     eprintln!("pick a mode: --throughput (write BENCH_net.json) or --check (gate against it)");

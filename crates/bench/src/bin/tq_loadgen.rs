@@ -270,14 +270,12 @@ fn client_wire(choice: TransportChoice) -> Box<dyn Transport + Send> {
         }
         TransportChoice::Mmsg => Box::new(UdpTransport::batched(socket).expect("client transport")),
         TransportChoice::IoUring => {
-            // Receive depth covers an open-loop backlog burst.
+            // Send depth covers an open-loop backlog burst; the answers
+            // to one come back as trains, a posted buffer each.
             Box::new(
                 IoUringTransport::server_with(
                     socket,
-                    UringConfig {
-                        recv_pool: 512,
-                        send_pool: 512,
-                    },
+                    UringConfig { send_pool: 512, ..UringConfig::default() },
                 )
                 .expect("uring client"),
             )
@@ -736,6 +734,8 @@ fn main() {
             m.frames_per_send = o.net.transport.frames_per_send_call();
             m.send_msgs = o.net.transport.send_msgs;
             m.frames_per_msg = o.net.transport.frames_per_msg();
+            m.recv_msgs = o.net.transport.recv_msgs;
+            m.frames_per_recv_msg = o.net.transport.frames_per_recv_msg();
             m.rcvbuf_bytes = o.net.transport.rcvbuf_bytes;
             m.sndbuf_bytes = o.net.transport.sndbuf_bytes;
         }
@@ -803,13 +803,16 @@ fn main() {
         );
         println!(
             "        {:.1} frames per recv syscall, {:.1} per send ({} recv calls, {} send calls), \
-             {:.1} frames per message ({} send_msgs)",
+             {:.1} frames per message sent ({} send_msgs), {:.1} per message received \
+             ({} recv_msgs)",
             o.net.transport.frames_per_recv_call(),
             o.net.transport.frames_per_send_call(),
             o.net.transport.recv_calls,
             o.net.transport.send_calls,
             o.net.transport.frames_per_msg(),
             o.net.transport.send_msgs,
+            o.net.transport.frames_per_recv_msg(),
+            o.net.transport.recv_msgs,
         );
     }
     if let Some(report) = &audit_report {

@@ -278,6 +278,10 @@ pub struct NetMeta {
     pub send_msgs: u64,
     /// Mean frames per such message — the train length (1.0 = none).
     pub frames_per_msg: f64,
+    /// Messages the kernel handed the server its requests in.
+    pub recv_msgs: u64,
+    /// Mean frames per such message: the coalescing factor (1.0 = none).
+    pub frames_per_recv_msg: f64,
     /// Achieved server receive-buffer size in bytes (kernel read-back
     /// after `SO_RCVBUF`; 0 when the server ran out of process).
     pub rcvbuf_bytes: u64,

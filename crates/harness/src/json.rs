@@ -172,7 +172,8 @@ fn net_json(m: Option<&NetMeta>) -> String {
                     "\"server_responded\": {}, \"server_malformed\": {}, ",
                     "\"server_shed\": {}, \"frames_per_recv\": {}, ",
                     "\"frames_per_send\": {}, \"send_msgs\": {}, ",
-                    "\"frames_per_msg\": {}, \"rcvbuf_bytes\": {}, ",
+                    "\"frames_per_msg\": {}, \"recv_msgs\": {}, ",
+                    "\"frames_per_recv_msg\": {}, \"rcvbuf_bytes\": {}, ",
                     "\"sndbuf_bytes\": {}, \"rtt_p999_spread_ns\": {}, ",
                     "\"clients\": [{}]}}"
                 ),
@@ -191,6 +192,8 @@ fn net_json(m: Option<&NetMeta>) -> String {
                 json_f64(m.frames_per_send),
                 m.send_msgs,
                 json_f64(m.frames_per_msg),
+                m.recv_msgs,
+                json_f64(m.frames_per_recv_msg),
                 m.rcvbuf_bytes,
                 m.sndbuf_bytes,
                 m.rtt_p999_spread_ns,
@@ -371,6 +374,8 @@ mod tests {
                 frames_per_send: f64::NAN, // must render as null, not NaN
                 send_msgs: 3,
                 frames_per_msg: 3.0,
+                recv_msgs: 4,
+                frames_per_recv_msg: 2.5,
                 rcvbuf_bytes: 2 << 20,
                 sndbuf_bytes: 2 << 20,
                 rtt_p999_spread_ns: 4_000,

@@ -18,8 +18,8 @@
 //!   the workers' counters.
 //! * [`server`] — the [`TinyQuanta`] facade tying it together.
 //! * [`transport`] — batched datagram I/O: the [`transport::Transport`]
-//!   trait and a UDP implementation moving up to 64 frames per
-//!   `recvmmsg`/`sendmmsg` syscall.
+//!   trait and a UDP implementation moving up to 64 messages — each a
+//!   datagram or a whole train of them — per `recvmmsg`/`sendmmsg`.
 //! * [`uring`] — the completion-driven io_uring implementation of the
 //!   same trait: mmap'd SQ/CQ rings, a registered file, and
 //!   provided-buffer multishot receive, behind a startup self-test
@@ -54,6 +54,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod clock;
 pub mod dispatcher;

@@ -472,12 +472,13 @@ pub fn serve_udp(
 /// Builds the server-side transport the host supports: io_uring
 /// (`uring:multishot`) when the startup capability probe validated it,
 /// the batched `recvmmsg`/`sendmmsg` transport (`udp:mmsg`) otherwise.
-/// The io_uring pools are sized to the config's in-flight bound plus one
-/// burst of slack, capped at 1024 — so with the default
-/// `max_in_flight` of 8192 the posted receive buffers cover 1024
-/// datagrams, not everything admission control will let in; past that
-/// the socket's receive buffer absorbs the burst until the next reap
-/// recycles buffers. The choice is observable through
+/// The io_uring send pool is sized to the config's in-flight bound plus
+/// one burst of slack, capped at 1024. The receive pool stays at
+/// [`UringConfig`](crate::uring::UringConfig)'s default: a posted buffer
+/// holds one *message* — a lone datagram or a whole train — so it covers
+/// bursts, not requests, and is not scaled by `max_in_flight`; what
+/// outruns it between two reaps waits in the socket's receive buffer, as
+/// the excess over the pool always did. The choice is observable through
 /// [`Transport::label`]; callers that need the fallback *reason* print
 /// [`crate::uring::probe`]'s summary.
 ///
@@ -491,15 +492,12 @@ pub fn server_transport(
     config: &NetConfig,
 ) -> io::Result<Box<dyn Transport + Send>> {
     if crate::uring::probe().available {
-        // One burst of slack so a full slab still leaves posted buffers
-        // for the datagrams that will be shed.
-        let pool = config.max_in_flight.saturating_add(MAX_BATCH).min(1024);
+        // The in-flight bound plus one burst of slack; past it
+        // `send_batch` waits for a completion.
+        let send_pool = config.max_in_flight.saturating_add(MAX_BATCH).min(1024);
         let transport = crate::uring::IoUringTransport::server_with(
             socket,
-            crate::uring::UringConfig {
-                recv_pool: pool,
-                send_pool: pool,
-            },
+            crate::uring::UringConfig { send_pool, ..Default::default() },
         )?;
         Ok(Box::new(transport))
     } else {

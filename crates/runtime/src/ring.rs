@@ -41,6 +41,10 @@ struct Shared<T> {
 // visible, and read by the consumer before the head release-store recycles
 // it. T only needs Send.
 unsafe impl<T: Send> Send for Shared<T> {}
+// SAFETY: the two sides share `&Shared<T>` but never a slot: between the
+// tail and head hand-offs above exactly one of them touches a given
+// `UnsafeCell`, and `head`/`tail`/`cap` are atomics or immutable. No `&T`
+// is ever handed to both threads, so `T: Send` suffices here too.
 unsafe impl<T: Send> Sync for Shared<T> {}
 
 impl<T> Drop for Shared<T> {

@@ -16,8 +16,8 @@
 //! * [`UdpTransport::batched`] — `recvmmsg`/`sendmmsg` on Linux (bound
 //!   via a local `extern "C"` declaration: the build environment vendors
 //!   no `libc` crate, but std already links the platform libc), one
-//!   message per run of frames ("Trains" below), falling back to a
-//!   `recv_from`/`send_to` drain loop on other targets.
+//!   message per run of frames both ways ("Trains" below), falling back
+//!   to a `recv_from`/`send_to` drain loop on other targets.
 //! * [`UdpTransport::per_datagram`] — one syscall per datagram, the
 //!   pre-batching behaviour, kept as the measurable baseline arm of
 //!   `bench_net` (exactly like the `per_item` arm of `BENCH_rt.json`).
@@ -53,9 +53,39 @@
 //! no train for the rest of its life. The same errno on a message
 //! *without* it (destination port 0, say) is the error it always was.
 //!
-//! A segment out of a train (18-byte payload) costs its receiver ≈841 B
-//! of `SO_RCVBUF`, a lone datagram 832 B: the default 212 992 bytes hold
-//! 256 of these, 253 of those. Size buffers before traffic, not after.
+//! The receive half: a socket that has not asked gets a train cut back
+//! into datagrams — an skb, an enqueue and a wake-up each, on loopback
+//! inside the *sender's* syscall. Both batched transports ask
+//! (`SOL_UDP`/`UDP_GRO`, at construction), so a train arrives as **one**
+//! message with a control message carrying the segment length — the
+//! nearer analogue of an RX burst. They receive into buffers of their
+//! own with room for that control message and the longest train whose
+//! segments fit a [`Frame`] (`UDP_MAX_SEGMENTS` = 128 × [`MAX_FRAME`] =
+//! 8 KiB: no well-formed request or response is truncated away), and
+//! hand out `⌈len / gso_size⌉` frames of `gso_size` bytes, the last as
+//! short as the train's tail, each cut to [`MAX_FRAME`] as a lone
+//! oversized datagram is. A message *without* the control message is a
+//! train of one through the same split (`segment_len`, `segments`) —
+//! there is no second path. On mmsg those buffers are also the spill
+//! queue: the messages of the last `recvmmsg` stay where the kernel put
+//! them and a cursor (message, byte offset) survives across `recv_batch`
+//! calls, so no call returns more than `out.len()`, nothing is copied
+//! twice or allocated, and the next syscall waits until the cursor has
+//! run out. `recv_frames / recv_msgs` ([`TransportStats`]) is what
+//! coalescing achieved.
+//!
+//! [`UdpTransport::per_datagram`] never asks — `recv_from` into one frame
+//! would keep only a train's head — so it stays the baseline arm and,
+//! like any plain socket, reads the datagrams the kernel cut for it. One
+//! fallback, again the kernel's: where the `setsockopt` fails
+//! (`ENOPROTOOPT` before 5.0) the error is dropped, no message carries
+//! the control message and every receive is a train of one; nothing
+//! records which happened.
+//!
+//! Against `SO_RCVBUF` a coalesced train is charged as the one skb it is
+//! (64 × 18 bytes ≈ 2 KB: the default 212 992 bytes hold 107); cut for a
+//! plain socket it still costs ≈841 B a segment against a lone
+//! datagram's 832 B: 253 against 256. Size buffers before traffic.
 
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, SocketAddrV4, SocketAddrV6, UdpSocket};
@@ -128,6 +158,10 @@ pub struct TransportStats {
     pub recv_calls: u64,
     /// Frames received.
     pub recv_frames: u64,
+    /// Messages that carried them (`mmsghdr` entries filled, multishot
+    /// completions with a buffer, `recv_from` calls), the mirror of
+    /// `send_msgs`: `recv_frames / recv_msgs` is the coalescing factor.
+    pub recv_msgs: u64,
     /// Send syscalls issued (`io_uring_enter` calls that carried send
     /// SQEs, for the io_uring transport).
     pub send_calls: u64,
@@ -161,6 +195,11 @@ impl TransportStats {
     /// Mean frames carried per message (1.0 = no train was built).
     pub fn frames_per_msg(&self) -> f64 {
         self.send_frames as f64 / self.send_msgs.max(1) as f64
+    }
+
+    /// Mean frames cut out of a received message (1.0 = none coalesced).
+    pub fn frames_per_recv_msg(&self) -> f64 {
+        self.recv_frames as f64 / self.recv_msgs.max(1) as f64
     }
 }
 
@@ -233,8 +272,19 @@ pub(crate) mod sys {
     pub const SO_RCVBUF: i32 = 8;
     pub const SOL_UDP: i32 = 17;
     pub const UDP_SEGMENT: i32 = 103;
+    pub const UDP_GRO: i32 = 104;
     pub const EIO: i32 = 5;
     pub const EINVAL: i32 = 22;
+
+    /// Payload room of one receive buffer: `UDP_MAX_SEGMENTS` (128; 64 on
+    /// older kernels) segments of [`super::MAX_FRAME`] bytes. Longer ones
+    /// are malformed already; truncation only shortens garbage.
+    pub const RECV_PAYLOAD: usize = 128 * super::MAX_FRAME;
+    /// Control room of one receive buffer: `CMSG_SPACE(sizeof(int))`, the
+    /// one `SOL_UDP`/`UDP_GRO` message a coalesced receive carries.
+    pub const RECV_CONTROL: usize = CMSG_HDR + 8;
+    /// `struct cmsghdr`: `cmsg_len` (itself included), level, type.
+    pub const CMSG_HDR: usize = std::mem::size_of::<usize>() + 8;
 
     #[repr(C)]
     #[derive(Clone, Copy)]
@@ -387,26 +437,28 @@ pub(crate) mod sys {
 pub fn set_socket_buffers(socket: &UdpSocket, bytes: usize) -> io::Result<(usize, usize)> {
     #[cfg(target_os = "linux")]
     {
-        use std::os::fd::AsRawFd;
         let val: i32 = bytes.min(i32::MAX as usize) as i32;
-        let ptr = &val as *const i32 as *const u8;
-        let len = std::mem::size_of::<i32>() as u32;
-        // SAFETY: fd is a live socket owned by `socket`; optval points at
-        // a 4-byte int, as SO_RCVBUF/SO_SNDBUF require.
-        unsafe {
-            if sys::setsockopt(socket.as_raw_fd(), sys::SOL_SOCKET, sys::SO_RCVBUF, ptr, len) != 0 {
-                return Err(io::Error::last_os_error());
-            }
-            if sys::setsockopt(socket.as_raw_fd(), sys::SOL_SOCKET, sys::SO_SNDBUF, ptr, len) != 0 {
-                return Err(io::Error::last_os_error());
-            }
-        }
+        set_int_option(socket, sys::SOL_SOCKET, sys::SO_RCVBUF, val)?;
+        set_int_option(socket, sys::SOL_SOCKET, sys::SO_SNDBUF, val)?;
         effective_socket_buffers(socket)
     }
     #[cfg(not(target_os = "linux"))]
     {
         let _ = (socket, bytes);
         Ok((0, 0))
+    }
+}
+
+/// `setsockopt` for an option whose value is one `int`.
+#[cfg(target_os = "linux")]
+fn set_int_option(socket: &UdpSocket, level: i32, name: i32, val: i32) -> io::Result<()> {
+    use std::os::fd::AsRawFd;
+    let ptr = &val as *const i32 as *const u8;
+    // SAFETY: fd is a live socket owned by `socket`; optval points at a
+    // 4-byte int, which is what every option passed here takes.
+    match unsafe { sys::setsockopt(socket.as_raw_fd(), level, name, ptr, 4) } {
+        0 => Ok(()),
+        _ => Err(io::Error::last_os_error()),
     }
 }
 
@@ -506,10 +558,151 @@ pub(crate) fn train_len(frames: &[Frame], cap: usize) -> usize {
     frames.iter().take(cap).take_while(|f| f.len == len && f.addr == addr).count()
 }
 
-/// Preallocated scratch for the mmsg syscalls: a header and its
-/// address/iovec/cmsg per message, plus one flat buffer the send path
-/// packs payloads into (a train must be contiguous). On receive the
-/// iovecs point at the caller's [`Frame`]s for one syscall only.
+/// Opts `socket` into coalesced receives (module docs, "Trains"). A
+/// kernel without the option refuses, and the refusal is dropped on
+/// purpose: every receive is then a train of one.
+#[cfg(target_os = "linux")]
+pub(crate) fn accept_trains(socket: &UdpSocket) {
+    let _ = set_int_option(socket, sys::SOL_UDP, sys::UDP_GRO, 1);
+}
+
+/// The segment length of a received message: what the `UDP_GRO` cmsg in
+/// `control` (the filled part of the control buffer) says, or — without
+/// one — the whole payload, a train of one. A `cmsg_len` shorter than its
+/// header or running past `control`, or a length ≤ 0: no split. Never 0.
+#[cfg(target_os = "linux")]
+pub(crate) fn segment_len(control: &[u8], payload_len: usize) -> usize {
+    const WORD: usize = std::mem::size_of::<usize>();
+    let int = |b: &[u8]| i32::from_ne_bytes(b.try_into().expect("4 bytes"));
+    let mut rest = control;
+    while let Some(hdr) = rest.get(..sys::CMSG_HDR) {
+        let len = usize::from_ne_bytes(hdr[..WORD].try_into().expect("a word"));
+        let Some(data) = rest.get(sys::CMSG_HDR..len) else { break };
+        if (int(&hdr[WORD..WORD + 4]), int(&hdr[WORD + 4..])) == (sys::SOL_UDP, sys::UDP_GRO) {
+            match data.get(..4).map(int) {
+                Some(seg) if seg > 0 => return seg as usize,
+                _ => break,
+            }
+        }
+        let Some(next) = rest.get(len.next_multiple_of(WORD)..) else { break };
+        rest = next;
+    }
+    payload_len.max(1)
+}
+
+/// The datagrams of a received message of `seg`-byte segments, each cut
+/// to [`MAX_FRAME`] exactly as a lone oversized datagram is:
+/// `⌈len / seg⌉` of them, the last as short as the train's tail was —
+/// and one, empty, for an empty datagram.
+#[cfg(target_os = "linux")]
+pub(crate) fn segments(payload: &[u8], seg: usize) -> impl Iterator<Item = &[u8]> {
+    (0..payload.len().div_ceil(seg).max(1)).map(move |i| {
+        let rest = &payload[i * seg..];
+        &rest[..rest.len().min(seg).min(MAX_FRAME)]
+    })
+}
+
+/// What one receive header points at besides its payload buffer: source
+/// address, iovec and room for the `UDP_GRO` control message.
+#[cfg(target_os = "linux")]
+#[derive(Clone, Copy)]
+struct RecvMeta {
+    addr: sys::SockAddrStorage,
+    iov: sys::IoVec,
+    control: [u8; sys::RECV_CONTROL],
+}
+
+/// The receive half of the mmsg scratch, which is also the spill queue
+/// (module docs). The headers are wired to `meta` and `bufs` once; none
+/// of it is shared with the send half, so a send between two partial
+/// receives disturbs nothing.
+#[cfg(target_os = "linux")]
+struct MmsgRecv {
+    hdrs: Vec<sys::MMsgHdr>,
+    meta: Vec<RecvMeta>,
+    /// [`sys::RECV_PAYLOAD`] bytes per header (mapped, not populated).
+    bufs: Vec<u8>,
+    /// Messages the last `recvmmsg` filled.
+    filled: usize,
+    /// The cursor: next message, and the byte its next frame starts at.
+    msg: usize,
+    at: usize,
+}
+
+#[cfg(target_os = "linux")]
+impl MmsgRecv {
+    fn new(batch: usize) -> Self {
+        let mut rx = MmsgRecv {
+            hdrs: vec![sys::MMsgHdr { msg_hdr: sys::MsgHdr::zeroed(), msg_len: 0 }; batch],
+            meta: vec![
+                RecvMeta {
+                    addr: sys::SockAddrStorage::zeroed(),
+                    iov: sys::IoVec { iov_base: std::ptr::null_mut(), iov_len: 0 },
+                    control: [0u8; sys::RECV_CONTROL],
+                };
+                batch
+            ],
+            bufs: vec![0u8; batch * sys::RECV_PAYLOAD],
+            filled: 0,
+            msg: 0,
+            at: 0,
+        };
+        let bufs = rx.bufs.chunks_exact_mut(sys::RECV_PAYLOAD);
+        for ((hdr, meta), buf) in rx.hdrs.iter_mut().zip(&mut rx.meta).zip(bufs) {
+            meta.iov = sys::IoVec { iov_base: buf.as_mut_ptr(), iov_len: buf.len() };
+            hdr.msg_hdr = sys::MsgHdr {
+                msg_name: meta.addr.bytes.as_mut_ptr(),
+                msg_namelen: std::mem::size_of::<sys::SockAddrStorage>() as u32,
+                msg_iov: &mut meta.iov,
+                msg_iovlen: 1,
+                msg_control: meta.control.as_mut_ptr(),
+                msg_controllen: sys::RECV_CONTROL,
+                msg_flags: 0,
+            };
+        }
+        rx
+    }
+
+    /// Replaces the (used-up) queue with whatever one `recvmmsg` finds;
+    /// false when nothing was pending.
+    fn refill(&mut self, socket: &UdpSocket) -> io::Result<bool> {
+        use std::os::fd::AsRawFd;
+        // The two in/out fields (`msg_flags` is only ever written) of the
+        // headers the last call filled; the rest reads as `new` left it.
+        for hdr in &mut self.hdrs[..self.filled] {
+            hdr.msg_hdr.msg_namelen = std::mem::size_of::<sys::SockAddrStorage>() as u32;
+            hdr.msg_hdr.msg_controllen = sys::RECV_CONTROL;
+        }
+        (self.filled, self.msg, self.at) = (0, 0, 0);
+        // SAFETY: every header points at `meta` and `bufs` storage of the
+        // lengths it states: heap memory this struct owns and never
+        // resizes, so `new`'s wiring holds wherever the struct has moved.
+        let rc = unsafe {
+            sys::recvmmsg(
+                socket.as_raw_fd(),
+                self.hdrs.as_mut_ptr(),
+                self.hdrs.len() as u32,
+                sys::MSG_DONTWAIT,
+                std::ptr::null_mut(),
+            )
+        };
+        if rc < 0 {
+            let err = io::Error::last_os_error();
+            use io::ErrorKind::{ConnectionRefused, Interrupted, WouldBlock};
+            return match err.kind() {
+                WouldBlock | Interrupted | ConnectionRefused => Ok(false),
+                _ => Err(err),
+            };
+        }
+        self.filled = rc as usize;
+        Ok(true)
+    }
+}
+
+/// Preallocated scratch for the mmsg syscalls. Send half: a header and
+/// its address/iovec/cmsg per message, plus one flat buffer payloads are
+/// packed into (a train must be contiguous), all rebuilt per call.
+/// Receive half: [`MmsgRecv`].
 #[cfg(target_os = "linux")]
 struct MmsgScratch {
     hdrs: Vec<sys::MMsgHdr>,
@@ -519,6 +712,7 @@ struct MmsgScratch {
     runs: Vec<usize>,
     /// [`MAX_BATCH`] until the kernel refuses a train, 1 from then on.
     max_train: usize,
+    rx: MmsgRecv,
 }
 
 #[cfg(target_os = "linux")]
@@ -531,6 +725,7 @@ impl MmsgScratch {
             payloads: vec![0u8; batch * MAX_FRAME],
             runs: vec![0; batch],
             max_train: MAX_BATCH,
+            rx: MmsgRecv::new(batch),
         }
     }
 }
@@ -545,9 +740,10 @@ pub struct UdpTransport {
     scratch: Option<MmsgScratch>,
 }
 
-// SAFETY: the raw pointers inside `MmsgScratch` are scratch space wired
-// up and consumed within a single `recv_batch`/`send_batch` call; they
-// never alias data owned by another thread between calls.
+// SAFETY: the raw pointers inside `MmsgScratch` point into heap storage
+// the same scratch owns and never resizes (the send half's for one call,
+// the receive half's for the transport's life): they follow the
+// transport to whichever thread owns it and alias no other's data.
 #[cfg(target_os = "linux")]
 unsafe impl Send for UdpTransport {}
 
@@ -587,6 +783,11 @@ impl UdpTransport {
             stats.rcvbuf_bytes = rcv as u64;
             stats.sndbuf_bytes = snd as u64;
         }
+        // `per_datagram` never asks: `recv_from` would keep a train's head.
+        #[cfg(target_os = "linux")]
+        if batch > 1 {
+            accept_trains(&socket);
+        }
         Ok(UdpTransport {
             socket,
             batch,
@@ -616,6 +817,7 @@ impl UdpTransport {
                     out[n].addr = addr;
                     n += 1;
                     self.stats.recv_frames += 1;
+                    self.stats.recv_msgs += 1;
                     self.stats.recv_calls += 1;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -651,69 +853,33 @@ impl UdpTransport {
 
     #[cfg(target_os = "linux")]
     fn recv_batch_mmsg(&mut self, out: &mut [Frame]) -> io::Result<usize> {
-        use std::os::fd::AsRawFd;
-        let scratch = self.scratch.as_mut().expect("batched mode has scratch");
-        let want = out.len().min(self.batch);
-        for (i, frame) in out.iter_mut().enumerate().take(want) {
-            let meta = &mut scratch.meta[i];
-            meta.iov = sys::IoVec {
-                iov_base: frame.buf.as_mut_ptr(),
-                iov_len: MAX_FRAME,
-            };
-            meta.addr = sys::SockAddrStorage::zeroed();
-            scratch.hdrs[i] = sys::MMsgHdr {
-                msg_hdr: sys::MsgHdr {
-                    msg_name: meta.addr.bytes.as_mut_ptr(),
-                    msg_namelen: 128,
-                    msg_iov: &mut meta.iov,
-                    msg_iovlen: 1,
-                    ..sys::MsgHdr::zeroed()
-                },
-                msg_len: 0,
-            };
-        }
-        // SAFETY: every header points at live scratch/frame memory set up
-        // just above; vlen matches the initialized prefix.
-        let rc = unsafe {
-            sys::recvmmsg(
-                self.socket.as_raw_fd(),
-                scratch.hdrs.as_mut_ptr(),
-                want as u32,
-                sys::MSG_DONTWAIT,
-                std::ptr::null_mut(),
-            )
-        };
-        if rc < 0 {
-            let err = io::Error::last_os_error();
-            return match err.kind() {
-                io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted => Ok(0),
-                io::ErrorKind::ConnectionRefused => Ok(0),
-                _ => Err(err),
-            };
-        }
-        let got = rc as usize;
+        let rx = &mut self.scratch.as_mut().expect("batched mode has scratch").rx;
         let mut n = 0;
-        for i in 0..got {
-            // Payload longer than the iovec is truncated by the kernel;
-            // the stored length is what reached the buffer, and the
-            // exact-length decoders reject it downstream.
-            let len = (scratch.hdrs[i].msg_len as usize).min(MAX_FRAME);
-            match decode_sockaddr(&scratch.meta[i].addr, scratch.hdrs[i].msg_hdr.msg_namelen) {
-                Some(addr) => {
-                    out[n].len = len as u16;
-                    out[n].addr = addr;
-                    if n != i {
-                        // Compact over any frame whose source address the
-                        // kernel reported in an unknown family.
-                        let (a, b) = out.split_at_mut(i);
-                        a[n].buf = b[0].buf;
-                    }
-                    n += 1;
+        while n < out.len() {
+            if rx.msg == rx.filled {
+                if !rx.refill(&self.socket)? {
+                    break;
                 }
-                None => continue,
+                self.stats.recv_calls += 1;
+                self.stats.recv_msgs += rx.filled as u64;
+            }
+            let (hdr, meta) = (&rx.hdrs[rx.msg], &rx.meta[rx.msg]);
+            let payload = &rx.bufs[rx.msg * sys::RECV_PAYLOAD..][..hdr.msg_len as usize];
+            let seg = segment_len(&meta.control[..hdr.msg_hdr.msg_controllen], payload.len());
+            // An unknown address family: the message is skipped whole.
+            let Some(addr) = decode_sockaddr(&meta.addr, hdr.msg_hdr.msg_namelen) else {
+                rx.msg += 1;
+                continue;
+            };
+            for chunk in segments(&payload[rx.at..], seg).take(out.len() - n) {
+                out[n] = Frame::new(chunk, addr);
+                n += 1;
+                rx.at += seg;
+            }
+            if rx.at >= payload.len() {
+                (rx.msg, rx.at) = (rx.msg + 1, 0);
             }
         }
-        self.stats.recv_calls += 1;
         self.stats.recv_frames += n as u64;
         Ok(n)
     }
@@ -970,6 +1136,56 @@ mod tests {
         // Unknown family: rejected, not misparsed.
         storage.bytes[0..2].copy_from_slice(&77u16.to_ne_bytes());
         assert_eq!(decode_sockaddr(&storage, 16), None);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn only_a_well_formed_gro_cmsg_splits_a_message() {
+        // One control message as the kernel lays it out: header, data,
+        // padding to the next word.
+        fn cmsg(len: usize, level: i32, ty: i32, data: &[u8]) -> Vec<u8> {
+            let mut b = len.to_ne_bytes().to_vec();
+            b.extend(level.to_ne_bytes());
+            b.extend(ty.to_ne_bytes());
+            b.extend(data);
+            b.resize(b.len().next_multiple_of(8), 0);
+            b
+        }
+        let gro = |seg: i32| cmsg(sys::CMSG_HDR + 4, sys::SOL_UDP, sys::UDP_GRO, &seg.to_ne_bytes());
+        assert_eq!(gro(18).len(), sys::RECV_CONTROL, "the room a receive reserves");
+        assert_eq!(segment_len(&gro(18), 1152), 18);
+        assert_eq!(segment_len(&[], 40), 40, "no cmsg: a train of one");
+        assert_eq!(segment_len(&[], 0), 1, "never 0, even for an empty datagram");
+        assert_eq!(segment_len(&gro(0), 40), 40);
+        assert_eq!(segment_len(&gro(-18), 40), 40);
+        // Found behind a control message of another kind ...
+        let other = cmsg(sys::CMSG_HDR + 4, sys::SOL_SOCKET, 29, &7i32.to_ne_bytes());
+        assert_eq!(segment_len(&[other.clone(), gro(24)].concat(), 96), 24);
+        assert_eq!(segment_len(&other, 96), 96);
+        // ... but not past one whose length is a lie, or in a cut buffer.
+        let short = cmsg(sys::CMSG_HDR - 1, sys::SOL_SOCKET, 29, &[0; 4]);
+        assert_eq!(segment_len(&[short, gro(24)].concat(), 96), 96);
+        let long = cmsg(4096, sys::SOL_UDP, sys::UDP_GRO, &24i32.to_ne_bytes());
+        assert_eq!(segment_len(&long, 96), 96);
+        for cut in 0..sys::CMSG_HDR + 4 {
+            assert_eq!(segment_len(&gro(24)[..cut], 96), 96, "cut at {cut}");
+        }
+        let no_data = cmsg(sys::CMSG_HDR + 2, sys::SOL_UDP, sys::UDP_GRO, &[24, 0]);
+        assert_eq!(segment_len(&no_data, 96), 96);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_message_splits_into_one_slice_per_datagram() {
+        let cut = |p: &'static [u8], seg| segments(p, seg).collect::<Vec<_>>();
+        assert_eq!(cut(b"aabbcc", 2), [b"aa", b"bb", b"cc"]);
+        assert_eq!(cut(b"aabbc", 2), [&b"aa"[..], b"bb", b"c"], "the tail keeps its length");
+        assert_eq!(cut(b"abc", 3), [b"abc"]);
+        assert_eq!(cut(b"abc", 4096), [b"abc"]);
+        assert_eq!(cut(b"", 1), [b""], "an empty datagram is still a datagram");
+        let long = [7u8; 5 * MAX_FRAME];
+        let got: Vec<&[u8]> = segments(&long, 2 * MAX_FRAME).collect();
+        assert_eq!(got.iter().map(|c| c.len()).collect::<Vec<_>>(), [MAX_FRAME; 3]);
     }
 
     #[test]

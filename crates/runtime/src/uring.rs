@@ -18,14 +18,28 @@
 //!
 //! * **in** — a registered provided-buffer ring
 //!   (`IORING_REGISTER_PBUF_RING`) feeds one *multishot* `RECVMSG` that
-//!   keeps producing a CQE per datagram without re-arming — the io_uring
-//!   analogue of a DPDK mempool backing an RX queue;
+//!   keeps producing a CQE per *message* without re-arming — the io_uring
+//!   analogue of a DPDK mempool backing an RX queue. The socket asks for
+//!   coalesced receives, so a peer's train is one buffer and one CQE,
+//!   split on delivery as the mmsg transport splits it
+//!   ([`crate::transport`] "Trains");
 //! * **out** — one `SENDMSG` per *run* of frames (a train: consecutive
 //!   frames of one peer and one length leave as a single `UDP_SEGMENT`
 //!   message — [`crate::transport`] "Trains") from a fixed pool of send
 //!   slots, a whole burst per `io_uring_enter`;
 //! * both on a registered file (`IORING_REGISTER_FILES`), so no op pays
 //!   the `fget`/`fput` refcount pair.
+//!
+//! A provided buffer is laid out as the kernel fills it: the 16-byte
+//! `io_uring_recvmsg_out` header, 128 bytes of name and 24 of control
+//! space (one `UDP_GRO` cmsg; the multishot template's `msg_namelen` and
+//! `msg_controllen` reserve them), then 8 KiB of payload — any train
+//! whose segments fit a frame. The pool is mapped, never populated, and
+//! its depth counts messages: [`crate::net::server_transport`] posts
+//! [`UringConfig::default`]'s 128 (1 MiB) whatever the in-flight bound,
+//! since a burst is one. Arrivals that outrun them between two reaps end
+//! the arm with `ENOBUFS` and wait in the socket's receive buffer; the
+//! reap that recycles the buffers re-arms.
 //!
 //! A send's payload lives in one flat arena of `send_pool × MAX_FRAME`
 //! bytes, handed out front to back (a train's segments must be
@@ -61,7 +75,8 @@ use crate::transport::MAX_BATCH;
 #[derive(Debug, Clone, Copy)]
 pub struct UringConfig {
     /// Provided buffers kept posted for the multishot receive — the
-    /// receive depth. Clamped to `1..=1024`.
+    /// receive depth in *messages*: a buffer takes a lone datagram or a
+    /// whole coalesced train. Clamped to `1..=1024`.
     pub recv_pool: usize,
     /// Send slots that may be in flight at once; `send_batch` reclaims
     /// completed slots when the pool is exhausted. Clamped to `1..=1024`.
@@ -71,8 +86,8 @@ pub struct UringConfig {
 impl Default for UringConfig {
     fn default() -> Self {
         UringConfig {
-            // Twice the burst bound so receives stay armed while a full
-            // burst's worth of frames sits in the pending queue.
+            // Twice the burst bound: lone datagrams keep finding a buffer
+            // while a burst of them is reaped; a train needs just one.
             recv_pool: 2 * MAX_BATCH,
             send_pool: 2 * MAX_BATCH,
         }
@@ -193,8 +208,8 @@ mod stub {
 mod imp {
     use super::{UringCaps, UringConfig};
     use crate::transport::{
-        decode_sockaddr, effective_socket_buffers, sys as tsys, train_len, Frame, Transport,
-        TransportStats, MAX_BATCH, MAX_FRAME,
+        accept_trains, decode_sockaddr, effective_socket_buffers, segment_len, segments,
+        sys as tsys, train_len, Frame, Transport, TransportStats, MAX_BATCH, MAX_FRAME,
     };
     use std::collections::VecDeque;
     use std::io;
@@ -362,17 +377,6 @@ mod imp {
             pub len: u32,
             pub bid: u16,
             pub resv: u16,
-        }
-
-        /// Header the kernel writes at the front of each provided buffer
-        /// consumed by multishot `RECVMSG` (`struct io_uring_recvmsg_out`).
-        #[repr(C)]
-        #[derive(Clone, Copy)]
-        pub struct RecvmsgOut {
-            pub namelen: u32,
-            pub controllen: u32,
-            pub payloadlen: u32,
-            pub flags: u32,
         }
 
         extern "C" {
@@ -741,15 +745,21 @@ mod imp {
 
     /// Buffer group id for the provided-buffer ring (arbitrary tag).
     const BGID: u16 = 0xBEEF_u16 & 0x7FFF;
-    /// Size of one provided buffer: the recvmsg_out header (16) + name
-    /// space (128) + payload capacity (112 ≥ MAX_FRAME, so oversized
-    /// datagrams truncate exactly like the mmsg transport's iovec).
-    const PBUF_SIZE: usize = 256;
-    /// Name space reserved per buffer (matches msghdr.msg_namelen in the
-    /// multishot template).
+    /// Header the kernel writes at the front of each provided buffer a
+    /// multishot `RECVMSG` consumes (`struct io_uring_recvmsg_out`): four
+    /// `u32`s — `namelen`, `controllen`, `payloadlen`, `flags`.
+    const PBUF_HDR: usize = 16;
+    /// Name space reserved per buffer (`msg_namelen` of the multishot
+    /// template); the control space after it is `msg_controllen`.
     const PBUF_NAME: usize = 128;
+    /// Offset of the control message inside a provided buffer.
+    const PBUF_CONTROL_OFF: usize = PBUF_HDR + PBUF_NAME;
     /// Offset of the payload inside a provided buffer.
-    const PBUF_PAYLOAD_OFF: usize = std::mem::size_of::<sys::RecvmsgOut>() + PBUF_NAME;
+    const PBUF_PAYLOAD_OFF: usize = PBUF_CONTROL_OFF + tsys::RECV_CONTROL;
+    /// Size of one provided buffer: header, name, control, and room for
+    /// any train whose segments fit a frame (longer payloads truncate
+    /// exactly like the mmsg transport's iovec).
+    const PBUF_SIZE: usize = PBUF_PAYLOAD_OFF + tsys::RECV_PAYLOAD;
 
     /// A registered provided-buffer ring (`IORING_REGISTER_PBUF_RING`):
     /// the DPDK-mempool analogue feeding the multishot receive. Buffers
@@ -834,10 +844,11 @@ mod imp {
         /// and rewound whenever no send is in flight.
         arena: Vec<u8>,
         bufring: BufRing,
-        /// Template msghdr of the multishot receive: name space only
-        /// (the kernel reserves `msg_namelen` bytes per provided buffer
-        /// for the source address); no iov, payload comes from the
-        /// buffer group.
+        /// Template msghdr of the multishot receive: name and control
+        /// space only (the kernel reserves `msg_namelen` and
+        /// `msg_controllen` bytes per provided buffer for the source
+        /// address and the `UDP_GRO` cmsg); no iov, payload comes from
+        /// the buffer group.
         ms_hdr: Box<tsys::MsgHdr>,
     }
 
@@ -931,12 +942,14 @@ mod imp {
                 stats.rcvbuf_bytes = rcv as u64;
                 stats.sndbuf_bytes = snd as u64;
             }
+            accept_trains(&socket);
             ring.register_files(socket.as_raw_fd())
                 .map_err(|e| step("IORING_REGISTER_FILES", e))?;
             let bufring = BufRing::new(&ring, recv_pool as u32)
                 .map_err(|e| step("IORING_REGISTER_PBUF_RING (kernel < 5.19?)", e))?;
             let mut ms_hdr = Box::new(tsys::MsgHdr::zeroed());
             ms_hdr.msg_namelen = PBUF_NAME as u32;
+            ms_hdr.msg_controllen = tsys::RECV_CONTROL;
             let mut t = IoUringTransport {
                 ring,
                 socket,
@@ -1085,9 +1098,8 @@ mod imp {
                     if cqe.res >= 0 {
                         if cqe.flags & sys::IORING_CQE_F_BUFFER != 0 {
                             let bid = (cqe.flags >> sys::IORING_CQE_BUFFER_SHIFT) as u16;
-                            if let Some(f) = self.frame_from_pbuf(bid, cqe.res as usize) {
-                                self.deliver(f);
-                            }
+                            self.stats.recv_msgs += 1;
+                            self.deliver_pbuf(bid, cqe.res as usize);
                             self.mem.bufring.recycle(bid);
                         }
                         if cqe.flags & sys::IORING_CQE_F_MORE == 0 {
@@ -1158,43 +1170,31 @@ mod imp {
             }
         }
 
-        /// Decodes a multishot completion out of provided buffer `bid`:
-        /// recvmsg_out header, then the source address, then the payload.
-        fn frame_from_pbuf(&self, bid: u16, total: usize) -> Option<Frame> {
+        /// Delivers every datagram of a multishot completion out of
+        /// provided buffer `bid`: recvmsg_out header, source address,
+        /// control message, then the payload — one datagram, or a train
+        /// the control message says where to cut.
+        fn deliver_pbuf(&mut self, bid: u16, total: usize) {
             if !(PBUF_PAYLOAD_OFF..=PBUF_SIZE).contains(&total) {
-                return None;
+                return;
             }
-            let p = self.mem.bufring.buf_ptr(bid);
-            // SAFETY: the kernel wrote `total >= header+name` bytes into
-            // this PBUF_SIZE buffer; the CQE hands us exclusive access
-            // until recycle().
-            let (out, mut storage) = unsafe {
-                let out = std::ptr::read_unaligned(p as *const sys::RecvmsgOut);
-                let mut storage = tsys::SockAddrStorage::zeroed();
-                std::ptr::copy_nonoverlapping(
-                    p.add(std::mem::size_of::<sys::RecvmsgOut>()),
-                    storage.bytes.as_mut_ptr(),
-                    PBUF_NAME,
-                );
-                (out, storage)
-            };
-            let _ = &mut storage;
-            let addr = decode_sockaddr(&storage, out.namelen)?;
-            // Bytes that landed in the buffer vs. the datagram's true
-            // size: the shorter is the valid payload, capped at the
-            // frame's capacity (oversized datagrams truncate, matching
-            // the mmsg transport).
-            let copied = total - PBUF_PAYLOAD_OFF;
-            let len = copied.min(out.payloadlen as usize).min(MAX_FRAME);
-            let mut f = Frame::empty();
-            f.len = len as u16;
-            f.addr = addr;
-            // SAFETY: len <= copied bytes were written past the payload
-            // offset by the kernel.
-            unsafe {
-                std::ptr::copy_nonoverlapping(p.add(PBUF_PAYLOAD_OFF), f.buf.as_mut_ptr(), len);
+            // SAFETY: the kernel wrote `total <= PBUF_SIZE` bytes into
+            // buffer `bid` of the pool mapping (alive as long as `self.mem`)
+            // and the CQE makes it ours alone until the caller's recycle().
+            let buf = unsafe { std::slice::from_raw_parts(self.mem.bufring.buf_ptr(bid), total) };
+            let word = |at: usize| u32::from_ne_bytes(buf[at..at + 4].try_into().expect("4 bytes"));
+            let (namelen, controllen, payloadlen) = (word(0), word(4) as usize, word(8) as usize);
+            let mut name = tsys::SockAddrStorage::zeroed();
+            name.bytes.copy_from_slice(&buf[PBUF_HDR..PBUF_CONTROL_OFF]);
+            let Some(addr) = decode_sockaddr(&name, namelen) else { return };
+            let control = &buf[PBUF_CONTROL_OFF..PBUF_PAYLOAD_OFF];
+            let control = &control[..control.len().min(controllen)];
+            // What landed in the buffer or the message's size, if shorter.
+            let payload = &buf[PBUF_PAYLOAD_OFF..];
+            let payload = &payload[..payload.len().min(payloadlen)];
+            for chunk in segments(payload, segment_len(control, payload.len())) {
+                self.deliver(Frame::new(chunk, addr));
             }
-            Some(f)
         }
 
         /// Stages one outbound message carrying `run` (one peer, one

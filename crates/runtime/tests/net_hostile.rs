@@ -4,7 +4,8 @@
 //! *ledger* survives anything a UDP peer can do: duplicate tags,
 //! interleaved clients, clients that stop reading, floods past the
 //! in-flight bound, a socket on which the kernel refuses segmented sends,
-//! and a stop request while jobs are mid-service. None
+//! a train with a malformed segment in it, and a stop request while jobs
+//! are mid-service. None
 //! of these may lose a datagram unaccounted — `received == responded +
 //! malformed + shed` always — and shutdown must drain every admitted
 //! job over the socket rather than wedging or dropping it.
@@ -27,6 +28,9 @@ use tq_runtime::net::{decode_response, encode_request, serve, NetConfig, ServeOu
 use tq_runtime::transport::{set_socket_buffers, Transport, UdpTransport};
 use tq_runtime::uring::{self, IoUringTransport};
 use tq_runtime::{ServerConfig, SpinJob, TinyQuanta, TscClock};
+
+#[cfg(target_os = "linux")]
+mod common;
 
 /// Which transport carries a scenario's wire traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,7 +196,7 @@ fn interleaved_clients_scenario(wire: Wire) {
 }
 
 /// A server socket on which the kernel refuses `UDP_SEGMENT` (here:
-/// `SO_NO_CHECK`, see `transport_conformance.rs`) still answers every
+/// `SO_NO_CHECK`, see `common::refuse_segmentation`) still answers every
 /// request exactly once: the first train of responses comes back
 /// `EINVAL`, the transport resends its frames singly and builds no train
 /// again. Four clients queue their requests in chunks before the server
@@ -206,18 +210,11 @@ fn refused_segmentation_falls_back_without_losing_a_response() {
 
 #[cfg(target_os = "linux")]
 fn refused_segmentation_scenario(wire: Wire) {
-    use std::os::fd::AsRawFd;
-    extern "C" {
-        fn setsockopt(fd: i32, level: i32, name: i32, val: *const i32, len: u32) -> i32;
-    }
     const PER_CLIENT: u64 = 64;
     const CHUNK: u64 = 16;
     let socket = UdpSocket::bind("127.0.0.1:0").expect("bind server");
     let addr = socket.local_addr().unwrap();
-    let on: i32 = 1;
-    // SAFETY: a live fd and a 4-byte int: SOL_SOCKET (1), SO_NO_CHECK (11).
-    let rc = unsafe { setsockopt(socket.as_raw_fd(), 1, 11, &on, 4) };
-    assert_eq!(rc, 0, "SO_NO_CHECK: {}", std::io::Error::last_os_error());
+    common::refuse_segmentation(&socket);
     set_socket_buffers(&socket, 1 << 20).expect("room for all 256 requests");
     let clients: Vec<UdpSocket> = (0..4).map(|_| client()).collect();
     for first in (0..PER_CLIENT).step_by(CHUNK as usize) {
@@ -244,6 +241,46 @@ fn refused_segmentation_scenario(wire: Wire) {
     // Every response that went out went out alone (refused trains are
     // the surplus the io_uring wire counts).
     assert!(net.transport.send_msgs >= net.transport.send_frames, "{wire:?}: {:?}", net.transport);
+}
+
+/// A raw client's train of 63 well-formed requests and a 10-byte tail:
+/// the server's socket takes it as one coalesced message, and the split
+/// hands the serve loop 64 datagrams — 63 answered, the tail counted as
+/// malformed like any lone runt.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_runt_at_the_end_of_a_train_is_the_only_malformed_datagram() {
+    wires().into_iter().for_each(runt_tail_scenario);
+}
+
+#[cfg(target_os = "linux")]
+fn runt_tail_scenario(wire: Wire) {
+    const GOOD: u64 = 63;
+    let served = Served::start(2, NetConfig::default(), wire);
+    let sock = client();
+    // A first round trip: the transport exists (and has asked for
+    // coalesced receives) before the train is sent.
+    sock.send_to(&encode_request(0, Nanos::ZERO, GOOD), served.addr).unwrap();
+    recv_response(&sock).expect("first response timed out");
+    let mut train: Vec<u8> =
+        (0..GOOD).flat_map(|tag| encode_request(0, Nanos::ZERO, tag)).collect();
+    train.extend([0xEE; 10]);
+    common::send_train(&sock, served.addr, &train, 18).expect("send train");
+    let mut seen = HashSet::new();
+    for _ in 0..GOOD {
+        let (tag, _, _) = recv_response(&sock).expect("response timed out");
+        assert!(tag < GOOD && seen.insert(tag), "tag {tag} unknown or answered twice");
+    }
+    let outcome = served.finish();
+    let net = &outcome.net;
+    println!("{wire:?} runt tail: {:?}", net.transport);
+    assert_eq!(net.received, GOOD + 2);
+    assert_eq!(net.responded, GOOD + 1);
+    assert_eq!(net.malformed, 1);
+    assert_eq!(net.received, net.responded + net.malformed + net.shed);
+    if common::kernel_coalesces() {
+        assert_eq!(net.transport.recv_msgs, 2, "{wire:?}: a lone datagram and one train");
+    }
 }
 
 /// A client that stops reading its socket must not corrupt the server's

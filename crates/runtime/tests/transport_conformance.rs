@@ -18,7 +18,13 @@
 //!   share a message (`send_msgs` counts them — 64 segments at most),
 //!   nothing else does, and no frame is reordered, merged or resized by
 //!   it; a socket on which the kernel refuses to segment (`SO_NO_CHECK`)
-//!   delivers the same frames as single datagrams, without an error.
+//!   delivers the same frames as single datagrams, without an error;
+//! * **coalesced receives**: a train arriving at a batched transport is
+//!   one message (`recv_msgs` counts them) handed out as exactly the
+//!   datagrams a plain socket would have read — one frame per segment,
+//!   in order, a short tail its own length, an oversized segment cut to
+//!   `MAX_FRAME` — through output slices of any size and with sends in
+//!   between; `per_datagram` never asks for one and reads 64 datagrams.
 //!
 //! Where the probe reports io_uring unavailable it is skipped *loudly*
 //! (the skip and its reason are printed) rather than silently passing.
@@ -29,6 +35,9 @@ use tq_runtime::transport::{
     set_socket_buffers, Frame, Transport, UdpTransport, MAX_BATCH, MAX_FRAME,
 };
 use tq_runtime::uring::{self, IoUringTransport};
+
+#[cfg(target_os = "linux")]
+mod common;
 
 /// A (transport, peer socket, transport address) triple for one run.
 struct Pair {
@@ -130,8 +139,14 @@ fn tags(datagrams: &[Vec<u8>]) -> Vec<u64> {
 
 /// Polls `recv_batch` until `want` frames arrive or the deadline passes.
 fn recv_all(t: &mut dyn Transport, want: usize) -> Vec<Frame> {
+    recv_in_slices(t, want, MAX_BATCH)
+}
+
+/// The same through an output slice of `slice` frames, keeping arrival
+/// order.
+fn recv_in_slices(t: &mut dyn Transport, want: usize, slice: usize) -> Vec<Frame> {
     let mut got = Vec::new();
-    let mut scratch = vec![Frame::empty(); MAX_BATCH];
+    let mut scratch = vec![Frame::empty(); slice];
     let deadline = Instant::now() + Duration::from_secs(10);
     while got.len() < want {
         let n = t.recv_batch(&mut scratch).expect("recv_batch");
@@ -358,23 +373,6 @@ fn mixed_lengths_in_one_batch_arrive_with_their_own_lengths() {
     }
 }
 
-/// `SO_NO_CHECK` (no UDP checksum on transmit) is one of the conditions
-/// under which `udp_send_skb` refuses a segmented send with `EINVAL`
-/// while lone datagrams still go — the real kernel's refusal, no mock.
-#[cfg(target_os = "linux")]
-fn refuse_segmentation(sock: &UdpSocket) {
-    use std::os::fd::AsRawFd;
-    extern "C" {
-        fn setsockopt(fd: i32, level: i32, name: i32, val: *const i32, len: u32) -> i32;
-    }
-    const SOL_SOCKET: i32 = 1;
-    const SO_NO_CHECK: i32 = 11;
-    let on: i32 = 1;
-    // SAFETY: a live fd and a 4-byte int, as SO_NO_CHECK requires.
-    let rc = unsafe { setsockopt(sock.as_raw_fd(), SOL_SOCKET, SO_NO_CHECK, &on, 4) };
-    assert_eq!(rc, 0, "SO_NO_CHECK: {}", std::io::Error::last_os_error());
-}
-
 #[cfg(target_os = "linux")]
 #[test]
 fn a_socket_the_kernel_will_not_segment_on_falls_back_to_single_datagrams() {
@@ -382,7 +380,7 @@ fn a_socket_the_kernel_will_not_segment_on_falls_back_to_single_datagrams() {
     const LATER: usize = 70;
     for mut pair in build_pairs() {
         let name = pair.name.clone();
-        refuse_segmentation(&pair.sock);
+        common::refuse_segmentation(&pair.sock);
         let to = pair.peer.local_addr().unwrap();
         pair.transport.send_batch(&tagged(0, FIRST, to)).expect("a refusal is not an error");
         // Every frame is on the wire when send_batch returns: nothing
@@ -405,5 +403,157 @@ fn a_socket_the_kernel_will_not_segment_on_falls_back_to_single_datagrams() {
         // Nothing arrives twice.
         pair.peer.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
         assert!(pair.peer.recv_from(&mut [0u8; MAX_FRAME]).is_err(), "[{name}] a duplicate arrived");
+    }
+}
+
+/// Segment `i` of a test train: `len` bytes of `i`.
+#[cfg(target_os = "linux")]
+fn train_of(n: usize, len: usize) -> Vec<u8> {
+    (0..n).flat_map(|i| std::iter::repeat_n(i as u8, len)).collect()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_train_arrives_as_its_segments_in_one_message() {
+    let coalesces = common::kernel_coalesces();
+    for mut pair in build_pairs() {
+        let name = pair.name.clone();
+        let from = pair.peer.local_addr().unwrap();
+        let mut handed_out = 0u64;
+        for n in [1usize, 2, 63, 64, 128] {
+            for len in [1usize, 18, 24, MAX_FRAME] {
+                let before = pair.transport.stats();
+                match common::send_train(&pair.peer, pair.addr, &train_of(n, len), len as u16) {
+                    Ok(()) => {}
+                    Err(e) if n > MAX_BATCH && e.kind() == std::io::ErrorKind::InvalidInput => {
+                        println!("SKIP [{name}] {n} x {len}: above this kernel's UDP_MAX_SEGMENTS");
+                        continue;
+                    }
+                    Err(e) => panic!("[{name}] sending {n} x {len}: {e}"),
+                }
+                let got = recv_all(pair.transport.as_mut(), n);
+                for (i, f) in got.iter().enumerate() {
+                    assert_eq!(
+                        f.payload(),
+                        &vec![i as u8; len][..],
+                        "[{name}] {n} x {len}, segment {i}"
+                    );
+                    assert_eq!(f.addr, from, "[{name}] {n} x {len}, segment {i}");
+                }
+                handed_out += n as u64;
+                let after = pair.transport.stats();
+                assert_eq!(after.recv_frames, handed_out, "[{name}] {n} x {len}");
+                // The receiver that never asked reads the datagrams the
+                // kernel cut for it; the ones that did, the train.
+                let msgs = if pair.trains() && coalesces { 1 } else { n };
+                assert_eq!(after.recv_msgs - before.recv_msgs, msgs as u64, "[{name}] {n} x {len}");
+            }
+        }
+        let mut scratch = vec![Frame::empty(); MAX_BATCH];
+        assert_eq!(pair.transport.recv_batch(&mut scratch).expect("recv_batch"), 0, "[{name}]");
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_short_tail_keeps_its_length_and_long_segments_are_each_cut_to_max_frame() {
+    for mut pair in build_pairs() {
+        let name = pair.name.clone();
+        // Five 18-byte segments and a 10-byte tail.
+        common::send_train(&pair.peer, pair.addr, &train_of(6, 18)[..5 * 18 + 10], 18)
+            .expect("send");
+        let got = recv_all(pair.transport.as_mut(), 6);
+        for (i, f) in got.iter().enumerate() {
+            let len = if i < 5 { 18 } else { 10 };
+            assert_eq!(f.payload(), &vec![i as u8; len][..], "[{name}] segment {i}");
+        }
+        // Segments twice a frame's capacity: one frame each, the first
+        // MAX_FRAME bytes of its own segment, as a lone oversized
+        // datagram is truncated.
+        let n = MAX_BATCH;
+        let long = train_of(n, 2 * MAX_FRAME);
+        common::send_train(&pair.peer, pair.addr, &long, 2 * MAX_FRAME as u16).expect("send");
+        let got = recv_all(pair.transport.as_mut(), n);
+        for (i, f) in got.iter().enumerate() {
+            assert_eq!(f.payload(), &[i as u8; MAX_FRAME][..], "[{name}] long segment {i}");
+        }
+        let frames = pair.transport.stats().recv_frames;
+        assert_eq!(frames, 6 + n as u64, "[{name}] one frame a segment");
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn trains_and_lone_datagrams_from_two_peers_keep_their_addresses_and_order() {
+    // Per round, how many 8-byte tags each peer's message carries.
+    const SHAPES: [[usize; 2]; 4] = [[1, 3], [5, 1], [1, 40], [64, 1]];
+    for mut pair in build_pairs() {
+        let name = pair.name.clone();
+        let peers = [pair.peer.try_clone().unwrap(), peer()];
+        let mut next = [0u64; 2];
+        for shape in SHAPES {
+            for ((p, sock), n) in peers.iter().enumerate().zip(shape) {
+                let bytes: Vec<u8> =
+                    (next[p]..next[p] + n as u64).flat_map(u64::to_le_bytes).collect();
+                next[p] += n as u64;
+                if n == 1 {
+                    sock.send_to(&bytes, pair.addr).expect("lone datagram");
+                } else {
+                    common::send_train(sock, pair.addr, &bytes, 8).expect("train");
+                }
+            }
+        }
+        let got = recv_all(pair.transport.as_mut(), (next[0] + next[1]) as usize);
+        for (p, sock) in peers.iter().enumerate() {
+            let from = sock.local_addr().unwrap();
+            let mine: Vec<Vec<u8>> =
+                got.iter().filter(|f| f.addr == from).map(|f| f.payload().to_vec()).collect();
+            assert_eq!(tags(&mine), (0..next[p]).collect::<Vec<_>>(), "[{name}] peer {p}");
+        }
+    }
+}
+
+/// The receive queue a partial `recv_batch` leaves behind shares nothing
+/// with the send path: a burst sent between two partial receives neither
+/// loses, repeats, reorders nor readdresses what is still queued.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_send_between_partial_receives_loses_and_repeats_nothing() {
+    const N: usize = MAX_BATCH;
+    const SLICE: usize = 7;
+    const OWN: usize = 10;
+    for mut pair in build_pairs() {
+        let name = pair.name.clone();
+        let from = pair.peer.local_addr().unwrap();
+        let other = peer();
+        for round in 0..3u64 {
+            let bytes: Vec<u8> =
+                (0..N as u64).flat_map(|i| (round << 32 | i).to_le_bytes()).collect();
+            common::send_train(&pair.peer, pair.addr, &bytes, 8).expect("train");
+            // The first slice's worth (one frame, for per_datagram) ...
+            let mut scratch = vec![Frame::empty(); SLICE];
+            let mut got = Vec::new();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while got.is_empty() {
+                let k = pair.transport.recv_batch(&mut scratch).expect("recv_batch");
+                got.extend_from_slice(&scratch[..k]);
+                assert!(Instant::now() < deadline, "[{name}] the train never arrived");
+            }
+            // ... then a burst of the transport's own, to someone else ...
+            let to = other.local_addr().unwrap();
+            pair.transport.send_batch(&tagged(round * 100, OWN, to)).expect("send_batch");
+            // ... then the rest, a slice at a time.
+            let rest = N - got.len();
+            got.extend(recv_in_slices(pair.transport.as_mut(), rest, SLICE));
+            let seen: Vec<Vec<u8>> = got.iter().map(|f| f.payload().to_vec()).collect();
+            let want: Vec<u64> = (0..N as u64).map(|i| round << 32 | i).collect();
+            assert_eq!(tags(&seen), want, "[{name}] round {round}: exactly once, in send order");
+            assert!(got.iter().all(|f| f.addr == from), "[{name}] round {round}: source address");
+            assert_eq!(pair.transport.recv_batch(&mut scratch).expect("recv_batch"), 0, "[{name}]");
+            let own = tags(&peer_recv(&name, &other, OWN));
+            let sent = round * 100..round * 100 + OWN as u64;
+            assert_eq!(own, sent.collect::<Vec<_>>(), "[{name}]");
+        }
+        assert_eq!(pair.transport.stats().recv_frames, 3 * N as u64, "[{name}]");
     }
 }
