@@ -8,8 +8,6 @@
 //! cargo run --release -p tq-bench --bin bench_rt                 # sim + rt comparison
 //! cargo run --release -p tq-bench --bin bench_rt -- --engine rt  # runtime only
 //! cargo run --release -p tq-bench --bin bench_rt -- --smoke      # CI gate: ≤1s, 2 workers
-//! cargo run --release -p tq-bench --bin bench_rt -- --throughput # dispatch baseline → BENCH_rt.json
-//! cargo run --release -p tq-bench --bin bench_rt -- --check      # perf gate vs committed BENCH_rt.json
 //! cargo run --release -p tq-bench --bin bench_rt -- --workload bursty --adaptive
 //!                                  # hostile-traffic preset + adaptive-quantum controller
 //! ```
@@ -18,30 +16,14 @@
 //! completed, no duplicated `JobId`) and a non-empty summary; any
 //! violation exits non-zero, which is what the CI smoke job gates on.
 //!
-//! `--throughput` measures the dispatcher pipeline itself: it floods a
-//! server with zero-service requests (rings sized to hold the whole
-//! flood, so worker drain speed never back-pressures the measurement)
-//! and reports the dispatcher's busy time per forwarded request — once
-//! with `dispatch_burst = 1` / `counter_flush_quanta = 1` (exactly the
-//! pre-batching per-item pipeline) and once with the batched defaults.
-//! Both numbers, and their ratio, are committed to `BENCH_rt.json`
-//! (schema `tq-bench-rt/v1`) at the repo root. `--check` re-measures the
-//! batched pipeline (best of 2 short trials) and exits non-zero if
-//! ns/request regressed past [`RT_CHECK_TOLERANCE`] against the
-//! committed baseline; like `bench_sim --check` it never rewrites the
-//! baseline. The tolerance is deliberately generous: this is wall-time
-//! on an arbitrarily noisy CI host, and the gate exists to catch
-//! order-of-magnitude pipeline regressions, not percent-level drift.
-//!
 //! Real-time numbers depend on the host: workers here are oversubscribed
 //! OS threads, not dedicated cores, so absolute latencies on a shared CI
 //! box are **not** the paper's — see EXPERIMENTS.md ("Live-runtime runs")
 //! before reading anything into them. Conservation and summary shape are
 //! host-independent; that is what the smoke mode asserts.
 //!
-//! Knobs: `TQ_RT_WORKERS` (default 2; 4 in throughput/check modes),
+//! Knobs: `TQ_RT_WORKERS` (default 2),
 //! `TQ_RT_MILLIS` (arrival horizon, default 80 full / 40 smoke),
-//! `TQ_RT_REQUESTS` (throughput/check flood size, default 96k/24k),
 //! `TQ_SEED` as everywhere else, and
 //! `TQ_AUDIT` (default on; `TQ_AUDIT=0` disables the invariant auditor).
 //! With auditing on, every run also carries a `tq_audit` report —
@@ -51,20 +33,11 @@
 //!
 //! [`TinyQuanta`]: tq_runtime::TinyQuanta
 
-use std::time::Instant;
 use tq_core::adaptive::ControllerConfig;
-use tq_core::policy::{DispatchPolicy, TieBreak};
 use tq_core::Nanos;
 use tq_harness::{json, Engine, RtEngine, RunRecord, RunSpec, SimEngine};
-use tq_runtime::{ServerConfig, SpinJob, TinyQuanta, TscClock};
+use tq_runtime::ServerConfig;
 use tq_workloads::{table1, ArrivalProcess};
-
-/// `--check` fails when the batched pipeline's ns/request rises above
-/// `committed / RT_CHECK_TOLERANCE` (a >2.5x regression). Generous on
-/// purpose: CI hosts are shared and the gate targets pipeline-level
-/// regressions (a lost batch path, a reintroduced per-item snapshot),
-/// not timing drift.
-const RT_CHECK_TOLERANCE: f64 = 0.4;
 
 #[derive(Clone, Copy, PartialEq)]
 enum EngineChoice {
@@ -73,22 +46,9 @@ enum EngineChoice {
     Both,
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    /// The sim/rt experiment comparison (the original bench_rt).
-    Experiment,
-    /// Dispatch-throughput baseline: measure both pipelines, write
-    /// `BENCH_rt.json`.
-    Throughput,
-    /// Perf gate: re-measure the batched pipeline against the committed
-    /// `BENCH_rt.json`; never rewrites it.
-    Check,
-}
-
 struct Args {
     engine: EngineChoice,
     smoke: bool,
-    mode: Mode,
     policy: Option<String>,
     /// `--workload NAME`: a hostile-traffic preset from
     /// `tq_workloads::hostile` instead of the default bimodal sweep.
@@ -103,7 +63,6 @@ fn parse_args() -> Args {
     let mut parsed = Args {
         engine: EngineChoice::Both,
         smoke: false,
-        mode: Mode::Experiment,
         policy: None,
         workload: None,
         adaptive: false,
@@ -112,8 +71,6 @@ fn parse_args() -> Args {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => parsed.smoke = true,
-            "--throughput" => parsed.mode = Mode::Throughput,
-            "--check" => parsed.mode = Mode::Check,
             "--adaptive" => parsed.adaptive = true,
             "--policy" => {
                 parsed.policy = Some(args.next().unwrap_or_else(|| {
@@ -142,7 +99,7 @@ fn parse_args() -> Args {
             _ => {
                 eprintln!(
                     "unknown argument {a:?} (supported: --engine sim|rt|both, --smoke, \
-                     --throughput, --check, --policy NAME, --workload NAME, --adaptive)"
+                     --policy NAME, --workload NAME, --adaptive)"
                 );
                 std::process::exit(2);
             }
@@ -155,15 +112,13 @@ fn audit_enabled() -> bool {
     std::env::var("TQ_AUDIT").map_or(true, |v| v != "0")
 }
 
-/// Worker count (`TQ_RT_WORKERS` overrides). The experiment modes
-/// default to 2; the throughput modes to 4, where the per-burst load
-/// snapshot (one read per worker) has more to amortize.
-fn rt_workers(default: usize) -> usize {
+/// Worker count (`TQ_RT_WORKERS` overrides the default of 2).
+fn rt_workers() -> usize {
     std::env::var("TQ_RT_WORKERS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n > 0)
-        .unwrap_or(default)
+        .unwrap_or(2)
 }
 
 fn rt_horizon(smoke: bool) -> Nanos {
@@ -297,280 +252,11 @@ fn run_and_report(engine: &mut dyn Engine, spec: &RunSpec, load: f64) -> (RunRec
     (record, violations)
 }
 
-/// One pipeline configuration's dispatch measurement (best trial kept).
-struct DispatchMeasure {
-    pipeline: &'static str,
-    dispatch_burst: usize,
-    counter_flush_quanta: u32,
-    requests: u64,
-    trials: usize,
-    forwarded: u64,
-    bursts: u64,
-    busy_nanos: u64,
-    wall_nanos: u64,
-}
-
-impl DispatchMeasure {
-    /// Dispatcher busy time per forwarded request — the gated number.
-    fn ns_per_request(&self) -> f64 {
-        self.busy_nanos as f64 / self.forwarded.max(1) as f64
-    }
-
-    /// End-to-end throughput of the flood (submit → all completions
-    /// collected), in millions of requests per second. Host-dependent;
-    /// reported for context, not gated.
-    fn wall_mrps(&self) -> f64 {
-        self.forwarded as f64 / (self.wall_nanos.max(1) as f64 / 1e9) / 1e6
-    }
-
-    /// Mean burst size the dispatcher actually achieved.
-    fn mean_burst(&self) -> f64 {
-        self.forwarded as f64 / self.bursts.max(1) as f64
-    }
-
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"pipeline\": \"{}\", \"dispatch_burst\": {}, ",
-                "\"counter_flush_quanta\": {}, \"requests\": {}, ",
-                "\"trials\": {}, \"forwarded\": {}, \"bursts\": {}, ",
-                "\"mean_burst\": {:.2}, \"busy_nanos\": {}, ",
-                "\"ns_per_request\": {:.2}, \"wall_mrps\": {:.4}}}"
-            ),
-            self.pipeline,
-            self.dispatch_burst,
-            self.counter_flush_quanta,
-            self.requests,
-            self.trials,
-            self.forwarded,
-            self.bursts,
-            self.mean_burst(),
-            self.busy_nanos,
-            self.ns_per_request(),
-            self.wall_mrps(),
-        )
-    }
-}
-
-/// Floods a server with `n` zero-service requests and reports the
-/// dispatcher's counters; keeps the best (lowest ns/request) of `trials`
-/// runs, criterion-style, since the minimum is the trial least polluted
-/// by scheduler noise on a shared host.
-///
-/// The rings are sized to hold the entire flood, so the measurement
-/// never includes backpressure waits: worker drain speed is a property
-/// of the host (oversubscribed OS threads), not of the dispatch
-/// pipeline being measured.
-fn measure_dispatch(
-    clock: &TscClock,
-    workers: usize,
-    n: u64,
-    trials: usize,
-    audit: bool,
-    seed: u64,
-    per_item: bool,
-) -> DispatchMeasure {
-    let (dispatch_burst, counter_flush_quanta) = if per_item {
-        (1, 1) // exactly the pre-batching pipeline
-    } else {
-        let d = ServerConfig::default();
-        (d.dispatch_burst, d.counter_flush_quanta)
-    };
-    let mut best: Option<DispatchMeasure> = None;
-    for _ in 0..trials.max(1) {
-        let config = ServerConfig {
-            workers,
-            quantum: Nanos::from_micros(5),
-            ring_capacity: (2 * n as usize / workers).max(1024),
-            dispatch: DispatchPolicy::Jsq(TieBreak::MaxServicedQuanta),
-            dispatch_burst,
-            counter_flush_quanta,
-            seed,
-            audit,
-            ..ServerConfig::default()
-        };
-        let job_clock = clock.clone();
-        let server = TinyQuanta::start_with_clock(config, clock.clone(), move |req| {
-            Box::new(SpinJob::with_clock(req, &job_clock))
-        });
-        let started = Instant::now();
-        for _ in 0..n {
-            server.submit(0, Nanos::ZERO);
-        }
-        let (completions, stats) = server.shutdown_with_stats();
-        let wall_nanos = started.elapsed().as_nanos() as u64;
-        assert_eq!(
-            completions.len() as u64,
-            n,
-            "throughput flood must conserve jobs"
-        );
-        if let Some(report) = &stats.audit {
-            assert!(report.is_clean(), "audit violations during flood: {report}");
-        }
-        let m = DispatchMeasure {
-            pipeline: if per_item { "per_item" } else { "batched" },
-            dispatch_burst,
-            counter_flush_quanta,
-            requests: n,
-            trials: trials.max(1),
-            forwarded: stats.dispatcher.forwarded,
-            bursts: stats.dispatcher.bursts,
-            busy_nanos: stats.dispatcher.busy_nanos,
-            wall_nanos,
-        };
-        if best
-            .as_ref()
-            .is_none_or(|b| m.ns_per_request() < b.ns_per_request())
-        {
-            best = Some(m);
-        }
-    }
-    best.expect("at least one trial")
-}
-
-fn print_measure(m: &DispatchMeasure) {
-    println!(
-        "{:>9}: {:>7.1} ns/request  ({:.3} Mrps wall, mean burst {:.1}, \
-         {} forwarded over {} bursts)",
-        m.pipeline,
-        m.ns_per_request(),
-        m.wall_mrps(),
-        m.mean_burst(),
-        m.forwarded,
-        m.bursts,
-    );
-}
-
-/// Requests per throughput trial (`TQ_RT_REQUESTS` overrides).
-fn throughput_requests(quick: bool) -> u64 {
-    std::env::var("TQ_RT_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(if quick { 24_000 } else { 96_000 })
-}
-
-/// Extracts `"ns_per_request": <number>` for the pipeline labeled
-/// `pipeline` from a committed `BENCH_rt.json` (same string-search
-/// parsing as `bench_sim`, for the same reason: no JSON parser in the
-/// vendored dependency set).
-fn baseline_ns_per_request(json: &str, pipeline: &str) -> Option<f64> {
-    let at = json.find(&format!("\"pipeline\": \"{pipeline}\""))?;
-    let rest = &json[at..];
-    let key = "\"ns_per_request\": ";
-    let v = &rest[rest.find(key)? + key.len()..];
-    let end = v.find([',', '}', '\n'])?;
-    v[..end].trim().parse().ok()
-}
-
-/// `--throughput`: measure both pipelines, write `BENCH_rt.json`.
-fn run_throughput(workers: usize, audit: bool, seed: u64) -> ! {
-    let n = throughput_requests(false);
-    let trials = 3;
-    println!(
-        "bench_rt (throughput): {workers} workers, {n} requests/trial, best of {trials}, \
-         seed {seed}, audit {}",
-        if audit { "on" } else { "off" }
-    );
-    println!();
-    let clock = TscClock::calibrated();
-    // Interleaved would be fairer against slow host drift, but each
-    // measurement already keeps its own best-of-trials minimum.
-    let per_item = measure_dispatch(&clock, workers, n, trials, audit, seed, true);
-    print_measure(&per_item);
-    let batched = measure_dispatch(&clock, workers, n, trials, audit, seed, false);
-    print_measure(&batched);
-    let speedup = per_item.ns_per_request() / batched.ns_per_request();
-    println!();
-    println!("dispatch speedup (per-item / batched ns/request): {speedup:.2}x");
-
-    let doc = format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": \"tq-bench-rt/v1\",\n",
-            "  \"workers\": {},\n",
-            "  \"requests\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"audit\": {},\n",
-            "  \"host_cores\": {},\n",
-            "  \"quick\": {},\n",
-            "  \"dispatch\": [\n    {},\n    {}\n  ],\n",
-            "  \"speedup_ns_per_request\": {:.2}\n",
-            "}}\n"
-        ),
-        workers,
-        n,
-        seed,
-        audit,
-        tq_bench::host_cores(),
-        n < 96_000, // reduced flood via TQ_RT_REQUESTS: not a full baseline
-        per_item.json(),
-        batched.json(),
-        speedup,
-    );
-    std::fs::write("BENCH_rt.json", &doc).expect("write BENCH_rt.json");
-    println!("wrote BENCH_rt.json");
-    std::process::exit(0);
-}
-
-/// `--check`: gate the batched pipeline against the committed baseline.
-fn run_check(workers: usize, audit: bool, seed: u64) -> ! {
-    let n = throughput_requests(true);
-    let trials = 2;
-    println!(
-        "bench_rt (check): {workers} workers, {n} requests/trial, best of {trials}, \
-         seed {seed}, audit {}",
-        if audit { "on" } else { "off" }
-    );
-    println!();
-    let committed =
-        std::fs::read_to_string("BENCH_rt.json").expect("--check needs a committed BENCH_rt.json");
-    let baseline = baseline_ns_per_request(&committed, "batched")
-        .expect("BENCH_rt.json has no batched ns_per_request");
-    let clock = TscClock::calibrated();
-    let batched = measure_dispatch(&clock, workers, n, trials, audit, seed, false);
-    print_measure(&batched);
-    let current = batched.ns_per_request();
-    // ns/request is a cost, so the health ratio inverts: below 1.0 means
-    // slower than the committed baseline.
-    let ratio = baseline / current;
-    println!();
-    println!(
-        "perf gate: {current:.1} ns/request vs committed {baseline:.1} ns/request — \
-         {:.0}% (floor {:.0}%)",
-        ratio * 100.0,
-        RT_CHECK_TOLERANCE * 100.0,
-    );
-    if ratio < RT_CHECK_TOLERANCE {
-        eprintln!(
-            "PERF REGRESSION: dispatch ns/request rose to {:.1}x the committed baseline",
-            current / baseline
-        );
-        std::process::exit(1);
-    }
-    println!("perf gate passed");
-    std::process::exit(0);
-}
-
 fn main() {
     let args = parse_args();
     let (choice, smoke) = (args.engine, args.smoke);
     let audit = audit_enabled();
-    if (args.policy.is_some() || args.workload.is_some() || args.adaptive)
-        && args.mode != Mode::Experiment
-    {
-        eprintln!(
-            "--policy/--workload/--adaptive only apply to the experiment mode \
-             (not --throughput/--check)"
-        );
-        std::process::exit(2);
-    }
-    match args.mode {
-        Mode::Throughput => run_throughput(rt_workers(4), audit, tq_bench::seed()),
-        Mode::Check => run_check(rt_workers(4), audit, tq_bench::seed()),
-        Mode::Experiment => {}
-    }
-    let workers = rt_workers(2);
+    let workers = rt_workers();
     let horizon = rt_horizon(smoke);
     let seed = tq_bench::seed();
     // Default: the bimodal sweep at conservative loads (the live workers

@@ -455,7 +455,6 @@ fn run_server(args: &Args, config: ServerConfig, bind: SocketAddr) {
     // max_in_flight only bounds concurrently outstanding requests.
     let net_config = NetConfig {
         max_in_flight: (args.requests as usize).max(4096),
-        ..NetConfig::default()
     };
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
@@ -605,7 +604,6 @@ fn main() {
             // trip (smoke asserts it stays at zero).
             let net_config = NetConfig {
                 max_in_flight: (sent_target as usize).max(1024),
-                ..NetConfig::default()
             };
             let stop2 = Arc::clone(&stop);
             server_thread = Some(std::thread::spawn(move || -> std::io::Result<ServeOutcome> {

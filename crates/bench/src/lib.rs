@@ -32,15 +32,6 @@ pub fn seed() -> u64 {
         .unwrap_or(42)
 }
 
-/// Physical parallelism actually available on this host — recorded in
-/// the committed baselines so a gate failure can be read against how
-/// much parallelism the measuring host really had.
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 /// Requests/second for a list of offered loads on `cores` cores.
 pub fn rate_grid(workload: &Workload, cores: usize, loads: &[f64]) -> Vec<f64> {
     loads.iter().map(|&l| workload.rate_for_load(cores, l)).collect()

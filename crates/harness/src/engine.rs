@@ -101,9 +101,9 @@ pub struct EngineCounters {
     /// buckets; nonzero only on the live runtime's abort path).
     pub dispatcher_dropped: u64,
     /// Bursts the dispatcher drained from the submit channel (live
-    /// runtime only; `dispatcher_forwarded / dispatch_bursts` is the
+    /// runtime only; `dispatcher_forwarded / dispatcher_bursts` is the
     /// mean achieved burst size).
-    pub dispatch_bursts: u64,
+    pub dispatcher_bursts: u64,
     /// Wall time the dispatcher spent in burst processing — snapshot,
     /// picks, ring pushes, backpressure retries — excluding blocking
     /// waits for arrivals (live runtime only).

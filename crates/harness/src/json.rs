@@ -1,7 +1,10 @@
 //! Hand-rolled JSON output for [`RunRecord`]s (schema `tq-run/v1`).
 //!
-//! The build environment vendors `serde` but not `serde_json`, so —
-//! like `bench_sim`'s `BENCH_sim.json` — records are formatted by hand.
+//! The build environment vendors `serde` but not `serde_json`, so
+//! records are formatted by hand — here and nowhere else: every run
+//! record the workspace writes (`bench_rt`, `tq-loadgen`) goes through
+//! [`document`]. (`adaptive_sweep` writes a summary of its own,
+//! `tq-adaptive-sweep/v1`, which is not a run record.)
 //! Both engines pass through this one code path, which is what makes
 //! the sim and runtime schemas identical by construction: downstream
 //! tooling distinguishes them only by the `engine` field.
@@ -251,7 +254,7 @@ pub fn record_json(r: &RunRecord) -> String {
             "     \"classes_sojourn\": [{}],\n",
             "     \"counters\": {{\"sim_events\": {}, \"dispatcher_forwarded\": {}, ",
             "\"ring_full_retries\": {}, \"dispatcher_dropped\": {}, ",
-            "\"dispatch_bursts\": {}, \"dispatch_busy_nanos\": {}, ",
+            "\"dispatcher_bursts\": {}, \"dispatch_busy_nanos\": {}, ",
             "\"dispatch_ns_per_request\": {},\n",
             "      \"workers\": [{}]}},\n",
             "     \"policy\": {},\n",
@@ -280,7 +283,7 @@ pub fn record_json(r: &RunRecord) -> String {
         r.counters.dispatcher_forwarded,
         r.counters.ring_full_retries,
         r.counters.dispatcher_dropped,
-        r.counters.dispatch_bursts,
+        r.counters.dispatcher_bursts,
         r.counters.dispatch_busy_nanos,
         json_f64(r.counters.dispatch_ns_per_request()),
         workers.join(", "),
@@ -340,7 +343,7 @@ mod tests {
                 dispatcher_forwarded: 10,
                 ring_full_retries: 0,
                 dispatcher_dropped: 0,
-                dispatch_bursts: 3,
+                dispatcher_bursts: 3,
                 dispatch_busy_nanos: 1200,
                 workers: vec![WorkerCounters::default(); 2],
             },

@@ -315,7 +315,7 @@ impl Engine for RtEngine {
                 dispatcher_forwarded: stats.dispatcher.forwarded,
                 ring_full_retries: stats.dispatcher.ring_full_retries,
                 dispatcher_dropped: stats.dispatcher.dropped_on_abort,
-                dispatch_bursts: stats.dispatcher.bursts,
+                dispatcher_bursts: stats.dispatcher.bursts,
                 dispatch_busy_nanos: stats.dispatcher.busy_nanos,
                 workers: stats
                     .workers

@@ -118,7 +118,7 @@ impl Engine for SimEngine {
             dispatcher_forwarded: submitted,
             ring_full_retries: 0,
             dispatcher_dropped: 0,
-            dispatch_bursts: 0,
+            dispatcher_bursts: 0,
             dispatch_busy_nanos: 0,
             workers,
         };

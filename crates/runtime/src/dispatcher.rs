@@ -2,19 +2,19 @@
 //!
 //! Performs *only* job load balancing: it never parses requests for
 //! scheduling hints and never schedules quanta. It polls the submit (RX)
-//! ring — the stand-in for the NIC's — taking up to
-//! [`crate::ServerConfig::dispatch_burst`] requests with one `pop_batch`,
+//! ring — the stand-in for the NIC's — taking up to [`DISPATCH_BURST`]
+//! requests with one `pop_batch`,
 //! takes *one* load snapshot per burst (maintained incrementally as picks
 //! assign), and pushes each worker's share of the burst as one ring
 //! sub-batch (one Release publish per worker per burst). A full ring is
 //! backpressure: the dispatcher *bans* that worker for the retry round
 //! and re-picks the leftovers among the other workers
 //! ([`Dispatcher::pick_excluding`]); only when every ring is full does it
-//! yield, re-snapshot, and start over with a clean mask. The per-item
-//! costs of the old pipeline — a receive, an n-worker atomic snapshot,
-//! and an Acquire/Release pair per request — are all amortized over the
-//! burst. `RingAuditLog::on_forward` stays per-item, so the FIFO audit
-//! contract is unchanged.
+//! yield, re-snapshot, and start over with a clean mask. What would be
+//! per-request costs — a receive, an n-worker atomic snapshot, and an
+//! Acquire/Release pair — are all amortized over the burst.
+//! `RingAuditLog::on_forward` stays per-item, so the FIFO audit contract
+//! is per-request.
 //!
 //! TQ's dispatcher owns a core and never stops polling. Ours shares its
 //! host with the workers and the submitter, so an empty poll spins
@@ -42,6 +42,13 @@ use std::sync::Arc;
 use tq_audit::RingAuditLog;
 use tq_core::counters::{DispatcherLedger, SharedCounters};
 use tq_core::policy::{Dispatcher, WorkerLoad};
+
+/// Most requests the dispatcher forwards per burst: it takes up to this
+/// many from the submit ring without blocking, paying one load snapshot
+/// and one ring publish per worker per burst instead of per request
+/// (DESIGN.md "Batched dispatch pipeline"). Equal to the transports'
+/// `MAX_BATCH`, so one syscall's worth of datagrams is one burst.
+const DISPATCH_BURST: usize = 64;
 
 /// Counters the dispatcher reports at exit.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -160,12 +167,11 @@ fn run_dispatcher(
     clock: &TscClock,
 ) -> DispatcherStats {
     let n_workers = config.workers;
-    let burst_max = config.dispatch_burst.max(1);
     let mut dispatcher = Dispatcher::new(config.dispatch, n_workers, config.seed);
     let mut ledger = DispatcherLedger::new(n_workers);
     let mut loads: Vec<WorkerLoad> = Vec::with_capacity(n_workers);
     let mut stats = DispatcherStats::default();
-    let mut batch: Vec<RtRequest> = Vec::with_capacity(burst_max);
+    let mut batch: Vec<RtRequest> = Vec::with_capacity(DISPATCH_BURST);
     let mut per_worker: Vec<Vec<RtRequest>> = (0..n_workers).map(|_| Vec::new()).collect();
     // Only the first 64 workers can be banned on retry (a `u64` mask);
     // pick_excluding treats higher indices as always allowed, so rings
@@ -182,7 +188,7 @@ fn run_dispatcher(
         // so an empty ring *after* seeing it is empty for good.
         let closed = signal.closed();
         batch.clear();
-        if rx.pop_batch(&mut batch, burst_max) == 0 {
+        if rx.pop_batch(&mut batch, DISPATCH_BURST) == 0 {
             if closed {
                 break;
             }

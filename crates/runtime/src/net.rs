@@ -47,6 +47,7 @@ use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 use tq_audit::{AuditReport, DropReason, InvariantAuditor};
 use tq_core::Nanos;
 
@@ -107,23 +108,22 @@ pub struct NetConfig {
     /// well-formed request arriving at the bound is shed. Bounds the
     /// slab (and the server's queues as seen from the wire).
     pub max_in_flight: usize,
-    /// Idle backoff, mirroring the worker loop's contract: consecutive
-    /// empty poll iterations spent spinning before yielding.
-    pub idle_spins: u32,
-    /// Empty iterations spent yielding before sleeping.
-    pub idle_yields: u32,
-    /// Sleep length once spins and yields are exhausted — the worst-case
-    /// added latency for a datagram arriving at a deeply idle server.
-    pub idle_sleep: Nanos,
 }
+
+/// Idle backoff of the serving loop, mirroring the worker loop's
+/// contract: consecutive empty poll iterations spent spinning before
+/// yielding.
+const IDLE_SPINS: u32 = 64;
+/// Empty iterations spent yielding before sleeping.
+const IDLE_YIELDS: u32 = 64;
+/// Sleep length once spins and yields are exhausted — the worst-case
+/// added latency for a datagram arriving at a deeply idle server.
+const IDLE_SLEEP: Duration = Duration::from_micros(50);
 
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             max_in_flight: 8192,
-            idle_spins: 64,
-            idle_yields: 64,
-            idle_sleep: Nanos::from_micros(50),
         }
     }
 }
@@ -411,14 +411,12 @@ pub fn serve<T: Transport>(
         // must not monopolize an oversubscribed host.
         if received == 0 && completions.is_empty() {
             idle_iters += 1;
-            if idle_iters <= config.idle_spins {
+            if idle_iters <= IDLE_SPINS {
                 std::hint::spin_loop();
-            } else if idle_iters <= config.idle_spins + config.idle_yields {
+            } else if idle_iters <= IDLE_SPINS + IDLE_YIELDS {
                 std::thread::yield_now();
             } else {
-                std::thread::sleep(std::time::Duration::from_nanos(
-                    config.idle_sleep.as_nanos().max(1),
-                ));
+                std::thread::sleep(IDLE_SLEEP);
             }
         } else {
             idle_iters = 0;
@@ -525,7 +523,6 @@ pub fn serve_auto(
 mod tests {
     use super::*;
     use crate::{ServerConfig, SpinJob, TscClock};
-    use std::time::Duration;
 
     #[test]
     fn wire_format_round_trips() {

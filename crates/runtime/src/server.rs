@@ -79,6 +79,11 @@ impl Completion {
 /// limit.
 const SUBMIT_RING_CAPACITY: usize = 8192;
 
+/// Per-worker completion-ring capacity. Workers never block on a full
+/// completion ring: overflow stays in a worker-local buffer until the
+/// next drain, so this only bounds the *shared* memory.
+const COMPLETION_CAPACITY: usize = 4096;
+
 /// Coordination flags between the facade, the dispatcher and the workers:
 /// the two-phase shutdown drain protocol and the dispatcher's sleep/wake
 /// handshake.
@@ -188,21 +193,6 @@ pub struct ServerConfig {
     /// Whether idle workers steal queued jobs from siblings (the Caladan
     /// configuration; pairs naturally with FCFS + RSS dispatch).
     pub work_stealing: bool,
-    /// Most requests the dispatcher forwards per burst: it blocks for the
-    /// first, then drains up to this many more without blocking, paying
-    /// one load snapshot and one ring publish per worker per burst
-    /// instead of per request (DESIGN.md "Batched dispatch pipeline").
-    /// `1` recovers the per-item pipeline exactly.
-    pub dispatch_burst: usize,
-    /// Per-worker completion-ring capacity. Workers never block on a full
-    /// completion ring: overflow stays in a worker-local buffer until the
-    /// next drain, so this only bounds the *shared* memory.
-    pub completion_capacity: usize,
-    /// Workers publish their shared load counters after accumulating this
-    /// many quanta locally (and always on idle and at exit), bounding the
-    /// dispatcher's view staleness to `counter_flush_quanta` quanta.
-    /// `1` recovers per-quantum publication.
-    pub counter_flush_quanta: u32,
     /// Idle backoff, phase 1: consecutive idle loop iterations spent in a
     /// `spin_loop` hint before starting to yield.
     pub idle_spins: u32,
@@ -235,9 +225,6 @@ impl Default for ServerConfig {
             dispatch: DispatchPolicy::Jsq(TieBreak::MaxServicedQuanta),
             discipline: WorkerPolicy::ProcessorSharing,
             work_stealing: false,
-            dispatch_burst: 64,
-            completion_capacity: 4096,
-            counter_flush_quanta: 16,
             idle_spins: 128,
             idle_yields: 64,
             idle_sleep: Nanos::from_micros(50),
@@ -398,7 +385,7 @@ impl TinyQuanta {
         let mut completion_rx = Vec::with_capacity(config.workers);
         let mut completion_tx = Vec::with_capacity(config.workers);
         for _ in 0..config.workers {
-            let (p, c) = ring::spsc::<Completion>(config.completion_capacity.max(1));
+            let (p, c) = ring::spsc::<Completion>(COMPLETION_CAPACITY);
             completion_tx.push(p);
             completion_rx.push(c);
         }

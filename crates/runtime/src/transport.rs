@@ -18,9 +18,11 @@
 //!   no `libc` crate, but std already links the platform libc), one
 //!   message per run of frames both ways ("Trains" below), falling back
 //!   to a `recv_from`/`send_to` drain loop on other targets.
-//! * [`UdpTransport::per_datagram`] — one syscall per datagram, the
-//!   pre-batching behaviour, kept as the measurable baseline arm of
-//!   `bench_net` (exactly like the `per_item` arm of `BENCH_rt.json`).
+//! * [`UdpTransport::per_datagram`] — one syscall per datagram: the
+//!   portable fallback (`recv_from`/`send_to` only), and the arm the
+//!   benchmark's micro pass times as
+//!   `transport.echo_ns_per_frame.per_datagram` beside `.mmsg` and
+//!   `.uring`.
 //!
 //! Sockets are switched to nonblocking mode by the constructors; *waiting*
 //! is the caller's job (the serve loop owns a spin → yield → sleep
@@ -75,8 +77,8 @@
 //! coalescing achieved.
 //!
 //! [`UdpTransport::per_datagram`] never asks — `recv_from` into one frame
-//! would keep only a train's head — so it stays the baseline arm and,
-//! like any plain socket, reads the datagrams the kernel cut for it. One
+//! would keep only a train's head — so, like any plain socket, it reads
+//! the datagrams the kernel cut for it. One
 //! fallback, again the kernel's: where the `setsockopt` fails
 //! (`ENOPROTOOPT` before 5.0) the error is dropped, no message carries
 //! the control message and every receive is a train of one; nothing
@@ -91,8 +93,8 @@ use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, SocketAddrV4, SocketAddrV6, UdpSocket};
 
 /// Most frames a single `recvmmsg`/`sendmmsg` call will move. 64 matches
-/// the dispatcher's `dispatch_burst`, so one syscall's worth of datagrams
-/// flows through the dispatch pipeline as one burst.
+/// the dispatcher's burst, so one syscall's worth of datagrams flows
+/// through the dispatch pipeline as one burst.
 pub const MAX_BATCH: usize = 64;
 
 /// Payload capacity of a [`Frame`]. Both wire messages (18-byte request,
@@ -147,8 +149,10 @@ impl Frame {
 }
 
 /// Syscall/frame counters a transport accumulates over its lifetime —
-/// the observability that lets `bench_net` report achieved batch sizes
-/// and the audit tie frame counts to request counts.
+/// what lets the benchmark report achieved batch sizes
+/// (`transport.frames_per_{recv,send}`), `net_hostile.rs` fail a wire
+/// that moved one frame per call, and the audit tie frame counts to
+/// request counts.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TransportStats {
     /// Receive syscalls that returned at least one frame. For the
@@ -765,8 +769,9 @@ impl UdpTransport {
         Self::with_batch(socket, MAX_BATCH)
     }
 
-    /// One syscall per datagram — the pre-batching baseline, kept
-    /// selectable so `bench_net` can measure exactly what batching buys.
+    /// One syscall per datagram: the portable fallback, and the arm
+    /// the benchmark's micro pass times beside the batched ones
+    /// (`transport.echo_ns_per_frame.per_datagram`).
     pub fn per_datagram(socket: UdpSocket) -> io::Result<UdpTransport> {
         Self::with_batch(socket, 1)
     }

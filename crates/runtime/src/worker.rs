@@ -27,6 +27,12 @@ use tq_core::counters::SharedCounters;
 use tq_core::policy::{PsQueue, WorkerPolicy};
 use tq_core::Cycles;
 
+/// Workers publish their shared load counters after accumulating this
+/// many quanta locally (and always on idle, before a stall window and
+/// at exit), which bounds how stale the dispatcher's JSQ/MSQ view of a
+/// busy worker can be (DESIGN.md "Batched dispatch pipeline").
+const COUNTER_FLUSH_QUANTA: u64 = 16;
+
 /// Handle to a spawned worker thread.
 #[derive(Debug)]
 pub struct WorkerHandle {
@@ -195,7 +201,6 @@ struct WorkerCtx {
     audit: Option<Arc<RingAuditLog>>,
     fault: Option<FaultPlan>,
     clock: TscClock,
-    counter_flush_quanta: u64,
     idle_spins: u32,
     idle_yields: u32,
     idle_sleep: std::time::Duration,
@@ -234,7 +239,6 @@ pub(crate) fn spawn(
         audit,
         fault,
         clock,
-        counter_flush_quanta: u64::from(config.counter_flush_quanta.max(1)),
         idle_spins: config.idle_spins,
         idle_yields: config.idle_yields,
         idle_sleep: std::time::Duration::from_nanos(config.idle_sleep.0),
@@ -247,7 +251,7 @@ pub(crate) fn spawn(
 }
 
 /// Worker-local counter deltas, published to the [`SharedCounters`] in
-/// batches (bounded staleness: at most `counter_flush_quanta` quanta, and
+/// batches (bounded staleness: at most [`COUNTER_FLUSH_QUANTA`] quanta, and
 /// always flushed on idle, before a stall window, and at exit).
 #[derive(Default)]
 struct PendingCounters {
@@ -283,7 +287,6 @@ fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
         audit,
         fault,
         clock,
-        counter_flush_quanta,
         idle_spins,
         idle_yields,
         idle_sleep,
@@ -397,7 +400,7 @@ fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
             task.quanta += 1;
             stats.quanta += 1;
             pending.quanta += 1;
-            if pending.quanta >= counter_flush_quanta {
+            if pending.quanta >= COUNTER_FLUSH_QUANTA {
                 pending.flush(my_counters);
             }
             match status {

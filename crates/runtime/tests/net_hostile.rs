@@ -246,7 +246,9 @@ fn refused_segmentation_scenario(wire: Wire) {
 /// A raw client's train of 63 well-formed requests and a 10-byte tail:
 /// the server's socket takes it as one coalesced message, and the split
 /// hands the serve loop 64 datagrams — 63 answered, the tail counted as
-/// malformed like any lone runt.
+/// malformed like any lone runt. The 63 are in the server at once, so
+/// this is also where the wire's batching shows in the transport's
+/// counters: frames outnumber receive calls and sent messages.
 #[cfg(target_os = "linux")]
 #[test]
 fn a_runt_at_the_end_of_a_train_is_the_only_malformed_datagram() {
@@ -278,8 +280,13 @@ fn runt_tail_scenario(wire: Wire) {
     assert_eq!(net.responded, GOOD + 1);
     assert_eq!(net.malformed, 1);
     assert_eq!(net.received, net.responded + net.malformed + net.shed);
+    // A lost batch path, seen as a count: a receive or send loop that
+    // moves one datagram per call makes each pair equal.
+    let t = &net.transport;
+    assert!(t.recv_frames > t.recv_calls, "{wire:?}: no receive took two frames: {t:?}");
+    assert!(t.send_frames > t.send_msgs, "{wire:?}: no two responses shared a message: {t:?}");
     if common::kernel_coalesces() {
-        assert_eq!(net.transport.recv_msgs, 2, "{wire:?}: a lone datagram and one train");
+        assert_eq!(t.recv_msgs, 2, "{wire:?}: a lone datagram and one train");
     }
 }
 
@@ -369,14 +376,7 @@ fn overload_sheds_past_the_in_flight_bound() {
 
 fn overload_shed_scenario(wire: Wire) {
     const SENT: u64 = 32;
-    let served = Served::start(
-        1,
-        NetConfig {
-            max_in_flight: 4,
-            ..NetConfig::default()
-        },
-        wire,
-    );
+    let served = Served::start(1, NetConfig { max_in_flight: 4 }, wire);
     let sock = client();
     // Long jobs so no slot frees while the flood is being admitted.
     for tag in 0..SENT {

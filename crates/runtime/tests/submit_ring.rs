@@ -54,6 +54,14 @@ fn flood_larger_than_the_submit_ring_blocks_and_loses_nothing() {
     let (completions, stats) = server.shutdown_with_stats();
     assert_eq!(completions.len() as u64, flood);
     assert_eq!(stats.dispatcher.forwarded, flood);
+    // A lost batch path, seen as a count: a dispatcher that takes one
+    // request per poll of the submit ring reads a mean burst of 1.
+    assert!(
+        stats.dispatcher.bursts * 32 <= stats.dispatcher.forwarded,
+        "mean burst {:.1} over {} bursts: the dispatcher is not draining the submit ring in batches",
+        flood as f64 / stats.dispatcher.bursts as f64,
+        stats.dispatcher.bursts
+    );
     assert_eq!(stats.total_completed(), flood);
     assert_eq!(stats.total_dropped(), 0);
     let report = stats.audit.as_ref().expect("audit enabled");

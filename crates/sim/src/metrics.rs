@@ -494,7 +494,7 @@ fn select_rank_f64(v: &mut [f64], rank: usize) -> f64 {
 /// The seed's multi-pass metrics implementation, preserved verbatim as
 /// the differential-testing oracle: property tests assert the
 /// single-pass [`ClassRecorder::summarize_all`] reproduces these
-/// results exactly, and `bench_sim` measures its speedup against them.
+/// results exactly.
 pub mod reference {
     use super::{percentile_f64, ClassSummary, RunSummary, TailStats};
     use tq_core::job::Completion;

@@ -1,10 +1,10 @@
 //! The hostile-traffic catalog.
 //!
 //! Named presets pairing a service-time [`Workload`] with an
-//! [`ArrivalProcess`] and a default offered load, so every engine
-//! (`bench_sim`, `bench_rt`, `tq-loadgen`) can reach the same adversarial
-//! scenario by name. The catalog deliberately stresses the failure modes
-//! a *blind* scheduler cannot see coming:
+//! [`ArrivalProcess`] and a default offered load, so every driver
+//! (`bench_rt` on both engines, `tq-loadgen`, `adaptive_sweep`) can reach
+//! the same adversarial scenario by name. The catalog deliberately
+//! stresses the failure modes a *blind* scheduler cannot see coming:
 //!
 //! | preset         | what it stresses                                        |
 //! |----------------|---------------------------------------------------------|
