@@ -6,17 +6,26 @@
 //! the access pattern split (short descent vs. long pointer walk) that
 //! makes GETs microsecond-scale and SCANs hundreds of microseconds.
 //!
-//! Nodes live in an arena (`Vec`) and link by index, which keeps the
-//! implementation safe Rust and — useful for the cache study — gives
-//! every node a stable synthetic "address" for access tracing.
+//! Nodes live in four packed arenas (`Vec`s) and link by index: safe Rust,
+//! no allocation per node, and — useful for the cache study — a stable
+//! synthetic "address" for every node in an access trace:
+//!
+//! - `next0`: every node's level-0 link, dense and in an array of its
+//!   own — 4 bytes a node, 32 KB for 8192 keys. It is the only load a
+//!   SCAN's next hop depends on, so the chain it chases stays in L1 and
+//!   the loads of each node's record come off that chain and overlap.
+//! - `recs`: a fixed-size record a node: where its key, value and tower are.
+//! - `links`: the links of levels ≥ 1, each node's tower contiguous.
+//! - `bytes`: key and value bytes, back to back.
 //!
 //! It also makes a walk resumable: a [`Cursor`] is the arena index of the
 //! last entry yielded (the head sentinel before the first) — four `Copy`
-//! bytes, no borrow. The arena is append-only (nodes never move or go;
-//! an overwrite swaps the value in place), so an index is valid for the
+//! bytes, no borrow. The arenas are append-only (nodes never move or go;
+//! an overwrite no longer than the old value is written in place, a longer
+//! one appended and the record re-pointed), so an index is valid for the
 //! list's life and needs no generation check. A resumed walk follows
-//! `next[0]` as it is *now*: exactly the entries a fresh seek of "first
-//! key > last key yielded" returns, whatever was inserted in between.
+//! `next0` as it is *now*: exactly the entries a fresh seek of "first key >
+//! last key yielded" returns, whatever was inserted in between.
 
 use std::fmt;
 
@@ -26,12 +35,24 @@ pub const MAX_HEIGHT: usize = 16;
 /// Sentinel index meaning "no next node".
 const NIL: u32 = u32::MAX;
 
-#[derive(Debug, Clone)]
-struct Node {
-    key: Vec<u8>,
-    value: Vec<u8>,
-    /// Forward pointers, one per level; length = tower height.
-    next: Vec<u32>,
+/// The one `usize → u32` conversion, for every node index, arena offset and
+/// length: it fits and is not [`NIL`], or the panic comes before any link.
+fn index(n: usize) -> u32 {
+    match u32::try_from(n) {
+        Ok(i) if i != NIL => i,
+        _ => panic!("tq-kv skip list arena is full"),
+    }
+}
+
+/// Where one node's parts are in the arenas.
+#[derive(Debug, Clone, Copy, Default)]
+struct Rec {
+    key: u32,
+    key_len: u32,
+    value: u32,
+    value_len: u32,
+    /// Offset in `links` of the level-1 link; levels 2.. follow it.
+    tower: u32,
 }
 
 /// A resumable position in a level-0 walk: just after one entry (module docs).
@@ -46,19 +67,21 @@ pub struct Cursor(u32);
 /// use tq_kv::SkipList;
 ///
 /// let mut sl = SkipList::new(7);
-/// sl.insert(b"b".to_vec(), b"2".to_vec());
-/// sl.insert(b"a".to_vec(), b"1".to_vec());
+/// sl.insert(b"b", b"2");
+/// sl.insert(b"a", b"1");
 /// assert_eq!(sl.get(b"a"), Some(&b"1"[..]));
 /// let keys: Vec<&[u8]> = sl.iter_from(b"a").map(|(k, _)| k).collect();
 /// assert_eq!(keys, vec![&b"a"[..], &b"b"[..]]);
 /// ```
 #[derive(Clone)]
 pub struct SkipList {
-    /// Arena; index 0 is the head sentinel (empty key, full height).
-    nodes: Vec<Node>,
+    /// The four arenas (module docs); node 0 is the head sentinel (empty key, full height).
+    next0: Vec<u32>,
+    recs: Vec<Rec>,
+    links: Vec<u32>,
+    bytes: Vec<u8>,
     /// Current maximum occupied height.
     height: usize,
-    len: usize,
     rng: u64,
 }
 
@@ -66,51 +89,63 @@ impl SkipList {
     /// Creates an empty list whose tower heights derive from `seed`.
     pub fn new(seed: u64) -> Self {
         SkipList {
-            nodes: vec![Node {
-                key: Vec::new(),
-                value: Vec::new(),
-                next: vec![NIL; MAX_HEIGHT],
-            }],
+            next0: vec![NIL],
+            recs: vec![Rec::default()],
+            links: vec![NIL; MAX_HEIGHT - 1],
+            bytes: Vec::new(),
             height: 1,
-            len: 0,
             rng: seed | 1,
         }
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.recs.len() - 1 // every node but the head
     }
 
     /// Whether the list is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Inserts or replaces; returns the previous value if the key existed.
-    pub fn insert(&mut self, key: Vec<u8>, value: Vec<u8>) -> Option<Vec<u8>> {
-        let mut update = [0u32; MAX_HEIGHT];
-        let found = self.find_update_path(&key, &mut update);
-        if let Some(idx) = found {
-            let old = std::mem::replace(&mut self.nodes[idx as usize].value, value);
+    pub fn insert(&mut self, key: impl AsRef<[u8]>, value: impl AsRef<[u8]>) -> Option<Vec<u8>> {
+        let (key, value) = (key.as_ref(), value.as_ref());
+        let update = self.descend(key, &mut |_| {});
+        let mut at = Cursor(update[0]);
+        if let Some((_, old)) = self.cursor_next(&mut at).filter(|&(k, _)| k == key) {
+            let (old, len) = (old.to_vec(), index(value.len()));
+            let rec = &mut self.recs[at.0 as usize];
+            if value.len() > old.len() {
+                rec.value = index(self.bytes.len());
+                self.bytes.extend_from_slice(value);
+            } else {
+                self.bytes[rec.value as usize..][..value.len()].copy_from_slice(value);
+            }
+            rec.value_len = len;
             return Some(old);
         }
         let h = self.random_height();
-        if h > self.height {
-            // Splice from the head at newly-occupied levels.
-            update[self.height..h].fill(0);
-            self.height = h;
+        let idx = index(self.recs.len());
+        let rec = Rec {
+            key: index(self.bytes.len()),
+            key_len: index(key.len()),
+            value: index(self.bytes.len() + key.len()),
+            value_len: index(value.len()),
+            tower: index(self.links.len()),
+        };
+        self.height = self.height.max(h); // `update` is the head at newly-occupied levels
+        self.bytes.extend_from_slice(key);
+        self.bytes.extend_from_slice(value);
+        self.recs.push(rec);
+        // Each predecessor's link becomes the new node's, then points at it.
+        let after = std::mem::replace(&mut self.next0[update[0] as usize], idx);
+        self.next0.push(after);
+        for (level, &pred) in update.iter().enumerate().take(h).skip(1) {
+            let link = self.recs[pred as usize].tower as usize + level - 1;
+            let after = std::mem::replace(&mut self.links[link], idx);
+            self.links.push(after);
         }
-        let idx = self.nodes.len() as u32;
-        let mut next = Vec::with_capacity(h);
-        for (level, &pred) in update.iter().enumerate().take(h) {
-            next.push(self.nodes[pred as usize].next[level]);
-        }
-        self.nodes.push(Node { key, value, next });
-        for (level, &pred) in update.iter().enumerate().take(h) {
-            self.nodes[pred as usize].next[level] = idx;
-        }
-        self.len += 1;
         None
     }
 
@@ -134,16 +169,15 @@ impl SkipList {
         self.seek(start, &mut |_| {})
     }
 
-    /// One `next[0]` hop: yields the entry after `cur` and moves `cur`
+    /// One `next0` hop: yields the entry after `cur` and moves `cur`
     /// onto it, or returns `None` at the end and leaves `cur` where it is.
     pub fn cursor_next(&self, cur: &mut Cursor) -> Option<(&[u8], &[u8])> {
-        let next = self.nodes[cur.0 as usize].next[0];
+        let next = self.next0[cur.0 as usize];
         if next == NIL {
             return None;
         }
         *cur = Cursor(next);
-        let node = &self.nodes[next as usize];
-        Some((node.key.as_slice(), node.value.as_slice()))
+        Some(self.entry(next))
     }
 
     /// Iterates entries with keys ≥ `start`, in order.
@@ -166,42 +200,48 @@ impl SkipList {
         walk.take(count).collect()
     }
 
+    /// The key and value of `node`.
+    fn entry(&self, node: u32) -> (&[u8], &[u8]) {
+        let rec = &self.recs[node as usize];
+        (
+            &self.bytes[rec.key as usize..][..rec.key_len as usize],
+            &self.bytes[rec.value as usize..][..rec.value_len as usize],
+        )
+    }
+
+    /// The node after `node` at `level`, which `node`'s tower reaches.
+    fn next(&self, node: u32, level: usize) -> u32 {
+        match level {
+            0 => self.next0[node as usize],
+            _ => self.links[self.recs[node as usize].tower as usize + level - 1],
+        }
+    }
+
     /// Descends to the last node with key < `key` (or the head), reporting visits.
     fn seek(&self, key: &[u8], visit: &mut impl FnMut(u32)) -> Cursor {
-        let mut pred = 0u32; // head
+        Cursor(self.descend(key, visit)[0])
+    }
+
+    /// [`SkipList::seek`]'s descent: the last node with key < `key` at
+    /// every level, the head at those above the occupied height.
+    fn descend(&self, key: &[u8], visit: &mut impl FnMut(u32)) -> [u32; MAX_HEIGHT] {
+        let mut path = [0u32; MAX_HEIGHT]; // head
+        let mut pred = 0u32;
         for level in (0..self.height).rev() {
             loop {
-                let next = self.nodes[pred as usize].next[level];
+                let next = self.next(pred, level);
                 if next == NIL {
                     break;
                 }
                 visit(next);
-                if self.nodes[next as usize].key.as_slice() < key {
-                    pred = next;
-                } else {
-                    break;
-                }
-            }
-        }
-        Cursor(pred)
-    }
-
-    /// Finds predecessors at every level; returns the node index if the
-    /// exact key already exists.
-    fn find_update_path(&self, key: &[u8], update: &mut [u32; MAX_HEIGHT]) -> Option<u32> {
-        let mut pred = 0u32;
-        for level in (0..self.height).rev() {
-            loop {
-                let next = self.nodes[pred as usize].next[level];
-                if next == NIL || self.nodes[next as usize].key.as_slice() >= key {
+                if self.entry(next).0 >= key {
                     break;
                 }
                 pred = next;
             }
-            update[level] = pred;
+            path[level] = pred;
         }
-        let first = self.nodes[pred as usize].next[0];
-        (first != NIL && self.nodes[first as usize].key == key).then_some(first)
+        path
     }
 
     /// Geometric tower height with p = 1/4, capped at [`MAX_HEIGHT`].
@@ -223,14 +263,14 @@ impl SkipList {
 
     /// The number of arena slots (for synthetic address assignment).
     pub fn arena_len(&self) -> usize {
-        self.nodes.len()
+        self.recs.len()
     }
 }
 
 impl fmt::Debug for SkipList {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SkipList")
-            .field("len", &self.len)
+            .field("len", &self.len())
             .field("height", &self.height)
             .finish()
     }
@@ -262,7 +302,7 @@ mod tests {
     fn insert_get_roundtrip() {
         let mut sl = SkipList::new(1);
         for i in 0..1000u32 {
-            sl.insert(i.to_be_bytes().to_vec(), (i * 2).to_be_bytes().to_vec());
+            sl.insert(i.to_be_bytes(), (i * 2).to_be_bytes());
         }
         assert_eq!(sl.len(), 1000);
         for i in 0..1000u32 {
@@ -277,8 +317,8 @@ mod tests {
     #[test]
     fn insert_replaces_and_returns_old() {
         let mut sl = SkipList::new(1);
-        assert_eq!(sl.insert(b"k".to_vec(), b"v1".to_vec()), None);
-        assert_eq!(sl.insert(b"k".to_vec(), b"v2".to_vec()), Some(b"v1".to_vec()));
+        assert_eq!(sl.insert(b"k", b"v1"), None);
+        assert_eq!(sl.insert(b"k", b"v2"), Some(b"v1".to_vec()));
         assert_eq!(sl.len(), 1);
         assert_eq!(sl.get(b"k"), Some(&b"v2"[..]));
     }
@@ -288,7 +328,7 @@ mod tests {
         let mut sl = SkipList::new(3);
         // Insert in reverse to exercise ordering.
         for i in (0..500u32).rev() {
-            sl.insert(i.to_be_bytes().to_vec(), vec![]);
+            sl.insert(i.to_be_bytes(), b"");
         }
         let keys: Vec<Vec<u8>> = sl.iter_from(&[]).map(|(k, _)| k.to_vec()).collect();
         let mut sorted = keys.clone();
@@ -301,7 +341,7 @@ mod tests {
     fn iter_from_seeks_to_lower_bound() {
         let mut sl = SkipList::new(3);
         for i in [10u32, 20, 30] {
-            sl.insert(i.to_be_bytes().to_vec(), vec![]);
+            sl.insert(i.to_be_bytes(), b"");
         }
         let first = sl.iter_from(&15u32.to_be_bytes()).next().unwrap();
         assert_eq!(first.0, 20u32.to_be_bytes().as_slice());
@@ -311,7 +351,7 @@ mod tests {
     fn get_traced_visits_log_n_nodes() {
         let mut sl = SkipList::new(5);
         for i in 0..100_000u32 {
-            sl.insert(i.to_be_bytes().to_vec(), vec![0u8; 8]);
+            sl.insert(i.to_be_bytes(), vec![0u8; 8]);
         }
         let mut visits = 0usize;
         sl.get_traced(&54_321u32.to_be_bytes(), &mut |_| visits += 1);
@@ -325,7 +365,7 @@ mod tests {
     fn scan_traced_returns_count_entries() {
         let mut sl = SkipList::new(5);
         for i in 0..1_000u32 {
-            sl.insert(i.to_be_bytes().to_vec(), vec![1]);
+            sl.insert(i.to_be_bytes(), vec![1]);
         }
         let mut visits = Vec::new();
         let got = sl.scan_traced(&100u32.to_be_bytes(), 50, &mut |i| visits.push(i));
@@ -339,7 +379,7 @@ mod tests {
         let build = || {
             let mut sl = SkipList::new(99);
             for i in 0..200u32 {
-                sl.insert(i.to_be_bytes().to_vec(), vec![i as u8]);
+                sl.insert(i.to_be_bytes(), vec![i as u8]);
             }
             sl.arena_len()
         };
@@ -350,7 +390,7 @@ mod tests {
     fn slicing_a_traced_scan_adds_no_visits() {
         let mut sl = SkipList::new(5);
         for i in 0..5_000u32 {
-            sl.insert(i.to_be_bytes().to_vec(), vec![1]);
+            sl.insert(i.to_be_bytes(), vec![1]);
         }
         let start = 100u32.to_be_bytes();
         let mut whole = Vec::new();
@@ -382,7 +422,7 @@ mod tests {
         let mut sl = SkipList::new(5);
         assert_eq!(sl.cursor_next(&mut sl.cursor_before(b"")), None);
         for i in 0..100u32 {
-            sl.insert(i.to_be_bytes().to_vec(), vec![1]);
+            sl.insert(i.to_be_bytes(), vec![1]);
         }
         // A start key past the last key.
         let mut cur = sl.cursor_before(&100u32.to_be_bytes());
@@ -403,6 +443,82 @@ mod tests {
         // count == 0 reads nothing, at the end or anywhere else.
         assert!(sl.scan_traced(b"", 0, &mut |_| ()).is_empty());
         assert_eq!(sl.iter_from(b"").take(0).count(), 0);
+    }
+
+    #[test]
+    fn index_reserves_nil_and_refuses_to_wrap() {
+        assert_eq!(index(u32::MAX as usize - 1), u32::MAX - 1);
+        for n in [u32::MAX as usize, u32::MAX as usize + 1] {
+            let panic = std::panic::catch_unwind(|| index(n)).expect_err("must not fit");
+            assert_eq!(
+                panic.downcast_ref::<&str>(),
+                Some(&"tq-kv skip list arena is full")
+            );
+        }
+    }
+
+    /// Taken from the three-`Vec`s-a-node layout before the arenas replaced
+    /// it: heights, arena indices and link order are what Figure 15 and
+    /// Table 2 are made of, and a storage change must not move them.
+    #[test]
+    fn visit_sequences_match_the_golden() {
+        let mut sl = SkipList::new(5);
+        for i in 0..100_000u32 {
+            sl.insert(i.to_be_bytes(), [0u8; 8]);
+        }
+        let mut get = Vec::new();
+        sl.get_traced(&54_321u32.to_be_bytes(), &mut |i| get.push(i));
+        assert_eq!(
+            get,
+            [
+                16695, 95376, 57481, 20680, 24107, 24583, 24755, 27163, 28962, 37853, 40528, 42014,
+                45711, 52554, 57094, 54381, 53252, 53392, 53640, 53902, 54017, 54102, 54315, 54381,
+                54381, 54339, 54318, 54320, 54322, 54321, 54322
+            ]
+        );
+        let mut scan = Vec::new();
+        sl.scan_traced(&100u32.to_be_bytes(), 2_000, &mut |i| scan.push(i));
+        assert_eq!(scan.len(), 2_027);
+        let mut head = vec![
+            16695, 16695, 16695, 13779, 3044, 553, 370, 81, 210, 103, 82, 87, 103, 88,
+        ];
+        head.extend(89..=101); // the descent's last level-0 steps, up to key 100
+        head.extend(101..=137); // then the walk: key k is node k + 1
+        assert_eq!(scan[..64], head);
+    }
+
+    #[test]
+    fn overwrites_of_any_length_are_seen_through_every_reader() {
+        let mut sl = SkipList::new(11);
+        for i in 0..10u8 {
+            sl.insert([i], [i; 4]);
+        }
+        // A walk paused one entry before key 5: just after key 4.
+        let mut paused = sl.cursor_before(&[4]);
+        sl.cursor_next(&mut paused).expect("key 4");
+        let mut old = vec![5u8; 4];
+        // Longer, equal, shorter, empty — then longer again, out of the hole.
+        for new in [
+            &b"longer than four"[..],
+            b"equal to it 1234",
+            b"short",
+            b"",
+            b"grown",
+        ] {
+            assert_eq!(sl.insert([5], new), Some(old));
+            old = new.to_vec();
+            assert_eq!(sl.get(&[5]), Some(new));
+            assert_eq!(sl.iter_from(&[5]).next(), Some((&[5][..], new)));
+            let mut resumed = paused;
+            assert_eq!(sl.cursor_next(&mut resumed), Some((&[5][..], new)));
+            // The node did not move: old cursors still name the same places.
+            assert_eq!(paused, sl.cursor_before(&[5]));
+            assert_eq!(resumed, sl.cursor_before(&[6]));
+            // Neighbours keep their own bytes.
+            assert_eq!(sl.get(&[4]), Some(&[4u8; 4][..]));
+            assert_eq!(sl.get(&[6]), Some(&[6u8; 4][..]));
+        }
+        assert_eq!((sl.len(), sl.arena_len()), (10, 11));
     }
 
     type Pairs = Vec<(Vec<u8>, Vec<u8>)>;

@@ -7,9 +7,11 @@
 use crate::skiplist::{Cursor, SkipList};
 use crate::trace::AccessTrace;
 
-/// Bytes of synthetic address space per skip-list arena slot: a node
-/// header + key + tower comfortably fits in two cache lines, and values
-/// are addressed in a separate region.
+/// Bytes of synthetic address space per skip-list arena slot. A stride of
+/// the trace model (a node header + key + tower in two cache lines, as a
+/// pointer-linked memtable would lay them out), not a claim about where
+/// `SkipList` keeps a node's parts; values are addressed in a separate
+/// region.
 const NODE_STRIDE: u64 = 128;
 
 /// An in-memory ordered KV store with RocksDB-shaped operations.
@@ -64,9 +66,10 @@ impl KvStore {
     /// keyed [`KvStore::nth_key`]`(0..n)`.
     pub fn populate(&mut self, n: u64, value_size: usize) {
         self.value_size = value_size;
+        let mut v = vec![0u8; value_size];
         for i in 0..n {
-            let v = vec![(i % 251) as u8; value_size];
-            self.list.insert(Self::nth_key(i), v);
+            v.fill((i % 251) as u8);
+            self.list.insert(Self::nth_key_bytes(i), &v);
         }
     }
 
@@ -82,7 +85,9 @@ impl KvStore {
 
     /// Range scan: up to `count` entries with keys ≥ `start`.
     pub fn scan(&self, start: &[u8], count: usize) -> Vec<(&[u8], &[u8])> {
-        self.list.iter_from(start).take(count).collect()
+        let mut out = Vec::with_capacity(count.min(self.len()));
+        out.extend(self.list.iter_from(start).take(count));
+        out
     }
 
     /// Where a resumable scan of keys ≥ `start` begins: one descent.
@@ -99,6 +104,7 @@ impl KvStore {
     /// value copy, and the reused comparator/staging working set.
     pub fn get_with_trace(&self, key: &[u8], trace: &mut AccessTrace) -> Option<&[u8]> {
         let value_base = self.value_region_base();
+        let mut last = 0;
         let result = self.list.get_traced(key, &mut |node| {
             // Node header + key: two lines at the node's arena address;
             // then the comparator's working line — reused every visit,
@@ -107,10 +113,12 @@ impl KvStore {
             trace.touch(addr);
             trace.touch(addr + 64);
             trace.touch(u64::MAX - 1024); // comparator scratch
+            last = node as u64;
         });
         if let Some(v) = result {
-            let vid = v.as_ptr() as u64 % (1 << 20);
-            trace.touch_range(value_base + vid * 64, v.len() as u64);
+            // A hit's last visit is the node it found: the value's address
+            // comes from that index, never from where the bytes really are.
+            trace.touch_range(value_base + last * 64, v.len() as u64);
         }
         result
     }
@@ -197,6 +205,20 @@ mod tests {
         // A GET's footprint is O(log n) nodes + one value: well under a
         // thousand line touches.
         assert!(t.len() < 1_000, "GET touched {} lines", t.len());
+    }
+
+    #[test]
+    fn traces_depend_on_the_seed_alone() {
+        // Two stores alive at once, so no two of their allocations share an
+        // address: a trace that leaked a real pointer would differ.
+        let (a, b) = (filled(20_000), filled(20_000));
+        let (mut ta, mut tb) = (AccessTrace::new(), AccessTrace::new());
+        for i in 0..200u64 {
+            let key = KvStore::nth_key((i * 977) % 20_000);
+            assert!(a.get_with_trace(&key, &mut ta).is_some());
+            assert!(b.get_with_trace(&key, &mut tb).is_some());
+        }
+        assert_eq!(ta.lines(), tb.lines());
     }
 
     #[test]

@@ -15,6 +15,16 @@
 //! entry read — so a slice costs one pointer hop per entry and a yield
 //! saves four bytes. The arena only grows, so the index needs no check.
 //!
+//! The probe gate is every `BATCH` = 32 entries. On the packed skip list
+//! (8192 keys, measured through [`KvJob::run`] with a quantum that never
+//! expires) that is ≈ 115 ns between probes — 2.3% of the default 5 µs
+//! quantum, the most a SCAN overshoots it by — of which the probe's clock
+//! read is ≈ 16 ns (14%; the paper budgets 3%), and the same hops as one
+//! ungated cursor walk take ≈ 73 ns. 64 and 128 entries (≈ 210 and
+//! ≈ 410 ns, 4% and 8% of the quantum) were each faster end to end in
+//! ≥ 9 of 10 pairs, but by less than the run-to-run spread, so 32 stays
+//! (EXPERIMENTS.md, "Packed skip list").
+//!
 //! This used to live inside `examples/kv_server.rs`; it moved here so
 //! the socket front end (`tq-loadgen`, the net smoke job) and the
 //! example serve the *same* workload rather than divergent copies.
