@@ -84,8 +84,7 @@ impl Engine for RackEngine {
 
     fn run(&mut self, spec: &RunSpec, arrivals: ArrivalGen, horizon: Nanos) -> RunOutput {
         let mut completions = Vec::new();
-        // Same policy-seed derivation as SimEngine/run_once, so a
-        // degenerate single-server rack reproduces their streams.
+        // Same policy-seed derivation as SimEngine/run_once.
         let stats = simulate_rack_into(
             &self.spec,
             arrivals,

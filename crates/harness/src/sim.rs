@@ -1,6 +1,6 @@
 //! [`Engine`] over the discrete-event models in `tq-queueing`.
 //!
-//! A thin adapter: it calls the same `simulate_into` entry points (with
+//! A thin adapter: it calls the same `simulate_into` entry point (with
 //! the same seed derivation) as `tq_queueing::run::run_once`, so a
 //! [`SimEngine`] run produces completions bit-identical to the existing
 //! sweep machinery — pinned by the `sim_engine_matches_run_once`
@@ -11,7 +11,7 @@ use crate::engine::{
 };
 use tq_audit::InvariantAuditor;
 use tq_core::Nanos;
-use tq_queueing::{centralized, twolevel, Architecture, SystemConfig};
+use tq_queueing::{simulate_into, Architecture, SystemConfig};
 use tq_workloads::ArrivalGen;
 
 /// A discrete-event engine wrapping one [`SystemConfig`] (two-level or
@@ -76,45 +76,23 @@ impl Engine for SimEngine {
 
     fn run(&mut self, spec: &RunSpec, arrivals: ArrivalGen, horizon: Nanos) -> RunOutput {
         let mut completions = Vec::new();
-        let (sim_events, in_horizon, workers, controller) = match self.config.arch {
-            Architecture::TwoLevel { .. } => {
-                // Same policy-seed derivation as `run_once`, so the two
-                // paths produce identical completion streams.
-                let s = twolevel::simulate_into(
-                    &self.config,
-                    arrivals,
-                    horizon,
-                    spec.seed ^ 0xD15,
-                    &mut completions,
-                );
-                let workers = (0..self.config.n_workers)
-                    .map(|w| WorkerCounters {
-                        quanta: s.worker_quanta[w],
-                        completed: s.worker_completed[w],
-                        steals: s.worker_steals[w],
-                        max_ring_occupancy: 0,
-                    })
-                    .collect();
-                (s.events, s.in_horizon, workers, s.controller)
-            }
-            Architecture::Centralized => {
-                let s = centralized::simulate_into(&self.config, arrivals, horizon, &mut completions);
-                let workers = (0..self.config.n_workers)
-                    .map(|w| WorkerCounters {
-                        quanta: s.worker_quanta[w],
-                        completed: s.worker_completed[w],
-                        steals: 0,
-                        max_ring_occupancy: 0,
-                    })
-                    .collect();
-                (s.events, s.in_horizon, workers, s.controller)
-            }
-        };
-        // The models drain every arrival, so the submission count is the
-        // completion count; each job crosses the dispatcher exactly once.
-        let submitted = completions.len() as u64;
+        // Same policy-seed derivation as `run_once`, so the two paths
+        // produce identical completion streams.
+        let s = simulate_into(&self.config, arrivals, horizon, spec.seed ^ 0xD15, &mut completions);
+        let workers = (0..self.config.n_workers)
+            .map(|w| WorkerCounters {
+                quanta: s.worker_quanta[w],
+                completed: s.worker_completed[w],
+                steals: s.worker_steals[w],
+                max_ring_occupancy: 0,
+            })
+            .collect();
+        // What the engine took in, counted at the NIC — independent of
+        // the completion stream it is audited against. Each job crosses
+        // the dispatcher exactly once.
+        let submitted = s.arrivals;
         let counters = EngineCounters {
-            sim_events,
+            sim_events: s.events,
             dispatcher_forwarded: submitted,
             ring_full_retries: 0,
             dispatcher_dropped: 0,
@@ -144,27 +122,28 @@ impl Engine for SimEngine {
                     )
                 },
             );
+            let worker_done: u64 = counters.workers.iter().map(|w| w.completed).sum();
             a.check(
                 "counter_completion_agreement",
-                counters.workers.iter().map(|w| w.completed).sum::<u64>() == submitted,
+                worker_done == completions.len() as u64,
                 || {
                     format!(
-                        "per-worker completed counters sum to {}, stream has {submitted}",
-                        counters.workers.iter().map(|w| w.completed).sum::<u64>()
+                        "per-worker completed counters sum to {worker_done}, stream has {}",
+                        completions.len()
                     )
                 },
             );
             let finishes: Vec<Nanos> = completions.iter().map(|c| c.finish).collect();
-            a.check_in_horizon(&finishes, horizon, in_horizon);
+            a.check_in_horizon(&finishes, horizon, s.in_horizon);
             a.finish()
         });
         RunOutput {
             submitted,
-            in_horizon,
+            in_horizon: s.in_horizon,
             counters,
             completions,
             audit,
-            controller,
+            controller: s.controller,
         }
     }
 }

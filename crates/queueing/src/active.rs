@@ -1,6 +1,7 @@
 //! In-flight job state shared by both architecture models.
 
-use tq_core::{ClassId, JobId, Nanos};
+use crate::config::SystemConfig;
+use tq_core::{ClassId, JobId, Nanos, Request};
 
 /// A job admitted into the serving system: its identity plus the mutable
 /// execution state the model tracks (remaining work, quanta received).
@@ -22,6 +23,45 @@ pub(crate) struct ActiveJob {
 }
 
 impl ActiveJob {
+    /// Admits `req` under `cfg`: probe inflation applied, plus `rx_cost`
+    /// of per-request packet processing the worker performs itself
+    /// (directpath; zero where the dispatcher does it).
+    #[inline]
+    pub fn admit(cfg: &SystemConfig, req: &Request, rx_cost: Nanos) -> Self {
+        ActiveJob {
+            id: req.id,
+            class: req.class,
+            arrival: req.arrival,
+            service_true: req.service,
+            remaining: req.service.scale(1.0 + cfg.inflation_for(req.class.0)) + rx_cost,
+            attained: Nanos::ZERO,
+            quanta: 0,
+            quantum: if cfg.worker_policy.preempts() {
+                cfg.quantum_for(req.class.0)
+            } else {
+                Nanos::MAX
+            },
+        }
+    }
+
+    /// Under an adaptive controller the quantum a job was admitted (or
+    /// last ran) with may be stale: a slice always runs at the quantum
+    /// currently in force, so a controller step takes effect on the very
+    /// next slice. A fixed-quantum config never changes it.
+    #[inline(always)]
+    pub fn refresh_quantum(&mut self, cfg: &SystemConfig) {
+        if cfg.controller.is_some() {
+            self.quantum = cfg.quantum_for(self.class.0);
+        }
+    }
+
+    /// This job's rank in `cfg`'s worker discipline.
+    #[inline(always)]
+    pub fn rank(&self, cfg: &SystemConfig) -> u64 {
+        cfg.worker_policy
+            .job_rank(self.class.0, self.arrival, self.attained.as_nanos())
+    }
+
     /// Length of the next slice: one quantum or whatever work remains.
     pub fn next_slice(&self) -> Nanos {
         self.quantum.min(self.remaining)

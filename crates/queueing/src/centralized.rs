@@ -14,38 +14,26 @@
 //! queue, so the dispatcher's load grows inversely with the quantum size —
 //! the scalability wall of Figure 16.
 //!
-//! Like [`crate::twolevel`], this is the optimized engine (job slab +
-//! index queue + idle bitmask, allocation-free in steady state); the seed
+//! Like [`crate::twolevel`], this is the scheduler half of the optimized
+//! engine (job slab + index queue + idle bitmask, allocation-free in
+//! steady state) behind the [`crate::engine`] shell; the seed
 //! implementation is preserved in [`crate::reference`] and pinned
 //! bit-identical by differential tests.
 
 use crate::active::ActiveJob;
 use crate::config::{Architecture, SystemConfig};
+use crate::engine::{Counters, Model, Shell, TAG_INDEX, TAG_SLICE};
 use crate::mask::WorkerMask;
 use crate::runq::IndexQueue;
-use crate::slab::{JobIdx, JobSlab};
-use crate::twolevel::{ArrivalSource, RX_RING_CAPACITY};
+use crate::slab::{JobIdx, JobSlab, NO_JOB};
+use crate::twolevel::RX_RING_CAPACITY;
 use std::collections::VecDeque;
-use tq_core::adaptive::{ControllerReport, QuantumController};
 use tq_core::job::Completion;
 use tq_core::{Nanos, Request};
-use tq_sim::{EventQueue, TagQueue};
-use tq_workloads::ArrivalGen;
+use tq_sim::TagQueue;
 
-/// Sentinel for "no job occupies this running slot".
-const NO_JOB: JobIdx = JobIdx::MAX;
-
-/// Event tags for the [`TagQueue`]: the kind lives in the top two bits,
-/// the worker index in the low 14.
-///
-/// * `TAG_ARRIVAL` — the pre-drawn next request arrives at the NIC.
-/// * `TAG_OP` — the dispatcher finished its in-flight operation.
-/// * `TAG_SLICE | w` — worker `w` finished its current slice.
-const TAG_ARRIVAL: u16 = 0;
+/// `TAG_OP` — the dispatcher finished its in-flight operation.
 const TAG_OP: u16 = 0x4000;
-const TAG_SLICE: u16 = 0x8000;
-const TAG_KIND: u16 = 0xC000;
-const TAG_INDEX: u16 = 0x3FFF;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -53,8 +41,9 @@ enum Op {
     Assign,
 }
 
+/// The centralized scheduler state: one dispatcher core, one queue.
 #[derive(Debug)]
-struct State {
+pub(crate) struct Centralized {
     /// Pending packet-processing work (FIFO). Scheduling work (Assign)
     /// takes priority: an overloaded dispatcher lets the RX queue back up
     /// (as a real NIC queue would) rather than idling every worker.
@@ -76,8 +65,8 @@ struct State {
     running: Vec<JobIdx>,
     /// Slice length (work, excluding overheads) of the running job.
     slices: Vec<Nanos>,
-    /// Totals for the dispatcher-scalability experiment (Figure 16).
-    quanta_scheduled: u64,
+    /// First slice start and last slice end, for the
+    /// dispatcher-scalability experiment (Figure 16).
     first_slice_start: Option<Nanos>,
     last_slice_end: Nanos,
     /// Cumulative quanta assigned to each worker.
@@ -86,456 +75,178 @@ struct State {
     worker_completed: Vec<u64>,
 }
 
-/// Outcome of a centralized simulation: completions plus the quantum
-/// accounting the dispatcher-scaling experiment needs.
-#[derive(Debug)]
-pub struct CentralizedOutcome {
-    /// Every job completion, in finish order.
-    pub completions: Vec<Completion>,
-    /// Total quanta the dispatcher scheduled.
-    pub quanta_scheduled: u64,
-    /// Span from the first slice start to the last slice end.
-    pub busy_span: Nanos,
-    /// Events delivered by the virtual-time queue — the simulation's
-    /// work counter.
-    pub events: u64,
-}
-
-/// Everything [`simulate_into`] produces besides the completion stream.
-#[derive(Debug, Clone)]
-pub struct CentralizedStats {
-    /// Total quanta the dispatcher scheduled.
-    pub quanta_scheduled: u64,
-    /// Span from the first slice start to the last slice end.
-    pub busy_span: Nanos,
-    /// Events delivered by the virtual-time queue.
-    pub events: u64,
-    /// Completions that finished within the arrival horizon (the rest
-    /// drained afterwards), counted during the run so callers computing
-    /// achieved throughput need no extra pass.
-    pub in_horizon: u64,
-    /// Cumulative quanta assigned to each worker.
-    pub worker_quanta: Vec<u64>,
-    /// Jobs that finished on each worker.
-    pub worker_completed: Vec<u64>,
-    /// Adaptive-quantum controller outcome, when one was configured.
-    pub controller: Option<ControllerReport>,
-}
-
-/// Simulates the centralized system until arrivals stop at `horizon`, then
-/// drains.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or not centralized.
-pub fn simulate(cfg: &SystemConfig, gen: ArrivalGen, horizon: Nanos) -> CentralizedOutcome {
-    let mut completions = Vec::new();
-    let stats = simulate_into(cfg, gen, horizon, &mut completions);
-    CentralizedOutcome {
-        completions,
-        quanta_scheduled: stats.quanta_scheduled,
-        busy_span: stats.busy_span,
-        events: stats.events,
-    }
-}
-
-/// [`simulate`] writing completions into a caller-provided buffer
-/// (cleared first), so sweeps can reuse one allocation across points.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or not centralized.
-pub fn simulate_into(
-    cfg: &SystemConfig,
-    gen: ArrivalGen,
-    horizon: Nanos,
-    completions: &mut Vec<Completion>,
-) -> CentralizedStats {
-    completions.clear();
-    completions.reserve(gen.expected_arrivals(horizon));
-    let mut sim = CentralizedSim::new(cfg, gen, horizon);
-    while sim.step(completions) {}
-    sim.into_stats()
-}
-
-/// The centralized engine as a steppable state machine — same split as
-/// [`crate::twolevel::TwoLevelSim`]: [`simulate_into`] is `new` +
-/// `step`-to-quiescence, and the rack tier drives the struct in
-/// [`Fed`](ArrivalSource::Fed) mode as a PDES shard.
-#[derive(Debug)]
-pub struct CentralizedSim {
-    cfg: SystemConfig,
-    horizon: Nanos,
-    st: State,
-    events: TagQueue,
-    in_horizon: u64,
-    source: ArrivalSource,
-    /// Arrivals consumed from the `Fed` inbox (added to the event count).
-    fed_events: u64,
-    /// Jobs admitted and not yet completed (rack load-report signal).
-    resident: u64,
-    /// Adaptive-quantum feedback loop over virtual-time windows; while
-    /// active, `cfg.quantum` tracks its output (see
-    /// [`crate::twolevel::TwoLevelSim`]).
-    ctl: Option<QuantumController>,
-}
-
-impl CentralizedSim {
-    /// Builds the serial engine: the sim owns `gen` and draws its own
-    /// arrival stream up to `horizon`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid or not centralized.
-    pub fn new(cfg: &SystemConfig, mut gen: ArrivalGen, horizon: Nanos) -> Self {
-        let mut sim = CentralizedSim::build(cfg, horizon);
-        let mut next = Some(gen.next_request());
-        if let Some(r) = &next {
-            if r.arrival < horizon {
-                sim.events.push(r.arrival, TAG_ARRIVAL);
-            } else {
-                next = None;
-            }
-        }
-        sim.source = ArrivalSource::Own { gen, next };
-        sim
-    }
-
-    /// Builds a fed engine: requests arrive only through
-    /// [`inject`](CentralizedSim::inject). `horizon` is used solely for
-    /// the in-horizon completion counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid or not centralized.
-    pub fn new_fed(cfg: &SystemConfig, horizon: Nanos) -> Self {
-        CentralizedSim::build(cfg, horizon)
-    }
-
-    fn build(cfg: &SystemConfig, horizon: Nanos) -> Self {
-        cfg.validate();
+impl Model for Centralized {
+    fn new(cfg: &SystemConfig, _seed: u64) -> Self {
         assert!(
             matches!(cfg.arch, Architecture::Centralized),
             "{}: not a centralized system",
             cfg.name
         );
-        assert!(
-            cfg.n_workers <= TAG_INDEX as usize,
-            "{}: worker index exceeds the 14-bit event-tag space",
-            cfg.name
+        let n = cfg.n_workers;
+        Centralized {
+            ingress_q: VecDeque::with_capacity(RX_RING_CAPACITY),
+            assign_q: 0,
+            in_flight: None,
+            slab: JobSlab::with_capacity(4 * n),
+            central: IndexQueue::new(cfg.worker_policy, 4 * n),
+            idle: WorkerMask::full(n),
+            n_idle: n,
+            pending_assigns: 0,
+            running: vec![NO_JOB; n],
+            slices: vec![Nanos::ZERO; n],
+            first_slice_start: None,
+            last_slice_end: Nanos::ZERO,
+            worker_quanta: vec![0; n],
+            worker_completed: vec![0; n],
+        }
+    }
+
+    #[inline(always)]
+    fn arrive(&mut self, sh: &mut Shell, now: Nanos, req: Request) {
+        self.ingress_q.push_back(req);
+        self.kick_dispatcher(&sh.cfg, now, &mut sh.events);
+    }
+
+    #[inline(always)]
+    fn handle(&mut self, sh: &mut Shell, now: Nanos, tag: u16, completions: &mut Vec<Completion>) {
+        if tag == TAG_OP {
+            self.handle_op(&sh.cfg, now, &mut sh.events);
+        } else {
+            self.handle_slice(sh, now, tag, completions);
+        }
+    }
+
+    fn counters(&self) -> Counters {
+        Counters {
+            worker_quanta: self.worker_quanta.clone(),
+            worker_completed: self.worker_completed.clone(),
+            worker_steals: vec![0; self.running.len()],
+            busy_span: match self.first_slice_start {
+                Some(start) => self.last_slice_end.saturating_sub(start),
+                None => Nanos::ZERO,
+            },
+        }
+    }
+
+    fn debug_check_drained(&self) {
+        debug_assert!(
+            self.central.is_empty()
+                && self.slab.live() == 0
+                && self.ingress_q.is_empty()
+                && self.assign_q == 0
+                && self.in_flight.is_none()
+                && self.n_idle == self.running.len(),
+            "drained simulation left centralized work behind: {self:?}"
         );
-        let ctl = cfg
-            .controller
-            .clone()
-            .map(|c| QuantumController::new(c, cfg.quantum));
-        let mut owned = cfg.clone();
-        if let Some(c) = &ctl {
-            owned.quantum = c.quantum();
-        }
-        CentralizedSim {
-            st: State {
-                ingress_q: VecDeque::with_capacity(RX_RING_CAPACITY),
-                assign_q: 0,
-                in_flight: None,
-                slab: JobSlab::with_capacity(4 * cfg.n_workers),
-                central: IndexQueue::new(cfg.worker_policy, 4 * cfg.n_workers),
-                idle: WorkerMask::full(cfg.n_workers),
-                n_idle: cfg.n_workers,
-                pending_assigns: 0,
-                running: vec![NO_JOB; cfg.n_workers],
-                slices: vec![Nanos::ZERO; cfg.n_workers],
-                quanta_scheduled: 0,
-                first_slice_start: None,
-                last_slice_end: Nanos::ZERO,
-                worker_quanta: vec![0; cfg.n_workers],
-                worker_completed: vec![0; cfg.n_workers],
-            },
-            // At most one pending event per worker, plus the dispatcher
-            // op in flight and the next arrival.
-            events: TagQueue::with_capacity(cfg.n_workers + 2),
-            in_horizon: 0,
-            source: ArrivalSource::Fed {
-                inbox: EventQueue::new(),
-            },
-            fed_events: 0,
-            resident: 0,
-            ctl,
-            cfg: owned,
-            horizon,
-        }
     }
+}
 
-    /// Timestamp of the earliest pending event (injected or internal),
-    /// or `None` once the sim has quiesced.
-    pub fn next_time(&self) -> Option<Nanos> {
-        let internal = self.events.peek_time();
-        match &self.source {
-            ArrivalSource::Fed { inbox } => match (inbox.peek_time(), internal) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            },
-            ArrivalSource::Own { .. } => internal,
-        }
-    }
-
-    /// Schedules an externally-routed request to reach the NIC at `at`
-    /// (fed mode only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sim owns its arrival stream, or if `at` is in the
-    /// past.
-    pub fn inject(&mut self, at: Nanos, req: Request) {
-        let ArrivalSource::Fed { inbox } = &mut self.source else {
-            panic!("inject into a sim that owns its arrival stream");
-        };
-        inbox.push(at, req);
-    }
-
-    /// Bulk [`inject`](CentralizedSim::inject) via the inbox's sorted
-    /// fast path.
-    pub fn inject_batch<I: IntoIterator<Item = (Nanos, Request)>>(&mut self, batch: I) {
-        let ArrivalSource::Fed { inbox } = &mut self.source else {
-            panic!("inject into a sim that owns its arrival stream");
-        };
-        inbox.extend_sorted(batch);
-    }
-
-    /// Executes the earliest pending event, appending any completion it
-    /// produces. Returns `false` when no events remain.
+impl Centralized {
     #[inline(always)]
-    pub fn step(&mut self, completions: &mut Vec<Completion>) -> bool {
-        if let ArrivalSource::Fed { inbox } = &mut self.source {
-            if let Some(t) = inbox.peek_time() {
-                if self.events.peek_time().is_none_or(|e| t <= e) {
-                    let (now, req) = inbox.pop().expect("peeked non-empty inbox");
-                    self.fed_events += 1;
-                    self.handle_arrival(now, req);
-                    return true;
-                }
-            }
-        }
-        let Some((now, tag)) = self.events.pop() else {
-            return false;
-        };
-        match tag & TAG_KIND {
-            TAG_ARRIVAL => {
-                let ArrivalSource::Own { next, .. } = &mut self.source else {
-                    unreachable!("arrival event in fed mode");
-                };
-                let req = next.take().expect("arrival without request");
-                self.handle_arrival(now, req);
-                if let ArrivalSource::Own { gen, next } = &mut self.source {
-                    let r = gen.next_request();
-                    if r.arrival < self.horizon {
-                        self.events.push(r.arrival, TAG_ARRIVAL);
-                        *next = Some(r);
-                    }
-                }
-            }
-            TAG_OP => self.handle_op(now),
-            _ => self.handle_slice(now, tag, completions),
-        }
-        true
-    }
-
-    #[inline(always)]
-    fn handle_arrival(&mut self, now: Nanos, req: Request) {
-        self.resident += 1;
-        self.st.ingress_q.push_back(req);
-        kick_dispatcher(&self.cfg, &mut self.st, now, &mut self.events);
-    }
-
-    #[inline(always)]
-    fn handle_op(&mut self, now: Nanos) {
-        let cfg = &self.cfg;
-        let st = &mut self.st;
-        let op = st.in_flight.take().expect("op done without op");
+    fn handle_op(&mut self, cfg: &SystemConfig, now: Nanos, events: &mut TagQueue) {
+        let op = self.in_flight.take().expect("op done without op");
         match op {
             Op::Ingress(req) => {
-                let inflation = cfg.inflation_for(req.class.0);
-                let rank = cfg.worker_policy.job_rank(req.class.0, req.arrival, 0);
-                let idx = st.slab.insert(ActiveJob {
-                    id: req.id,
-                    class: req.class,
-                    arrival: req.arrival,
-                    service_true: req.service,
-                    remaining: req.service.scale(1.0 + inflation),
-                    attained: Nanos::ZERO,
-                    quanta: 0,
-                    quantum: if cfg.worker_policy.preempts() {
-                        cfg.quantum_for(req.class.0)
-                    } else {
-                        Nanos::MAX
-                    },
-                });
-                st.central.push(idx, rank);
+                let job = ActiveJob::admit(cfg, &req, Nanos::ZERO);
+                let rank = job.rank(cfg);
+                let idx = self.slab.insert(job);
+                self.central.push(idx, rank);
             }
             Op::Assign => {
-                st.pending_assigns -= 1;
-                if let Some(idx) = st.central.take_next() {
-                    if let Some(w) = st.idle.first() {
-                        st.idle.clear(w);
-                        st.n_idle -= 1;
-                        if self.ctl.is_some() {
-                            // Adaptive mode: slices always run at the
-                            // quantum currently in force, not the one
-                            // baked in at admission.
-                            let job = st.slab.get_mut(idx);
-                            job.quantum = cfg.quantum_for(job.class.0);
-                        }
-                        let slice = st.slab.get(idx).next_slice();
-                        st.running[w] = idx;
-                        st.slices[w] = slice;
-                        st.quanta_scheduled += 1;
-                        st.worker_quanta[w] += 1;
-                        st.first_slice_start.get_or_insert(now);
-                        self.events
-                            .push(now + slice + cfg.preempt_overhead, TAG_SLICE | w as u16);
+                self.pending_assigns -= 1;
+                if let Some(idx) = self.central.take_next() {
+                    if let Some(w) = self.idle.first() {
+                        self.idle.clear(w);
+                        self.n_idle -= 1;
+                        let job = self.slab.get_mut(idx);
+                        job.refresh_quantum(cfg);
+                        let slice = job.next_slice();
+                        self.running[w] = idx;
+                        self.slices[w] = slice;
+                        self.worker_quanta[w] += 1;
+                        self.first_slice_start.get_or_insert(now);
+                        events.push(now + slice + cfg.preempt_overhead, TAG_SLICE | w as u16);
                     } else {
                         // Wasted dispatcher cycle: every worker got busy
                         // since this op was queued.
-                        let j = st.slab.get(idx);
-                        let rank =
-                            cfg.worker_policy
-                                .job_rank(j.class.0, j.arrival, j.attained.as_nanos());
-                        st.central.push(idx, rank);
+                        let rank = self.slab.get(idx).rank(cfg);
+                        self.central.push(idx, rank);
                     }
                 }
             }
         }
-        schedule_assigns(st);
-        kick_dispatcher(cfg, st, now, &mut self.events);
+        self.schedule_assigns();
+        self.kick_dispatcher(cfg, now, events);
     }
 
     #[inline(always)]
-    fn handle_slice(&mut self, now: Nanos, tag: u16, completions: &mut Vec<Completion>) {
-        let st = &mut self.st;
+    fn handle_slice(
+        &mut self,
+        sh: &mut Shell,
+        now: Nanos,
+        tag: u16,
+        completions: &mut Vec<Completion>,
+    ) {
         let w = (tag & TAG_INDEX) as usize;
-        let idx = st.running[w];
+        let idx = self.running[w];
         debug_assert_ne!(idx, NO_JOB, "no running slice");
-        st.running[w] = NO_JOB;
-        st.last_slice_end = now;
-        let done = st.slab.get_mut(idx).apply_slice(st.slices[w]);
-        if done {
-            let job = st.slab.remove(idx);
-            st.worker_completed[w] += 1;
-            self.resident -= 1;
-            self.in_horizon += u64::from(now <= self.horizon);
-            completions.push(Completion {
-                id: job.id,
-                class: job.class,
-                arrival: job.arrival,
-                service: job.service_true,
-                finish: now,
-            });
-            if let Some(ctl) = &mut self.ctl {
-                ctl.record(job.service_true, now - job.arrival);
-                if ctl.advance(now) {
-                    self.cfg.quantum = ctl.quantum();
-                }
-            }
+        self.running[w] = NO_JOB;
+        self.last_slice_end = now;
+        let job = self.slab.get_mut(idx);
+        if job.apply_slice(self.slices[w]) {
+            let job = self.slab.remove(idx);
+            self.worker_completed[w] += 1;
+            sh.complete(&job, now, completions);
         } else {
-            let j = st.slab.get(idx);
-            let rank = self
-                .cfg
-                .worker_policy
-                .job_rank(j.class.0, j.arrival, j.attained.as_nanos());
-            st.central.push(idx, rank);
+            let rank = job.rank(&sh.cfg);
+            self.central.push(idx, rank);
         }
-        st.idle.set(w);
-        st.n_idle += 1;
-        schedule_assigns(st);
-        kick_dispatcher(&self.cfg, st, now, &mut self.events);
+        self.idle.set(w);
+        self.n_idle += 1;
+        self.schedule_assigns();
+        self.kick_dispatcher(&sh.cfg, now, &mut sh.events);
     }
 
-    /// Jobs admitted and not yet completed, plus injected requests still
-    /// in the inbox — what a rack load report carries.
-    pub fn load(&self) -> u64 {
-        let pending = match &self.source {
-            ArrivalSource::Fed { inbox } => inbox.len() as u64,
-            ArrivalSource::Own { .. } => 0,
+    /// Tops up Assign operations so that one is pending for each (idle worker,
+    /// queued job) pair not yet covered.
+    fn schedule_assigns(&mut self) {
+        debug_assert_eq!(self.n_idle, self.idle.count());
+        while self.pending_assigns < self.n_idle && self.pending_assigns < self.central.len() {
+            self.assign_q += 1;
+            self.pending_assigns += 1;
+        }
+    }
+
+    /// Starts the next dispatcher operation if the core is free. Scheduling
+    /// (Assign) work runs before packet processing.
+    fn kick_dispatcher(&mut self, cfg: &SystemConfig, now: Nanos, events: &mut TagQueue) {
+        if self.in_flight.is_some() {
+            return;
+        }
+        let op = if self.assign_q > 0 {
+            self.assign_q -= 1;
+            Op::Assign
+        } else if let Some(req) = self.ingress_q.pop_front() {
+            Op::Ingress(req)
+        } else {
+            return;
         };
-        self.resident + pending
+        let cost = match op {
+            Op::Ingress(_) => cfg.dispatch_per_req,
+            Op::Assign => cfg.dispatch_per_quantum,
+        };
+        self.in_flight = Some(op);
+        events.push(now + cost, TAG_OP);
     }
-
-    /// Events executed so far (internal queue pops plus fed arrivals).
-    pub fn events(&self) -> u64 {
-        self.events.popped() + self.fed_events
-    }
-
-    /// The run's counters (cheap copies of the per-worker totals).
-    pub fn stats(&self) -> CentralizedStats {
-        CentralizedStats {
-            quanta_scheduled: self.st.quanta_scheduled,
-            busy_span: self.busy_span(),
-            events: self.events(),
-            in_horizon: self.in_horizon,
-            worker_quanta: self.st.worker_quanta.clone(),
-            worker_completed: self.st.worker_completed.clone(),
-            controller: self.ctl.as_ref().map(|c| c.report()),
-        }
-    }
-
-    /// [`stats`](CentralizedSim::stats) without cloning the worker arrays.
-    fn into_stats(self) -> CentralizedStats {
-        CentralizedStats {
-            quanta_scheduled: self.st.quanta_scheduled,
-            busy_span: self.busy_span(),
-            events: self.events.popped() + self.fed_events,
-            in_horizon: self.in_horizon,
-            worker_quanta: self.st.worker_quanta,
-            worker_completed: self.st.worker_completed,
-            controller: self.ctl.as_ref().map(|c| c.report()),
-        }
-    }
-
-    fn busy_span(&self) -> Nanos {
-        match self.st.first_slice_start {
-            Some(start) => self.st.last_slice_end.saturating_sub(start),
-            None => Nanos::ZERO,
-        }
-    }
-}
-
-/// Tops up Assign operations so that one is pending for each (idle worker,
-/// queued job) pair not yet covered.
-fn schedule_assigns(st: &mut State) {
-    debug_assert_eq!(st.n_idle, st.idle.count());
-    while st.pending_assigns < st.n_idle && st.pending_assigns < st.central.len() {
-        st.assign_q += 1;
-        st.pending_assigns += 1;
-    }
-}
-
-/// Starts the next dispatcher operation if the core is free. Scheduling
-/// (Assign) work runs before packet processing.
-fn kick_dispatcher(cfg: &SystemConfig, st: &mut State, now: Nanos, events: &mut TagQueue) {
-    if st.in_flight.is_some() {
-        return;
-    }
-    let op = if st.assign_q > 0 {
-        st.assign_q -= 1;
-        Op::Assign
-    } else if let Some(req) = st.ingress_q.pop_front() {
-        Op::Ingress(req)
-    } else {
-        return;
-    };
-    let cost = match op {
-        Op::Ingress(_) => cfg.dispatch_per_req,
-        Op::Assign => cfg.dispatch_per_quantum,
-    };
-    st.in_flight = Some(op);
-    events.push(now + cost, TAG_OP);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::simulate;
     use crate::presets;
     use tq_sim::SimRng;
-    use tq_workloads::table1;
+    use tq_workloads::{table1, ArrivalGen};
 
     #[test]
     fn conservation_all_arrivals_complete() {
@@ -544,7 +255,7 @@ mod tests {
         let rate = wl.rate_for_load(4, 0.4);
         let gen = ArrivalGen::new(wl, rate, SimRng::new(1));
         let expected = gen.clone().until(Nanos::from_millis(10)).len();
-        let out = simulate(&cfg, gen, Nanos::from_millis(10));
+        let out = simulate(&cfg, gen, Nanos::from_millis(10), 0);
         assert_eq!(out.completions.len(), expected);
         assert!(out.busy_span > Nanos::ZERO);
         assert!(out.events as usize >= expected, "every job takes events");
@@ -566,7 +277,7 @@ mod tests {
         // Rate low enough that concurrent 100µs jobs are vanishingly rare
         // (utilization 2e-4) but several arrive before the horizon.
         let gen = ArrivalGen::new(wl, 2_000.0, SimRng::new(3));
-        let out = simulate(&cfg, gen, Nanos::from_millis(20));
+        let out = simulate(&cfg, gen, Nanos::from_millis(20), 0);
         assert!(!out.completions.is_empty());
         let c = &out.completions[0];
         assert_eq!(c.sojourn(), Nanos::from_micros(100));
@@ -578,7 +289,7 @@ mod tests {
         let cfg = presets::ideal_centralized_ps(2, Nanos::from_micros(1));
         let wl = table1::high_bimodal();
         let gen = ArrivalGen::new(wl, 50_000.0, SimRng::new(5));
-        let out = simulate(&cfg, gen, Nanos::from_millis(4));
+        let out = simulate(&cfg, gen, Nanos::from_millis(4), 0);
         // Every 100µs job takes 100 quanta at 1µs, every 1µs job takes 1.
         let expected: u64 = out
             .completions
@@ -594,7 +305,7 @@ mod tests {
         let rate = wl.rate_for_load(4, 0.5);
         let run = |cfg: &SystemConfig| {
             let gen = ArrivalGen::new(wl.clone(), rate, SimRng::new(9));
-            let out = simulate(cfg, gen, Nanos::from_millis(20));
+            let out = simulate(cfg, gen, Nanos::from_millis(20), 0);
             let mut rec = tq_sim::ClassRecorder::new(0.1);
             for c in out.completions {
                 rec.record(c);
@@ -618,11 +329,13 @@ mod tests {
             &cfg,
             ArrivalGen::new(wl.clone(), rate, SimRng::new(2)),
             Nanos::from_millis(5),
+            0,
         );
         let b = simulate(
             &cfg,
             ArrivalGen::new(wl, rate, SimRng::new(2)),
             Nanos::from_millis(5),
+            0,
         );
         assert_eq!(a.completions, b.completions);
         assert_eq!(a.quanta_scheduled, b.quanta_scheduled);
@@ -639,7 +352,7 @@ mod tests {
             presets::ideal_centralized_ps(4, Nanos::from_micros(1)),
         ] {
             let gen = ArrivalGen::new(wl.clone(), rate, SimRng::new(13));
-            let fast = simulate(&cfg, gen.clone(), Nanos::from_millis(10));
+            let fast = simulate(&cfg, gen.clone(), Nanos::from_millis(10), 0);
             let slow = crate::reference::centralized(&cfg, gen, Nanos::from_millis(10));
             assert_eq!(fast.completions, slow.completions, "{} diverged", cfg.name);
             assert_eq!(fast.quanta_scheduled, slow.quanta_scheduled);

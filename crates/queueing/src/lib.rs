@@ -38,22 +38,24 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod centralized;
 pub mod config;
+pub mod engine;
 pub mod presets;
 pub mod rack;
 pub mod reference;
 pub mod run;
 pub mod scaling;
 pub mod theory;
-pub mod twolevel;
 
 mod active;
+mod centralized;
 mod mask;
 mod runq;
 mod slab;
+mod twolevel;
 
 pub use config::{Architecture, SystemConfig};
+pub use engine::{simulate, simulate_into, SystemOutcome, SystemSim, SystemStats};
 pub use rack::{simulate_rack, simulate_rack_into, MembershipChange, RackPolicy, RackSpec, RackStats};
 pub use run::{
     default_jobs, run_once, run_once_process, run_replicated, run_replicated_jobs, sweep,

@@ -13,8 +13,8 @@
 //!   `Job` message that reaches the chosen server one
 //!   [`RackSpec::dispatch_delay`] later; the estimate is optimistically
 //!   bumped at route time so a burst doesn't herd onto one server.
-//! * **Shards 1..=N — the servers.** Each wraps a steppable serving-system
-//!   engine ([`TwoLevelSim`] or [`CentralizedSim`]) in fed mode plus a
+//! * **Shards 1..=N — the servers.** Each wraps the server engine
+//!   ([`crate::engine`], either scheduling model) in fed mode plus a
 //!   report loop: while busy, every [`RackSpec::report_interval`] it sends
 //!   `Load` back to the scheduler ([`RackSpec::report_delay`] on the
 //!   wire), overwriting the stale estimate; on draining it sends one
@@ -24,15 +24,11 @@
 //! report_delay)`: no event can influence another shard sooner than the
 //! rack network latency, which is what lets every shard advance a full
 //! window in parallel without rollback (see `tq_sim::pdes`).
-//!
-//! A single-server spec with zero dispatch delay and no membership
-//! changes *is* the serial engine — [`simulate_rack_into`] routes it to
-//! the exact serial `simulate_into` path, so rack output degenerates
-//! bit-identically to the single-server engines (differential-tested).
 
-use crate::centralized::CentralizedSim;
+use crate::centralized::Centralized;
 use crate::config::{Architecture, SystemConfig};
-use crate::twolevel::{flow_hash, TwoLevelSim};
+use crate::engine::{Engine, Model};
+use crate::twolevel::{flow_hash, TwoLevel};
 use std::collections::VecDeque;
 use tq_core::job::Completion;
 use tq_core::policy::{JsqRank, PolicyView, RankPolicy, RoundRobinRank, TieRule};
@@ -121,33 +117,24 @@ impl RackSpec {
         self.dispatch_delay.min(self.report_delay)
     }
 
-    /// Whether the spec degenerates to one serial single-server engine
-    /// (no rack latency, no membership churn) — the bit-identical path.
-    pub fn is_single_serial(&self) -> bool {
-        self.n_servers == 1 && self.dispatch_delay == Nanos::ZERO && self.membership.is_empty()
-    }
-
     /// Validates the spec.
     ///
     /// # Panics
     ///
     /// Panics on: zero servers, an invalid server config, a `PowerOfK(0)`
-    /// policy, zero lookahead or report interval outside the
-    /// single-serial special case, an unsorted or out-of-range membership
-    /// schedule, a join/leave that doesn't change state, or a schedule
-    /// that ever leaves the rack with no active server.
+    /// policy, zero lookahead or report interval, an unsorted or
+    /// out-of-range membership schedule, a join/leave that doesn't change
+    /// state, or a schedule that ever leaves the rack with no active
+    /// server.
     pub fn validate(&self) {
         assert!(self.n_servers >= 1, "{}: rack needs at least one server", self.name);
         self.server.validate();
         if let RackPolicy::PowerOfK(k) = self.policy {
             assert!(k >= 1, "{}: power-of-k needs k >= 1", self.name);
         }
-        if self.is_single_serial() {
-            return;
-        }
         assert!(
             self.dispatch_delay > Nanos::ZERO && self.report_delay > Nanos::ZERO,
-            "{}: multi-server racks need non-zero network delays (the PDES lookahead)",
+            "{}: racks need non-zero network delays (the PDES lookahead)",
             self.name
         );
         assert!(
@@ -203,8 +190,7 @@ pub enum RackMsg {
     },
 }
 
-/// Per-server policy seed: server 0 keeps the rack seed unchanged so the
-/// degenerate single-server rack matches the serial engine exactly.
+/// Per-server policy seed (server 0 keeps the rack seed unchanged).
 fn server_seed(seed: u64, server: usize) -> u64 {
     seed ^ (server as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
@@ -289,12 +275,27 @@ pub fn simulate_rack_into(
     completions: &mut Vec<Completion>,
 ) -> RackStats {
     spec.validate();
-    if spec.is_single_serial() {
-        return simulate_degenerate(spec, gen, horizon, seed, completions);
+    match spec.server.arch {
+        Architecture::TwoLevel { .. } => {
+            run_rack::<TwoLevel>(spec, gen, horizon, seed, threads, completions)
+        }
+        Architecture::Centralized => {
+            run_rack::<Centralized>(spec, gen, horizon, seed, threads, completions)
+        }
     }
+}
 
+/// [`simulate_rack_into`] over servers of scheduling model `M`.
+fn run_rack<M: Model>(
+    spec: &RackSpec,
+    gen: ArrivalGen,
+    horizon: Nanos,
+    seed: u64,
+    threads: usize,
+    completions: &mut Vec<Completion>,
+) -> RackStats {
     let n = spec.n_servers;
-    let mut shards: Vec<RackShard> = Vec::with_capacity(n + 1);
+    let mut shards: Vec<RackShard<M>> = Vec::with_capacity(n + 1);
     shards.push(RackShard::Sched(SchedShard::new(spec, gen, horizon, seed)));
     for server in 0..n {
         shards.push(RackShard::Server(ServerShard::new(
@@ -346,66 +347,16 @@ pub fn simulate_rack_into(
     stats
 }
 
-/// The bit-identical degenerate path: one server, no rack latency — run
-/// the serial engine directly.
-fn simulate_degenerate(
-    spec: &RackSpec,
-    gen: ArrivalGen,
-    horizon: Nanos,
-    seed: u64,
-    completions: &mut Vec<Completion>,
-) -> RackStats {
-    let per = match spec.server.arch {
-        Architecture::TwoLevel { .. } => {
-            let s = crate::twolevel::simulate_into(&spec.server, gen, horizon, seed, completions);
-            RackServerStats {
-                routed: completions.len() as u64,
-                completed: completions.len() as u64,
-                in_horizon: s.in_horizon,
-                events: s.events,
-                reports: 0,
-                worker_quanta: s.worker_quanta,
-                worker_completed: s.worker_completed,
-                worker_steals: s.worker_steals,
-                controller: s.controller,
-            }
-        }
-        Architecture::Centralized => {
-            let s = crate::centralized::simulate_into(&spec.server, gen, horizon, completions);
-            RackServerStats {
-                routed: completions.len() as u64,
-                completed: completions.len() as u64,
-                in_horizon: s.in_horizon,
-                events: s.events,
-                reports: 0,
-                worker_quanta: s.worker_quanta.clone(),
-                worker_completed: s.worker_completed,
-                worker_steals: vec![0; s.worker_quanta.len()],
-                controller: s.controller,
-            }
-        }
-    };
-    RackStats {
-        events: per.events,
-        in_horizon: per.in_horizon,
-        submitted: per.routed,
-        windows: 0,
-        messages: 0,
-        threads: 1,
-        per_server: vec![per],
-    }
-}
-
 /// Either rack shard kind, so the PDES pool runs one homogeneous slice.
 // One scheduler per rack — the Vec is dominated by Server entries only
 // when racks are large, and shards are never moved after construction.
 #[allow(clippy::large_enum_variant)]
-enum RackShard {
+enum RackShard<M> {
     Sched(SchedShard),
-    Server(ServerShard),
+    Server(ServerShard<M>),
 }
 
-impl std::fmt::Debug for RackShard {
+impl<M> std::fmt::Debug for RackShard<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RackShard::Sched(_) => f.write_str("Sched"),
@@ -414,7 +365,7 @@ impl std::fmt::Debug for RackShard {
     }
 }
 
-impl Shard for RackShard {
+impl<M: Model> Shard for RackShard<M> {
     type Msg = RackMsg;
 
     fn next_time(&self) -> Option<Nanos> {
@@ -690,67 +641,10 @@ fn min_rank_scan<P: RankPolicy>(
     best
 }
 
-/// A steppable per-server engine, either architecture.
-#[derive(Debug)]
-enum ServerSim {
-    TwoLevel(Box<TwoLevelSim>),
-    Centralized(Box<CentralizedSim>),
-}
-
-impl ServerSim {
-    fn next_time(&self) -> Option<Nanos> {
-        match self {
-            ServerSim::TwoLevel(s) => s.next_time(),
-            ServerSim::Centralized(s) => s.next_time(),
-        }
-    }
-
-    fn step(&mut self, completions: &mut Vec<Completion>) -> bool {
-        match self {
-            ServerSim::TwoLevel(s) => s.step(completions),
-            ServerSim::Centralized(s) => s.step(completions),
-        }
-    }
-
-    fn inject(&mut self, at: Nanos, req: Request) {
-        match self {
-            ServerSim::TwoLevel(s) => s.inject(at, req),
-            ServerSim::Centralized(s) => s.inject(at, req),
-        }
-    }
-
-    fn inject_batch<I: IntoIterator<Item = (Nanos, Request)>>(&mut self, batch: I) {
-        match self {
-            ServerSim::TwoLevel(s) => s.inject_batch(batch),
-            ServerSim::Centralized(s) => s.inject_batch(batch),
-        }
-    }
-
-    fn load(&self) -> u64 {
-        match self {
-            ServerSim::TwoLevel(s) => s.load(),
-            ServerSim::Centralized(s) => s.load(),
-        }
-    }
-
-    fn events(&self) -> u64 {
-        match self {
-            ServerSim::TwoLevel(s) => s.events(),
-            ServerSim::Centralized(s) => s.events(),
-        }
-    }
-
-    fn debug_check_drained(&self) {
-        if let ServerSim::TwoLevel(s) = self {
-            s.debug_check_drained();
-        }
-    }
-}
-
 /// Shards 1..=N: one server engine plus its load-report loop.
-struct ServerShard {
+struct ServerShard<M> {
     index: usize,
-    sim: ServerSim,
+    sim: Engine<M>,
     completions: Vec<Completion>,
     report_delay: Nanos,
     report_interval: Nanos,
@@ -759,19 +653,11 @@ struct ServerShard {
     reports: u64,
 }
 
-impl ServerShard {
+impl<M: Model> ServerShard<M> {
     fn new(spec: &RackSpec, index: usize, horizon: Nanos, seed: u64) -> Self {
-        let sim = match spec.server.arch {
-            Architecture::TwoLevel { .. } => {
-                ServerSim::TwoLevel(Box::new(TwoLevelSim::new_fed(&spec.server, horizon, seed)))
-            }
-            Architecture::Centralized => {
-                ServerSim::Centralized(Box::new(CentralizedSim::new_fed(&spec.server, horizon)))
-            }
-        };
         ServerShard {
             index,
-            sim,
+            sim: Engine::new_fed(&spec.server, horizon, seed),
             completions: Vec::new(),
             report_delay: spec.report_delay,
             report_interval: spec.report_interval,
@@ -837,40 +723,17 @@ impl ServerShard {
     }
 
     fn stats(&self, routed: u64) -> RackServerStats {
-        let (in_horizon, worker_quanta, worker_completed, worker_steals, controller) =
-            match &self.sim {
-                ServerSim::TwoLevel(s) => {
-                    let st = s.stats();
-                    (
-                        st.in_horizon,
-                        st.worker_quanta,
-                        st.worker_completed,
-                        st.worker_steals,
-                        st.controller,
-                    )
-                }
-                ServerSim::Centralized(s) => {
-                    let st = s.stats();
-                    let steals = vec![0; st.worker_quanta.len()];
-                    (
-                        st.in_horizon,
-                        st.worker_quanta,
-                        st.worker_completed,
-                        steals,
-                        st.controller,
-                    )
-                }
-            };
+        let st = self.sim.stats();
         RackServerStats {
             routed,
             completed: self.completions.len() as u64,
-            in_horizon,
-            events: self.sim.events() + self.reports,
+            in_horizon: st.in_horizon,
+            events: st.events + self.reports,
             reports: self.reports,
-            worker_quanta,
-            worker_completed,
-            worker_steals,
-            controller,
+            worker_quanta: st.worker_quanta,
+            worker_completed: st.worker_completed,
+            worker_steals: st.worker_steals,
+            controller: st.controller,
         }
     }
 }
@@ -890,20 +753,6 @@ mod tests {
 
     fn small_rack(n_servers: usize) -> RackSpec {
         RackSpec::new(presets::tq(4, Nanos::from_micros(2)), n_servers)
-    }
-
-    #[test]
-    fn degenerate_rack_is_bit_identical_to_serial_twolevel() {
-        let mut spec = small_rack(1);
-        spec.dispatch_delay = Nanos::ZERO;
-        assert!(spec.is_single_serial());
-        let gen = rack_gen(&spec, 0.6, 11);
-        let horizon = Nanos::from_millis(5);
-        let (completions, stats) = simulate_rack(&spec, gen.clone(), horizon, 11, 1);
-        let serial = crate::twolevel::simulate(&spec.server, gen, horizon, 11);
-        assert_eq!(completions, serial.completions);
-        assert_eq!(stats.events, serial.events);
-        assert_eq!(stats.windows, 0, "degenerate path runs no PDES windows");
     }
 
     #[test]
@@ -1036,6 +885,14 @@ mod tests {
     #[should_panic(expected = "non-zero network delays")]
     fn zero_delay_multi_server_rejected() {
         let mut spec = small_rack(2);
+        spec.dispatch_delay = Nanos::ZERO;
+        spec.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "non-zero network delays")]
+    fn zero_delay_single_server_rejected() {
+        let mut spec = small_rack(1);
         spec.dispatch_delay = Nanos::ZERO;
         spec.validate();
     }

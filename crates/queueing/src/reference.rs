@@ -1,6 +1,6 @@
 //! The seed's serving-system models, preserved verbatim as the
-//! differential-testing oracle for the packed hot-path engines in
-//! [`crate::twolevel`] and [`crate::centralized`] (mirroring
+//! differential-testing oracle for the packed hot-path engine in
+//! [`crate::engine`] (mirroring
 //! `tq_sim::metrics::reference` and `tq_sim::events::reference`).
 //!
 //! These run on the seed's `BinaryHeap` event queue
@@ -16,10 +16,10 @@
 //! speed.
 
 use crate::active::ActiveJob;
-use crate::centralized::CentralizedOutcome;
 use crate::config::{Architecture, SystemConfig};
+use crate::engine::SystemOutcome;
 use crate::runq::RunQueue;
-use crate::twolevel::{flow_hash, TwoLevelOutcome};
+use crate::twolevel::flow_hash;
 use std::collections::{BTreeSet, VecDeque};
 use tq_core::job::Completion;
 use tq_core::policy::{Dispatcher, WorkerLoad};
@@ -39,7 +39,7 @@ pub fn two_level(
     gen: ArrivalGen,
     horizon: Nanos,
     seed: u64,
-) -> TwoLevelOutcome {
+) -> SystemOutcome {
     twolevel_impl::simulate(cfg, gen, horizon, seed)
 }
 
@@ -49,7 +49,7 @@ pub fn two_level(
 /// # Panics
 ///
 /// Panics if the configuration is invalid or not centralized.
-pub fn centralized(cfg: &SystemConfig, gen: ArrivalGen, horizon: Nanos) -> CentralizedOutcome {
+pub fn centralized(cfg: &SystemConfig, gen: ArrivalGen, horizon: Nanos) -> SystemOutcome {
     centralized_impl::simulate(cfg, gen, horizon)
 }
 
@@ -87,7 +87,7 @@ mod twolevel_impl {
         mut gen: ArrivalGen,
         horizon: Nanos,
         seed: u64,
-    ) -> TwoLevelOutcome {
+    ) -> SystemOutcome {
         cfg.validate();
         let Architecture::TwoLevel { dispatch } = cfg.arch else {
             panic!("{}: not a two-level system", cfg.name);
@@ -115,6 +115,7 @@ mod twolevel_impl {
         let mut rx: Vec<VecDeque<Request>> = (0..n_disp).map(|_| VecDeque::new()).collect();
         let mut forwarding: Vec<Option<Request>> = (0..n_disp).map(|_| None).collect();
         let mut rr_dispatcher = 0usize;
+        let mut quanta_scheduled = 0u64;
 
         // Pre-draw the first arrival.
         let mut next_req = Some(gen.next_request());
@@ -161,6 +162,7 @@ mod twolevel_impl {
                     let (mut job, slice) = workers[w].running.take().expect("no running slice");
                     let done = job.apply_slice(slice);
                     loads[w].serviced_quanta += 1;
+                    quanta_scheduled += 1;
                     if done {
                         loads[w].queued_jobs -= 1;
                         loads[w].serviced_quanta -= job.quanta;
@@ -186,9 +188,11 @@ mod twolevel_impl {
             loads.iter().all(|l| *l == WorkerLoad::default()),
             "drained simulation left non-zero worker counters: {loads:?}"
         );
-        TwoLevelOutcome {
+        SystemOutcome {
             completions,
             events: events.popped(),
+            quanta_scheduled,
+            busy_span: Nanos::ZERO,
         }
     }
 
@@ -350,7 +354,7 @@ mod centralized_impl {
         cfg: &SystemConfig,
         mut gen: ArrivalGen,
         horizon: Nanos,
-    ) -> CentralizedOutcome {
+    ) -> SystemOutcome {
         cfg.validate();
         assert!(
             matches!(cfg.arch, Architecture::Centralized),
@@ -465,7 +469,7 @@ mod centralized_impl {
             Some(start) => st.last_slice_end.saturating_sub(start),
             None => Nanos::ZERO,
         };
-        CentralizedOutcome {
+        SystemOutcome {
             completions: st.completions,
             quanta_scheduled: st.quanta_scheduled,
             busy_span,

@@ -6,9 +6,8 @@
 //! Each point is deterministic given its inputs and results are collected
 //! back in input order, so parallel output is bit-identical to serial.
 
-use crate::centralized;
-use crate::config::{Architecture, SystemConfig};
-use crate::twolevel;
+use crate::config::SystemConfig;
+use crate::engine::simulate_into;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -106,18 +105,9 @@ pub fn run_once_process(
     cfg.validate();
     let gen = ArrivalGen::with_process(workload.clone(), rate_rps, process, SimRng::new(seed));
     let mut completions = COMPLETIONS_SCRATCH.with(|cell| cell.take());
-    // The engines count in-horizon completions during the run, so goodput
+    // The engine counts in-horizon completions during the run, so goodput
     // needs no extra pass over the completion stream.
-    let (sim_events, in_horizon) = match cfg.arch {
-        Architecture::TwoLevel { .. } => {
-            let s = twolevel::simulate_into(cfg, gen, duration, seed ^ 0xD15, &mut completions);
-            (s.events, s.in_horizon)
-        }
-        Architecture::Centralized => {
-            let s = centralized::simulate_into(cfg, gen, duration, &mut completions);
-            (s.events, s.in_horizon)
-        }
-    };
+    let stats = simulate_into(cfg, gen, duration, seed ^ 0xD15, &mut completions);
     // Zero-copy hand-off: the recorder takes the scratch buffer (pointer
     // swap, not a per-completion copy) and returns it afterwards.
     let mut rec = ClassRecorder::with_capacity(WARMUP_FRAC, 0);
@@ -138,8 +128,8 @@ pub fn run_once_process(
         classes_sojourn: summary.classes_sojourn,
         overall_slowdown_p999: summary.overall_slowdown_p999,
         completed,
-        achieved_rps: in_horizon as f64 / duration.as_secs_f64(),
-        sim_events,
+        achieved_rps: stats.in_horizon as f64 / duration.as_secs_f64(),
+        sim_events: stats.events,
     }
 }
 

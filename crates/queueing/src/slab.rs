@@ -11,6 +11,9 @@ use crate::active::ActiveJob;
 /// Slot index into a [`JobSlab`].
 pub(crate) type JobIdx = u32;
 
+/// Sentinel for "no job occupies this running slot".
+pub(crate) const NO_JOB: JobIdx = JobIdx::MAX;
+
 /// A free-list slab of in-flight jobs.
 #[derive(Debug)]
 pub(crate) struct JobSlab {
@@ -64,7 +67,6 @@ impl JobSlab {
     }
 
     /// Number of live (not freed) jobs.
-    #[cfg(test)]
     pub fn live(&self) -> usize {
         self.jobs.len() - self.free.len()
     }

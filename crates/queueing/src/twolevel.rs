@@ -18,7 +18,8 @@
 //!
 //! ## Hot-path layout
 //!
-//! This is the optimized engine; the seed implementation is preserved in
+//! This is the scheduler half of the optimized engine (the shell around
+//! it is [`crate::engine`]); the seed implementation is preserved in
 //! [`crate::reference`] and differential proptests pin the two to
 //! bit-identical completion streams. Worker state is struct-of-arrays:
 //! `queued_jobs`/`serviced_quanta` live in flat `u64` arrays scanned
@@ -30,38 +31,24 @@
 
 use crate::active::ActiveJob;
 use crate::config::{Architecture, SystemConfig};
+use crate::engine::{Counters, Model, Shell, TAG_INDEX, TAG_KIND, TAG_SLICE};
 use crate::mask::WorkerMask;
 use crate::runq::IndexQueue;
-use crate::slab::{JobIdx, JobSlab};
+use crate::slab::{JobIdx, JobSlab, NO_JOB};
 use std::collections::VecDeque;
-use tq_core::adaptive::{ControllerReport, QuantumController};
 use tq_core::job::Completion;
 use tq_core::policy::Dispatcher;
 use tq_core::{Nanos, Request};
-use tq_sim::{EventQueue, TagQueue};
-use tq_workloads::ArrivalGen;
+use tq_sim::TagQueue;
 
 /// Initial capacity of each dispatcher's RX ring. Arrival bursts deeper
 /// than this grow the ring (amortized, retained for the rest of the run);
 /// the common case never reallocates.
 pub(crate) const RX_RING_CAPACITY: usize = 1024;
 
-/// Sentinel for "no job occupies this running slot".
-const NO_JOB: JobIdx = JobIdx::MAX;
-
-/// Event tags for the [`TagQueue`]: the kind lives in the top two bits,
-/// the worker/dispatcher index in the low 14.
-///
-/// * `TAG_ARRIVAL` — the pre-drawn next request arrives at the NIC.
-/// * `TAG_DISPATCH | d` — dispatcher core `d` finished forwarding its
-///   current request.
-/// * `TAG_SLICE | w` — worker `w` finished its current slice (quantum or
-///   whole job).
-const TAG_ARRIVAL: u16 = 0;
+/// `TAG_DISPATCH | d` — dispatcher core `d` finished forwarding its
+/// current request.
 const TAG_DISPATCH: u16 = 0x4000;
-const TAG_SLICE: u16 = 0x8000;
-const TAG_KIND: u16 = 0xC000;
-const TAG_INDEX: u16 = 0x3FFF;
 
 /// Struct-of-arrays worker state: parallel per-worker arrays instead of a
 /// `Vec<Worker>` of structs, so the JSQ+MSQ argmin reads contiguous `u64`
@@ -113,305 +100,44 @@ impl Workers {
     }
 }
 
-/// What a two-level simulation produces.
+/// The two-level scheduler state: dispatcher cores in front of
+/// per-worker run queues.
 #[derive(Debug)]
-pub struct TwoLevelOutcome {
-    /// Every job completion, in finish order.
-    pub completions: Vec<Completion>,
-    /// Events delivered by the virtual-time queue — the simulation's
-    /// work counter.
-    pub events: u64,
-}
-
-/// Counters [`simulate_into`] produces besides the completion stream.
-#[derive(Debug, Clone)]
-pub struct TwoLevelStats {
-    /// Events delivered by the virtual-time queue — the simulation's
-    /// work counter.
-    pub events: u64,
-    /// Completions that finished within the arrival horizon (the rest
-    /// drained afterwards), counted during the run so callers computing
-    /// achieved throughput need no extra pass.
-    pub in_horizon: u64,
-    /// Cumulative quanta executed per worker — the virtual-time analogue
-    /// of the runtime's `WorkerStats::quanta`.
-    pub worker_quanta: Vec<u64>,
-    /// Jobs completed per worker.
-    pub worker_completed: Vec<u64>,
-    /// Jobs each worker gained by stealing (thief-side count, including
-    /// dispatcher-triggered rebalances to idle workers).
-    pub worker_steals: Vec<u64>,
-    /// Adaptive-quantum controller outcome, when one was configured.
-    pub controller: Option<ControllerReport>,
-}
-
-/// Simulates the configured two-level system serving `gen`'s request
-/// stream until `horizon`, then drains.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or not two-level.
-pub fn simulate(cfg: &SystemConfig, gen: ArrivalGen, horizon: Nanos, seed: u64) -> TwoLevelOutcome {
-    let mut completions = Vec::new();
-    let stats = simulate_into(cfg, gen, horizon, seed, &mut completions);
-    TwoLevelOutcome {
-        completions,
-        events: stats.events,
-    }
-}
-
-/// [`simulate`] writing completions into a caller-provided buffer
-/// (cleared first), so sweeps can reuse one allocation across points.
-/// Returns the run's counters.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or not two-level.
-pub fn simulate_into(
-    cfg: &SystemConfig,
-    gen: ArrivalGen,
-    horizon: Nanos,
-    seed: u64,
-    completions: &mut Vec<Completion>,
-) -> TwoLevelStats {
-    completions.clear();
-    completions.reserve(gen.expected_arrivals(horizon));
-    let mut sim = TwoLevelSim::new(cfg, gen, horizon, seed);
-    while sim.step(completions) {}
-    sim.debug_check_drained();
-    sim.into_stats()
-}
-
-/// Where a steppable engine ([`TwoLevelSim`],
-/// [`crate::centralized::CentralizedSim`]) gets its request stream.
-// One instance per sim — boxing the generator would buy nothing.
-#[allow(clippy::large_enum_variant)]
-pub enum ArrivalSource {
-    /// The sim owns the generator and pre-draws one request ahead — the
-    /// serial single-server mode, bit-identical to the seed engines.
-    Own {
-        /// The open-loop generator the sim draws from.
-        gen: ArrivalGen,
-        /// The pre-drawn request backing the pending arrival event.
-        next: Option<Request>,
-    },
-    /// Requests are injected by an outer layer (the rack tier): a
-    /// delivery-time-ordered inbox merged against the internal event
-    /// queue at [`step`](TwoLevelSim::step) time. On a time tie the
-    /// inbox wins — the packet is already on the wire before any
-    /// same-instant internal work.
-    Fed {
-        /// Injected requests keyed by NIC delivery time.
-        inbox: EventQueue<Request>,
-    },
-}
-
-impl std::fmt::Debug for ArrivalSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ArrivalSource::Own { next, .. } => f.debug_struct("Own").field("next", next).finish(),
-            ArrivalSource::Fed { inbox } => {
-                f.debug_struct("Fed").field("pending", &inbox.len()).finish()
-            }
-        }
-    }
-}
-
-/// The two-level engine as a steppable state machine.
-///
-/// [`simulate_into`] is `new` + `step`-to-quiescence, so the serial path
-/// is this struct by construction; the rack tier drives the same struct
-/// in [`Fed`](ArrivalSource::Fed) mode as one PDES shard per server.
-#[derive(Debug)]
-pub struct TwoLevelSim {
-    cfg: SystemConfig,
-    horizon: Nanos,
+pub(crate) struct TwoLevel {
     n_disp: usize,
     policies: Vec<Dispatcher>,
     ws: Workers,
-    events: TagQueue,
     /// Per-dispatcher preallocated FIFO RX ring plus request in flight.
     rx: Vec<VecDeque<Request>>,
     forwarding: Vec<Option<Request>>,
     rr_dispatcher: usize,
-    in_horizon: u64,
-    source: ArrivalSource,
-    /// Arrivals consumed from the `Fed` inbox — they bypass the
-    /// [`TagQueue`] and are added to its popped count in [`events`].
-    ///
-    /// [`events`]: TwoLevelSim::events
-    fed_events: u64,
-    /// Jobs admitted and not yet completed (rack load-report signal).
-    resident: u64,
-    /// Adaptive-quantum feedback loop over virtual-time windows. While
-    /// active, `cfg.quantum` tracks its output so `quantum_for` (and
-    /// every slice-refresh site) sees the adaptive value; `None` leaves
-    /// the engine bit-identical to the fixed-quantum behavior.
-    ctl: Option<QuantumController>,
 }
 
-impl TwoLevelSim {
-    /// Builds the serial engine: the sim owns `gen` and draws its own
-    /// arrival stream up to `horizon`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid or not two-level.
-    pub fn new(cfg: &SystemConfig, mut gen: ArrivalGen, horizon: Nanos, seed: u64) -> Self {
-        let mut sim = TwoLevelSim::build(cfg, horizon, seed);
-        // Pre-draw the first arrival.
-        let mut next = Some(gen.next_request());
-        if let Some(r) = &next {
-            if r.arrival < horizon {
-                sim.events.push(r.arrival, TAG_ARRIVAL);
-            } else {
-                next = None;
-            }
-        }
-        sim.source = ArrivalSource::Own { gen, next };
-        sim
-    }
-
-    /// Builds a fed engine: requests arrive only through
-    /// [`inject`](TwoLevelSim::inject). `horizon` is used solely for the
-    /// in-horizon completion counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid or not two-level.
-    pub fn new_fed(cfg: &SystemConfig, horizon: Nanos, seed: u64) -> Self {
-        TwoLevelSim::build(cfg, horizon, seed)
-    }
-
-    fn build(cfg: &SystemConfig, horizon: Nanos, seed: u64) -> Self {
-        cfg.validate();
+impl Model for TwoLevel {
+    fn new(cfg: &SystemConfig, seed: u64) -> Self {
         let Architecture::TwoLevel { dispatch } = cfg.arch else {
             panic!("{}: not a two-level system", cfg.name);
         };
-        let n_disp = cfg.n_dispatchers.max(1);
-        // Each dispatcher core runs the policy independently (own RNG
-        // stream) but reads the same live worker counters — §6's
-        // multi-dispatcher extension.
-        let policies: Vec<Dispatcher> = (0..n_disp)
-            .map(|d| Dispatcher::new(dispatch, cfg.n_workers, seed ^ (d as u64) << 32))
-            .collect();
-        assert!(
-            cfg.n_workers <= TAG_INDEX as usize && n_disp <= TAG_INDEX as usize,
-            "{}: worker/dispatcher index exceeds the 14-bit event-tag space",
-            cfg.name
-        );
-        let ctl = cfg
-            .controller
-            .clone()
-            .map(|c| QuantumController::new(c, cfg.quantum));
-        let mut owned = cfg.clone();
-        if let Some(c) = &ctl {
-            // The controller clamps the starting quantum into its band;
-            // the sim's live config must agree from the first slice.
-            owned.quantum = c.quantum();
-        }
-        TwoLevelSim {
-            policies,
+        let n_disp = cfg.n_dispatchers;
+        TwoLevel {
+            n_disp,
+            // Each dispatcher core runs the policy independently (own RNG
+            // stream) but reads the same live worker counters — §6's
+            // multi-dispatcher extension.
+            policies: (0..n_disp)
+                .map(|d| Dispatcher::new(dispatch, cfg.n_workers, seed ^ (d as u64) << 32))
+                .collect(),
             ws: Workers::new(cfg),
-            // At most one pending event per worker, per dispatcher, plus
-            // the next arrival — the queue never grows past that.
-            events: TagQueue::with_capacity(cfg.n_workers + n_disp + 1),
             rx: (0..n_disp)
                 .map(|_| VecDeque::with_capacity(RX_RING_CAPACITY))
                 .collect(),
-            forwarding: (0..n_disp).map(|_| None).collect(),
+            forwarding: vec![None; n_disp],
             rr_dispatcher: 0,
-            in_horizon: 0,
-            source: ArrivalSource::Fed {
-                inbox: EventQueue::new(),
-            },
-            fed_events: 0,
-            resident: 0,
-            ctl,
-            cfg: owned,
-            horizon,
-            n_disp,
         }
-    }
-
-    /// Timestamp of the earliest pending event (injected or internal),
-    /// or `None` once the sim has quiesced.
-    pub fn next_time(&self) -> Option<Nanos> {
-        let internal = self.events.peek_time();
-        match &self.source {
-            ArrivalSource::Fed { inbox } => match (inbox.peek_time(), internal) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            },
-            ArrivalSource::Own { .. } => internal,
-        }
-    }
-
-    /// Schedules an externally-routed request to reach the NIC at `at`
-    /// (fed mode only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sim owns its arrival stream, or if `at` is in the
-    /// past.
-    pub fn inject(&mut self, at: Nanos, req: Request) {
-        let ArrivalSource::Fed { inbox } = &mut self.source else {
-            panic!("inject into a sim that owns its arrival stream");
-        };
-        inbox.push(at, req);
-    }
-
-    /// Bulk [`inject`](TwoLevelSim::inject): a batch with ascending
-    /// delivery times landing in a drained inbox is appended without any
-    /// heap work.
-    pub fn inject_batch<I: IntoIterator<Item = (Nanos, Request)>>(&mut self, batch: I) {
-        let ArrivalSource::Fed { inbox } = &mut self.source else {
-            panic!("inject into a sim that owns its arrival stream");
-        };
-        inbox.extend_sorted(batch);
-    }
-
-    /// Executes the earliest pending event, appending any completion it
-    /// produces. Returns `false` when no events remain.
-    #[inline(always)]
-    pub fn step(&mut self, completions: &mut Vec<Completion>) -> bool {
-        if let ArrivalSource::Fed { inbox } = &mut self.source {
-            if let Some(t) = inbox.peek_time() {
-                if self.events.peek_time().is_none_or(|e| t <= e) {
-                    let (now, req) = inbox.pop().expect("peeked non-empty inbox");
-                    self.fed_events += 1;
-                    self.handle_arrival(now, req);
-                    return true;
-                }
-            }
-        }
-        let Some((now, tag)) = self.events.pop() else {
-            return false;
-        };
-        match tag & TAG_KIND {
-            TAG_ARRIVAL => {
-                let ArrivalSource::Own { next, .. } = &mut self.source else {
-                    unreachable!("arrival event in fed mode");
-                };
-                let req = next.take().expect("arrival without request");
-                self.handle_arrival(now, req);
-                if let ArrivalSource::Own { gen, next } = &mut self.source {
-                    let r = gen.next_request();
-                    if r.arrival < self.horizon {
-                        self.events.push(r.arrival, TAG_ARRIVAL);
-                        *next = Some(r);
-                    }
-                }
-            }
-            TAG_DISPATCH => self.handle_dispatch(now, tag),
-            _ => self.handle_slice(now, tag, completions),
-        }
-        true
     }
 
     #[inline(always)]
-    fn handle_arrival(&mut self, now: Nanos, req: Request) {
-        self.resident += 1;
+    fn arrive(&mut self, sh: &mut Shell, now: Nanos, req: Request) {
         // The NIC sprays packets across dispatcher cores (RSS).
         let d = self.rr_dispatcher;
         if self.n_disp > 1 {
@@ -421,25 +147,53 @@ impl TwoLevelSim {
             // Idle dispatcher, empty ring: forwarding starts now either
             // way, so skip the ring round-trip.
             self.forwarding[d] = Some(req);
-            self.events
-                .push(now + self.cfg.dispatch_per_req, TAG_DISPATCH | d as u16);
+            sh.events
+                .push(now + sh.cfg.dispatch_per_req, TAG_DISPATCH | d as u16);
         } else {
             self.rx[d].push_back(req);
             if self.forwarding[d].is_none() {
-                start_forward(
-                    &self.cfg,
-                    d,
-                    &mut self.rx[d],
-                    &mut self.forwarding[d],
-                    &mut self.events,
-                    now,
-                );
+                self.start_forward(sh, d, now);
             }
         }
     }
 
     #[inline(always)]
-    fn handle_dispatch(&mut self, now: Nanos, tag: u16) {
+    fn handle(&mut self, sh: &mut Shell, now: Nanos, tag: u16, completions: &mut Vec<Completion>) {
+        if tag & TAG_KIND == TAG_DISPATCH {
+            self.handle_dispatch(sh, now, tag);
+        } else {
+            self.handle_slice(sh, now, tag, completions);
+        }
+    }
+
+    fn counters(&self) -> Counters {
+        Counters {
+            worker_quanta: self.ws.quanta_total.clone(),
+            worker_completed: self.ws.completed_total.clone(),
+            worker_steals: self.ws.steals_total.clone(),
+            busy_span: Nanos::ZERO,
+        }
+    }
+
+    fn debug_check_drained(&self) {
+        debug_assert!(
+            self.ws.queued_jobs.iter().all(|&q| q == 0)
+                && self.ws.serviced_quanta.iter().all(|&s| s == 0),
+            "drained simulation left non-zero worker counters"
+        );
+    }
+}
+
+impl TwoLevel {
+    fn start_forward(&mut self, sh: &mut Shell, d: usize, now: Nanos) {
+        let req = self.rx[d].pop_front().expect("empty RX queue");
+        self.forwarding[d] = Some(req);
+        sh.events
+            .push(now + sh.cfg.dispatch_per_req, TAG_DISPATCH | d as u16);
+    }
+
+    #[inline(always)]
+    fn handle_dispatch(&mut self, sh: &mut Shell, now: Nanos, tag: u16) {
         let d = (tag & TAG_INDEX) as usize;
         let req = self.forwarding[d].take().expect("dispatch done without request");
         let w = self.policies[d].pick_split(
@@ -447,27 +201,26 @@ impl TwoLevelSim {
             &self.ws.serviced_quanta,
             flow_hash(req.id.0),
         );
-        admit(&self.cfg, &mut self.ws, w, req, now, &mut self.events);
-        if self.cfg.work_stealing {
+        admit(&sh.cfg, &mut self.ws, w, req, now, &mut sh.events);
+        if sh.cfg.work_stealing {
             // Idle workers poll for stealable work continuously; a job
             // queued behind a busy worker while another core sits idle
             // is taken immediately.
-            rebalance_to_idle(&self.cfg, &mut self.ws, w, now, &mut self.events);
+            rebalance_to_idle(&sh.cfg, &mut self.ws, w, now, &mut sh.events);
         }
         if !self.rx[d].is_empty() {
-            start_forward(
-                &self.cfg,
-                d,
-                &mut self.rx[d],
-                &mut self.forwarding[d],
-                &mut self.events,
-                now,
-            );
+            self.start_forward(sh, d, now);
         }
     }
 
     #[inline(always)]
-    fn handle_slice(&mut self, now: Nanos, tag: u16, completions: &mut Vec<Completion>) {
+    fn handle_slice(
+        &mut self,
+        sh: &mut Shell,
+        now: Nanos,
+        tag: u16,
+        completions: &mut Vec<Completion>,
+    ) {
         let ws = &mut self.ws;
         let w = (tag & TAG_INDEX) as usize;
         let idx = ws.running[w];
@@ -475,17 +228,9 @@ impl TwoLevelSim {
         let slice = ws.slices[w];
         let job = ws.slab.get_mut(idx);
         let done = job.apply_slice(slice);
-        if self.ctl.is_some() {
-            // Re-read the (possibly retuned) quantum at every slice
-            // boundary so a controller step takes effect on the very next
-            // slice, not just on jobs admitted after it.
-            job.quantum = self.cfg.quantum_for(job.class.0);
-        }
+        job.refresh_quantum(&sh.cfg);
         let next = job.next_slice();
-        let rank = self
-            .cfg
-            .worker_policy
-            .job_rank(job.class.0, job.arrival, job.attained.as_nanos());
+        let rank = job.rank(&sh.cfg);
         ws.serviced_quanta[w] += 1;
         ws.quanta_total[w] += 1;
         if !done && ws.queues[w].is_empty() {
@@ -495,8 +240,8 @@ impl TwoLevelSim {
             // backlog-mask churn, and the second slab lookup.
             // `running`/`idle` are already correct.
             ws.slices[w] = next;
-            self.events
-                .push(now + next + self.cfg.preempt_overhead, TAG_SLICE | w as u16);
+            sh.events
+                .push(now + next + sh.cfg.preempt_overhead, TAG_SLICE | w as u16);
             return;
         }
         ws.running[w] = NO_JOB;
@@ -505,96 +250,20 @@ impl TwoLevelSim {
             ws.queued_jobs[w] -= 1;
             ws.serviced_quanta[w] -= job.quanta;
             ws.completed_total[w] += 1;
-            self.resident -= 1;
-            self.in_horizon += u64::from(now <= self.horizon);
-            completions.push(Completion {
-                id: job.id,
-                class: job.class,
-                arrival: job.arrival,
-                service: job.service_true,
-                finish: now,
-            });
-            if let Some(ctl) = &mut self.ctl {
-                ctl.record(job.service_true, now - job.arrival);
-                if ctl.advance(now) {
-                    self.cfg.quantum = ctl.quantum();
-                }
-            }
+            sh.complete(&job, now, completions);
         } else {
             ws.queues[w].push(idx, rank);
             ws.backlog.set(w);
         }
         if !ws.queues[w].is_empty() {
-            start_slice(&self.cfg, ws, w, now, Nanos::ZERO, &mut self.events);
+            start_slice(&sh.cfg, ws, w, now, Nanos::ZERO, &mut sh.events);
         } else {
             ws.idle.set(w);
-            if self.cfg.work_stealing {
-                try_steal(&self.cfg, ws, w, now, &mut self.events);
+            if sh.cfg.work_stealing {
+                try_steal(&sh.cfg, ws, w, now, &mut sh.events);
             }
         }
     }
-
-    /// Jobs admitted and not yet completed, plus injected requests still
-    /// in the inbox — what a rack load report carries.
-    pub fn load(&self) -> u64 {
-        let pending = match &self.source {
-            ArrivalSource::Fed { inbox } => inbox.len() as u64,
-            ArrivalSource::Own { .. } => 0,
-        };
-        self.resident + pending
-    }
-
-    /// Events executed so far (internal queue pops plus fed arrivals).
-    pub fn events(&self) -> u64 {
-        self.events.popped() + self.fed_events
-    }
-
-    /// The run's counters (cheap copies of the per-worker totals).
-    pub fn stats(&self) -> TwoLevelStats {
-        TwoLevelStats {
-            events: self.events(),
-            in_horizon: self.in_horizon,
-            worker_quanta: self.ws.quanta_total.clone(),
-            worker_completed: self.ws.completed_total.clone(),
-            worker_steals: self.ws.steals_total.clone(),
-            controller: self.ctl.as_ref().map(|c| c.report()),
-        }
-    }
-
-    /// [`stats`](TwoLevelSim::stats) without cloning the worker arrays.
-    fn into_stats(self) -> TwoLevelStats {
-        TwoLevelStats {
-            events: self.events.popped() + self.fed_events,
-            in_horizon: self.in_horizon,
-            worker_quanta: self.ws.quanta_total,
-            worker_completed: self.ws.completed_total,
-            worker_steals: self.ws.steals_total,
-            controller: self.ctl.as_ref().map(|c| c.report()),
-        }
-    }
-
-    /// Debug-asserts the live worker counters drained to zero — only
-    /// valid once [`step`](TwoLevelSim::step) has returned `false`.
-    pub fn debug_check_drained(&self) {
-        debug_assert!(
-            self.ws.queued_jobs.iter().all(|&q| q == 0)
-                && self.ws.serviced_quanta.iter().all(|&s| s == 0),
-            "drained simulation left non-zero worker counters"
-        );
-    }
-}
-
-fn start_forward(
-    cfg: &SystemConfig,
-    dispatcher: usize,
-    rx: &mut VecDeque<Request>,
-    forwarding: &mut Option<Request>,
-    events: &mut TagQueue,
-    now: Nanos,
-) {
-    let req = rx.pop_front().expect("empty RX queue");
-    *forwarding = Some(req);
-    events.push(now + cfg.dispatch_per_req, TAG_DISPATCH | dispatcher as u16);
 }
 
 fn admit(
@@ -605,25 +274,9 @@ fn admit(
     now: Nanos,
     events: &mut TagQueue,
 ) {
-    let inflation = cfg.inflation_for(req.class.0);
-    let job = ActiveJob {
-        id: req.id,
-        class: req.class,
-        arrival: req.arrival,
-        service_true: req.service,
-        // Probe inflation plus any per-request packet processing the
-        // worker performs itself (directpath).
-        remaining: req.service.scale(1.0 + inflation) + cfg.worker_rx_cost,
-        attained: Nanos::ZERO,
-        quanta: 0,
-        quantum: if cfg.worker_policy.preempts() {
-            cfg.quantum_for(req.class.0)
-        } else {
-            Nanos::MAX
-        },
-    };
+    let job = ActiveJob::admit(cfg, &req, cfg.worker_rx_cost);
     ws.queued_jobs[w] += 1;
-    let rank = cfg.worker_policy.job_rank(job.class.0, job.arrival, 0);
+    let rank = job.rank(cfg);
     let idx = ws.slab.insert(job);
     ws.queues[w].push(idx, rank);
     ws.backlog.set(w);
@@ -645,13 +298,9 @@ fn start_slice(
     if ws.queues[w].is_empty() {
         ws.backlog.clear(w);
     }
-    if cfg.controller.is_some() {
-        // Adaptive mode: the queued job's admission-time quantum may be
-        // stale; slices always run at the quantum currently in force.
-        let job = ws.slab.get_mut(idx);
-        job.quantum = cfg.quantum_for(job.class.0);
-    }
-    let slice = ws.slab.get(idx).next_slice();
+    let job = ws.slab.get_mut(idx);
+    job.refresh_quantum(cfg);
+    let slice = job.next_slice();
     let wall = slice + cfg.preempt_overhead + extra;
     ws.running[w] = idx;
     ws.slices[w] = slice;
@@ -724,9 +373,7 @@ fn transfer_tail_job(
     }
     let job = ws.slab.get(idx);
     let quanta = job.quanta;
-    let rank = cfg
-        .worker_policy
-        .job_rank(job.class.0, job.arrival, job.attained.as_nanos());
+    let rank = job.rank(cfg);
     ws.queued_jobs[victim] -= 1;
     ws.serviced_quanta[victim] -= quanta;
     ws.queued_jobs[thief] += 1;
@@ -751,9 +398,10 @@ pub(crate) fn flow_hash(x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{simulate, simulate_into};
     use crate::presets;
     use tq_sim::SimRng;
-    use tq_workloads::table1;
+    use tq_workloads::{table1, ArrivalGen};
 
     fn run(cfg: &SystemConfig, rate: f64, millis: u64, seed: u64) -> Vec<Completion> {
         let gen = ArrivalGen::new(table1::extreme_bimodal(), rate, SimRng::new(seed));
@@ -908,6 +556,7 @@ mod tests {
             let slow = crate::reference::two_level(&cfg, gen, Nanos::from_millis(10), 21);
             assert_eq!(fast.completions, slow.completions, "{} diverged", cfg.name);
             assert_eq!(fast.events, slow.events);
+            assert_eq!(fast.quanta_scheduled, slow.quanta_scheduled);
         }
     }
 }

@@ -78,7 +78,7 @@ proptest! {
         let rate = wl.rate_for_load(n_workers, load_pct as f64 / 100.0);
         let gen = ArrivalGen::new(wl, rate, SimRng::new(seed));
 
-        let fast = tq_queueing::twolevel::simulate(&cfg, gen.clone(), HORIZON, seed);
+        let fast = tq_queueing::simulate(&cfg, gen.clone(), HORIZON, seed);
         let slow = reference::two_level(&cfg, gen, HORIZON, seed);
 
         prop_assert_eq!(&fast.completions, &slow.completions, "{} diverged", cfg.name);
@@ -94,7 +94,7 @@ proptest! {
         let wl = table1::exp1();
         let rate = wl.rate_for_load(6, 0.4);
         let gen = ArrivalGen::new(wl, rate, SimRng::new(seed));
-        let fast = tq_queueing::twolevel::simulate(&cfg, gen.clone(), HORIZON, seed);
+        let fast = tq_queueing::simulate(&cfg, gen.clone(), HORIZON, seed);
         let slow = reference::two_level(&cfg, gen, HORIZON, seed);
         prop_assert_eq!(&fast.completions, &slow.completions);
         prop_assert_eq!(fast.events, slow.events);
@@ -116,7 +116,7 @@ proptest! {
         let rate = wl.rate_for_load(n_workers, load_pct as f64 / 100.0);
         let gen = ArrivalGen::new(wl, rate, SimRng::new(seed));
 
-        let fast = tq_queueing::centralized::simulate(&cfg, gen.clone(), HORIZON);
+        let fast = tq_queueing::simulate(&cfg, gen.clone(), HORIZON, seed);
         let slow = reference::centralized(&cfg, gen, HORIZON);
 
         prop_assert_eq!(&fast.completions, &slow.completions, "{} diverged", cfg.name);

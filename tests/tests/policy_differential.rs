@@ -90,7 +90,7 @@ fn two_level_grid_is_bit_exact_across_seeds() {
             let cfg = grid_cfg(dispatch, worker, stealing);
             for seed in SEEDS {
                 let gen = ArrivalGen::new(wl.clone(), rate, SimRng::new(seed));
-                let fast = tq_queueing::twolevel::simulate(&cfg, gen.clone(), HORIZON, seed);
+                let fast = tq_queueing::simulate(&cfg, gen.clone(), HORIZON, seed);
                 let slow = reference::two_level(&cfg, gen, HORIZON, seed);
                 assert_eq!(
                     fast.completions, slow.completions,
@@ -115,7 +115,7 @@ fn centralized_disciplines_are_bit_exact_across_seeds() {
         cfg.worker_policy = worker;
         for seed in SEEDS {
             let gen = ArrivalGen::new(wl.clone(), rate, SimRng::new(seed));
-            let fast = tq_queueing::centralized::simulate(&cfg, gen.clone(), HORIZON);
+            let fast = tq_queueing::simulate(&cfg, gen.clone(), HORIZON, seed);
             let slow = reference::centralized(&cfg, gen, HORIZON);
             assert_eq!(
                 fast.completions, slow.completions,

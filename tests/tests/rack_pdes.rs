@@ -1,13 +1,18 @@
 //! Differential and determinism properties for the rack tier.
 //!
-//! Two contracts pin the sharded PDES core to the serial engines:
+//! Two contracts pin the sharded PDES core to the serial engine:
 //!
-//! 1. **Degenerate bit-identity** — a one-server rack with zero dispatch
-//!    delay and no membership churn must produce the *exact* completion
-//!    stream and event count of the serial two-level / centralized
-//!    engines, across the (policy × stealing × seed) grid. This is what
-//!    makes the rack tier a pure superset: nothing about sharding may
-//!    perturb the single-server model.
+//! 1. **Fed vs own arrivals** — a rack server is the serial engine in fed
+//!    mode: its requests come through an inbox instead of its own
+//!    generator. Pre-injecting a generator's stream (`at = arrival`) into
+//!    a fed engine and stepping it to quiescence must execute exactly the
+//!    events of the own-mode run over the same stream. For two-level
+//!    servers the completion streams are bit-identical too; for
+//!    centralized servers the inbox-wins tie rule can reorder a
+//!    same-instant arrival against a dispatcher op, so there the
+//!    contract is equal event counts, exactly-once completion and causal
+//!    timestamps (DESIGN.md "Fed vs own arrivals" has the measured
+//!    rates).
 //! 2. **Thread-count independence** — for any multi-server rack, the
 //!    completion stream and PDES window/message counts are a function of
 //!    the spec and seed alone, not of how many OS threads execute the
@@ -15,11 +20,12 @@
 //!    "The conservative-lookahead contract") made testable.
 
 use proptest::prelude::*;
+use tq_core::job::Completion;
 use tq_core::policy::{DispatchPolicy, TieBreak};
 use tq_core::Nanos;
 use tq_harness::{run_to_record, RackEngine, RunSpec};
 use tq_queueing::rack::{simulate_rack, MembershipChange, RackPolicy, RackSpec};
-use tq_queueing::{presets, SystemConfig};
+use tq_queueing::{presets, SystemConfig, SystemSim};
 use tq_sim::SimRng;
 use tq_workloads::{table1, ArrivalGen, ArrivalProcess};
 
@@ -53,56 +59,68 @@ fn server_cfg(dispatch: DispatchPolicy, stealing: bool, n_workers: usize) -> Sys
     cfg
 }
 
-/// A degenerate rack around `server`: the serial-identity configuration.
-fn degenerate_rack(server: SystemConfig) -> RackSpec {
-    let mut spec = RackSpec::new(server, 1);
-    spec.dispatch_delay = Nanos::ZERO;
-    spec
+/// Serves `gen`'s stream up to [`HORIZON`] on a fed engine, every
+/// request pre-injected at its arrival time; returns the completions and
+/// the event count.
+fn run_fed(cfg: &SystemConfig, mut gen: ArrivalGen, seed: u64) -> (Vec<Completion>, u64) {
+    let mut sim = SystemSim::new_fed(cfg, HORIZON, seed);
+    sim.inject_batch(gen.until(HORIZON).into_iter().map(|r| (r.arrival, r)));
+    let mut completions = Vec::new();
+    while sim.step(&mut completions) {}
+    (completions, sim.events())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Contract 1, two-level servers: the single-shard rack is
-    /// bit-identical to `twolevel::simulate` over the grid.
+    /// Contract 1, two-level servers: fed and own arrivals are
+    /// bit-identical over the (dispatch × stealing) grid.
     #[test]
-    fn degenerate_rack_matches_serial_twolevel(
+    fn fed_arrivals_match_own_twolevel(
         dispatch_idx in 0usize..DISPATCHES.len(),
         stealing in any::<bool>(),
         n_workers in 1usize..10,
         load_pct in 20u32..90,
         seed in 1u64..100_000,
     ) {
-        let spec = degenerate_rack(server_cfg(DISPATCHES[dispatch_idx], stealing, n_workers));
+        let cfg = server_cfg(DISPATCHES[dispatch_idx], stealing, n_workers);
         let wl = table1::extreme_bimodal();
         let rate = wl.rate_for_load(n_workers, load_pct as f64 / 100.0);
         let gen = ArrivalGen::new(wl, rate, SimRng::new(seed));
 
-        let (rack, stats) = simulate_rack(&spec, gen.clone(), HORIZON, seed, 1);
-        let serial = tq_queueing::twolevel::simulate(&spec.server, gen, HORIZON, seed);
+        let (fed, fed_events) = run_fed(&cfg, gen.clone(), seed);
+        let own = tq_queueing::simulate(&cfg, gen, HORIZON, seed);
 
-        prop_assert_eq!(&rack, &serial.completions, "{} diverged", spec.name);
-        prop_assert_eq!(stats.events, serial.events);
-        prop_assert_eq!(stats.windows, 0, "degenerate path must skip the PDES pool");
+        prop_assert_eq!(&fed, &own.completions, "{} diverged", cfg.name);
+        prop_assert_eq!(fed_events, own.events);
     }
 
-    /// Contract 1, centralized servers.
+    /// Contract 1, centralized servers: same events, same jobs; order
+    /// only up to the inbox-wins tie rule.
     #[test]
-    fn degenerate_rack_matches_serial_centralized(
+    fn fed_arrivals_match_own_centralized(
         n_workers in 1usize..10,
         load_pct in 20u32..90,
         seed in 1u64..100_000,
     ) {
-        let spec = degenerate_rack(presets::shinjuku(n_workers, Nanos::from_micros(5)));
+        let cfg = presets::shinjuku(n_workers, Nanos::from_micros(5));
         let wl = table1::high_bimodal();
         let rate = wl.rate_for_load(n_workers, load_pct as f64 / 100.0);
         let gen = ArrivalGen::new(wl, rate, SimRng::new(seed));
 
-        let (rack, stats) = simulate_rack(&spec, gen.clone(), HORIZON, seed, 1);
-        let serial = tq_queueing::centralized::simulate(&spec.server, gen, HORIZON);
+        let (fed, fed_events) = run_fed(&cfg, gen.clone(), seed);
+        let own = tq_queueing::simulate(&cfg, gen, HORIZON, seed);
 
-        prop_assert_eq!(&rack, &serial.completions);
-        prop_assert_eq!(stats.events, serial.events);
+        prop_assert_eq!(fed_events, own.events);
+        let ids = |cs: &[Completion]| {
+            let mut ids: Vec<u64> = cs.iter().map(|c| c.id.0).collect();
+            ids.sort_unstable();
+            ids
+        };
+        let fed_ids = ids(&fed);
+        prop_assert!(fed_ids.windows(2).all(|w| w[0] < w[1]), "a job completed twice");
+        prop_assert_eq!(fed_ids, ids(&own.completions));
+        prop_assert!(fed.iter().all(|c| c.finish >= c.arrival + c.service));
     }
 
     /// Contract 2: same spec + seed → identical completions, windows,
