@@ -17,10 +17,11 @@
 //! is per-request.
 //!
 //! TQ's dispatcher owns a core and never stops polling. Ours shares its
-//! host with the workers and the submitter, so an empty poll spins
-//! [`crate::ServerConfig::idle_spins`] times and then parks; the submit
-//! side unparks it only when it is actually asleep (the `parked`
-//! handshake on `ShutdownSignal`).
+//! host with the workers and the submitter, so it parks at its first
+//! empty poll — a spinner on a CPU its producer needs cannot see it make
+//! progress until the OS takes the CPU away; the submit side unparks it
+//! only when it is actually asleep (the `parked` handshake on
+//! `ShutdownSignal`).
 //!
 //! The dispatcher is also phase 1 of the shutdown drain protocol (see
 //! DESIGN.md): it exits only after submission is `closed` and every
@@ -182,7 +183,6 @@ fn run_dispatcher(
         (1u64 << n_workers) - 1
     };
     let mut busy = 0u64; // cycles; converted once at exit
-    let mut idle_polls: u32 = 0;
     'poll: loop {
         // Read `closed` before polling: every submit precedes the close,
         // so an empty ring *after* seeing it is empty for good.
@@ -192,17 +192,10 @@ fn run_dispatcher(
             if closed {
                 break;
             }
-            if idle_polls < config.idle_spins {
-                idle_polls += 1;
-                std::hint::spin_loop();
-            } else {
-                idle_polls = 0;
-                stats.parks += 1;
-                signal.park_unless(|| !rx.is_empty());
-            }
+            stats.parks += 1;
+            signal.park_unless(|| !rx.is_empty());
             continue;
         }
-        idle_polls = 0;
         if signal.abort_requested() {
             // Aborted teardown: drain the ring, accounting every
             // undelivered request by name.

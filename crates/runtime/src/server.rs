@@ -6,8 +6,8 @@
 //! NIC: they write a burst into an SPSC RX ring with one Release publish
 //! and the dispatcher polls it (the network was never the paper's
 //! bottleneck — see DESIGN.md). Unlike a dedicated dispatcher core, ours
-//! shares its host, so after a short spin it parks, and a submit wakes it
-//! only when the `parked` flag is up — see [`ShutdownSignal`].
+//! shares its host, so it parks at its first empty poll, and a submit
+//! wakes it only when the `parked` flag is up — see [`ShutdownSignal`].
 //!
 //! Shutdown follows a two-phase drain protocol (DESIGN.md "Shutdown and
 //! drain"): phase 1, the dispatcher forwards (or, on abort, counts as
@@ -193,13 +193,11 @@ pub struct ServerConfig {
     /// Whether idle workers steal queued jobs from siblings (the Caladan
     /// configuration; pairs naturally with FCFS + RSS dispatch).
     pub work_stealing: bool,
-    /// Idle backoff, phase 1: consecutive idle loop iterations spent in a
-    /// `spin_loop` hint before starting to yield.
-    pub idle_spins: u32,
-    /// Idle backoff, phase 2: consecutive idle iterations spent in
-    /// `yield_now` after the spins and before sleeping.
+    /// Idle backoff, phase 1: consecutive idle iterations spent in
+    /// `yield_now` before sleeping. An idle worker never spins: the
+    /// submitter that would hand it work may need its CPU.
     pub idle_yields: u32,
-    /// Idle backoff, phase 3: sleep length once spins and yields are
+    /// Idle backoff, phase 2: sleep length once the yields are
     /// exhausted. Bounds how long an oversubscribed host busy-waits on
     /// idle workers; also the worst-case wakeup latency for a request
     /// arriving at a deeply idle worker.
@@ -225,7 +223,6 @@ impl Default for ServerConfig {
             dispatch: DispatchPolicy::Jsq(TieBreak::MaxServicedQuanta),
             discipline: WorkerPolicy::ProcessorSharing,
             work_stealing: false,
-            idle_spins: 128,
             idle_yields: 64,
             idle_sleep: Nanos::from_micros(50),
             seed: 42,

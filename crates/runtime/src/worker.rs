@@ -7,6 +7,9 @@
 //! completion sends the response directly (bypassing the dispatcher) and
 //! updates the shared counters the dispatcher's JSQ/MSQ reads.
 //!
+//! An idle worker yields at once, then sleeps; it never spins, because
+//! the submitter that would give it work may need the same CPU.
+//!
 //! Exit is phase 2 of the drain protocol (DESIGN.md): a worker returns
 //! only once the dispatcher has signalled phase 1 (`dispatcher_done` —
 //! no queue will ever receive another push) *and* every queue this
@@ -201,7 +204,6 @@ struct WorkerCtx {
     audit: Option<Arc<RingAuditLog>>,
     fault: Option<FaultPlan>,
     clock: TscClock,
-    idle_spins: u32,
     idle_yields: u32,
     idle_sleep: std::time::Duration,
 }
@@ -239,7 +241,6 @@ pub(crate) fn spawn(
         audit,
         fault,
         clock,
-        idle_spins: config.idle_spins,
         idle_yields: config.idle_yields,
         idle_sleep: std::time::Duration::from_nanos(config.idle_sleep.0),
     };
@@ -287,7 +288,6 @@ fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
         audit,
         fault,
         clock,
-        idle_spins,
         idle_yields,
         idle_sleep,
     } = w;
@@ -472,13 +472,11 @@ fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
                 }
                 return stats;
             }
-            // Idle backoff: spin briefly (a request may be nanoseconds
-            // away), then yield the core to siblings, then sleep so an
-            // oversubscribed host isn't saturated by idle workers.
+            // Idle backoff: yield the core to siblings and the submitter,
+            // then sleep so an oversubscribed host isn't saturated by
+            // idle workers.
             idle_streak = idle_streak.saturating_add(1);
-            if idle_streak <= idle_spins {
-                std::hint::spin_loop();
-            } else if idle_streak <= idle_spins.saturating_add(idle_yields) {
+            if idle_streak <= idle_yields {
                 std::thread::yield_now();
             } else {
                 std::thread::sleep(idle_sleep);
