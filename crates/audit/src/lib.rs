@@ -40,10 +40,6 @@ use tq_core::Nanos;
 /// violation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DropReason {
-    /// The server was dropped (aborted) before the dispatcher could
-    /// forward the request; the dispatcher counted it instead of pushing
-    /// it into a ring whose worker may already have exited.
-    ShutdownAbort,
     /// A fault-injection plan deliberately discarded the request.
     FaultInjected,
     /// The datagram failed wire-format validation at the socket front end
@@ -59,7 +55,6 @@ pub enum DropReason {
 impl fmt::Display for DropReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DropReason::ShutdownAbort => f.write_str("shutdown_abort"),
             DropReason::FaultInjected => f.write_str("fault_injected"),
             DropReason::Malformed => f.write_str("malformed"),
             DropReason::NetShed => f.write_str("net_shed"),
@@ -414,7 +409,7 @@ fn is_subsequence(needle: &[u64], haystack: &[u64]) -> bool {
 /// `None` costs one predictable branch per event).
 ///
 /// Locking discipline: each `forwards[w]` is written only by the
-/// dispatcher thread, each `admits[w]` only by worker `w`, and `steals` by
+/// dispatcher (the submitting thread), each `admits[w]` only by worker `w`, and `steals` by
 /// any worker — the mutexes serialize writer-vs-auditor access, never
 /// worker-vs-worker contention on the hot path.
 #[derive(Debug)]
@@ -524,7 +519,7 @@ mod tests {
     #[test]
     fn named_drops_balance_conservation() {
         let mut a = InvariantAuditor::new("test");
-        a.check_conservation(10, 7, &[(DropReason::ShutdownAbort, 3)]);
+        a.check_conservation(10, 7, &[(DropReason::NetShed, 3)]);
         assert!(a.finish().is_clean());
     }
 

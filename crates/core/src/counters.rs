@@ -77,7 +77,7 @@ impl WorkerCounters {
 }
 
 /// One worker's shared counters for the real runtime: written by the worker
-/// thread, read by the dispatcher thread, each field relaxed-atomic and the
+/// thread, read by the dispatcher, each field relaxed-atomic and the
 /// group padded to its own cache line (the paper's "counters reside in a
 /// cache line that is periodically read by the dispatcher").
 #[derive(Debug, Default)]

@@ -110,9 +110,13 @@ impl Dispatcher {
     ///
     /// # Panics
     ///
-    /// Panics if `n_workers` is zero.
+    /// Panics if `n_workers` is zero, or on [`DispatchPolicy::Pinned`] to
+    /// a worker `>= n_workers`.
     pub fn new(policy: DispatchPolicy, n_workers: usize, seed: u64) -> Self {
         assert!(n_workers > 0, "dispatcher needs at least one worker");
+        if let DispatchPolicy::Pinned(w) = policy {
+            assert!(w < n_workers, "pinned worker out of range");
+        }
         let kernel = match policy {
             DispatchPolicy::Jsq(tie) => {
                 Kernel::Jsq(RankedDispatcher::new(JsqRank { tie: tie.into() }, n_workers, seed))
@@ -384,8 +388,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "pinned worker out of range")]
     fn pinned_rejects_out_of_range() {
-        let mut d = Dispatcher::new(DispatchPolicy::Pinned(4), 4, 0);
-        let _ = d.pick(&loads(&[0; 4]), 0);
+        let _ = Dispatcher::new(DispatchPolicy::Pinned(4), 4, 0);
     }
 
     #[test]

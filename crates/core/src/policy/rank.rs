@@ -539,14 +539,14 @@ impl RankPolicy for RssHashRank {
 /// wins; under exclusion the next allowed index upward takes over).
 #[derive(Debug, Clone, Copy)]
 pub struct PinnedRank {
-    /// The worker every request is sent to.
+    /// The worker every request is sent to; below the worker count
+    /// (`Dispatcher::new` checks it).
     pub target: usize,
 }
 
 impl RankPolicy for PinnedRank {
     #[inline(always)]
     fn rank(&self, view: &PolicyView) -> u64 {
-        assert!(self.target < view.n_workers, "pinned worker out of range");
         ((view.worker + view.n_workers - self.target) % view.n_workers) as u64
     }
 }

@@ -97,16 +97,12 @@ pub struct EngineCounters {
     pub dispatcher_forwarded: u64,
     /// Dispatcher push retries due to full rings (live runtime only).
     pub ring_full_retries: u64,
-    /// Requests the dispatcher dropped instead of forwarding (named-drop
-    /// buckets; nonzero only on the live runtime's abort path).
-    pub dispatcher_dropped: u64,
-    /// Bursts the dispatcher drained from the submit channel (live
-    /// runtime only; `dispatcher_forwarded / dispatcher_bursts` is the
-    /// mean achieved burst size).
+    /// Chunks the dispatcher forwarded (live runtime only;
+    /// `dispatcher_forwarded / dispatcher_bursts` is the mean achieved
+    /// chunk size).
     pub dispatcher_bursts: u64,
-    /// Wall time the dispatcher spent in burst processing — snapshot,
-    /// picks, ring pushes, backpressure retries — excluding blocking
-    /// waits for arrivals (live runtime only).
+    /// Wall time the dispatcher spent forwarding chunks — snapshot,
+    /// picks, ring pushes, backpressure retries (live runtime only).
     pub dispatch_busy_nanos: u64,
     /// Per-worker counters, indexed by worker id.
     pub workers: Vec<WorkerCounters>,

@@ -253,7 +253,7 @@ pub fn record_json(r: &RunRecord) -> String {
             "     \"classes_e2e\": [{}],\n",
             "     \"classes_sojourn\": [{}],\n",
             "     \"counters\": {{\"sim_events\": {}, \"dispatcher_forwarded\": {}, ",
-            "\"ring_full_retries\": {}, \"dispatcher_dropped\": {}, ",
+            "\"ring_full_retries\": {}, ",
             "\"dispatcher_bursts\": {}, \"dispatch_busy_nanos\": {}, ",
             "\"dispatch_ns_per_request\": {},\n",
             "      \"workers\": [{}]}},\n",
@@ -282,7 +282,6 @@ pub fn record_json(r: &RunRecord) -> String {
         r.counters.sim_events,
         r.counters.dispatcher_forwarded,
         r.counters.ring_full_retries,
-        r.counters.dispatcher_dropped,
         r.counters.dispatcher_bursts,
         r.counters.dispatch_busy_nanos,
         json_f64(r.counters.dispatch_ns_per_request()),
@@ -342,7 +341,6 @@ mod tests {
                 sim_events: 100,
                 dispatcher_forwarded: 10,
                 ring_full_retries: 0,
-                dispatcher_dropped: 0,
                 dispatcher_bursts: 3,
                 dispatch_busy_nanos: 1200,
                 workers: vec![WorkerCounters::default(); 2],

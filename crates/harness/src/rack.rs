@@ -110,7 +110,6 @@ impl Engine for RackEngine {
             sim_events: stats.events,
             dispatcher_forwarded: submitted,
             ring_full_retries: 0,
-            dispatcher_dropped: 0,
             dispatcher_bursts: 0,
             dispatch_busy_nanos: 0,
             workers,

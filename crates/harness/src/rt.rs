@@ -280,7 +280,7 @@ impl Engine for RtEngine {
             // order) completions; the server's own counter/ring-level
             // report is folded in below.
             let mut a = InvariantAuditor::new(if stealing { "rt+steal" } else { "rt" });
-            a.check_conservation(submitted, raw.len() as u64, &stats.drops());
+            a.check_conservation(submitted, raw.len() as u64, &[]);
             let ids: Vec<u64> = raw.iter().map(|c| c.id.0).collect();
             a.check_exactly_once(&ids, Some(submitted));
             let facts: Vec<CompletionFact> = raw
@@ -314,7 +314,6 @@ impl Engine for RtEngine {
                 sim_events: 0,
                 dispatcher_forwarded: stats.dispatcher.forwarded,
                 ring_full_retries: stats.dispatcher.ring_full_retries,
-                dispatcher_dropped: stats.dispatcher.dropped_on_abort,
                 dispatcher_bursts: stats.dispatcher.bursts,
                 dispatch_busy_nanos: stats.dispatcher.busy_nanos,
                 workers: stats

@@ -95,7 +95,6 @@ impl Engine for SimEngine {
             sim_events: s.events,
             dispatcher_forwarded: submitted,
             ring_full_retries: 0,
-            dispatcher_dropped: 0,
             dispatcher_bursts: 0,
             dispatch_busy_nanos: 0,
             workers,

@@ -8,9 +8,7 @@
 //!
 //! The store can record a synthetic [`trace`] of the memory locations an
 //! operation touches, which the cache-model crate turns into the
-//! reuse-distance histograms of Figure 15. The [`lsm`] module adds the
-//! memtable lifecycle (freeze + merged multi-table scans) real storage
-//! engines wrap around the skip list.
+//! reuse-distance histograms of Figure 15.
 //!
 //! ## Example
 //!
@@ -28,7 +26,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod lsm;
 pub mod skiplist;
 pub mod store;
 pub mod trace;

@@ -1,8 +1,9 @@
 //! # Tiny Quanta runtime
 //!
-//! The executable TQ system (§3/§4): a dispatcher thread load-balancing
-//! incoming requests over worker threads whose scheduler loops interleave
-//! *forced-multitasking* job coroutines at microsecond quanta.
+//! The executable TQ system (§3/§4): a dispatcher — the submitting
+//! thread itself — load-balancing incoming requests over worker threads
+//! whose scheduler loops interleave *forced-multitasking* job coroutines
+//! at microsecond quanta.
 //!
 //! * [`clock`] — the physical clock: `RDTSC` on x86-64 (calibrated
 //!   against wall time), a monotonic fallback elsewhere.

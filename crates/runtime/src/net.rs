@@ -10,7 +10,9 @@
 //!   syscall ([`Transport::recv_batch`]);
 //! * the whole burst is decoded and submitted through
 //!   [`TinyQuanta::submit_burst`] — one clock read, one id-range
-//!   reservation, and (at the dispatcher) one ledger snapshot per burst;
+//!   reservation, and one ledger snapshot per burst. The serve loop *is*
+//!   the dispatcher core: it forwards the burst into the worker rings
+//!   itself;
 //! * in-flight `tag`/`addr` bookkeeping lives in a preallocated
 //!   [`InFlightSlab`] keyed by the server's *sequential* [`JobId`]s —
 //!   no hashing, no per-request allocation;
@@ -18,9 +20,10 @@
 //!   `sendmmsg` ([`Transport::send_batch`]) — never one `send_to` per
 //!   completion, in either transport mode.
 //!
-//! Workers' completions still bypass the dispatcher exactly as §3.2
-//! prescribes: the serve loop plays the per-worker TX queues' role,
-//! since worker threads must not block on sockets.
+//! Workers publish completions to per-worker rings, which the serve loop
+//! drains between bursts: it plays the per-worker TX queues' role (§3.2)
+//! as well as the dispatcher's, since worker threads must not block on
+//! sockets.
 //!
 //! ## Wire format
 //!
@@ -365,13 +368,9 @@ pub fn serve<T: Transport>(
             }
             if !submit.is_empty() {
                 // One burst: one clock read, one id-range reservation,
-                // one dispatcher snapshot downstream. A dispatcher that
-                // died mid-service is an error to report after draining,
-                // not a panic inside the serving thread.
-                let Some(first) = server.try_submit_burst(&submit) else {
-                    break 'serve Err(io::Error::other("dispatcher exited while serving"));
-                };
-                let first = first.0;
+                // one load snapshot per 64 requests, forwarded by this
+                // thread straight into the worker rings.
+                let first = server.submit_burst(&submit).0;
                 for (i, &(tag, addr)) in meta.iter().enumerate() {
                     slab.insert(first + i as u64, tag, addr);
                 }

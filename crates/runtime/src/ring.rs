@@ -1,7 +1,7 @@
 //! Lock-free single-producer single-consumer rings.
 //!
 //! The dispatcher forwards each request "to the least loaded worker via a
-//! lockless ring buffer" (§4). One producer (the dispatcher thread) and
+//! lockless ring buffer" (§4). One producer (the submitting thread) and
 //! one consumer (the worker's scheduler loop) share a fixed-capacity
 //! Lamport queue; head and tail live on separate cache lines so the two
 //! sides never false-share.

@@ -1,33 +1,31 @@
 //! The [`TinyQuanta`] server facade.
 //!
-//! Wires together the dispatcher thread, worker threads, rings, shared
-//! counters and the clock, exposing a submit/collect API. The real system's
-//! dispatcher polls a NIC RX ring; here `submit`/`try_submit_burst` are the
-//! NIC: they write a burst into an SPSC RX ring with one Release publish
-//! and the dispatcher polls it (the network was never the paper's
-//! bottleneck — see DESIGN.md). Unlike a dedicated dispatcher core, ours
-//! shares its host, so it parks at its first empty poll, and a submit
-//! wakes it only when the `parked` flag is up — see [`ShutdownSignal`].
+//! Wires together the worker threads, rings, shared counters and the
+//! clock, exposing a submit/collect API. The real system's dispatcher is
+//! a core polling the NIC's RX ring; here the caller of
+//! [`TinyQuanta::submit_burst`] is that core: it stamps the burst and
+//! forwards it straight into the worker rings (the network was never the
+//! paper's bottleneck — see DESIGN.md). There is no dispatcher thread.
 //!
 //! Shutdown follows a two-phase drain protocol (DESIGN.md "Shutdown and
-//! drain"): phase 1, the dispatcher forwards (or, on abort, counts as
-//! dropped) everything it will ever see and sets `dispatcher_done`;
-//! phase 2, each worker exits only once that flag is up *and* every
-//! queue it can receive work from is empty. The two phases make job
-//! conservation — `submitted = completed + dropped`, with every drop
-//! named — hold on every exit path, which the optional
+//! drain"): phase 1 ends when the owner stops submitting, which
+//! `shutdown` and `Drop` mark by raising one `closed` flag after the last
+//! push; phase 2, each worker exits only once that flag is up *and*
+//! every queue it can receive work from is empty. Every accepted request
+//! therefore completes, on every exit path — job conservation
+//! `submitted = completed`, which the optional
 //! [`tq_audit::InvariantAuditor`] verifies at shutdown.
 
 use crate::clock::TscClock;
-use crate::dispatcher;
+use crate::dispatcher::{self, DispatchState, DispatchTx};
 use crate::job::Job;
 use crate::ring;
 use crate::worker::{self, WorkerHandle};
 use std::cell::RefCell;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use tq_audit::fault::FaultPlan;
-use tq_audit::{AuditReport, DropReason, InvariantAuditor, RingAuditLog};
+use tq_audit::{AuditReport, InvariantAuditor, RingAuditLog};
 use tq_core::counters::SharedCounters;
 use tq_core::policy::{DispatchPolicy, TieBreak, WorkerPolicy};
 use tq_core::{ClassId, JobId, Nanos};
@@ -70,108 +68,10 @@ impl Completion {
     }
 }
 
-/// Capacity of the submit (RX) ring between the facade and the
-/// dispatcher: the largest `max_in_flight` a front end runs with
-/// ([`crate::net::NetConfig`]'s default), so a serve loop inside its
-/// in-flight bound never finds it full. A caller that outruns the
-/// dispatcher by more than this yields in `submit` until there is room —
-/// memory stays bounded where the channel this replaced grew without
-/// limit.
-const SUBMIT_RING_CAPACITY: usize = 8192;
-
 /// Per-worker completion-ring capacity. Workers never block on a full
 /// completion ring: overflow stays in a worker-local buffer until the
 /// next drain, so this only bounds the *shared* memory.
 const COMPLETION_CAPACITY: usize = 4096;
-
-/// Coordination flags between the facade, the dispatcher and the workers:
-/// the two-phase shutdown drain protocol and the dispatcher's sleep/wake
-/// handshake.
-///
-/// `closed` ends submission: set (by `shutdown`/`Drop`) after the last
-/// request was published to the submit ring, so a dispatcher that reads
-/// it and *then* finds the ring empty has seen everything. `abort` is the
-/// teardown-without-shutdown path: the dispatcher stops forwarding and
-/// accounts the remainder as [`DropReason::ShutdownAbort`] drops rather
-/// than pushing into rings whose workers may already be gone.
-/// `dispatcher_done` is phase 1: set when the dispatcher thread ends —
-/// after every request it will ever deliver is in a ring, or by unwinding
-/// — so nothing can appear in any queue afterwards. Workers use it as the
-/// gate for phase 2 (exit once it is up *and* every queue they can receive
-/// from is empty), and the submit side reads it as "nobody will ever pop
-/// the submit ring again".
-///
-/// `parked` makes a wake-up cost one futex call per dispatcher *sleep*
-/// instead of one per request. The two sides run the store-buffering
-/// handshake, each with a `SeqCst` fence between its store and its load:
-///
-/// ```text
-/// submit:      publish to ring ; fence ; load parked  → if up: clear, unpark
-/// dispatcher:  store parked=up ; fence ; re-check ring → if empty: park
-/// ```
-///
-/// Whichever fence comes second sees the other side's store, so either
-/// the submitter sees `parked` (and unparks; the token makes a later
-/// `park` return at once) or the dispatcher's re-check sees the request.
-/// `tests/wake_protocol.rs` checks every interleaving of the handshake.
-#[derive(Debug, Default)]
-pub(crate) struct ShutdownSignal {
-    closed: AtomicBool,
-    abort: AtomicBool,
-    dispatcher_done: AtomicBool,
-    parked: AtomicBool,
-}
-
-impl ShutdownSignal {
-    /// Ends submission and wakes the dispatcher so it drains and exits.
-    /// The unpark is unconditional: this runs once, and a dispatcher that
-    /// has not parked yet keeps the token for when it does.
-    pub(crate) fn close(&self, dispatcher: &std::thread::Thread) {
-        self.closed.store(true, Ordering::Release);
-        dispatcher.unpark();
-    }
-
-    pub(crate) fn closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn request_abort(&self) {
-        self.abort.store(true, Ordering::Release);
-    }
-
-    pub(crate) fn abort_requested(&self) -> bool {
-        self.abort.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn set_dispatcher_done(&self) {
-        self.dispatcher_done.store(true, Ordering::Release);
-    }
-
-    pub(crate) fn dispatcher_done(&self) -> bool {
-        self.dispatcher_done.load(Ordering::Acquire)
-    }
-
-    /// Submit side of the handshake; call after publishing to the ring.
-    fn wake_if_parked(&self, dispatcher: &std::thread::Thread) {
-        fence(Ordering::SeqCst);
-        if self.parked.load(Ordering::Relaxed) {
-            self.parked.store(false, Ordering::Relaxed);
-            dispatcher.unpark();
-        }
-    }
-
-    /// Dispatcher side of the handshake: sleeps until a submit or a close
-    /// unparks this thread, unless `has_work` already holds after the
-    /// flag went up. May return spuriously; the caller polls again.
-    pub(crate) fn park_unless(&self, has_work: impl FnOnce() -> bool) {
-        self.parked.store(true, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        if !has_work() && !self.closed() {
-            std::thread::park();
-        }
-        self.parked.store(false, Ordering::Relaxed);
-    }
-}
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -240,8 +140,8 @@ pub type JobFactory = dyn Fn(&RtRequest) -> Box<dyn Job> + Send + Sync;
 /// dropped at shutdown; the harness now surfaces them in `RunOutput`.
 #[derive(Debug, Clone, Default)]
 pub struct ServerStats {
-    /// Dispatcher-thread counters (forwarded requests, ring backpressure,
-    /// abort-path drops).
+    /// Dispatch counters (forwarded requests, chunks, ring backpressure),
+    /// measured in the submitting thread.
     pub dispatcher: dispatcher::DispatcherStats,
     /// Per-worker counters, indexed by worker id.
     pub workers: Vec<worker::WorkerStats>,
@@ -278,28 +178,19 @@ impl ServerStats {
             .unwrap_or(0)
     }
 
-    /// Total requests dropped (never delivered to a worker), across all
-    /// named drop reasons.
+    /// Requests accepted but never run. Always 0: `submit_burst` returns
+    /// only once every request is in a worker's queue, and both
+    /// `shutdown` and `Drop` run every queued request to completion.
     pub fn total_dropped(&self) -> u64 {
-        self.dispatcher.dropped_on_abort
-    }
-
-    /// Drops by named reason, for the conservation ledger. Empty when
-    /// nothing was dropped.
-    pub fn drops(&self) -> Vec<(DropReason, u64)> {
-        let mut drops = Vec::new();
-        if self.dispatcher.dropped_on_abort > 0 {
-            drops.push((DropReason::ShutdownAbort, self.dispatcher.dropped_on_abort));
-        }
-        drops
+        0
     }
 }
 
 /// A running Tiny Quanta server.
 ///
-/// The handle is `Send` but deliberately not `Sync`: it is the *single*
-/// producer of the submit ring, which is what lets a burst be one ring
-/// publish instead of a lock per request.
+/// The handle is `Send` but deliberately not `Sync`: its owner is the
+/// *single* producer of every worker ring, which is what lets a burst be
+/// one ring publish per worker instead of a lock per request.
 ///
 /// ```
 /// fn assert_send<T: Send>() {}
@@ -312,11 +203,8 @@ impl ServerStats {
 /// ```
 #[derive(Debug)]
 pub struct TinyQuanta {
-    /// Producer half of the submit (RX) ring the dispatcher polls.
-    submit_tx: ring::Producer<RtRequest>,
-    /// Staging for [`TinyQuanta::try_submit_burst`], so a burst reaches
-    /// the ring as one slice.
-    submit_buf: RefCell<Vec<RtRequest>>,
+    /// The dispatcher, run by whoever submits.
+    dispatch: RefCell<DispatchState>,
     /// One SPSC completion ring per worker (that worker is the sole
     /// producer), replacing the old unbounded MPSC channel: a completion
     /// publish is a ring write instead of a channel send, and a burst of
@@ -325,13 +213,14 @@ pub struct TinyQuanta {
     /// the worker joins — workers spin-flush their local overflow at
     /// exit), and by `Drop`.
     completion_rx: Vec<ring::Consumer<Completion>>,
-    dispatcher: Option<std::thread::JoinHandle<dispatcher::DispatcherStats>>,
     workers: Vec<WorkerHandle>,
-    signal: Arc<ShutdownSignal>,
+    /// Phase 1 of the drain: raised once the owner has stopped
+    /// submitting, after the last ring push.
+    closed: Arc<AtomicBool>,
     audit_log: Option<Arc<RingAuditLog>>,
     work_stealing: bool,
     clock: TscClock,
-    next_id: std::sync::atomic::AtomicU64,
+    next_id: AtomicU64,
     /// Live scheduling quantum in nanoseconds, shared with every worker.
     /// Workers re-read it before arming each quantum, so
     /// [`TinyQuanta::set_quantum`] (the adaptive controller's publish
@@ -340,14 +229,15 @@ pub struct TinyQuanta {
 }
 
 impl TinyQuanta {
-    /// Starts the server: spawns the dispatcher and worker threads,
-    /// calibrating a fresh [`TscClock`] (~10 ms). Callers that already
-    /// hold a calibrated clock should use [`TinyQuanta::start_with_clock`]
-    /// so timestamps share one origin and calibration happens once.
+    /// Starts the server: spawns one thread per worker, calibrating a
+    /// fresh [`TscClock`] (~10 ms). Callers that already hold a
+    /// calibrated clock should use [`TinyQuanta::start_with_clock`] so
+    /// timestamps share one origin and calibration happens once.
     ///
     /// # Panics
     ///
-    /// Panics on a degenerate configuration (zero workers or slots).
+    /// Panics on a degenerate configuration (zero workers or slots, or a
+    /// `Pinned` worker that does not exist).
     pub fn start<F>(config: ServerConfig, factory: F) -> TinyQuanta
     where
         F: Fn(&RtRequest) -> Box<dyn Job> + Send + Sync + 'static,
@@ -362,7 +252,8 @@ impl TinyQuanta {
     ///
     /// # Panics
     ///
-    /// Panics on a degenerate configuration (zero workers or slots).
+    /// Panics on a degenerate configuration (zero workers or slots, or a
+    /// `Pinned` worker that does not exist).
     pub fn start_with_clock<F>(config: ServerConfig, clock: TscClock, factory: F) -> TinyQuanta
     where
         F: Fn(&RtRequest) -> Box<dyn Job> + Send + Sync + 'static,
@@ -373,12 +264,11 @@ impl TinyQuanta {
         let counters: Arc<Vec<SharedCounters>> = Arc::new(
             (0..config.workers).map(|_| SharedCounters::new()).collect(),
         );
-        let signal = Arc::new(ShutdownSignal::default());
+        let closed = Arc::new(AtomicBool::new(false));
         let quantum = Arc::new(AtomicU64::new(config.quantum.0));
         let audit_log = config
             .audit
             .then(|| Arc::new(RingAuditLog::new(config.workers)));
-        let (submit_tx, submit_rx) = ring::spsc::<RtRequest>(SUBMIT_RING_CAPACITY);
         let mut completion_rx = Vec::with_capacity(config.workers);
         let mut completion_tx = Vec::with_capacity(config.workers);
         for _ in 0..config.workers {
@@ -386,74 +276,57 @@ impl TinyQuanta {
             completion_tx.push(p);
             completion_rx.push(c);
         }
-        let mut completion_tx = completion_tx.into_iter();
-
-        let mut workers = Vec::with_capacity(config.workers);
-        let tx = if config.work_stealing {
+        let (tx, rxs): (DispatchTx, Vec<worker::WorkerRx>) = if config.work_stealing {
             let queues: Vec<Arc<crossbeam::queue::ArrayQueue<RtRequest>>> = (0..config.workers)
                 .map(|_| Arc::new(crossbeam::queue::ArrayQueue::new(config.ring_capacity)))
                 .collect();
-            for w in 0..config.workers {
-                workers.push(worker::spawn(
-                    w,
-                    &config,
-                    Arc::clone(&quantum),
-                    worker::WorkerRx::Shared {
-                        index: w,
-                        queues: queues.clone(),
-                    },
-                    Arc::clone(&factory),
-                    Arc::clone(&counters),
-                    completion_tx.next().expect("one ring per worker"),
-                    Arc::clone(&signal),
-                    audit_log.clone(),
-                    clock.clone(),
-                ));
-            }
-            dispatcher::DispatchTx::Shared(queues)
+            let rxs = (0..config.workers)
+                .map(|index| worker::WorkerRx::Shared {
+                    index,
+                    queues: queues.clone(),
+                })
+                .collect();
+            (DispatchTx::Shared(queues), rxs)
         } else {
-            let mut producers = Vec::with_capacity(config.workers);
-            for w in 0..config.workers {
-                let (p, c) = ring::spsc::<RtRequest>(config.ring_capacity);
-                producers.push(p);
-                workers.push(worker::spawn(
+            let (producers, rxs): (Vec<_>, Vec<_>) = (0..config.workers)
+                .map(|_| {
+                    let (p, c) = ring::spsc::<RtRequest>(config.ring_capacity);
+                    (p, worker::WorkerRx::Spsc(c))
+                })
+                .unzip();
+            (DispatchTx::Spsc(producers), rxs)
+        };
+        // Built before any thread exists, so a bad policy panics here.
+        let dispatch = DispatchState::new(&config, tx, Arc::clone(&counters), audit_log.clone());
+        let workers = rxs
+            .into_iter()
+            .zip(completion_tx)
+            .enumerate()
+            .map(|(w, (rx, completions))| {
+                worker::spawn(
                     w,
                     &config,
                     Arc::clone(&quantum),
-                    worker::WorkerRx::Spsc(c),
+                    rx,
                     Arc::clone(&factory),
                     Arc::clone(&counters),
-                    completion_tx.next().expect("one ring per worker"),
-                    Arc::clone(&signal),
+                    completions,
+                    Arc::clone(&closed),
                     audit_log.clone(),
                     clock.clone(),
-                ));
-            }
-            dispatcher::DispatchTx::Spsc(producers)
-        };
-
-        let work_stealing = config.work_stealing;
-        let dispatcher = dispatcher::spawn(
-            &config,
-            submit_rx,
-            tx,
-            Arc::clone(&counters),
-            Arc::clone(&signal),
-            audit_log.clone(),
-            clock.clone(),
-        );
+                )
+            })
+            .collect();
 
         TinyQuanta {
-            submit_tx,
-            submit_buf: RefCell::new(Vec::new()),
+            dispatch: RefCell::new(dispatch),
             completion_rx,
-            dispatcher: Some(dispatcher),
             workers,
-            signal,
+            closed,
             audit_log,
-            work_stealing,
+            work_stealing: config.work_stealing,
             clock,
-            next_id: std::sync::atomic::AtomicU64::new(0),
+            next_id: AtomicU64::new(0),
             quantum,
         }
     }
@@ -473,80 +346,33 @@ impl TinyQuanta {
     }
 
     /// Submits a synthetic request of the given class and service time.
-    /// Returns its id. Blocks (yielding) while the submit ring is full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dispatcher thread is gone (it panicked).
+    /// Returns its id. Blocks (yielding) while every worker ring is full.
     pub fn submit(&self, class: u16, service: Nanos) -> JobId {
         self.submit_burst(&[(class, service)])
     }
 
     /// Submits a whole burst of `(class, service)` requests, returning
-    /// the id of the first; the rest follow sequentially. The burst pays
-    /// one clock read, one id-range reservation and one ring publish
-    /// instead of one of each per request, and arrives at the dispatcher
-    /// back-to-back so it is drained as (at most a few) dispatch bursts —
-    /// one ledger snapshot each — rather than `reqs.len()` singletons.
-    /// All requests in the burst share one submission timestamp: the
-    /// burst *arrived* together (a batched socket read delivers its
-    /// frames at one instant). Blocks (yielding) while the submit ring
-    /// is full.
+    /// the id of the first; the rest follow sequentially. The calling
+    /// thread is the dispatcher: it forwards the burst into the worker
+    /// rings in chunks of up to 64, each paying one load snapshot and one
+    /// ring publish per worker instead of one of each per request. The
+    /// burst pays one clock read and one id-range reservation, and all
+    /// its requests share one submission timestamp: the burst *arrived*
+    /// together (a batched socket read delivers its frames at one
+    /// instant). Returns once every request is in a worker's queue,
+    /// blocking (yielding) while every worker ring is full.
     ///
     /// # Panics
     ///
-    /// Panics on an empty burst or if the dispatcher thread is gone (it
-    /// panicked).
+    /// Panics on an empty burst.
     pub fn submit_burst(&self, reqs: &[(u16, Nanos)]) -> JobId {
-        self.try_submit_burst(reqs)
-            .expect("dispatcher exited early")
-    }
-
-    /// Fallible [`TinyQuanta::submit_burst`] for callers that own a
-    /// serving loop: a dispatcher that is gone (it panicked) surfaces as
-    /// `None` so the loop can drain its transport and report an error
-    /// instead of aborting its thread — or waiting forever on a full
-    /// ring nobody will pop.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty burst (that is a caller bug, not a runtime
-    /// state).
-    pub fn try_submit_burst(&self, reqs: &[(u16, Nanos)]) -> Option<JobId> {
         assert!(!reqs.is_empty(), "empty burst");
-        let n = reqs.len() as u64;
-        let first = self.next_id.fetch_add(n, Ordering::Relaxed);
+        let first = self.next_id.fetch_add(reqs.len() as u64, Ordering::Relaxed);
         let now = self.clock.wall_nanos();
-        let dispatcher = self.dispatcher.as_ref()?.thread();
-        let mut buf = self.submit_buf.borrow_mut();
-        buf.clear();
-        buf.extend(
-            reqs.iter()
-                .zip(first..)
-                .map(|(&(class, service), id)| RtRequest {
-                    id: JobId(id),
-                    class: ClassId(class),
-                    service,
-                    submitted: now,
-                }),
-        );
-        let mut rest = &buf[..];
-        loop {
-            if self.signal.dispatcher_done() {
-                return None;
-            }
-            let k = self.submit_tx.push_batch_copy(rest);
-            if k > 0 {
-                self.signal.wake_if_parked(dispatcher);
-            }
-            rest = &rest[k..];
-            if rest.is_empty() {
-                return Some(JobId(first));
-            }
-            // Full ring: the dispatcher is behind (its workers' rings are
-            // full too). Give it the CPU.
-            std::thread::yield_now();
-        }
+        self.dispatch
+            .borrow_mut()
+            .forward(reqs, first, now, &self.clock);
+        JobId(first)
     }
 
     /// The server's wall clock (for aligning external measurements).
@@ -581,33 +407,15 @@ impl TinyQuanta {
     /// and — when `ServerConfig::audit` was set — the invariant-audit
     /// report in `ServerStats::audit`.
     pub fn shutdown_with_stats(mut self) -> (Vec<Completion>, ServerStats) {
-        let dispatcher = self.dispatcher.take().expect("shutdown runs once");
-        // The dispatcher drains the submit ring to the last request, then
-        // sees `closed` and exits.
-        self.signal.close(dispatcher.thread());
-        let dispatcher_stats = dispatcher.join().expect("dispatcher panicked");
-        // Phase 1 is complete: the dispatcher set `dispatcher_done` after
-        // its last ring push. Phase 2: each worker exits once it confirms
-        // every queue it can receive from is empty — spin-flushing any
-        // locally buffered completions into its (bounded) completion ring
-        // first, so this side must keep draining the rings *while* the
-        // workers wind down or a full ring would deadlock the join.
         let mut completions = Vec::new();
-        let handles: Vec<WorkerHandle> = self.workers.drain(..).collect();
-        loop {
-            drain_rings(&self.completion_rx, &mut completions);
-            if handles.iter().all(|h| h.is_finished()) {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        let worker_stats: Vec<_> = handles.into_iter().map(|w| w.join()).collect();
-        // Final sweep: everything flushed before the last worker exited.
-        drain_rings(&self.completion_rx, &mut completions);
+        let workers = self.close_and_join(&mut completions);
         let submitted = self.next_id.load(Ordering::Relaxed);
         let mut stats = ServerStats {
-            dispatcher: dispatcher_stats,
-            workers: worker_stats,
+            dispatcher: self.dispatch.borrow().stats(&self.clock),
+            workers: workers
+                .into_iter()
+                .map(|w| w.expect("worker panicked"))
+                .collect(),
             audit: None,
         };
         if self.audit_log.is_some() {
@@ -616,19 +424,45 @@ impl TinyQuanta {
         (completions, stats)
     }
 
+    /// Ends phase 1 — no push will follow — and joins the workers, which
+    /// run everything queued before they exit (phase 2). Each worker
+    /// spin-flushes its locally buffered completions into its bounded
+    /// completion ring on the way out, so this side keeps draining the
+    /// rings into `completions` *while* the workers wind down, or a full
+    /// ring would deadlock the join. Returns each worker's statistics,
+    /// or its panic; empty once the workers have been joined.
+    fn close_and_join(
+        &mut self,
+        completions: &mut Vec<Completion>,
+    ) -> Vec<std::thread::Result<worker::WorkerStats>> {
+        self.closed.store(true, Ordering::Release);
+        let handles: Vec<WorkerHandle> = self.workers.drain(..).collect();
+        loop {
+            drain_rings(&self.completion_rx, completions);
+            if handles.iter().all(|h| h.is_finished()) {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        let stats = handles.into_iter().map(|w| w.join()).collect();
+        // Final sweep: everything flushed before the last worker exited.
+        drain_rings(&self.completion_rx, completions);
+        stats
+    }
+
     /// Runs the counter- and ring-level invariant checks the server can
     /// perform without the full completion stream (some completions may
     /// already have been handed out via [`TinyQuanta::drain_completions`]).
     fn audit(&self, submitted: u64, stats: &ServerStats) -> AuditReport {
         let mut auditor = InvariantAuditor::new("server");
-        auditor.check_conservation(submitted, stats.total_completed(), &stats.drops());
+        auditor.check_conservation(submitted, stats.total_completed(), &[]);
         auditor.check(
             "dispatcher_accounts_every_submission",
-            stats.dispatcher.forwarded + stats.dispatcher.dropped_on_abort == submitted,
+            stats.dispatcher.forwarded == submitted,
             || {
                 format!(
-                    "forwarded {} + dropped {} != submitted {submitted}",
-                    stats.dispatcher.forwarded, stats.dispatcher.dropped_on_abort
+                    "forwarded {} != submitted {submitted}",
+                    stats.dispatcher.forwarded
                 )
             },
         );
@@ -640,39 +474,12 @@ impl TinyQuanta {
 }
 
 impl Drop for TinyQuanta {
+    /// A dropped server runs every request it accepted to completion,
+    /// exactly as `shutdown` does, and discards the completions. A
+    /// worker's panic is not raised again here: a panic in `drop` while
+    /// another unwinds would abort the process.
     fn drop(&mut self) {
-        // A dropped (not shut down) server must still terminate cleanly:
-        // request an abort so the dispatcher drains the submit ring
-        // *accounting* undelivered requests as drops instead of pushing
-        // them into rings, then runs phase 1/2 of the drain protocol as
-        // usual. (Previously this path raised the workers' drain flag
-        // before the dispatcher finished: requests could land in rings
-        // whose workers had already exited — silently lost — or the
-        // dispatcher could retry a full ring forever and hang the join.)
-        // A panicked dispatcher raised `dispatcher_done` while unwinding,
-        // so the worker joins below cannot wedge on it either.
-        if let Some(d) = self.dispatcher.take() {
-            self.signal.request_abort();
-            self.signal.close(d.thread());
-            let _ = d.join();
-        }
-        // Same drain-while-joining dance as `shutdown_with_stats`: the
-        // workers' exit flush blocks on full completion rings until
-        // someone pops. The drained completions are discarded — this is
-        // the abandon-ship path.
-        let handles: Vec<WorkerHandle> = self.workers.drain(..).collect();
-        let mut discard = Vec::new();
-        loop {
-            drain_rings(&self.completion_rx, &mut discard);
-            discard.clear();
-            if handles.iter().all(|h| h.is_finished()) {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        for w in handles {
-            w.join();
-        }
+        self.close_and_join(&mut Vec::new());
     }
 }
 
@@ -778,62 +585,26 @@ mod tests {
         drop(server); // must not hang
     }
 
-    /// Spins until the dispatcher has raised `parked`: it is then asleep,
-    /// or past the point where only an unpark token (or the re-check)
-    /// can keep it from sleeping.
-    fn await_parked(server: &TinyQuanta) {
-        while !server.signal.parked.load(Ordering::Relaxed) {
-            std::thread::yield_now();
+    /// A job that counts its own completion.
+    struct Counted(Arc<AtomicU64>);
+
+    impl Job for Counted {
+        fn run(&mut self, _: &mut crate::job::QuantumCtx) -> crate::job::JobStatus {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            crate::job::JobStatus::Done
         }
     }
 
-    #[test]
-    fn shutdown_wakes_a_parked_dispatcher() {
-        let server = spin_server(1, 10);
-        server.submit(0, Nanos::from_micros(5));
-        await_parked(&server);
-        let (completions, stats) = server.shutdown_with_stats();
-        assert_eq!(completions.len(), 1);
-        assert!(stats.dispatcher.parks >= 1);
-    }
+    const STALLED_RING: usize = 64;
 
-    #[test]
-    fn drop_wakes_a_parked_dispatcher() {
-        let server = spin_server(1, 10);
-        await_parked(&server);
-        drop(server); // must not hang on a dispatcher nobody unparks
-    }
-
-    #[test]
-    fn submit_wakes_a_parked_dispatcher() {
-        let server = spin_server(1, 10);
-        let mut done = Vec::new();
-        for _ in 0..100 {
-            await_parked(&server);
-            server.submit(0, Nanos::ZERO);
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            done.clear();
-            while done.is_empty() {
-                assert!(std::time::Instant::now() < deadline, "lost wake-up");
-                server.drain_completions_into(&mut done);
-                std::thread::yield_now();
-            }
-        }
-        let (_, stats) = server.shutdown_with_stats();
-        assert!(stats.dispatcher.parks >= 100);
-    }
-
-    /// The abort path with requests still in the submit ring: the one
-    /// worker is stalled behind a two-slot ring, so the dispatcher sits
-    /// in its backpressure loop while the flood queues up behind it.
-    /// Every request must end up completed or counted as dropped.
-    #[test]
-    fn abort_with_a_non_empty_submit_ring_counts_every_drop() {
-        let clock = TscClock::calibrated();
-        let server = TinyQuanta::start_with_clock(
+    /// One worker, dark for its first 100 ms, whose ring is full: the
+    /// burst fits it exactly, so `submit_burst` returns at once.
+    fn stalled_full_ring(done: &Arc<AtomicU64>) -> TinyQuanta {
+        let done = Arc::clone(done);
+        let server = TinyQuanta::start(
             ServerConfig {
                 workers: 1,
-                ring_capacity: 2,
+                ring_capacity: STALLED_RING,
                 audit: true,
                 fault: Some(FaultPlan::stall_worker(
                     0,
@@ -842,18 +613,29 @@ mod tests {
                 )),
                 ..ServerConfig::default()
             },
-            clock.clone(),
-            move |req| Box::new(SpinJob::with_clock(req, &clock)),
+            move |_| Box::new(Counted(Arc::clone(&done))),
         );
-        let n = 1000;
-        server.submit_burst(&vec![(0, Nanos::ZERO); n]);
-        // What `Drop` does, but keeping the stats it throws away.
-        server.signal.request_abort();
-        let (completions, stats) = server.shutdown_with_stats();
-        assert!(stats.dispatcher.dropped_on_abort > 0, "nothing was aborted");
-        assert_eq!(
-            completions.len() as u64 + stats.dispatcher.dropped_on_abort,
-            n as u64
+        server.submit_burst(&[(0, Nanos::ZERO); STALLED_RING]);
+        server
+    }
+
+    #[test]
+    fn dropping_a_server_whose_stalled_worker_has_full_rings_finishes_every_request() {
+        let done = Arc::new(AtomicU64::new(0));
+        drop(stalled_full_ring(&done));
+        assert_eq!(done.load(Ordering::Relaxed), STALLED_RING as u64);
+    }
+
+    #[test]
+    fn shutting_down_a_server_whose_stalled_worker_has_full_rings_finishes_every_request() {
+        let done = Arc::new(AtomicU64::new(0));
+        let (completions, stats) = stalled_full_ring(&done).shutdown_with_stats();
+        assert_eq!(completions.len(), STALLED_RING);
+        assert_eq!(done.load(Ordering::Relaxed), STALLED_RING as u64);
+        assert_eq!(stats.max_ring_occupancy(), STALLED_RING as u64);
+        assert!(
+            stats.workers[0].stalled_iterations > 0,
+            "the stall never applied"
         );
         let report = stats.audit.as_ref().expect("audit was enabled");
         assert!(report.is_clean(), "audit violations: {report}");

@@ -4,25 +4,26 @@
 //! coroutines), a PS rotation over the busy ones, and the consumer end of
 //! its dispatch ring. Per iteration it (i) admits pending requests into
 //! idle slots, (ii) resumes the rotation head for one quantum, (iii) on
-//! completion sends the response directly (bypassing the dispatcher) and
-//! updates the shared counters the dispatcher's JSQ/MSQ reads.
+//! completion publishes to its own completion ring, which the submitting
+//! thread drains (responses never pass back through the dispatch path),
+//! and updates the shared counters the dispatcher's JSQ/MSQ reads.
 //!
 //! An idle worker yields at once, then sleeps; it never spins, because
 //! the submitter that would give it work may need the same CPU.
 //!
 //! Exit is phase 2 of the drain protocol (DESIGN.md): a worker returns
-//! only once the dispatcher has signalled phase 1 (`dispatcher_done` —
-//! no queue will ever receive another push) *and* every queue this
-//! worker can receive from is empty. In work-stealing mode "every queue"
+//! only once the server is `closed` (phase 1 — the owner has stopped
+//! submitting, so no queue will ever receive another push) *and* every
+//! queue this worker can receive from is empty. In work-stealing mode "every queue"
 //! means all siblings' queues too: an idle worker keeps stealing during
 //! the drain rather than abandoning work a stalled sibling still holds.
 
 use crate::clock::TscClock;
 use crate::job::{Job, JobStatus, QuantumCtx};
 use crate::ring::{Consumer, Producer};
-use crate::server::{Completion, JobFactory, RtRequest, ServerConfig, ShutdownSignal};
+use crate::server::{Completion, JobFactory, RtRequest, ServerConfig};
 use crossbeam::queue::ArrayQueue;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use tq_audit::fault::FaultPlan;
 use tq_audit::RingAuditLog;
@@ -43,13 +44,10 @@ pub struct WorkerHandle {
 }
 
 impl WorkerHandle {
-    /// Joins the worker, returning its statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the worker thread panicked.
-    pub fn join(self) -> WorkerStats {
-        self.thread.join().expect("worker panicked")
+    /// Joins the worker, returning its statistics, or the panic that
+    /// ended it.
+    pub fn join(self) -> std::thread::Result<WorkerStats> {
+        self.thread.join()
     }
 
     /// Whether the worker thread has returned. Used by the shutdown and
@@ -90,7 +88,7 @@ struct Task {
 /// or — in work-stealing mode (the Caladan configuration) — a shared
 /// MPMC queue per worker from which idle siblings may steal.
 pub(crate) enum WorkerRx {
-    /// Private lock-free ring (dispatcher is the sole producer).
+    /// Private lock-free ring (the submitter is the sole producer).
     Spsc(Consumer<RtRequest>),
     /// Stealable per-worker queues; `index` is this worker's own.
     Shared {
@@ -200,7 +198,8 @@ struct WorkerCtx {
     factory: Arc<JobFactory>,
     counters: Arc<Vec<SharedCounters>>,
     completions: Producer<Completion>,
-    signal: Arc<ShutdownSignal>,
+    /// Phase 1 of the drain: no push will follow.
+    closed: Arc<AtomicBool>,
     audit: Option<Arc<RingAuditLog>>,
     fault: Option<FaultPlan>,
     clock: TscClock,
@@ -218,7 +217,7 @@ pub(crate) fn spawn(
     factory: Arc<JobFactory>,
     counters: Arc<Vec<SharedCounters>>,
     completions: Producer<Completion>,
-    signal: Arc<ShutdownSignal>,
+    closed: Arc<AtomicBool>,
     audit: Option<Arc<RingAuditLog>>,
     clock: TscClock,
 ) -> WorkerHandle {
@@ -237,7 +236,7 @@ pub(crate) fn spawn(
         factory,
         counters,
         completions,
-        signal,
+        closed,
         audit,
         fault,
         clock,
@@ -284,7 +283,7 @@ fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
         factory,
         counters,
         completions,
-        signal,
+        closed,
         audit,
         fault,
         clock,
@@ -456,12 +455,12 @@ fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
             if !done_buf.is_empty() {
                 completions.push_batch(&mut done_buf);
             }
-            // Phase-2 exit: the dispatcher has pushed its last request
-            // (phase 1) and every queue this worker could receive from —
-            // all siblings' too, in stealing mode — is empty. Checking
-            // only the local queue here let stealing-mode workers exit
-            // while a sibling's queue still held jobs nobody would run.
-            if signal.dispatcher_done() && rx.all_drained() {
+            // Phase-2 exit: the last request has been pushed (phase 1)
+            // and every queue this worker could receive from — all
+            // siblings' too, in stealing mode — is empty. Checking only
+            // the local queue here let stealing-mode workers exit while a
+            // sibling's queue still held jobs nobody would run.
+            if closed.load(Ordering::Acquire) && rx.all_drained() {
                 // Exit flush: every buffered completion must reach the
                 // ring. The shutdown/drop paths drain concurrently with
                 // this join, so a full ring always makes progress.
@@ -531,8 +530,7 @@ mod tests {
         }
         let (done_tx, done_rx) = crate::ring::spsc::<Completion>(config.ring_capacity);
         // Phase 1 is already over: the worker drains the ring and exits.
-        let signal = Arc::new(ShutdownSignal::default());
-        signal.set_dispatcher_done();
+        let closed = Arc::new(AtomicBool::new(true));
         let stats = spawn(
             0,
             &config,
@@ -541,11 +539,12 @@ mod tests {
             Arc::new(|_: &RtRequest| -> Box<dyn Job> { Box::new(Once) }),
             Arc::new(vec![SharedCounters::new()]),
             done_tx,
-            signal,
+            closed,
             None,
             TscClock::calibrated(),
         )
-        .join();
+        .join()
+        .expect("worker panicked");
         assert_eq!(stats.completed, k);
         assert!(
             stats.stalled_iterations > 0,

@@ -6,7 +6,8 @@
 //! retry re-ran the policy with no exclusion, so a deterministic policy
 //! (Pinned, RssHash) kept choosing the same full ring and the dispatcher
 //! spun — requests that any other worker could have served immediately
-//! sat in the submit channel behind the blocked head.
+//! waited behind the blocked head. The dispatcher is the submitting
+//! thread, so such a spin would also hang `submit` itself.
 //!
 //! The scenario: two workers, worker 0 stalled by fault injection with a
 //! capacity-2 ring, and a Pinned(0) policy steering every request at it.
@@ -42,6 +43,9 @@ fn full_ring_repick_excludes_the_full_worker() {
         Box::new(SpinJob::with_clock(req, &job_clock))
     });
 
+    // The deadline starts before the submits: `submit` runs the
+    // dispatcher, so a spin on the full ring would hold it there.
+    let deadline = Instant::now() + Duration::from_millis(2_000);
     let n = 16usize;
     for i in 0..n {
         server.submit((i % 2) as u16, Nanos::from_micros(1));
@@ -52,7 +56,6 @@ fn full_ring_repick_excludes_the_full_worker() {
     // Pre-fix the dispatcher spins on worker 0's full ring instead and
     // zero completions arrive inside the deadline.
     let overflow = n - 2;
-    let deadline = Instant::now() + Duration::from_millis(2_000);
     let mut completed = Vec::new();
     while completed.len() < overflow && Instant::now() < deadline {
         completed.extend(server.drain_completions());

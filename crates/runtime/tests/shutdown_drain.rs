@@ -7,17 +7,17 @@
 //!   queue (which that worker could have stolen) could be left behind if
 //!   their owner was also past its exit check, breaking conservation.
 //! * On the `Drop`-without-`shutdown` path the drain flag was raised
-//!   *before* the dispatcher finished forwarding: workers could exit
-//!   while the dispatcher kept pushing into their dead rings (silent job
-//!   loss), and once such a ring filled up the dispatcher retried the
-//!   push forever — a hang at join time.
+//!   *before* the last request was forwarded: workers could exit while
+//!   requests were still being pushed into their dead rings (silent job
+//!   loss), and once such a ring filled up the push was retried forever
+//!   — a hang at join time.
 //!
-//! Post-fix: phase 1 (dispatcher sets `dispatcher_done` after its last
-//! push, counting aborted requests as named drops) strictly precedes
-//! phase 2 (workers exit only when every queue they can receive from is
-//! empty). These tests hammer both paths; the stealing-conservation loop
-//! runs well over 100 shutdowns under load, as tiny windows need many
-//! trials to open.
+//! Now the submitter is the dispatcher, so phase 1 (the `closed` flag,
+//! raised by `shutdown` or `Drop`) comes after its last push by
+//! construction, and strictly precedes phase 2 (workers exit only when
+//! every queue they can receive from is empty). These tests hammer both
+//! paths; the stealing-conservation loop runs well over 100 shutdowns
+//! under load, as tiny windows need many trials to open.
 
 use tq_core::policy::{DispatchPolicy, WorkerPolicy};
 use tq_core::Nanos;
@@ -43,8 +43,8 @@ fn stealing_shutdown_conserves_over_many_rounds() {
         let cfg = ServerConfig {
             workers: 4,
             quantum: Nanos::from_micros(2),
-            // Tight rings force backpressure while the shutdown races the
-            // dispatcher's final pushes.
+            // Tight rings force backpressure on the submits just before
+            // the shutdown.
             ring_capacity: 8,
             dispatch: DispatchPolicy::RssHash,
             discipline: WorkerPolicy::Fcfs,
@@ -96,12 +96,10 @@ fn spsc_shutdown_conserves_over_many_rounds() {
     }
 }
 
-/// Drop-without-shutdown under heavy load and tiny rings. Pre-fix this
-/// hangs: workers exit on the early drain flag, the dispatcher keeps
-/// forwarding into their dead rings, and the first full ring spins the
-/// dispatcher (and the joining `Drop`) forever. Post-fix the dispatcher
-/// accounts the backlog as `shutdown_abort` drops and every thread
-/// terminates.
+/// Drop-without-shutdown under heavy load and tiny rings: `submit`
+/// blocks on the full rings while the workers run, and `Drop` then waits
+/// for the requests still queued. Every thread must terminate, with no
+/// hang in the join and no panic from a worker.
 #[test]
 fn drop_under_load_terminates() {
     let clock = TscClock::calibrated();
@@ -121,7 +119,7 @@ fn drop_under_load_terminates() {
     }
 }
 
-/// Same abort path with stealing mode and tiny queues.
+/// The same drop path with stealing mode and tiny queues.
 #[test]
 fn drop_under_load_terminates_stealing() {
     let clock = TscClock::calibrated();
@@ -144,8 +142,8 @@ fn drop_under_load_terminates_stealing() {
 
 /// A clean shutdown after a `submit` burst races phase 1 against phase 2
 /// hundreds of times at varying burst sizes; conservation must hold at
-/// every size (this sweeps the window where the dispatcher's last push
-/// lands just as workers evaluate their exit condition).
+/// every size (this sweeps the window where the last push lands just as
+/// workers evaluate their exit condition).
 #[test]
 fn shutdown_while_submitting_burst_sizes() {
     let clock = TscClock::calibrated();

@@ -1,6 +1,6 @@
-//! The edges the bounded submit ring added: a submitter that outruns the
-//! dispatcher blocks instead of growing a queue, and a dispatcher that is
-//! gone is an answer, not an endless wait on a ring nobody pops.
+//! The edges of the submit path: a submitter that outruns every worker
+//! ring blocks instead of growing a queue, and a policy no worker can
+//! serve is refused before any thread starts.
 
 use std::time::{Duration, Instant};
 use tq_audit::fault::FaultPlan;
@@ -16,13 +16,13 @@ fn server(config: ServerConfig) -> TinyQuanta {
     })
 }
 
-/// More requests than the submit ring (8192), the one worker's ring and a
-/// dispatch burst hold together, against a worker that admits nothing for
-/// its first `stall`: the flood cannot be accepted until the worker wakes,
-/// so `submit_burst` has to wait for it — and shutting down right after,
-/// with the submit ring still full, must lose nothing.
+/// Far more requests than the one worker's ring holds, against a worker
+/// that admits nothing for its first `stall`: the flood cannot be
+/// accepted until the worker wakes, so `submit_burst` has to wait for it
+/// — and shutting down right after, with the ring still full, must lose
+/// nothing.
 #[test]
-fn flood_larger_than_the_submit_ring_blocks_and_loses_nothing() {
+fn flood_larger_than_every_worker_ring_blocks_and_loses_nothing() {
     let stall = Duration::from_millis(200);
     let started = Instant::now();
     let server = server(ServerConfig {
@@ -54,11 +54,11 @@ fn flood_larger_than_the_submit_ring_blocks_and_loses_nothing() {
     let (completions, stats) = server.shutdown_with_stats();
     assert_eq!(completions.len() as u64, flood);
     assert_eq!(stats.dispatcher.forwarded, flood);
-    // A lost batch path, seen as a count: a dispatcher that takes one
-    // request per poll of the submit ring reads a mean burst of 1.
+    // A lost batch path, seen as a count: forwarding one request per
+    // chunk reads a mean chunk of 1.
     assert!(
         stats.dispatcher.bursts * 32 <= stats.dispatcher.forwarded,
-        "mean burst {:.1} over {} bursts: the dispatcher is not draining the submit ring in batches",
+        "mean chunk {:.1} over {} chunks: the submitter is not forwarding in batches",
         flood as f64 / stats.dispatcher.bursts as f64,
         stats.dispatcher.bursts
     );
@@ -68,30 +68,14 @@ fn flood_larger_than_the_submit_ring_blocks_and_loses_nothing() {
     assert!(report.is_clean(), "{report}");
 }
 
-/// `Pinned` to a worker that does not exist panics the dispatcher on its
-/// first pick. From then on `try_submit_burst` must say so.
+/// `Pinned` to a worker that does not exist is a configuration error,
+/// caught by `start` rather than by the first `submit`.
 #[test]
-fn a_dead_dispatcher_surfaces_as_none() {
-    let server = server(ServerConfig {
+#[should_panic(expected = "pinned worker out of range")]
+fn start_rejects_a_pinned_worker_out_of_range() {
+    server(ServerConfig {
         workers: 2,
         dispatch: DispatchPolicy::Pinned(9),
         ..ServerConfig::default()
     });
-    let burst = [(0u16, Nanos::ZERO); 64];
-    let deadline = Instant::now() + Duration::from_secs(20);
-    // The first bursts may still be accepted: the dispatcher dies when it
-    // picks, not when we publish.
-    while server.try_submit_burst(&burst).is_some() {
-        assert!(
-            Instant::now() < deadline,
-            "submissions are still accepted long after the dispatcher panicked"
-        );
-        std::thread::yield_now();
-    }
-    assert_eq!(
-        server.try_submit_burst(&burst),
-        None,
-        "and it stays that way"
-    );
-    drop(server); // workers exit on the flag the unwinding dispatcher raised
 }

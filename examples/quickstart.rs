@@ -7,9 +7,9 @@
 //!
 //! - `SimEngine`: the discrete-event model of the TQ system in virtual
 //!   time (deterministic, host-independent);
-//! - `RtEngine`: the real `TinyQuanta` server — dispatcher thread,
-//!   worker threads, forced-multitasking spin jobs, TSC timestamps —
-//!   with arrivals paced at wall-clock time.
+//! - `RtEngine`: the real `TinyQuanta` server — the submitting thread
+//!   as dispatcher, worker threads, forced-multitasking spin jobs, TSC
+//!   timestamps — with arrivals paced at wall-clock time.
 //!
 //! Both drain into the identical metrics path, so the printed rows are
 //! directly comparable. On a quiet many-core host the rt rows approach

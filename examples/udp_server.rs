@@ -108,7 +108,7 @@ fn main() {
     assert_eq!(received, total, "every request must be answered");
     println!("done: {received} responses matched");
     println!(
-        "note: on an oversubscribed host (client + dispatcher + workers sharing\n\
+        "note: on an oversubscribed host (client + serve loop + workers sharing\n\
          few cores) absolute latencies are dominated by OS thread scheduling;\n\
          the paper's microsecond tails require dedicated physical cores."
     );

@@ -99,9 +99,9 @@ fn assert_audited_clean(label: &str, out: &RunOutput) {
         report.checks
     );
     assert_eq!(
-        out.completions.len() as u64 + out.counters.dispatcher_dropped,
+        out.completions.len() as u64,
         out.submitted,
-        "{label}: conservation (with drops) violated outside the auditor"
+        "{label}: conservation violated outside the auditor"
     );
 }
 
