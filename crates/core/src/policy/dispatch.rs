@@ -254,6 +254,17 @@ impl Dispatcher {
     }
 }
 
+/// Deterministic 64-bit mix standing in for the NIC's RSS hash of a
+/// request's flow (the open-loop client sends each request on a fresh
+/// ephemeral flow, so hashing the request id matches the testbed).
+#[inline]
+pub fn flow_hash(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,24 +4,26 @@
 //! across two places:
 //!
 //! * the **dispatcher** picks a worker core for each arriving job
-//!   ([`Dispatcher`], [`DispatchPolicy`]) — TQ uses join-the-shortest-queue
-//!   with maximum-serviced-quanta (MSQ) tie-breaking;
+//!   ([`Dispatcher`], [`DispatchPolicy`], keyed by [`flow_hash`]) — TQ uses
+//!   join-the-shortest-queue with maximum-serviced-quanta (MSQ)
+//!   tie-breaking;
 //! * each **worker** interleaves quanta of its resident jobs
-//!   ([`PsQueue`], [`WorkerPolicy`]) — TQ uses processor sharing (PS).
+//!   ([`RunQueue`], [`WorkerPolicy`]) and, when stealing, picks its victim
+//!   with [`steal_victim`] — TQ uses processor sharing (PS).
 //!
 //! Both the discrete-event models in `tq-queueing` and the real runtime in
-//! `tq-runtime` call into this exact code, so the policies evaluated in the
-//! figures are the policies the runtime ships.
+//! `tq-runtime` call into this exact code, on both sides, so the policies
+//! evaluated in the figures are the policies the runtime ships.
 
 mod dispatch;
 pub mod rank;
 mod rng;
 mod worker;
 
-pub use dispatch::{DispatchPolicy, Dispatcher, TieBreak, WorkerLoad};
+pub use dispatch::{flow_hash, DispatchPolicy, Dispatcher, TieBreak, WorkerLoad};
 pub use rank::{
     ConstRank, JsqRank, Loads, P2cRank, PinnedRank, PolicyRng, PolicyView, RankPolicy, RankQueue,
     RankedDispatcher, RoundRobinRank, RssHashRank, Sample, SplitLoads, TieRule,
 };
 pub(crate) use rng::SplitMix64;
-pub use worker::{LasQueue, PsQueue, WorkerPolicy};
+pub use worker::{steal_victim, LasQueue, RunQueue, WorkerPolicy};

@@ -13,12 +13,14 @@
 //! `tq-queueing` and `crates/core/tests` pin that equivalence.
 //!
 //! Worker-side quantum ordering uses the same idea: a policy maps a
-//! resident job to a `u64` rank (see `WorkerPolicy::job_rank`) and the
-//! engines pop the minimum from one generic packed min-rank queue,
-//! [`RankQueue`] — the 4-ary front-slot heap from `tq-sim::events`,
-//! re-keyed by `(rank, admission seq)` instead of virtual time.
+//! resident job to a `u64` rank (see `WorkerPolicy::job_rank`) and every
+//! worker, simulated or live, pops the minimum from one generic packed
+//! min-rank queue, [`RankQueue`] (the ranked arm of [`RunQueue`]) — the
+//! 4-ary front-slot heap from `tq-sim::events`, re-keyed by
+//! `(rank, admission seq)` instead of virtual time.
 //!
 //! [`Dispatcher`]: super::Dispatcher
+//! [`RunQueue`]: super::RunQueue
 
 use super::SplitMix64;
 use super::dispatch::{TieBreak, WorkerLoad};

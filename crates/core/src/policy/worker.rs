@@ -3,9 +3,12 @@
 //! Each TQ worker core runs a *scheduler coroutine* that interleaves quanta
 //! of its resident jobs. The paper's workers emulate processor sharing (PS)
 //! with a FIFO rotation: yielded coroutines re-enter at the tail and the
-//! head is resumed next (§4). [`PsQueue`] is that rotation, shared by the
-//! simulator and the real runtime.
+//! head is resumed next (§4). [`RunQueue`] is that rotation, or the
+//! min-rank queue of a ranked [`WorkerPolicy`]; [`steal_victim`] is the
+//! work-stealing thief's choice of queue. The simulators and the live
+//! runtime's workers both decide through these two.
 
+use super::RankQueue;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -54,9 +57,9 @@ impl WorkerPolicy {
     }
 
     /// Whether the run queue orders jobs by a [rank](WorkerPolicy::job_rank)
-    /// rather than plain FIFO rotation. Ranked policies use the generic
-    /// packed min-rank queue ([`RankQueue`](super::RankQueue)); work
-    /// stealing (which takes a queue's *tail*) is undefined for them.
+    /// rather than plain FIFO rotation. Ranked policies get the
+    /// [`RunQueue::Ranked`] arm; work stealing (which takes a queue's
+    /// *tail*) is undefined for them.
     pub fn is_ranked(self) -> bool {
         matches!(
             self,
@@ -77,8 +80,7 @@ impl WorkerPolicy {
     /// the live runtime. Every built-in ranked policy is monotone in
     /// `attained` or ignores it, so the choice of unit changes only
     /// granularity, never the ordering contract. FIFO policies
-    /// (PS/FCFS) rank everything 0 — callers shouldn't consult the rank
-    /// for them, but the value is well-defined anyway.
+    /// (PS/FCFS) rank everything 0, which their [`RunQueue`] arm ignores.
     ///
     /// # Saturation contract
     ///
@@ -101,6 +103,11 @@ impl WorkerPolicy {
     /// and saturated jobs never overtake unsaturated ones.
     #[inline]
     pub fn job_rank(self, class: u16, arrival: crate::time::Nanos, attained: u64) -> u64 {
+        // A bit test: the match below is a jump table, and every live
+        // quantum of a FIFO policy asks for its rank (≈ 2% of `rt_slice`).
+        if !self.is_ranked() {
+            return 0;
+        }
         match self {
             WorkerPolicy::ProcessorSharing | WorkerPolicy::Fcfs => 0,
             WorkerPolicy::LeastAttainedService => attained,
@@ -208,134 +215,153 @@ impl<T> Default for LasQueue<T> {
     }
 }
 
-/// The PS rotation queue of runnable jobs on one worker core.
+/// One worker's run queue of job handles `H` (a slab index, a slot
+/// index, or the job itself), under its [`WorkerPolicy`].
 ///
-/// New jobs and preempted (yielded) jobs both enqueue at the tail; the head
-/// runs next. Running every resident job for one quantum per rotation is
-/// the classic round-robin emulation of processor sharing.
+/// New and yielded jobs both [`push`](RunQueue::push); the job
+/// [`take_next`](RunQueue::take_next) returns runs the next quantum. PS and
+/// FCFS get the FIFO arm: every push joins the tail, which is the paper's
+/// round-robin emulation of processor sharing. Ranked policies get the
+/// min-rank arm keyed by [`WorkerPolicy::job_rank`], whose equal ranks pop
+/// in push order — so jobs that tie rotate exactly like PS.
 ///
 /// # Example
 ///
 /// ```
-/// use tq_core::policy::PsQueue;
+/// use tq_core::policy::{RunQueue, WorkerPolicy};
 ///
-/// let mut q = PsQueue::new();
-/// q.admit("a");
-/// q.admit("b");
+/// let mut q = RunQueue::new(WorkerPolicy::ProcessorSharing, 4);
+/// q.push("a", 0);
+/// q.push("b", 0);
 /// let job = q.take_next().unwrap();   // "a" runs a quantum…
-/// q.reenter(job);                     // …yields, re-enters at the tail
+/// q.push(job, 0);                     // …yields, re-enters at the tail
 /// assert_eq!(q.take_next(), Some("b"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PsQueue<T> {
-    queue: VecDeque<T>,
+#[derive(Debug, Clone)]
+pub enum RunQueue<H> {
+    /// FIFO rotation: PS and FCFS.
+    Fifo(VecDeque<H>),
+    /// Minimum rank first, ties in push order.
+    Ranked(RankQueue<H>),
 }
 
-impl<T> PsQueue<T> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        PsQueue {
-            queue: VecDeque::new(),
+impl<H> RunQueue<H> {
+    /// An empty queue for `policy`, with space for `cap` jobs.
+    pub fn new(policy: WorkerPolicy, cap: usize) -> Self {
+        if policy.is_ranked() {
+            RunQueue::Ranked(RankQueue::with_capacity(cap))
+        } else {
+            RunQueue::Fifo(VecDeque::with_capacity(cap))
         }
     }
 
-    /// Creates an empty queue with space for `cap` jobs.
-    pub fn with_capacity(cap: usize) -> Self {
-        PsQueue {
-            queue: VecDeque::with_capacity(cap),
+    /// Queues a new or yielded job; `rank` is its
+    /// [`WorkerPolicy::job_rank`] (ignored by FIFO).
+    #[inline]
+    pub fn push(&mut self, h: H, rank: u64) {
+        match self {
+            RunQueue::Fifo(q) => q.push_back(h),
+            RunQueue::Ranked(q) => q.push(rank, h),
         }
     }
 
-    /// Admits a newly arrived job at the tail of the rotation.
-    pub fn admit(&mut self, job: T) {
-        self.queue.push_back(job);
+    /// Takes the job to run next, or `None` if the worker is idle.
+    #[inline]
+    pub fn take_next(&mut self) -> Option<H> {
+        match self {
+            RunQueue::Fifo(q) => q.pop_front(),
+            RunQueue::Ranked(q) => q.pop().map(|(_, h)| h),
+        }
     }
 
-    /// Re-enters a job that yielded at the end of its quantum.
+    /// Removes the job that would run last: what a work-stealing thief
+    /// takes from its victim.
     ///
-    /// Distinct from [`PsQueue::admit`] only in intent; both enqueue at the
-    /// tail, which is exactly the paper's PS emulation.
-    pub fn reenter(&mut self, job: T) {
-        self.queue.push_back(job);
-    }
-
-    /// Takes the job at the head of the rotation to run its next quantum,
-    /// or `None` if the worker is idle.
-    pub fn take_next(&mut self) -> Option<T> {
-        self.queue.pop_front()
-    }
-
-    /// Peeks at the job that would run next.
-    pub fn peek_next(&self) -> Option<&T> {
-        self.queue.front()
-    }
-
-    /// Removes the job at the *tail* of the rotation — the one that would
-    /// run last. This is what a work-stealing thief takes from a victim:
-    /// the job with the longest expected wait on its home core.
-    pub fn take_last(&mut self) -> Option<T> {
-        self.queue.pop_back()
-    }
-
-    /// Number of runnable jobs in the rotation.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether the rotation is empty (worker idle).
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Iterates over the rotation from next-to-run to last.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.queue.iter()
-    }
-}
-
-impl<T> Default for PsQueue<T> {
-    fn default() -> Self {
-        PsQueue::new()
-    }
-}
-
-impl<T> FromIterator<T> for PsQueue<T> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        PsQueue {
-            queue: iter.into_iter().collect(),
+    /// # Panics
+    ///
+    /// Panics for ranked queues: stealing is only configured with FIFO
+    /// disciplines.
+    #[inline]
+    pub fn take_last(&mut self) -> Option<H> {
+        match self {
+            RunQueue::Fifo(q) => q.pop_back(),
+            RunQueue::Ranked(_) => {
+                panic!("work stealing is not defined for LAS or other ranked queues")
+            }
         }
     }
+
+    /// Number of queued jobs.
+    #[inline]
+    pub fn len(&self) -> usize {
+        match self {
+            RunQueue::Fifo(q) => q.len(),
+            RunQueue::Ranked(q) => q.len(),
+        }
+    }
+
+    /// Whether no job is queued.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
-impl<T> Extend<T> for PsQueue<T> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        self.queue.extend(iter);
+/// The queue a work-stealing thief raids, given `(index, length)` of each
+/// candidate queue in ascending index order (the thief leaves out its
+/// own): the longest non-empty one, ties to the lowest index. `None` when
+/// every candidate is empty.
+///
+/// ```
+/// use tq_core::policy::steal_victim;
+///
+/// assert_eq!(steal_victim([(0, 0), (1, 2), (2, 1), (3, 2)]), Some(1));
+/// assert_eq!(steal_victim([(1, 0), (2, 0)]), None);
+/// ```
+pub fn steal_victim(lens: impl IntoIterator<Item = (usize, usize)>) -> Option<usize> {
+    let mut victim = None;
+    let mut best = 0;
+    for (i, len) in lens {
+        if len > best {
+            best = len;
+            victim = Some(i);
+        }
     }
+    victim
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A PS run queue holding `0..n`, admitted in order.
+    fn ps(n: u32) -> RunQueue<u32> {
+        let mut q = RunQueue::new(WorkerPolicy::ProcessorSharing, 0);
+        for j in 0..n {
+            q.push(j, 0);
+        }
+        q
+    }
+
     #[test]
     fn rotation_is_round_robin() {
-        let mut q: PsQueue<u32> = (0..3).collect();
+        let mut q = ps(3);
         let mut order = Vec::new();
         // Two full rotations with every job yielding.
         for _ in 0..6 {
             let j = q.take_next().unwrap();
             order.push(j);
-            q.reenter(j);
+            q.push(j, 0);
         }
         assert_eq!(order, vec![0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
     fn finished_jobs_leave_the_rotation() {
-        let mut q: PsQueue<u32> = (0..3).collect();
+        let mut q = ps(3);
         let j = q.take_next().unwrap();
         assert_eq!(j, 0);
-        // job 0 finishes: do not reenter.
+        // job 0 finishes: do not push it again.
         assert_eq!(q.len(), 2);
         assert_eq!(q.take_next(), Some(1));
         assert_eq!(q.take_next(), Some(2));
@@ -345,12 +371,53 @@ mod tests {
 
     #[test]
     fn new_arrivals_join_at_tail() {
-        let mut q = PsQueue::new();
-        q.admit(1);
+        let mut q = ps(0);
+        q.push(1, 0);
         let j = q.take_next().unwrap();
-        q.admit(2);
-        q.reenter(j);
-        assert_eq!(q.iter().copied().collect::<Vec<_>>(), vec![2, 1]);
+        q.push(2, 0);
+        q.push(j, 0);
+        assert_eq!(q.take_next(), Some(2));
+        assert_eq!(q.take_next(), Some(1));
+    }
+
+    #[test]
+    fn fifo_keeps_order() {
+        // The FIFO arm ignores ranks: a LAS-style key does not reorder it.
+        let mut q = ps(0);
+        q.push(1, 50);
+        q.push(2, 0);
+        assert_eq!(q.take_next(), Some(1));
+        assert_eq!(q.take_next(), Some(2));
+    }
+
+    #[test]
+    fn ranked_arm_prefers_least_attained() {
+        let mut q = RunQueue::new(WorkerPolicy::LeastAttainedService, 0);
+        q.push(1, 50);
+        q.push(2, 0);
+        q.push(3, 10);
+        assert_eq!(q.take_next(), Some(2));
+        assert_eq!(q.take_next(), Some(3));
+        assert_eq!(q.take_next(), Some(1));
+    }
+
+    #[test]
+    fn strict_priority_prefers_lowest_class() {
+        use crate::time::Nanos;
+        let p = WorkerPolicy::StrictPriority;
+        let mut q = RunQueue::new(p, 0);
+        q.push("class 2", p.job_rank(2, Nanos::ZERO, 0));
+        q.push("class 0", p.job_rank(0, Nanos::ZERO, 0));
+        assert_eq!(q.take_next(), Some("class 0"), "class 0 outranks class 2");
+        assert_eq!(q.take_next(), Some("class 2"));
+    }
+
+    #[test]
+    #[should_panic(expected = "not defined for LAS")]
+    fn las_rejects_stealing() {
+        let mut q = RunQueue::new(WorkerPolicy::LeastAttainedService, 0);
+        q.push(1, 0);
+        let _ = q.take_last();
     }
 
     #[test]
@@ -506,13 +573,5 @@ mod tests {
         assert_eq!(q.take_next().unwrap().0, 2);
         assert_eq!(q.take_next().unwrap().0, 3);
         assert_eq!(q.take_next().unwrap().0, 1);
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let mut q = PsQueue::new();
-        q.admit(9);
-        assert_eq!(q.peek_next(), Some(&9));
-        assert_eq!(q.len(), 1);
     }
 }

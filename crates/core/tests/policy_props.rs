@@ -1,11 +1,60 @@
 //! Property-based tests of the scheduling-policy invariants.
 
 use proptest::prelude::*;
+use std::collections::VecDeque;
 use tq_core::counters::WorkerCounters;
 use tq_core::policy::{
-    DispatchPolicy, Dispatcher, LasQueue, PsQueue, TieBreak, WorkerLoad, WorkerPolicy,
+    DispatchPolicy, Dispatcher, LasQueue, RunQueue, TieBreak, WorkerLoad, WorkerPolicy,
 };
 use tq_core::Nanos;
+
+/// Every worker policy, the ranked ones with uneven per-class parameters.
+const WORKER_POLICIES: [WorkerPolicy; 6] = [
+    WorkerPolicy::ProcessorSharing,
+    WorkerPolicy::Fcfs,
+    WorkerPolicy::LeastAttainedService,
+    WorkerPolicy::StrictPriority,
+    WorkerPolicy::EarliestDeadline {
+        slo_us: [50, 200, 1_000, 5_000],
+    },
+    WorkerPolicy::WeightedFair {
+        weight: [4, 2, 1, 1],
+    },
+];
+
+/// One step of a random run-queue workload: push a job with the given
+/// rank, or take from either end.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Push(u64),
+    TakeNext,
+    TakeLast,
+}
+
+fn arb_op(allow_take_last: bool) -> BoxedStrategy<Op> {
+    // Pushes outnumber takes so queues actually grow (the vendored
+    // prop_oneof! has no weight syntax; repetition stands in).
+    if allow_take_last {
+        prop_oneof![
+            (0u64..500).prop_map(Op::Push),
+            (0u64..500).prop_map(Op::Push),
+            (0u64..500).prop_map(Op::Push),
+            Just(Op::TakeNext),
+            Just(Op::TakeNext),
+            Just(Op::TakeLast),
+        ]
+        .boxed()
+    } else {
+        prop_oneof![
+            (0u64..500).prop_map(Op::Push),
+            (0u64..500).prop_map(Op::Push),
+            (0u64..500).prop_map(Op::Push),
+            Just(Op::TakeNext),
+            Just(Op::TakeNext),
+        ]
+        .boxed()
+    }
+}
 
 fn arb_loads(max_workers: usize) -> impl Strategy<Value = Vec<WorkerLoad>> {
     prop::collection::vec(
@@ -66,18 +115,98 @@ proptest! {
         }
     }
 
-    /// PS rotation fairness: if every job always yields, after k full
-    /// rotations every job has run exactly k quanta.
+    /// PS rotation fairness, under every worker policy: jobs whose ranks
+    /// tie (one class, one arrival instant) and that always yield run
+    /// round-robin in admission order, so after k full rotations every
+    /// job has run exactly k quanta.
     #[test]
-    fn ps_rotation_is_fair(n in 1usize..20, rounds in 1usize..10) {
-        let mut q: PsQueue<usize> = (0..n).collect();
-        let mut runs = vec![0usize; n];
-        for _ in 0..rounds * n {
-            let j = q.take_next().unwrap();
-            runs[j] += 1;
-            q.reenter(j);
+    fn ps_rotation_is_fair(
+        n in 1usize..20,
+        rounds in 1usize..10,
+        class in 0u16..6,
+        arrival in 0u64..1_000_000_000,
+    ) {
+        let arrival = Nanos::from_nanos(arrival);
+        for policy in WORKER_POLICIES {
+            let mut q = RunQueue::new(policy, n);
+            for j in 0..n {
+                q.push(j, policy.job_rank(class, arrival, 0));
+            }
+            let mut runs = vec![0u64; n];
+            for turn in 0..rounds * n {
+                let j = q.take_next().unwrap();
+                prop_assert_eq!(j, turn % n, "{:?} broke the rotation", policy);
+                runs[j] += 1;
+                q.push(j, policy.job_rank(class, arrival, runs[j]));
+            }
+            prop_assert!(runs.iter().all(|&r| r == rounds as u64));
         }
-        prop_assert!(runs.iter().all(|&r| r == rounds));
+    }
+
+    /// FIFO run queues conserve jobs and ignore ranks: `take_next` yields
+    /// the oldest queued job, `take_last` the newest, and every pushed job
+    /// comes out exactly once.
+    #[test]
+    fn fifo_run_queue_conserves_jobs(ops in prop::collection::vec(arb_op(true), 1..120)) {
+        let mut q = RunQueue::new(WorkerPolicy::ProcessorSharing, 4);
+        let mut model = VecDeque::new();
+        let mut pushed = 0u64;
+        let mut taken = vec![];
+        for op in ops {
+            match op {
+                Op::Push(rank) => {
+                    q.push(pushed, rank);
+                    model.push_back(pushed);
+                    pushed += 1;
+                }
+                Op::TakeNext => {
+                    let got = q.take_next();
+                    prop_assert_eq!(got, model.pop_front());
+                    taken.extend(got);
+                }
+                Op::TakeLast => {
+                    let got = q.take_last();
+                    prop_assert_eq!(got, model.pop_back());
+                    taken.extend(got);
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+        }
+        taken.extend(std::iter::from_fn(|| q.take_next()));
+        prop_assert!(q.is_empty());
+        // Conservation: out = in, no loss, no duplication.
+        taken.sort_unstable();
+        prop_assert_eq!(taken, (0..pushed).collect::<Vec<_>>());
+    }
+
+    /// A LAS run queue always pops a job of minimum attained service (the
+    /// earliest pushed among equals) and conserves jobs.
+    #[test]
+    fn las_run_queue_pops_minimum_and_conserves(
+        ops in prop::collection::vec(arb_op(false), 1..120),
+    ) {
+        let policy = WorkerPolicy::LeastAttainedService;
+        let mut q = RunQueue::new(policy, 4);
+        let mut resident: Vec<(u64, u64)> = vec![]; // (attained, id)
+        let mut pushed = 0u64;
+        for op in ops {
+            match op {
+                Op::Push(attained) => {
+                    q.push(pushed, policy.job_rank(0, Nanos::ZERO, attained));
+                    resident.push((attained, pushed));
+                    pushed += 1;
+                }
+                Op::TakeNext | Op::TakeLast => {
+                    let expected = resident.iter().copied().min();
+                    prop_assert_eq!(q.take_next(), expected.map(|(_, id)| id));
+                    resident.retain(|&r| Some(r) != expected);
+                }
+            }
+            prop_assert_eq!(q.len(), resident.len());
+        }
+        resident.sort_unstable();
+        let rest: Vec<u64> = std::iter::from_fn(|| q.take_next()).collect();
+        prop_assert_eq!(rest, resident.iter().map(|&(_, id)| id).collect::<Vec<_>>());
     }
 
     /// LAS pops in non-decreasing attained order when nothing re-enters.

@@ -118,10 +118,9 @@ impl RtEngine {
     ///
     /// # Panics
     ///
-    /// Panics on a degenerate configuration (zero workers or slots).
+    /// Panics on a degenerate configuration (zero workers).
     pub fn new(config: ServerConfig) -> Self {
         assert!(config.workers > 0, "need at least one worker");
-        assert!(config.task_slots > 0, "need at least one task slot");
         RtEngine {
             config,
             clock: TscClock::calibrated(),

@@ -24,11 +24,11 @@ use crate::active::ActiveJob;
 use crate::config::{Architecture, SystemConfig};
 use crate::engine::{Counters, Model, Shell, TAG_INDEX, TAG_SLICE};
 use crate::mask::WorkerMask;
-use crate::runq::IndexQueue;
 use crate::slab::{JobIdx, JobSlab, NO_JOB};
 use crate::twolevel::RX_RING_CAPACITY;
 use std::collections::VecDeque;
 use tq_core::job::Completion;
+use tq_core::policy::RunQueue;
 use tq_core::{Nanos, Request};
 use tq_sim::TagQueue;
 
@@ -56,7 +56,7 @@ pub(crate) struct Centralized {
     /// The central run queue on slab indices: FIFO rotation for PS/FCFS
     /// (both admit and quantum re-entry enqueue at the tail), min-rank
     /// order for ranked disciplines.
-    central: IndexQueue,
+    central: RunQueue<JobIdx>,
     idle: WorkerMask,
     /// Cached `idle.count()`, maintained at every set/clear.
     n_idle: usize,
@@ -88,7 +88,7 @@ impl Model for Centralized {
             assign_q: 0,
             in_flight: None,
             slab: JobSlab::with_capacity(4 * n),
-            central: IndexQueue::new(cfg.worker_policy, 4 * n),
+            central: RunQueue::new(cfg.worker_policy, 4 * n),
             idle: WorkerMask::full(n),
             n_idle: n,
             pending_assigns: 0,

@@ -50,7 +50,6 @@ pub mod theory;
 mod active;
 mod centralized;
 mod mask;
-mod runq;
 mod slab;
 mod twolevel;
 

@@ -28,10 +28,10 @@
 use crate::centralized::Centralized;
 use crate::config::{Architecture, SystemConfig};
 use crate::engine::{Engine, Model};
-use crate::twolevel::{flow_hash, TwoLevel};
+use crate::twolevel::TwoLevel;
 use std::collections::VecDeque;
 use tq_core::job::Completion;
-use tq_core::policy::{JsqRank, PolicyView, RankPolicy, RoundRobinRank, TieRule};
+use tq_core::policy::{flow_hash, JsqRank, PolicyView, RankPolicy, RoundRobinRank, TieRule};
 use tq_core::{costs, Nanos, Request};
 use tq_sim::pdes::{run_conservative, Outbox, Shard};
 use tq_sim::{EventQueue, SimRng};

@@ -18,11 +18,9 @@
 use crate::active::ActiveJob;
 use crate::config::{Architecture, SystemConfig};
 use crate::engine::SystemOutcome;
-use crate::runq::RunQueue;
-use crate::twolevel::flow_hash;
 use std::collections::{BTreeSet, VecDeque};
 use tq_core::job::Completion;
-use tq_core::policy::{Dispatcher, WorkerLoad};
+use tq_core::policy::{flow_hash, Dispatcher, RunQueue, WorkerLoad};
 use tq_core::{Nanos, Request};
 use tq_sim::events::reference::EventQueue;
 use tq_workloads::ArrivalGen;
@@ -68,7 +66,7 @@ mod twolevel_impl {
 
     #[derive(Debug)]
     struct Worker {
-        queue: RunQueue,
+        queue: RunQueue<ActiveJob>,
         /// The job mid-slice and its slice length (work, excluding overheads).
         running: Option<(ActiveJob, Nanos)>,
     }
@@ -76,7 +74,7 @@ mod twolevel_impl {
     impl Worker {
         fn new(policy: tq_core::policy::WorkerPolicy) -> Self {
             Worker {
-                queue: RunQueue::new(policy),
+                queue: RunQueue::new(policy, 0),
                 running: None,
             }
         }
@@ -146,7 +144,7 @@ mod twolevel_impl {
                 }
                 Ev::DispatchDone { dispatcher: d } => {
                     let req = forwarding[d].take().expect("dispatch done without request");
-                    let w = policies[d].pick(&loads, super::flow_hash(req.id.0));
+                    let w = policies[d].pick(&loads, flow_hash(req.id.0));
                     admit(cfg, &mut workers[w], &mut loads[w], w, req, now, &mut events);
                     if cfg.work_stealing {
                         // Idle workers poll for stealable work continuously;
@@ -174,7 +172,7 @@ mod twolevel_impl {
                             finish: now,
                         });
                     } else {
-                        workers[w].queue.push(job);
+                        workers[w].queue.push(job, job.rank(cfg));
                     }
                     if !workers[w].queue.is_empty() {
                         start_slice(cfg, &mut workers[w], w, now, Nanos::ZERO, &mut events);
@@ -236,7 +234,7 @@ mod twolevel_impl {
             },
         };
         load.queued_jobs += 1;
-        worker.queue.push(job);
+        worker.queue.push(job, job.rank(cfg));
         if worker.running.is_none() {
             start_slice(cfg, worker, w, now, Nanos::ZERO, events);
         }
@@ -280,7 +278,7 @@ mod twolevel_impl {
         loads[v].serviced_quanta -= job.quanta;
         loads[thief].queued_jobs += 1;
         loads[thief].serviced_quanta += job.quanta;
-        workers[thief].queue.push(job);
+        workers[thief].queue.push(job, job.rank(cfg));
         start_slice(cfg, &mut workers[thief], thief, now, cfg.steal_cost, events);
     }
 
@@ -308,7 +306,7 @@ mod twolevel_impl {
         loads[from].serviced_quanta -= job.quanta;
         loads[thief].queued_jobs += 1;
         loads[thief].serviced_quanta += job.quanta;
-        workers[thief].queue.push(job);
+        workers[thief].queue.push(job, job.rank(cfg));
         start_slice(cfg, &mut workers[thief], thief, now, cfg.steal_cost, events);
     }
 }
@@ -339,7 +337,7 @@ mod centralized_impl {
         /// Queued Assign operations (count; they carry no payload).
         assign_q: usize,
         in_flight: Option<Op>,
-        central: RunQueue,
+        central: RunQueue<ActiveJob>,
         idle: BTreeSet<usize>,
         pending_assigns: usize,
         running: Vec<Option<(ActiveJob, Nanos)>>,
@@ -365,7 +363,7 @@ mod centralized_impl {
             ingress_q: VecDeque::new(),
             assign_q: 0,
             in_flight: None,
-            central: RunQueue::new(cfg.worker_policy),
+            central: RunQueue::new(cfg.worker_policy, 0),
             idle: (0..cfg.n_workers).collect(),
             pending_assigns: 0,
             running: (0..cfg.n_workers).map(|_| None).collect(),
@@ -404,7 +402,7 @@ mod centralized_impl {
                     match op {
                         Op::Ingress(req) => {
                             let inflation = cfg.inflation_for(req.class.0);
-                            st.central.push(ActiveJob {
+                            let job = ActiveJob {
                                 id: req.id,
                                 class: req.class,
                                 arrival: req.arrival,
@@ -417,7 +415,8 @@ mod centralized_impl {
                                 } else {
                                     Nanos::MAX
                                 },
-                            });
+                            };
+                            st.central.push(job, job.rank(cfg));
                         }
                         Op::Assign => {
                             st.pending_assigns -= 1;
@@ -435,7 +434,7 @@ mod centralized_impl {
                                 } else {
                                     // Wasted dispatcher cycle: every worker got
                                     // busy since this op was queued.
-                                    st.central.push(job);
+                                    st.central.push(job, job.rank(cfg));
                                 }
                             }
                         }
@@ -456,7 +455,7 @@ mod centralized_impl {
                             finish: now,
                         });
                     } else {
-                        st.central.push(job);
+                        st.central.push(job, job.rank(cfg));
                     }
                     st.idle.insert(w);
                     schedule_assigns(&mut st);

@@ -25,19 +25,18 @@
 //! `queued_jobs`/`serviced_quanta` live in flat `u64` arrays scanned
 //! directly by [`Dispatcher::pick_split`], idle/backlog membership is a
 //! bit per worker ([`crate::mask::WorkerMask`]), jobs live in a recycling
-//! [`JobSlab`] with run queues holding 32-bit slot indices, and the
-//! future-event list is `tq_sim`'s packed 4-ary queue. Steady-state
-//! simulation allocates nothing.
+//! [`JobSlab`] with run queues ([`RunQueue`], the live worker's too)
+//! holding 32-bit slot indices, and the future-event list is `tq_sim`'s
+//! packed 4-ary queue. Steady-state simulation allocates nothing.
 
 use crate::active::ActiveJob;
 use crate::config::{Architecture, SystemConfig};
 use crate::engine::{Counters, Model, Shell, TAG_INDEX, TAG_KIND, TAG_SLICE};
 use crate::mask::WorkerMask;
-use crate::runq::IndexQueue;
 use crate::slab::{JobIdx, JobSlab, NO_JOB};
 use std::collections::VecDeque;
 use tq_core::job::Completion;
-use tq_core::policy::Dispatcher;
+use tq_core::policy::{flow_hash, steal_victim, Dispatcher, RunQueue};
 use tq_core::{Nanos, Request};
 use tq_sim::TagQueue;
 
@@ -58,7 +57,7 @@ struct Workers {
     /// Every in-flight job, indexed by the `JobIdx` the queues carry.
     slab: JobSlab,
     /// Per-worker run queue of slab indices.
-    queues: Vec<IndexQueue>,
+    queues: Vec<RunQueue<JobIdx>>,
     /// Slab index of the job mid-slice (`NO_JOB` when none).
     running: Vec<JobIdx>,
     /// Slice length (work, excluding overheads) of the running job.
@@ -86,7 +85,9 @@ impl Workers {
         let n = cfg.n_workers;
         Workers {
             slab: JobSlab::with_capacity(4 * n),
-            queues: (0..n).map(|_| IndexQueue::new(cfg.worker_policy, 32)).collect(),
+            queues: (0..n)
+                .map(|_| RunQueue::new(cfg.worker_policy, 32))
+                .collect(),
             running: vec![NO_JOB; n],
             slices: vec![Nanos::ZERO; n],
             queued_jobs: vec![0; n],
@@ -319,22 +320,12 @@ fn try_steal(
     if ws.backlog.is_empty() {
         return;
     }
-    // Raid the longest queue; ties break to the lowest index for
-    // determinism (ascending bitmask walk + strict `>`). The thief's own
-    // queue is empty, so it is never in the backlog set.
-    let mut victim = usize::MAX;
-    let mut best_len = 0usize;
-    for v in ws.backlog.iter() {
-        let len = ws.queues[v].len();
-        if len > best_len {
-            best_len = len;
-            victim = v;
-        }
+    // The backlog set is the non-empty queues, ascending; the thief's own
+    // queue is empty, so it is never in it.
+    let lens = ws.backlog.iter().map(|v| (v, ws.queues[v].len()));
+    if let Some(victim) = steal_victim(lens) {
+        transfer_tail_job(cfg, ws, victim, thief, now, events);
     }
-    if victim == usize::MAX {
-        return;
-    }
-    transfer_tail_job(cfg, ws, victim, thief, now, events);
 }
 
 /// Moves the newest queued job on `from` (busy, with queued work) to an
@@ -383,16 +374,6 @@ fn transfer_tail_job(
     ws.backlog.set(thief);
     ws.idle.clear(thief);
     start_slice(cfg, ws, thief, now, cfg.steal_cost, events);
-}
-
-/// Deterministic 64-bit mix standing in for the NIC's RSS hash of a
-/// request's flow (the open-loop client sends each request on a fresh
-/// ephemeral flow, so per-request hashing matches the testbed behavior).
-pub(crate) fn flow_hash(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use crossbeam::queue::ArrayQueue;
 use std::sync::Arc;
 use tq_audit::RingAuditLog;
 use tq_core::counters::{DispatcherLedger, SharedCounters};
-use tq_core::policy::{Dispatcher, WorkerLoad};
+use tq_core::policy::{flow_hash, Dispatcher, WorkerLoad};
 use tq_core::{ClassId, JobId, Nanos};
 
 /// Most requests forwarded per chunk: a longer burst pays one load
@@ -266,12 +266,4 @@ impl DispatchState {
             ..self.stats
         }
     }
-}
-
-/// Stand-in for the NIC's RSS hash of the request's flow.
-fn flow_hash(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }

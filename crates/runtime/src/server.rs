@@ -81,8 +81,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Scheduling quantum.
     pub quantum: Nanos,
-    /// Task-coroutine slots per worker (§5.1: eight).
-    pub task_slots: usize,
     /// Dispatch-ring capacity per worker.
     pub ring_capacity: usize,
     /// Load-balancing policy.
@@ -93,15 +91,6 @@ pub struct ServerConfig {
     /// Whether idle workers steal queued jobs from siblings (the Caladan
     /// configuration; pairs naturally with FCFS + RSS dispatch).
     pub work_stealing: bool,
-    /// Idle backoff, phase 1: consecutive idle iterations spent in
-    /// `yield_now` before sleeping. An idle worker never spins: the
-    /// submitter that would hand it work may need its CPU.
-    pub idle_yields: u32,
-    /// Idle backoff, phase 2: sleep length once the yields are
-    /// exhausted. Bounds how long an oversubscribed host busy-waits on
-    /// idle workers; also the worst-case wakeup latency for a request
-    /// arriving at a deeply idle worker.
-    pub idle_sleep: Nanos,
     /// Seed for policy randomness.
     pub seed: u64,
     /// Record ring traffic and run the invariant auditor at shutdown
@@ -118,13 +107,10 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 2,
             quantum: Nanos::from_micros(5),
-            task_slots: tq_core::costs::TASK_COROUTINES_PER_WORKER,
             ring_capacity: 1024,
             dispatch: DispatchPolicy::Jsq(TieBreak::MaxServicedQuanta),
             discipline: WorkerPolicy::ProcessorSharing,
             work_stealing: false,
-            idle_yields: 64,
-            idle_sleep: Nanos::from_micros(50),
             seed: 42,
             audit: false,
             fault: None,
@@ -236,8 +222,8 @@ impl TinyQuanta {
     ///
     /// # Panics
     ///
-    /// Panics on a degenerate configuration (zero workers or slots, or a
-    /// `Pinned` worker that does not exist).
+    /// Panics on a degenerate configuration (zero workers, or a `Pinned`
+    /// worker that does not exist).
     pub fn start<F>(config: ServerConfig, factory: F) -> TinyQuanta
     where
         F: Fn(&RtRequest) -> Box<dyn Job> + Send + Sync + 'static,
@@ -252,14 +238,13 @@ impl TinyQuanta {
     ///
     /// # Panics
     ///
-    /// Panics on a degenerate configuration (zero workers or slots, or a
-    /// `Pinned` worker that does not exist).
+    /// Panics on a degenerate configuration (zero workers, or a `Pinned`
+    /// worker that does not exist).
     pub fn start_with_clock<F>(config: ServerConfig, clock: TscClock, factory: F) -> TinyQuanta
     where
         F: Fn(&RtRequest) -> Box<dyn Job> + Send + Sync + 'static,
     {
         assert!(config.workers > 0, "need at least one worker");
-        assert!(config.task_slots > 0, "need at least one task slot");
         let factory: Arc<JobFactory> = Arc::new(factory);
         let counters: Arc<Vec<SharedCounters>> = Arc::new(
             (0..config.workers).map(|_| SharedCounters::new()).collect(),

@@ -1,9 +1,10 @@
 //! The per-core scheduler loop (§4 "Workers").
 //!
 //! Each worker thread owns a set of task slots (the pre-allocated
-//! coroutines), a PS rotation over the busy ones, and the consumer end of
-//! its dispatch ring. Per iteration it (i) admits pending requests into
-//! idle slots, (ii) resumes the rotation head for one quantum, (iii) on
+//! coroutines), a run queue over the busy ones (`tq_core`'s [`RunQueue`],
+//! the one the simulated workers use), and the consumer end of its
+//! dispatch ring. Per iteration it (i) admits pending requests into idle
+//! slots, (ii) resumes the run queue's next slot for one quantum, (iii) on
 //! completion publishes to its own completion ring, which the submitting
 //! thread drains (responses never pass back through the dispatch path),
 //! and updates the shared counters the dispatcher's JSQ/MSQ reads.
@@ -25,10 +26,11 @@ use crate::server::{Completion, JobFactory, RtRequest, ServerConfig};
 use crossbeam::queue::ArrayQueue;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 use tq_audit::fault::FaultPlan;
 use tq_audit::RingAuditLog;
 use tq_core::counters::SharedCounters;
-use tq_core::policy::{PsQueue, WorkerPolicy};
+use tq_core::policy::{steal_victim, RunQueue, WorkerPolicy};
 use tq_core::Cycles;
 
 /// Workers publish their shared load counters after accumulating this
@@ -36,6 +38,18 @@ use tq_core::Cycles;
 /// at exit), which bounds how stale the dispatcher's JSQ/MSQ view of a
 /// busy worker can be (DESIGN.md "Batched dispatch pipeline").
 const COUNTER_FLUSH_QUANTA: u64 = 16;
+
+/// Task-coroutine slots per worker (§5.1: eight).
+const TASK_SLOTS: usize = tq_core::costs::TASK_COROUTINES_PER_WORKER;
+
+/// Idle backoff: consecutive idle iterations spent in `yield_now` before
+/// sleeping. An idle worker never spins: the submitter that would hand it
+/// work may need its CPU.
+const IDLE_YIELDS: u32 = 64;
+
+/// Sleep length once the yields are exhausted: the worst-case wakeup
+/// latency for a request arriving at a deeply idle worker.
+const IDLE_SLEEP: Duration = Duration::from_micros(50);
 
 /// Handle to a spawned worker thread.
 #[derive(Debug)]
@@ -82,6 +96,40 @@ struct Task {
     job: Box<dyn Job>,
     req: RtRequest,
     quanta: u64,
+}
+
+/// The task slots and the run queue over the busy ones.
+struct Slots {
+    tasks: Vec<Option<Task>>,
+    free: Vec<usize>,
+    runq: RunQueue<usize>,
+    discipline: WorkerPolicy,
+}
+
+impl Slots {
+    fn new(discipline: WorkerPolicy) -> Self {
+        Slots {
+            tasks: (0..TASK_SLOTS).map(|_| None).collect(),
+            free: (0..TASK_SLOTS).rev().collect(),
+            runq: RunQueue::new(discipline, TASK_SLOTS),
+            discipline,
+        }
+    }
+
+    /// Builds `req`'s job in a free slot and queues the slot at its
+    /// admission rank: the one way in, from the ring or from a steal.
+    /// Inlined into both: a call per admission shows on `rt_admit`.
+    #[inline(always)]
+    fn admit(&mut self, req: RtRequest, factory: &JobFactory) {
+        let slot = self.free.pop().expect("admitted with a free slot");
+        let rank = self.discipline.job_rank(req.class.0, req.submitted, 0);
+        self.tasks[slot] = Some(Task {
+            job: factory(&req),
+            req,
+            quanta: 0,
+        });
+        self.runq.push(slot, rank);
+    }
 }
 
 /// A worker's inbound job source: its private SPSC ring (TQ's default),
@@ -151,24 +199,25 @@ impl WorkerRx {
         }
     }
 
-    /// Steals one pending request from a sibling, preferring the most
-    /// loaded one; returns the request and the victim's index (stealing
-    /// mode only; `None` when every sibling really is empty).
+    /// Steals one pending request from a sibling, chosen by the
+    /// simulators' [`steal_victim`] rule (longest queue, ties to the lowest
+    /// index); returns the request and the victim's index (stealing mode
+    /// only; `None` when every sibling really is empty).
     fn steal(&self) -> Option<(RtRequest, usize)> {
         let WorkerRx::Shared { index, queues } = self else {
             return None;
         };
-        // The preferred victim (longest queue) can race to empty between
-        // the length snapshot and the pop. Giving up then idles this core
-        // while other siblings still hold work — so on a miss, sweep the
-        // remaining siblings before reporting there is nothing to steal.
-        if let Some((victim, queue)) = queues
+        // The preferred victim can race to empty between the length
+        // snapshot and the pop. Giving up then idles this core while other
+        // siblings still hold work — so on a miss, sweep the remaining
+        // siblings before reporting there is nothing to steal.
+        let lens = queues
             .iter()
+            .map(|q| q.len())
             .enumerate()
-            .filter(|(i, q)| i != index && !q.is_empty())
-            .max_by_key(|(_, q)| q.len())
-        {
-            if let Some(req) = queue.pop() {
+            .filter(|&(i, _)| i != *index);
+        if let Some(victim) = steal_victim(lens) {
+            if let Some(req) = queues[victim].pop() {
                 return Some((req, victim));
             }
         }
@@ -187,7 +236,6 @@ impl WorkerRx {
 /// the spawn path stays readable as coordination state grows.
 struct WorkerCtx {
     index: usize,
-    n_slots: usize,
     /// Quantum in nanoseconds, shared with the server facade so the
     /// adaptive controller can republish it mid-run ([`crate::server::
     /// TinyQuanta::set_quantum`]). Workers re-read it (one Relaxed load)
@@ -203,8 +251,6 @@ struct WorkerCtx {
     audit: Option<Arc<RingAuditLog>>,
     fault: Option<FaultPlan>,
     clock: TscClock,
-    idle_yields: u32,
-    idle_sleep: std::time::Duration,
 }
 
 /// Spawns one worker thread.
@@ -230,7 +276,6 @@ pub(crate) fn spawn(
         .cloned();
     let ctx = WorkerCtx {
         index,
-        n_slots: config.task_slots,
         quantum,
         discipline: config.discipline,
         factory,
@@ -240,8 +285,6 @@ pub(crate) fn spawn(
         audit,
         fault,
         clock,
-        idle_yields: config.idle_yields,
-        idle_sleep: std::time::Duration::from_nanos(config.idle_sleep.0),
     };
     let thread = std::thread::Builder::new()
         .name(format!("tq-worker-{index}"))
@@ -277,7 +320,6 @@ impl PendingCounters {
 fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
     let WorkerCtx {
         index,
-        n_slots,
         quantum,
         discipline,
         factory,
@@ -287,8 +329,6 @@ fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
         audit,
         fault,
         clock,
-        idle_yields,
-        idle_sleep,
     } = w;
     // FCFS never preempts: arm an effectively-infinite deadline. For
     // preempting disciplines the shared cell is re-read before each arm
@@ -301,9 +341,7 @@ fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
         Cycles(u64::MAX / 2)
     };
     let mut ctx = QuantumCtx::new(clock.clone());
-    let mut slots: Vec<Option<Task>> = (0..n_slots).map(|_| None).collect();
-    let mut free: Vec<usize> = (0..n_slots).rev().collect();
-    let mut rotation: PsQueue<usize> = PsQueue::with_capacity(n_slots);
+    let mut slots = Slots::new(discipline);
     let mut stats = WorkerStats::default();
     let my_counters = &counters[index];
     let started = clock.wall_nanos();
@@ -311,7 +349,7 @@ fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
     // publication (never blocks the scheduler loop: overflow beyond the
     // completion ring stays here, mirroring the old unbounded channel),
     // and counter deltas awaiting a flush.
-    let mut admit_buf: Vec<RtRequest> = Vec::with_capacity(n_slots);
+    let mut admit_buf: Vec<RtRequest> = Vec::with_capacity(TASK_SLOTS);
     let mut done_buf: Vec<Completion> = Vec::new();
     let mut pending = PendingCounters::default();
     // Consecutive idle iterations, for the spin → yield → sleep backoff.
@@ -339,54 +377,29 @@ fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
         }
         // Admit pending requests into idle coroutine slots, pulled from
         // the ring in one burst sized to the free slots.
-        if !free.is_empty() {
+        if !slots.free.is_empty() {
             // Ring high-water mark. Only this worker pops its private
             // ring, so occupancy can only have grown since the last pop:
             // sampling right before each one keeps the mark exact.
             stats.max_ring_occupancy = stats.max_ring_occupancy.max(rx.local_len() as u64);
-            rx.pop_local_batch(&mut admit_buf, free.len());
+            rx.pop_local_batch(&mut admit_buf, slots.free.len());
             for req in admit_buf.drain(..) {
                 if let Some(log) = &audit {
                     log.on_admit(index, req.id.0);
                 }
-                let slot = free.pop().expect("burst sized to free slots");
-                let job = factory(&req);
-                slots[slot] = Some(Task {
-                    job,
-                    req,
-                    quanta: 0,
-                });
-                if !discipline.is_ranked() {
-                    rotation.admit(slot);
-                }
+                slots.admit(req, &*factory);
             }
         }
 
-        // Pick the next slot per the discipline: the rotation head (PS,
-        // FCFS), or — for ranked disciplines (LAS, priority, deadline,
-        // fair share) — the busy task with the minimum rank, attained
-        // service measured in quanta. Slot count is small and fixed, so
-        // a scan beats maintaining a heap under preemptive re-ranking.
-        let next_slot = if discipline.is_ranked() {
-            slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, t)| {
-                    t.as_ref().map(|t| {
-                        (
-                            discipline.job_rank(t.req.class.0, t.req.submitted, t.quanta),
-                            i,
-                        )
-                    })
-                })
-                .min()
-                .map(|(_, i)| i)
-        } else {
-            rotation.take_next()
-        };
-        if let Some(slot) = next_slot {
+        // The next slot under the discipline: the rotation head (PS,
+        // FCFS), or the minimum rank (LAS, priority, deadline, fair
+        // share), ties in queue order. A rank is taken when its slot is
+        // queued; every built-in rank changes only while its job runs.
+        if let Some(slot) = slots.runq.take_next() {
             idle_streak = 0;
-            let task = slots[slot].as_mut().expect("rotation holds busy slots");
+            let task = slots.tasks[slot]
+                .as_mut()
+                .expect("run queue holds busy slots");
             if discipline.preempts() {
                 let q = quantum.load(Ordering::Relaxed);
                 if q != quantum_nanos {
@@ -404,12 +417,12 @@ fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
             }
             match status {
                 JobStatus::Yielded => {
-                    if !discipline.is_ranked() {
-                        rotation.reenter(slot);
-                    }
+                    let rank =
+                        discipline.job_rank(task.req.class.0, task.req.submitted, task.quanta);
+                    slots.runq.push(slot, rank);
                 }
                 JobStatus::Done => {
-                    let task = slots[slot].take().expect("just ran it");
+                    let task = slots.tasks[slot].take().expect("just ran it");
                     pending.finished += 1;
                     pending.retired_quanta += task.quanta;
                     stats.completed += 1;
@@ -421,29 +434,20 @@ fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
                         quanta: task.quanta,
                         worker: index,
                     });
-                    free.push(slot);
+                    slots.free.push(slot);
                 }
             }
         } else {
             // Idle: in stealing mode, raid the most-loaded sibling before
             // giving up the core (the Caladan behavior).
-            if !free.is_empty() {
+            if !slots.free.is_empty() {
                 if let Some((req, victim)) = rx.steal() {
                     if let Some(log) = &audit {
                         log.on_steal(index, victim, req.id.0);
                     }
                     idle_streak = 0;
                     stats.steals += 1;
-                    let slot = free.pop().expect("checked non-empty");
-                    let job = factory(&req);
-                    slots[slot] = Some(Task {
-                        job,
-                        req,
-                        quanta: 0,
-                    });
-                    if !discipline.is_ranked() {
-                        rotation.admit(slot);
-                    }
+                    slots.admit(req, &*factory);
                     continue;
                 }
             }
@@ -475,10 +479,10 @@ fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
             // then sleep so an oversubscribed host isn't saturated by
             // idle workers.
             idle_streak = idle_streak.saturating_add(1);
-            if idle_streak <= idle_yields {
+            if idle_streak <= IDLE_YIELDS {
                 std::thread::yield_now();
             } else {
-                std::thread::sleep(idle_sleep);
+                std::thread::sleep(IDLE_SLEEP);
             }
         }
     }
@@ -509,7 +513,7 @@ mod tests {
 
     /// The ring fills to `k` while the worker is stalled; its first admit
     /// pass after the stall samples the mark before popping, so the mark
-    /// is `k` even though only `task_slots` requests are popped at once.
+    /// is `k` even though only `TASK_SLOTS` requests are popped at once.
     #[test]
     fn ring_high_water_mark_is_exact_after_a_stall() {
         let k = 20;
@@ -523,7 +527,7 @@ mod tests {
             )),
             ..ServerConfig::default()
         };
-        assert!(config.task_slots < k as usize);
+        assert!(TASK_SLOTS < k as usize);
         let (tx, rx) = crate::ring::spsc::<RtRequest>(config.ring_capacity);
         for id in 0..k {
             tx.push(req(id)).unwrap();
@@ -575,6 +579,16 @@ mod tests {
         let (r, victim) = rx.steal().expect("work available");
         assert_eq!(victim, 2, "longest sibling queue should be raided first");
         assert_eq!(r.id.0, 20);
+        // Now queues 1 and 2 tie at one request each: the lowest index
+        // wins, as in the simulators.
+        let (r, victim) = rx.steal().expect("work available");
+        assert_eq!(victim, 1, "ties go to the lowest-indexed sibling");
+        assert_eq!(r.id.0, 10);
+        // The thief's own queue never counts, however long it is.
+        queues[0].push(req(1)).unwrap();
+        queues[0].push(req(2)).unwrap();
+        let (_, victim) = rx.steal().expect("work available");
+        assert_eq!(victim, 2);
     }
 
     #[test]
@@ -591,18 +605,18 @@ mod tests {
     /// Regression test for the victim-races-to-empty bug: pre-fix,
     /// `steal` snapshotted queue lengths, picked the max, and gave up
     /// entirely if that one pop failed — returning `None` while another
-    /// sibling still held work. A flapper thread oscillates queue 2
-    /// between empty and length 1 (ties go to the later queue, so the
-    /// thief keeps choosing it and keeps losing the race) while queue 1
+    /// sibling still held work. A flapper thread oscillates queue 1
+    /// between empty and length 1 (ties go to the lower index, so the
+    /// thief keeps choosing it and keeps losing the race) while queue 2
     /// permanently holds one request; every steal attempt must succeed.
     #[test]
     fn steal_retries_other_victims_when_chosen_queue_races_to_empty() {
         let queues: Vec<_> = (0..3)
             .map(|_| Arc::new(ArrayQueue::<RtRequest>::new(4)))
             .collect();
-        queues[1].push(req(1)).unwrap();
+        queues[2].push(req(1)).unwrap();
         let stop = Arc::new(AtomicBool::new(false));
-        let flap_q = Arc::clone(&queues[2]);
+        let flap_q = Arc::clone(&queues[1]);
         let flap_stop = Arc::clone(&stop);
         let flapper = std::thread::spawn(move || {
             while !flap_stop.load(Ordering::Relaxed) {
@@ -614,17 +628,17 @@ mod tests {
         for attempt in 0..50_000 {
             match rx.steal() {
                 Some((r, victim)) => {
-                    // Whatever was stolen, put queue 1's sentinel back so
+                    // Whatever was stolen, put queue 2's sentinel back so
                     // the invariant (some sibling non-empty) holds.
-                    if victim == 1 {
-                        queues[1].push(r).unwrap();
+                    if victim == 2 {
+                        queues[2].push(r).unwrap();
                     }
                 }
                 None => {
                     stop.store(true, Ordering::Relaxed);
                     flapper.join().unwrap();
                     panic!(
-                        "steal gave up on attempt {attempt} while queue 1 \
+                        "steal gave up on attempt {attempt} while queue 2 \
                          still held a request"
                     );
                 }

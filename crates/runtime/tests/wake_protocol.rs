@@ -18,8 +18,6 @@ fn single_requests_against_an_idle_worker_all_complete() {
         let server = TinyQuanta::start_with_clock(
             ServerConfig {
                 workers: 1,
-                // The worker must not add its own sleeps to every round.
-                idle_yields: u32::MAX,
                 ..ServerConfig::default()
             },
             clock.clone(),
