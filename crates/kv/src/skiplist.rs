@@ -171,6 +171,10 @@ impl SkipList {
 
     /// One `next0` hop: yields the entry after `cur` and moves `cur`
     /// onto it, or returns `None` at the end and leaves `cur` where it is.
+    /// Always inlined, with [`SkipList::entry`]: a caller's walk is then
+    /// loads, not calls (`#[inline]` alone left it out of line in a caller
+    /// with many call sites).
+    #[inline(always)]
     pub fn cursor_next(&self, cur: &mut Cursor) -> Option<(&[u8], &[u8])> {
         let next = self.next0[cur.0 as usize];
         if next == NIL {
@@ -201,6 +205,7 @@ impl SkipList {
     }
 
     /// The key and value of `node`.
+    #[inline(always)]
     fn entry(&self, node: u32) -> (&[u8], &[u8]) {
         let rec = &self.recs[node as usize];
         (

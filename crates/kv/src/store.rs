@@ -96,6 +96,7 @@ impl KvStore {
     }
 
     /// The next entry of a resumable scan: one pointer hop (see [`Cursor`]).
+    #[inline(always)]
     pub fn cursor_next(&self, cur: &mut Cursor) -> Option<(&[u8], &[u8])> {
         self.list.cursor_next(cur)
     }

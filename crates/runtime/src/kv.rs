@@ -3,7 +3,7 @@
 //! microsecond GETs mixed with rare, very long SCANs.
 //!
 //! [`KvJob`] is a real job written against the forced-multitasking API:
-//! a SCAN processes entries in small batches and polls
+//! a SCAN processes entries in batches and polls
 //! [`QuantumCtx::probe`] between batches, saving its cursor when told to
 //! yield, so GETs queued behind it never wait more than ~a quantum. (The
 //! paper's LLVM pass places these probes automatically in C code; a Rust
@@ -15,15 +15,16 @@
 //! entry read — so a slice costs one pointer hop per entry and a yield
 //! saves four bytes. The arena only grows, so the index needs no check.
 //!
-//! The probe gate is every `BATCH` = 32 entries. On the packed skip list
-//! (8192 keys, measured through [`KvJob::run`] with a quantum that never
-//! expires) that is ≈ 115 ns between probes — 2.3% of the default 5 µs
-//! quantum, the most a SCAN overshoots it by — of which the probe's clock
-//! read is ≈ 16 ns (14%; the paper budgets 3%), and the same hops as one
-//! ungated cursor walk take ≈ 73 ns. 64 and 128 entries (≈ 210 and
-//! ≈ 410 ns, 4% and 8% of the quantum) were each faster end to end in
-//! ≥ 9 of 10 pairs, but by less than the run-to-run spread, so 32 stays
-//! (EXPERIMENTS.md, "Packed skip list").
+//! A hop is loads, not a call: the skip list's hop and entry read are
+//! always inlined, and the walk runs in locals that are written back to
+//! the job once, at the yield or at the end. The probe gate is every
+//! `SCAN_GATE` = 256 entries: the period `tq-instrument`'s TQ pass gives
+//! the SCAN loop for the paper's 3% probe overhead at the costs measured
+//! on a 2.0 GHz Xeon, ≈ 2.1 ns a hop and ≈ 18 ns a probe (the pass says
+//! 289; a test re-runs it). That is ≈ 500 ns between probes, 10% of the
+//! default 5 µs quantum and the most a SCAN overshoots it by. The old
+//! gate of 32 entries made the probes cost a SCAN 24–27%
+//! (EXPERIMENTS.md, "A SCAN hop is a load").
 //!
 //! This used to live inside `examples/kv_server.rs`; it moved here so
 //! the socket front end (`tq-loadgen`, the net smoke job) and the
@@ -33,6 +34,10 @@ use crate::job::{Job, JobStatus, QuantumCtx};
 use crate::server::{JobFactory, RtRequest};
 use std::sync::Arc;
 use tq_kv::{Cursor, KvStore};
+
+/// Entries a SCAN reads between probes: the gate period TQ's pass gives
+/// its loop for a 3% probe overhead (module docs), as a power of two.
+const SCAN_GATE: usize = 256;
 
 /// Where a SCAN stands: a start key until its first slice has sought, then a cursor.
 #[derive(Debug, Clone, Copy)]
@@ -84,30 +89,33 @@ impl Job for KvJob {
                 remaining,
                 checksum,
             } => {
-                // Probe between 32-entry batches: the explicit equivalent
-                // of TQ's instrumented loop gate.
-                const BATCH: usize = 32;
+                // The walk runs in locals and writes the job back once, at
+                // the yield or at the end: a hop is loads, no stores.
+                let store: &KvStore = store;
                 let mut cur = match *pos {
                     ScanPos::Start(key) => store.cursor_before(&key),
                     ScanPos::At(cur) => cur,
                 };
-                while *remaining > 0 {
-                    for _ in 0..BATCH.min(*remaining) {
+                let (mut left, mut sum) = (*remaining, *checksum);
+                let status = 'walk: loop {
+                    for _ in 0..SCAN_GATE.min(left) {
                         let Some((k, v)) = store.cursor_next(&mut cur) else {
-                            return JobStatus::Done;
+                            break 'walk JobStatus::Done;
                         };
-                        *checksum = checksum
+                        sum = sum
                             .wrapping_mul(31)
                             .wrapping_add(v.len() as u64 + k.len() as u64);
-                        *remaining -= 1;
+                        left -= 1;
                     }
-                    if *remaining > 0 && ctx.probe() {
-                        *pos = ScanPos::At(cur);
-                        return JobStatus::Yielded;
+                    if left == 0 {
+                        break JobStatus::Done;
                     }
-                }
-                std::hint::black_box(*checksum);
-                JobStatus::Done
+                    if ctx.probe() {
+                        break JobStatus::Yielded;
+                    }
+                };
+                (*pos, *remaining, *checksum) = (ScanPos::At(cur), left, sum);
+                status
             }
         }
     }
@@ -149,13 +157,15 @@ pub fn kv_factory(store: Arc<KvStore>, n_keys: u64, scan_len: usize) -> Box<JobF
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ServerConfig, TinyQuanta};
-    use tq_core::Nanos;
+    use crate::{ServerConfig, TinyQuanta, TscClock};
+    use std::hint::black_box;
+    use std::time::{Duration, Instant};
+    use tq_core::{CpuFreq, Cycles, Nanos};
 
     #[test]
     fn gets_and_scans_complete_over_the_runtime() {
-        let store = kv_store(42, 10_000, 64);
-        let factory = kv_factory(Arc::clone(&store), 10_000, 5_000);
+        let store = kv_store(42, 40_000, 64);
+        let factory = kv_factory(Arc::clone(&store), 40_000, 20_000);
         let server = TinyQuanta::start(
             ServerConfig {
                 workers: 1,
@@ -170,8 +180,8 @@ mod tests {
         }
         let completions = server.shutdown();
         assert_eq!(completions.len(), 100);
-        // SCANs must have been preempted at least once: 5k entries at
-        // 32-entry probe granularity cannot fit one 5us quantum.
+        // SCANs must have been preempted at least once: 20k entries at
+        // ≈ 2 ns an entry are ≈ 40 us, eight 5 us quanta.
         let scan_quanta = completions
             .iter()
             .filter(|c| c.class.0 == 1)
@@ -193,10 +203,10 @@ mod tests {
     /// Runs `job` to completion with a quantum of `quantum` cycles per
     /// slice; returns its checksum and how often it yielded.
     fn run_scan(mut job: KvJob, quantum: u64) -> (u64, u32) {
-        let mut ctx = QuantumCtx::new(crate::TscClock::calibrated());
+        let mut ctx = QuantumCtx::new(TscClock::calibrated());
         let mut yields = 0u32;
         loop {
-            ctx.arm(tq_core::Cycles(quantum));
+            ctx.arm(Cycles(quantum));
             match job.run(&mut ctx) {
                 JobStatus::Yielded => yields += 1,
                 JobStatus::Done => break,
@@ -218,58 +228,188 @@ mod tests {
     }
 
     /// A quantum that never expires / one that has expired before the
-    /// first probe (a yield at every 32-entry batch).
+    /// first probe (a yield at every `SCAN_GATE` entries).
     const NEVER: u64 = u64::MAX / 2;
     const ALWAYS: u64 = 0;
 
     #[test]
     fn scan_resumes_from_cursor_with_consistent_checksum() {
-        let store = kv_store(7, 1_000, 32);
+        let store = kv_store(7, 10_000, 32);
         // Run the same scan once un-preempted and once yielding at every
         // probe; the checksums must agree (cursor save/restore is
         // lossless).
-        let (want, yields) = run_scan(scan_job(&store, 0, 500), NEVER);
+        let (want, yields) = run_scan(scan_job(&store, 0, 5_000), NEVER);
         assert_eq!(yields, 0);
         assert_ne!(want, 0);
-        let (got, yields) = run_scan(scan_job(&store, 0, 500), ALWAYS);
-        assert_eq!(yields, 500 / 32, "one yield per full batch");
+        let (got, yields) = run_scan(scan_job(&store, 0, 5_000), ALWAYS);
+        assert_eq!(
+            yields as usize,
+            5_000 / SCAN_GATE,
+            "one yield per full gate"
+        );
         assert_eq!(got, want, "preempted scan diverged from reference");
     }
 
     #[test]
     fn scan_past_the_end_of_the_store_finishes_with_the_same_checksum() {
-        let store = kv_store(7, 1_000, 32);
-        // 100 entries left, 500 asked for: both forms stop at the end.
-        let (want, _) = run_scan(scan_job(&store, 900, 500), NEVER);
-        let (got, yields) = run_scan(scan_job(&store, 900, 500), ALWAYS);
+        let store = kv_store(7, 10_000, 32);
+        // 1000 entries left, 5000 asked for: both forms stop at the end.
+        let (want, _) = run_scan(scan_job(&store, 9_000, 5_000), NEVER);
+        let (got, yields) = run_scan(scan_job(&store, 9_000, 5_000), ALWAYS);
         assert_eq!(got, want);
-        assert_eq!(yields, 100 / 32);
-        assert_eq!(want, run_scan(scan_job(&store, 900, 100), NEVER).0);
+        assert_eq!(yields as usize, 1_000 / SCAN_GATE);
+        assert_eq!(want, run_scan(scan_job(&store, 9_000, 1_000), NEVER).0);
         // Nothing at or after the start key: Done at once, nothing read.
-        assert_eq!(run_scan(scan_job(&store, 1_000, 500), ALWAYS), (0, 0));
+        assert_eq!(run_scan(scan_job(&store, 10_000, 5_000), ALWAYS), (0, 0));
     }
 
     #[test]
     fn scan_preempted_on_its_first_probe_resumes_at_the_cursor_it_saved() {
         let store = kv_store(7, 1_000, 32);
-        let mut job = scan_job(&store, 123, 64);
-        let mut ctx = QuantumCtx::new(crate::TscClock::calibrated());
-        ctx.arm(tq_core::Cycles(ALWAYS));
+        let mut job = scan_job(&store, 123, 2 * SCAN_GATE);
+        let mut ctx = QuantumCtx::new(TscClock::calibrated());
+        ctx.arm(Cycles(ALWAYS));
         assert!(matches!(job.run(&mut ctx), JobStatus::Yielded));
-        // The seek is spent: the saved position is the 32nd entry read,
-        // and the next slice hops on from it instead of descending again.
+        // The seek is spent: the saved position is the last entry of the
+        // first gate, and the next slice hops on from it instead of
+        // descending again.
         let KvJob::Scan {
             pos: ScanPos::At(saved),
-            remaining: 32,
+            remaining: SCAN_GATE,
             ..
         } = job
         else {
             panic!("first probe did not save a cursor: {job:?}");
         };
         let mut walk = store.cursor_before(&KvStore::nth_key_bytes(123));
-        for _ in 0..32 {
+        for _ in 0..SCAN_GATE {
             store.cursor_next(&mut walk).expect("1000 keys");
         }
         assert_eq!(saved, walk);
+    }
+
+    /// Entries of a `wire_kv` SCAN, the one the gate is sized for.
+    const SCAN_LEN: usize = 2_000;
+
+    /// The cadence cannot drift from the pass: TQ's probe placement
+    /// (`tq-instrument`), given a SCAN's loop at this host's costs, must
+    /// return `SCAN_GATE` as the smallest gate period whose executed
+    /// probe overhead is within the paper's 3%.
+    #[test]
+    fn scan_gate_is_the_pass_period_for_a_three_percent_probe_overhead() {
+        use tq_instrument::exec::{execute, ExecConfig};
+        use tq_instrument::ir::{Function, Inst, Node, Probe, Program, TripSpec};
+        use tq_instrument::passes::tq::{instrument, TqPassConfig};
+        // The costs, in picoseconds (EXPERIMENTS.md, "A SCAN hop is a
+        // load"; Xeon, 2.0 GHz TSC): one hop of the SCAN loop with no
+        // probe, through `Box<dyn Job>`, and one `QuantumCtx::probe`
+        // (`job.probe_ns`).
+        const ENTRY_PS: u32 = 2_130;
+        const PROBE_PS: u64 = 18_200;
+        const TARGET_PCT: f64 = 3.0;
+        // One model cycle is a picosecond: the costs keep their precision,
+        // and the pass's one-cycle induction gate is as free as the real
+        // one, which the loop's own entry count drives.
+        let cfg = ExecConfig {
+            freq: CpuFreq::from_ghz(1_000.0),
+            rdtsc_cycles: PROBE_PS,
+            ..ExecConfig::default_for_quantum(Nanos::from_micros(5))
+        };
+        let scan = Program::new(
+            "kv_scan",
+            vec![Function {
+                name: "scan".into(),
+                body: Node::Loop {
+                    trips: TripSpec::Static(SCAN_LEN as u32),
+                    body: Box::new(Node::Block(vec![Inst::Work { cycles: ENTRY_PS }])),
+                },
+                instrumentable: true,
+            }],
+            0,
+        );
+        let base = execute(&scan, &cfg, 0);
+        let place = |bound| {
+            let pass = TqPassConfig {
+                bound,
+                ..TqPassConfig::default()
+            };
+            instrument(&scan, pass)
+        };
+        let overhead = |bound| execute(&place(bound), &cfg, 0).overhead_pct(&base);
+        let bounds: Vec<u64> = (1..=SCAN_LEN as u64).collect();
+        let bound = bounds[bounds.partition_point(|&b| overhead(b) > TARGET_PCT)];
+        let Node::Loop { body, .. } = &place(bound).functions[0].body else {
+            panic!("the pass moved the loop");
+        };
+        let Node::Seq(parts) = &**body else {
+            panic!("no probe at the top of the loop body: {body:?}");
+        };
+        let Node::Block(top) = &parts[0] else {
+            panic!("no probe block: {parts:?}");
+        };
+        let [Inst::Probe(Probe::GatedClock { period, .. })] = top[..] else {
+            panic!("not a gated probe: {top:?}");
+        };
+        let rounded = 1usize << f64::from(period).log2().round() as u32;
+        assert_eq!(
+            SCAN_GATE, rounded,
+            "the pass gives a period of {period} entries at a bound of {bound}"
+        );
+    }
+
+    /// The same hops and checksum as a SCAN, with no probe.
+    #[inline(never)]
+    fn ungated_walk(store: &KvStore, start: u64) -> u64 {
+        let mut cur = store.cursor_before(&KvStore::nth_key_bytes(start));
+        let mut sum = 0u64;
+        for _ in 0..SCAN_LEN {
+            let Some((k, v)) = store.cursor_next(&mut cur) else {
+                break;
+            };
+            sum = sum
+                .wrapping_mul(31)
+                .wrapping_add(v.len() as u64 + k.len() as u64);
+        }
+        sum
+    }
+
+    /// The gate costs what the pass budgets, and a hop is not a call: a
+    /// SCAN through `Box<dyn Job>`, with a quantum that never expires,
+    /// is within 10% of the same walk with no probe (on `wire_kv`'s
+    /// store). Each start key's SCAN and walk are timed alone, the two
+    /// in turn, best of five, so a test running beside this one or a
+    /// descheduling spoils single samples, not a side. It reads 1.06 on
+    /// a quiet 2-vCPU Xeon and up to 1.3 while a neighbour slows every
+    /// load (EXPERIMENTS.md). No functional test sees a lost inline.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "times optimized code: run with --release")]
+    fn scan_gate_costs_at_most_a_tenth_over_the_ungated_walk() {
+        let store = kv_store(42, 8_192, 64);
+        let starts: Vec<u64> = (0..200).map(|i| (i * 104_729) % 4_096).collect();
+        let mut ctx = QuantumCtx::new(TscClock::calibrated());
+        let mut best = vec![[Duration::MAX; 2]; starts.len()];
+        for round in 0..5 {
+            for (&start, best) in starts.iter().zip(&mut best) {
+                for side in [round % 2, 1 - round % 2] {
+                    let mut job: Box<dyn Job> =
+                        black_box(Box::new(scan_job(&store, start, SCAN_LEN)));
+                    ctx.arm(Cycles(NEVER));
+                    let began = Instant::now();
+                    if side == 0 {
+                        assert!(matches!(job.run(&mut ctx), JobStatus::Done));
+                    } else {
+                        black_box(ungated_walk(&store, start));
+                    }
+                    best[side] = best[side].min(began.elapsed());
+                }
+            }
+        }
+        let [gated, ungated] = [0, 1].map(|side| best.iter().map(|b| b[side]).sum::<Duration>());
+        let ratio = gated.as_secs_f64() / ungated.as_secs_f64();
+        assert!(
+            ratio <= 1.10,
+            "a gated SCAN takes {ratio:.2}x the ungated walk ({gated:?} against {ungated:?} for {} SCANs)",
+            starts.len()
+        );
     }
 }
