@@ -3,7 +3,15 @@
 //! TQ's probes read the hardware cycle counter (`RDTSC` on x86, §3.1).
 //! [`TscClock`] wraps that read and a one-time calibration of cycles per
 //! nanosecond; on non-x86 targets it falls back to `Instant`, preserving
-//! semantics at a coarser cost.
+//! semantics at a coarser cost. Which clock stamps what:
+//! - Quantum deadlines and probes ([`TscClock::now`]) read the bare TSC:
+//!   a probe only ever compares against its own worker's deadline.
+//! - Request timestamps ([`TscClock::wall_nanos`]) are compared across
+//!   threads. They read `LFENCE; RDTSC` only where the kernel's
+//!   clocksource is `tsc` (it picks that only after checking the TSCs are
+//!   synchronized across CPUs), and `Instant` everywhere else.
+//! - A completion ([`TscClock::stamp`]) is one reading of both, which the
+//!   worker stamps `finished` with and arms the next quantum from.
 
 use std::time::Instant;
 use tq_core::{CpuFreq, Cycles, Nanos};
@@ -24,14 +32,18 @@ use tq_core::{CpuFreq, Cycles, Nanos};
 pub struct TscClock {
     freq: CpuFreq,
     origin: Instant,
-    /// Whether `now()` reads the raw TSC. False on non-x86 targets and
-    /// whenever calibration failed: then `now()` reads the monotonic
-    /// clock *as* a 1 GHz counter, so `freq`, quantum deadlines, and
-    /// `to_nanos` stay mutually coherent. (Previously a failed
-    /// calibration fell back to a 1 GHz `freq` while `now()` kept
-    /// returning raw RDTSC — every deadline and conversion was then off
-    /// by the real cycles-per-nanosecond ratio.)
-    use_tsc: bool,
+    source: Source,
+}
+
+/// What `now()` and `wall_nanos()` read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    /// `Instant` for both, as a 1 GHz counter (non-x86, failed calibration).
+    Instant,
+    /// The TSC for cycles, `Instant` for wall time.
+    Tsc,
+    /// The TSC for both: wall time is `(tsc - base) × ns_per_cycle`, 32.32.
+    TscWall { base: u64, ns_per_cycle: u64 },
 }
 
 impl TscClock {
@@ -41,17 +53,17 @@ impl TscClock {
         let origin = Instant::now();
         #[cfg(target_arch = "x86_64")]
         {
-            let t0 = Instant::now();
-            let c0 = raw_cycles();
+            // Read once per process: every benchmark trial calibrates.
+            const FILE: &str = "/sys/devices/system/clocksource/clocksource0/current_clocksource";
+            static CLOCKSOURCE: std::sync::OnceLock<Option<String>> = std::sync::OnceLock::new();
+            let base = rdtsc::<true>();
             // Busy-wait a calibration window.
-            while t0.elapsed().as_millis() < 10 {
+            while origin.elapsed().as_millis() < 10 {
                 std::hint::spin_loop();
             }
-            let c1 = raw_cycles();
-            let dt = t0.elapsed().as_nanos() as f64;
-            let dc = c1.wrapping_sub(c0) as f64;
-            let hz = dc / dt * 1e9;
-            if let Some(clock) = Self::from_calibration(hz, origin) {
+            let hz = rdtsc::<true>().wrapping_sub(base) as f64 / origin.elapsed().as_secs_f64();
+            let source = CLOCKSOURCE.get_or_init(|| std::fs::read_to_string(FILE).ok());
+            if let Some(clock) = Self::from_calibration(hz, origin, base, source.as_deref()) {
                 return clock;
             }
         }
@@ -59,18 +71,27 @@ impl TscClock {
     }
 
     /// Accepts a calibration result if it is sane; `None` sends the
-    /// caller to the [`TscClock::instant_fallback`] path. Split out so
-    /// the failure path is testable without a host whose TSC misbehaves.
-    fn from_calibration(hz: f64, origin: Instant) -> Option<Self> {
-        if hz.is_finite() && hz > 1e8 {
-            Some(TscClock {
-                freq: CpuFreq::from_hz(hz),
-                origin,
-                use_tsc: true,
-            })
-        } else {
-            None
-        }
+    /// caller to the [`TscClock::instant_fallback`] path. Wall time moves
+    /// to the TSC only if `clocksource` (the kernel's, `None` if
+    /// unreadable) is `tsc`. Split out so both decisions are testable.
+    fn from_calibration(
+        hz: f64,
+        origin: Instant,
+        base: u64,
+        clocksource: Option<&str>,
+    ) -> Option<Self> {
+        let source = match clocksource.map(str::trim) {
+            Some("tsc") => Source::TscWall {
+                base,
+                ns_per_cycle: (1e9 * (1u64 << 32) as f64 / hz) as u64,
+            },
+            _ => Source::Tsc,
+        };
+        (hz.is_finite() && hz > 1e8).then(|| TscClock {
+            freq: CpuFreq::from_hz(hz),
+            origin,
+            source,
+        })
     }
 
     /// A clock that never touches the TSC: the monotonic clock is read as
@@ -85,7 +106,7 @@ impl TscClock {
         TscClock {
             freq: CpuFreq::from_ghz(1.0),
             origin,
-            use_tsc: false,
+            source: Source::Instant,
         }
     }
 
@@ -97,7 +118,7 @@ impl TscClock {
     /// Whether `now()` reads the hardware TSC (false: monotonic-clock
     /// fallback at 1 GHz).
     pub fn uses_tsc(&self) -> bool {
-        self.use_tsc
+        self.source != Source::Instant
     }
 
     /// Reads the cycle counter (the probe's `RDTSC`), or the fallback
@@ -106,8 +127,8 @@ impl TscClock {
     #[inline]
     pub fn now(&self) -> Cycles {
         #[cfg(target_arch = "x86_64")]
-        if self.use_tsc {
-            return Cycles(raw_cycles());
+        if !matches!(self.source, Source::Instant) {
+            return Cycles(rdtsc::<false>());
         }
         Cycles(self.origin.elapsed().as_nanos() as u64)
     }
@@ -124,24 +145,69 @@ impl TscClock {
         self.freq.nanos_to_cycles(d)
     }
 
-    /// Elapsed wall time since the clock was created (for request
-    /// timestamps; one clock is shared server-wide).
+    /// Elapsed wall time since the clock was created, for request
+    /// timestamps (one clock is shared server-wide): a fenced TSC read
+    /// and a multiply where the clocksource is `tsc`, else `Instant`.
     #[inline]
     pub fn wall_nanos(&self) -> Nanos {
-        Nanos::from_nanos(self.origin.elapsed().as_nanos() as u64)
+        match self.source {
+            #[cfg(target_arch = "x86_64")]
+            Source::TscWall { base, ns_per_cycle } => {
+                tsc_nanos(rdtsc::<true>(), base, ns_per_cycle)
+            }
+            _ => Nanos(self.origin.elapsed().as_nanos() as u64),
+        }
+    }
+
+    /// One reading as cycles (to arm a quantum from) and wall time (to
+    /// stamp a completion with): one fenced TSC read where wall time is
+    /// TSC time, one `Instant` read on the 1 GHz fallback, and `now()`
+    /// plus an `Instant` read, two readings, in between.
+    #[inline]
+    pub fn stamp(&self) -> (Cycles, Nanos) {
+        match self.source {
+            #[cfg(target_arch = "x86_64")]
+            Source::TscWall { base, ns_per_cycle } => {
+                let c = rdtsc::<true>();
+                (Cycles(c), tsc_nanos(c, base, ns_per_cycle))
+            }
+            Source::Tsc => (self.now(), self.wall_nanos()),
+            _ => {
+                let ns = self.wall_nanos();
+                (Cycles(ns.0), ns)
+            }
+        }
     }
 }
 
+/// TSC wall time, multiplied in `u128`: a `u64` product overflows after
+/// ≈ 4 s of cycles.
+#[inline]
+fn tsc_nanos(cycles: u64, base: u64, ns_per_cycle: u64) -> Nanos {
+    Nanos(((cycles.saturating_sub(base) as u128 * ns_per_cycle as u128) >> 32) as u64)
+}
+
+/// `RDTSC`, behind an `LFENCE` when `FENCED`: a fenced read waits for
+/// every earlier load, so a stamp taken after an Acquire hand-over is
+/// never older than the one the previous holder published.
 #[cfg(target_arch = "x86_64")]
 #[inline]
-fn raw_cycles() -> u64 {
-    // SAFETY: RDTSC has no memory effects and is available on all x86-64.
-    unsafe { core::arch::x86_64::_rdtsc() }
+fn rdtsc<const FENCED: bool>() -> u64 {
+    // SAFETY: LFENCE and RDTSC have no memory effects beyond ordering and
+    // are available on all x86-64.
+    unsafe {
+        if FENCED {
+            core::arch::x86_64::_mm_lfence();
+        }
+        core::arch::x86_64::_rdtsc()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
     use std::time::Duration;
 
     #[test]
@@ -175,7 +241,7 @@ mod tests {
     fn failed_calibration_falls_back_coherently() {
         for bad_hz in [f64::NAN, f64::INFINITY, 0.0, 1e7, -3.0e9] {
             assert!(
-                TscClock::from_calibration(bad_hz, Instant::now()).is_none(),
+                TscClock::from_calibration(bad_hz, Instant::now(), 0, Some("tsc")).is_none(),
                 "calibration accepted bogus {bad_hz} hz"
             );
         }
@@ -213,5 +279,162 @@ mod tests {
         let back = clock.to_nanos(cycles);
         let err = back.as_nanos().abs_diff(q.as_nanos());
         assert!(err <= 2, "round trip error {err}ns");
+    }
+
+    /// A clock calibrated at 2 GHz, created now, under `clocksource`.
+    fn clock_under(clocksource: Option<&str>) -> TscClock {
+        let origin = Instant::now();
+        TscClock::from_calibration(2e9, origin, 0, clocksource).expect("sane calibration")
+    }
+
+    /// Only a clocksource of `tsc` (after trimming: the file ends in a
+    /// newline) moves wall time to the TSC; the cycle counter is the TSC
+    /// either way.
+    #[test]
+    fn only_the_tsc_clocksource_moves_wall_time_to_the_tsc() {
+        for source in [Some("tsc"), Some("tsc\n"), Some(" tsc ")] {
+            let clock = clock_under(source);
+            assert!(matches!(clock.source, Source::TscWall { .. }), "{source:?}");
+        }
+        for source in [
+            Some("kvm-clock\n"),
+            Some("hpet"),
+            Some(""),
+            Some("tsc2"),
+            None,
+        ] {
+            let clock = clock_under(source);
+            assert_eq!(clock.source, Source::Tsc, "{source:?}");
+            assert!(clock.uses_tsc());
+        }
+    }
+
+    /// Off a `tsc` clocksource, wall time is `Instant`'s and nothing
+    /// else: every stamp lies between the two `Instant` reads around it,
+    /// and `stamp`'s cycles are a separate, raw TSC read.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn off_a_tsc_clocksource_wall_time_is_instant() {
+        let clock = clock_under(Some("kvm-clock"));
+        for _ in 0..1000 {
+            let before = clock.origin.elapsed().as_nanos() as u64;
+            let cycles_before = rdtsc::<false>();
+            let wall = clock.wall_nanos().0;
+            let (cycles, stamped) = clock.stamp();
+            let after = clock.origin.elapsed().as_nanos() as u64;
+            assert!((before..=after).contains(&wall), "{before} {wall} {after}");
+            assert!((before..=after).contains(&stamped.0));
+            assert!(cycles.0 >= cycles_before, "cycles are the raw TSC");
+        }
+    }
+
+    /// `stamp()`'s two halves come from one reading in every mode.
+    #[test]
+    fn a_stamp_is_one_reading_in_every_mode() {
+        let fallback = TscClock::instant_fallback();
+        for _ in 0..1000 {
+            let (cycles, ns) = fallback.stamp();
+            assert_eq!(cycles.0, ns.0, "1 GHz fallback: cycles are ns");
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            let clock = clock_under(Some("tsc"));
+            let Source::TscWall { base, ns_per_cycle } = clock.source else {
+                unreachable!()
+            };
+            for _ in 0..1000 {
+                let (cycles, ns) = clock.stamp();
+                assert_eq!(ns, tsc_nanos(cycles.0, base, ns_per_cycle));
+            }
+        }
+    }
+
+    /// The 32.32 multiply is done in `u128`: a `u64` product overflows
+    /// after ≈ 4 s of cycles at 2 GHz.
+    #[test]
+    fn tsc_wall_time_survives_hours_of_cycles() {
+        let Source::TscWall { ns_per_cycle, .. } = clock_under(Some("tsc")).source else {
+            unreachable!()
+        };
+        let hour = 3_600_000_000_000u64;
+        let ns = tsc_nanos(7 + 2 * hour, 7, ns_per_cycle).0;
+        assert!(ns.abs_diff(hour) < hour / 1_000_000, "{ns}");
+    }
+
+    /// Four threads hand a turn round through an atomic 20 000 times
+    /// while a fifth busy-loops; each holder's `wall_nanos()` must be at
+    /// least the previous holder's. A bare `RDTSC` fails this on a
+    /// shared host (EXPERIMENTS.md "One clock read per completion").
+    #[test]
+    fn wall_time_never_goes_backwards_across_threads() {
+        const HOLDERS: u64 = 4;
+        const TURNS: u64 = 20_000;
+        let clock = TscClock::calibrated();
+        let turn = Arc::new(AtomicU64::new(0));
+        let last = Arc::new(AtomicU64::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let spinner = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            })
+        };
+        let holders: Vec<_> = (0..HOLDERS)
+            .map(|me| {
+                let (clock, turn, last) = (clock.clone(), Arc::clone(&turn), Arc::clone(&last));
+                std::thread::spawn(move || {
+                    let mut backwards = Vec::new();
+                    loop {
+                        let t = turn.load(Ordering::Acquire);
+                        if t >= TURNS {
+                            return backwards;
+                        }
+                        if t % HOLDERS != me {
+                            std::thread::yield_now();
+                            continue;
+                        }
+                        let now = clock.wall_nanos().0;
+                        let prev = last.load(Ordering::Relaxed);
+                        if now < prev {
+                            backwards.push(prev - now);
+                        }
+                        last.store(now, Ordering::Relaxed);
+                        turn.store(t + 1, Ordering::Release);
+                    }
+                })
+            })
+            .collect();
+        let backwards: Vec<u64> = holders
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        spinner.join().unwrap();
+        assert!(
+            backwards.is_empty(),
+            "{} of {TURNS} hand-overs went backwards, by up to {} ns",
+            backwards.len(),
+            backwards.iter().max().unwrap()
+        );
+    }
+
+    /// Wall time keeps `Instant`'s rate within 0.1% over a 20 ms sleep
+    /// (best of five, so one preemption between paired reads does not
+    /// count).
+    #[test]
+    fn wall_time_tracks_instant() {
+        let clock = TscClock::calibrated();
+        let err = (0..5)
+            .map(|_| {
+                let (w0, i0) = (clock.wall_nanos().0, Instant::now());
+                std::thread::sleep(Duration::from_millis(20));
+                let (w1, i1) = (clock.wall_nanos().0, Instant::now());
+                let real = (i1 - i0).as_nanos() as f64;
+                ((w1 - w0) as f64 - real).abs() / real
+            })
+            .fold(f64::INFINITY, f64::min);
+        assert!(err < 1e-3, "wall time off Instant's rate by {err:.5}");
     }
 }

@@ -62,7 +62,15 @@ impl QuantumCtx {
 
     /// Arms the deadline for the next quantum (scheduler side).
     pub fn arm(&mut self, quantum_cycles: Cycles) {
-        self.deadline = Cycles(self.clock.now().0.wrapping_add(quantum_cycles.0));
+        self.arm_from(self.clock.now(), quantum_cycles);
+    }
+
+    /// Arms the deadline `quantum_cycles` after `start`, a reading the
+    /// scheduler already holds (the worker's completion stamp), instead
+    /// of reading the clock again.
+    #[inline]
+    pub fn arm_from(&mut self, start: Cycles, quantum_cycles: Cycles) {
+        self.deadline = Cycles(start.0.wrapping_add(quantum_cycles.0));
     }
 
     /// The probe: reads the cycle counter and reports whether the job
@@ -180,6 +188,20 @@ mod tests {
         assert!(!c.probe(), "deadline 50ms away");
         c.arm(Cycles(0));
         // Deadline is "now": the next read must be at or past it.
+        assert!(c.probe());
+    }
+
+    #[test]
+    fn arm_from_sets_the_deadline_a_quantum_after_the_given_start() {
+        let mut c = ctx();
+        c.arm_from(Cycles(1_000), Cycles(250));
+        assert_eq!(c.deadline, Cycles(1_250));
+        // Wrapping, as the probe's comparison does.
+        c.arm_from(Cycles(u64::MAX), Cycles(2));
+        assert_eq!(c.deadline, Cycles(1));
+        // A start in the past arms a deadline already due.
+        let past = c.clock.now();
+        c.arm_from(past, Cycles(0));
         assert!(c.probe());
     }
 

@@ -53,7 +53,9 @@ pub struct Completion {
     pub class: ClassId,
     /// Submission timestamp.
     pub submitted: Nanos,
-    /// Completion timestamp (same clock).
+    /// Completion timestamp (same clock): the wall half of the worker's
+    /// [`TscClock::stamp`] taken as the job returned `Done`, whose cycle
+    /// half arms that worker's next quantum.
     pub finished: Nanos,
     /// Quanta the job consumed.
     pub quanta: u64,
