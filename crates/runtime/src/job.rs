@@ -15,6 +15,14 @@
 //!
 //! Critical sections are supported the way §4 describes: a flag that
 //! makes probes report "keep running" until the section exits.
+//!
+//! A quantum is armed from a reading already taken, as TQ reads the TSC
+//! once per switch: the completion stamp that ended the previous slice,
+//! or the reading of the probe that found its quantum expired. When a
+//! slice ended without one (a voluntary yield, or the worker went idle),
+//! the next quantum is armed lazily: it starts at the next slice's first
+//! probe, from that probe's own reading, at most one probe interval
+//! after the switch.
 
 use crate::clock::TscClock;
 use tq_core::Cycles;
@@ -22,7 +30,11 @@ use tq_core::Cycles;
 /// What a quantum of execution produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
-    /// Quantum expired; the job saved its state and yielded.
+    /// The job saved its state and gave up the core. Either a probe found
+    /// the quantum expired, and the next slice (of whichever job runs
+    /// next) is armed from that probe's reading; or the job yielded of its
+    /// own accord with no probe fired (a voluntary yield), and the next
+    /// slice's quantum starts at that slice's first probe.
     Yielded,
     /// The job finished; its slot can be recycled.
     Done,
@@ -30,13 +42,18 @@ pub enum JobStatus {
 
 /// A preemptible job.
 pub trait Job: Send {
-    /// Runs until the next probe observes quantum expiry (return
-    /// [`JobStatus::Yielded`]) or the work completes (return
-    /// [`JobStatus::Done`]). Implementations must call
+    /// Runs until a probe observes quantum expiry or the job chooses to
+    /// give up the core (return [`JobStatus::Yielded`]), or the work
+    /// completes (return [`JobStatus::Done`]). Implementations must call
     /// [`QuantumCtx::probe`] frequently enough to honor the quantum —
     /// the equivalent of being compiled with TQ's pass.
     fn run(&mut self, ctx: &mut QuantumCtx) -> JobStatus;
 }
+
+/// The deadline of a slice whose quantum has not started: every reading
+/// is at or past it, so the slice's first probe takes the cold path,
+/// which arms the quantum from that probe's reading.
+const UNARMED: Cycles = Cycles(0);
 
 /// Per-quantum execution context handed to jobs: the physical clock, the
 /// quantum deadline, and the critical-section flag.
@@ -44,33 +61,60 @@ pub trait Job: Send {
 pub struct QuantumCtx {
     clock: TscClock,
     deadline: Cycles,
+    /// The quantum an [`UNARMED`] slice's first probe arms.
+    lazy_quantum: Cycles,
+    /// The reading of the last probe that found the quantum expired. The
+    /// cold path pins the deadline to it, so it ended the current slice
+    /// while the two are equal: any re-arm moves the deadline away, and
+    /// so voids it without a store of its own.
+    expired_at: Option<Cycles>,
     critical_depth: u32,
     probes: u64,
 }
 
 impl QuantumCtx {
     /// Creates a context (one per worker; the deadline is re-armed before
-    /// every resume).
+    /// every resume). Until the first arm, every probe reports expiry.
     pub fn new(clock: TscClock) -> Self {
         QuantumCtx {
             clock,
-            deadline: Cycles::ZERO,
+            deadline: UNARMED,
+            lazy_quantum: Cycles::ZERO,
+            expired_at: None,
             critical_depth: 0,
             probes: 0,
         }
     }
 
-    /// Arms the deadline for the next quantum (scheduler side).
+    /// Arms the deadline `quantum_cycles` after a fresh clock reading:
+    /// the API for code that drives a job directly (tests, benchmarks).
+    /// The worker never reads the clock to arm (module docs).
     pub fn arm(&mut self, quantum_cycles: Cycles) {
         self.arm_from(self.clock.now(), quantum_cycles);
     }
 
     /// Arms the deadline `quantum_cycles` after `start`, a reading the
-    /// scheduler already holds (the worker's completion stamp), instead
-    /// of reading the clock again.
+    /// caller already holds (the worker's completion stamp, or the
+    /// expired probe's reading), instead of reading the clock again.
     #[inline]
     pub fn arm_from(&mut self, start: Cycles, quantum_cycles: Cycles) {
         self.deadline = Cycles(start.0.wrapping_add(quantum_cycles.0));
+    }
+
+    /// Arms a quantum of `quantum_cycles` that starts at the slice's first
+    /// probe outside a critical section, from that probe's own reading:
+    /// a slice that never probes costs no clock read.
+    #[inline]
+    pub(crate) fn arm_lazily(&mut self, quantum_cycles: Cycles) {
+        self.deadline = UNARMED;
+        self.lazy_quantum = quantum_cycles;
+    }
+
+    /// The reading of the probe that found this slice's quantum expired,
+    /// or `None` if the slice ended without one (a voluntary yield).
+    #[inline]
+    pub(crate) fn take_expiry(&mut self) -> Option<Cycles> {
+        self.expired_at.take().filter(|&at| at == self.deadline)
     }
 
     /// The probe: reads the cycle counter and reports whether the job
@@ -81,7 +125,27 @@ impl QuantumCtx {
         if self.critical_depth > 0 {
             return false;
         }
-        self.clock.now().0.wrapping_sub(self.deadline.0) as i64 >= 0
+        let now = self.clock.now();
+        if (now.0.wrapping_sub(self.deadline.0) as i64) < 0 {
+            return false;
+        }
+        self.due(now)
+    }
+
+    /// The probe's cold path, at or past the deadline: an unarmed slice
+    /// starts its quantum at `now`; an armed one has expired, and `now`
+    /// is kept as the slice's end, for the next quantum to start from.
+    #[cold]
+    fn due(&mut self, now: Cycles) -> bool {
+        if self.deadline == UNARMED {
+            self.arm_from(now, self.lazy_quantum);
+            if self.lazy_quantum > Cycles::ZERO {
+                return false;
+            }
+        }
+        self.deadline = now;
+        self.expired_at = Some(now);
+        true
     }
 
     /// Enters a critical section: probes stop requesting yields until the
@@ -202,6 +266,83 @@ mod tests {
         // A start in the past arms a deadline already due.
         let past = c.clock.now();
         c.arm_from(past, Cycles(0));
+        assert!(c.probe());
+    }
+
+    #[test]
+    fn a_lazily_armed_quantum_starts_at_the_first_probe() {
+        let mut c = ctx();
+        let q = c.clock.to_cycles(Nanos::from_millis(50));
+        c.arm_lazily(q);
+        let before = c.clock.now();
+        assert!(!c.probe(), "the first probe starts the quantum");
+        let after = c.clock.now();
+        let start = c.deadline.wrapping_sub(q);
+        assert!(
+            before <= start && start <= after,
+            "armed from {start}, not the probe's reading in [{before}, {after}]"
+        );
+        assert_eq!(c.take_expiry(), None, "the quantum has not expired");
+    }
+
+    #[test]
+    fn an_expired_probe_leaves_its_reading_for_the_next_quantum() {
+        let mut c = ctx();
+        let q = c.clock.to_cycles(Nanos::from_micros(20));
+        c.arm_lazily(q);
+        assert!(!c.probe());
+        let deadline = c.deadline;
+        while (c.clock.now().wrapping_sub(deadline).0 as i64) < 0 {
+            std::hint::spin_loop();
+        }
+        assert!(c.probe(), "a probe one quantum later expires");
+        let after = c.clock.now();
+        let end = c.take_expiry().expect("the expired probe's reading");
+        assert!(
+            deadline <= end && end <= after,
+            "expiry {end} outside [{deadline}, {after}]"
+        );
+        assert_eq!(c.take_expiry(), None, "a reading is taken once");
+    }
+
+    #[test]
+    fn arming_voids_a_pending_lazy_arm_and_a_stale_expiry() {
+        let mut c = ctx();
+        let long = c.clock.to_cycles(Nanos::from_millis(50));
+        // A slice ends on an expired probe whose reading nobody takes (a
+        // completion); the next slice is armed and yields voluntarily.
+        c.arm(Cycles(0));
+        assert!(c.probe());
+        c.arm(long);
+        assert!(!c.probe());
+        assert_eq!(c.take_expiry(), None, "arm kept a stale expiry");
+        c.arm(Cycles(0));
+        assert!(c.probe());
+        c.arm_from(c.clock.now(), long);
+        assert_eq!(c.take_expiry(), None, "arm_from kept a stale expiry");
+        // A pending lazy arm gives way to an explicit one, either way.
+        c.arm_lazily(long);
+        c.arm(Cycles(0));
+        assert!(c.probe(), "arm left the lazy arm pending");
+        c.arm_lazily(long);
+        c.arm_from(c.clock.now(), Cycles(0));
+        assert!(c.probe(), "arm_from left the lazy arm pending");
+        c.arm_lazily(Cycles(0));
+        c.arm_from(c.clock.now(), long);
+        assert!(!c.probe(), "arm_from left the lazy arm pending");
+    }
+
+    #[test]
+    fn a_lazily_armed_slice_never_yields_inside_a_critical_section() {
+        let mut c = ctx();
+        c.arm_lazily(Cycles(0));
+        c.enter_critical();
+        for _ in 0..1_000 {
+            assert!(!c.probe(), "critical section must not yield");
+        }
+        c.exit_critical();
+        assert_eq!(c.take_expiry(), None);
+        // A zero quantum starts and expires at the first probe outside.
         assert!(c.probe());
     }
 

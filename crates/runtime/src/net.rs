@@ -113,9 +113,9 @@ pub struct NetConfig {
     pub max_in_flight: usize,
 }
 
-/// Idle backoff of the serving loop, mirroring the worker loop's
-/// contract: consecutive empty poll iterations spent spinning before
-/// yielding.
+/// Idle backoff of the serving loop: consecutive empty poll iterations
+/// spent spinning before yielding. (Unlike this loop, an idle worker
+/// never spins; it yields, then sleeps.)
 const IDLE_SPINS: u32 = 64;
 /// Empty iterations spent yielding before sleeping.
 const IDLE_YIELDS: u32 = 64;
@@ -405,9 +405,9 @@ pub fn serve<T: Transport>(
         if stopping && slab.is_empty() {
             break Ok(());
         }
-        // Idle backoff (spin → yield → sleep), mirroring the worker
-        // loop: a hot serving loop answers in microseconds, an idle one
-        // must not monopolize an oversubscribed host.
+        // Idle backoff (spin → yield → sleep): a hot serving loop answers
+        // in microseconds, an idle one must not monopolize an
+        // oversubscribed host.
         if received == 0 && completions.is_empty() {
             idle_iters += 1;
             if idle_iters <= IDLE_SPINS {

@@ -26,7 +26,7 @@
 //!
 //! Sockets are switched to nonblocking mode by the constructors; *waiting*
 //! is the caller's job (the serve loop owns a spin → yield → sleep
-//! backoff, mirroring the worker idle contract), which keeps the
+//! backoff), which keeps the
 //! transport itself allocation- and policy-free.
 //!
 //! ## Trains

@@ -9,12 +9,15 @@
 //! thread drains (responses never pass back through the dispatch path),
 //! and updates the shared counters the dispatcher's JSQ/MSQ reads.
 //!
-//! A completion is one clock reading ([`TscClock::stamp`]): its `finished`
-//! stamp, and the start of the next quantum, as TQ reads the TSC once per
-//! switch (§3.1). The next job is thus charged the publish, admission
-//! pass and pick in between: tens of ns, plus at most `TASK_SLOTS` factory
+//! The worker never reads the clock to arm a quantum, as TQ reads the TSC
+//! once per switch (§3.1). A completion is one clock reading
+//! ([`TscClock::stamp`]): its `finished` stamp, and the start of the next
+//! quantum. A slice that a probe ended hands over that probe's reading
+//! the same way. The next job is thus charged the publish, admission pass
+//! and pick in between: tens of ns, plus at most `TASK_SLOTS` factory
 //! calls, under a probe's own overshoot (p99 ≈ 900 ns on a SCAN). After
-//! an idle pass, a steal or a stall window the next quantum reads afresh.
+//! a voluntary yield, an idle pass, a steal or a stall window there is no
+//! such reading, and the next quantum starts at its slice's first probe.
 //!
 //! An idle worker yields at once, then sleeps; it never spins, because
 //! the submitter that would give it work may need the same CPU.
@@ -359,10 +362,11 @@ fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
     let mut admit_buf: Vec<RtRequest> = Vec::with_capacity(TASK_SLOTS);
     let mut done_buf: Vec<Completion> = Vec::new();
     let mut pending = PendingCounters::default();
-    // Consecutive idle iterations, for the spin → yield → sleep backoff.
+    // Consecutive idle iterations, for the yield → sleep backoff.
     let mut idle_streak: u32 = 0;
-    // The last completion's cycles: they arm the next quantum (module docs).
-    let mut last_stamp: Option<Cycles> = None;
+    // The reading that ended the last slice, if one did: it arms the next
+    // quantum, else that slice's first probe does (module docs).
+    let mut slice_end: Option<Cycles> = None;
 
     loop {
         // Injected stall: refuse to admit or run anything inside the
@@ -375,7 +379,7 @@ fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
                 pending.flush(my_counters);
                 completions.push_batch(&mut done_buf);
                 stats.stalled_iterations += 1;
-                last_stamp = None;
+                slice_end = None;
                 std::thread::yield_now();
                 continue;
             }
@@ -417,8 +421,10 @@ fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
                     quantum_cycles = clock.to_cycles(tq_core::Nanos(q));
                 }
             }
-            let start = last_stamp.take().unwrap_or_else(|| clock.now());
-            ctx.arm_from(start, quantum_cycles);
+            match slice_end.take() {
+                Some(start) => ctx.arm_from(start, quantum_cycles),
+                None => ctx.arm_lazily(quantum_cycles),
+            }
             let status = task.job.run(&mut ctx);
             task.quanta += 1;
             stats.quanta += 1;
@@ -428,6 +434,7 @@ fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
             }
             match status {
                 JobStatus::Yielded => {
+                    slice_end = ctx.take_expiry();
                     let rank =
                         discipline.job_rank(task.req.class.0, task.req.submitted, task.quanta);
                     slots.runq.push(slot, rank);
@@ -438,7 +445,7 @@ fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
                     pending.retired_quanta += task.quanta;
                     stats.completed += 1;
                     let (cycles, finished) = clock.stamp();
-                    last_stamp = Some(cycles);
+                    slice_end = Some(cycles);
                     done_buf.push(Completion {
                         id: task.req.id,
                         class: task.req.class,
@@ -451,7 +458,7 @@ fn run_worker(w: WorkerCtx, rx: WorkerRx) -> WorkerStats {
                 }
             }
         } else {
-            last_stamp = None;
+            slice_end = None;
             // Idle: in stealing mode, raid the most-loaded sibling before
             // giving up the core (the Caladan behavior).
             if !slots.free.is_empty() {
@@ -614,6 +621,70 @@ mod tests {
             stats.workers.iter().all(|w| w.completed > 0),
             "both workers must stamp: {:?}",
             stats.workers
+        );
+    }
+
+    /// Busy-waits `busy` without probing, then yields voluntarily; done
+    /// after `slices` slices.
+    struct Hog {
+        clock: TscClock,
+        busy: Cycles,
+        slices: u32,
+    }
+
+    impl Job for Hog {
+        fn run(&mut self, _: &mut QuantumCtx) -> JobStatus {
+            let start = self.clock.now();
+            while self.clock.now().wrapping_sub(start) < self.busy {
+                std::hint::spin_loop();
+            }
+            self.slices -= 1;
+            if self.slices == 0 {
+                JobStatus::Done
+            } else {
+                JobStatus::Yielded
+            }
+        }
+    }
+
+    /// A slice that follows a voluntary yield gets a whole quantum. Under
+    /// PS at 100 µs, a 1 ms `SpinJob` runs right after a job that holds
+    /// the core ≈ 300 µs a slice without probing, 30 times. Its quantum
+    /// starts at its own first probe, so it finishes in about 10 quanta.
+    /// Arming it from the last reading the worker holds, the `SpinJob`'s
+    /// previous expiry, would start it 300 µs in the past: a dead quantum
+    /// every round, and 40 quanta in all.
+    #[test]
+    fn a_slice_after_a_voluntary_yield_gets_a_whole_quantum() {
+        let clock = TscClock::calibrated();
+        let factory_clock = clock.clone();
+        let server = crate::server::TinyQuanta::start_with_clock(
+            ServerConfig {
+                workers: 1,
+                quantum: Nanos::from_micros(100),
+                discipline: WorkerPolicy::ProcessorSharing,
+                ..ServerConfig::default()
+            },
+            clock,
+            move |req: &RtRequest| -> Box<dyn Job> {
+                match req.class.0 {
+                    1 => Box::new(Hog {
+                        clock: factory_clock.clone(),
+                        busy: factory_clock.to_cycles(Nanos::from_micros(300)),
+                        slices: 30,
+                    }),
+                    _ => Box::new(crate::job::SpinJob::with_clock(req, &factory_clock)),
+                }
+            },
+        );
+        server.submit_burst(&[(1, Nanos::ZERO), (0, Nanos::from_millis(1))]);
+        let completions = server.shutdown();
+        assert_eq!(completions.len(), 2);
+        let spin = completions.iter().find(|c| c.class.0 == 0).unwrap();
+        assert!(
+            spin.quanta <= 11,
+            "a 1 ms job took {} quanta of 100 µs",
+            spin.quanta
         );
     }
 
