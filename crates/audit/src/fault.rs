@@ -14,6 +14,7 @@
 //! one of them the accounting invariants of [`crate::InvariantAuditor`]
 //! must still hold — that is the contract being tested, not latency.
 
+use tq_core::policy::flow_hash;
 use tq_core::Nanos;
 
 /// One injected stall: `worker` processes nothing between `after` and
@@ -73,8 +74,8 @@ impl FaultPlan {
     /// `spread`. Same seed, same plan — the whole point.
     pub fn from_seed(seed: u64, n_workers: usize, spread: Nanos, duration: Nanos) -> Self {
         assert!(n_workers > 0, "need at least one worker to stall");
-        let a = splitmix(seed);
-        let b = splitmix(a);
+        let a = flow_hash(seed);
+        let b = flow_hash(a);
         let worker = (a % n_workers as u64) as usize;
         let after = Nanos::from_nanos(b % spread.as_nanos().max(1));
         FaultPlan::stall_worker(worker, after, duration)
@@ -96,13 +97,6 @@ impl FaultPlan {
             .max()
             .unwrap_or(Nanos::ZERO)
     }
-}
-
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The hostile-configuration catalog the fault-injection matrix runs —

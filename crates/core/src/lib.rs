@@ -24,6 +24,8 @@
 //! * [`job`] — job identities, classes, and request descriptors.
 //! * [`policy`] — dispatch policies (JSQ/MSQ, random, power-of-two, …) and
 //!   worker-local quantum scheduling queues (PS, FCFS).
+//! * [`heap`] — the packed-key min-heap under the ranked run queue and
+//!   the simulators' event queues.
 //! * [`counters`] — the wrap-safe worker→dispatcher load counters of §4 of
 //!   the paper, in both plain and shared-atomic (cache-line) form.
 //! * [`costs`] — the calibrated cost constants used by the simulators.
@@ -56,6 +58,7 @@
 pub mod adaptive;
 pub mod costs;
 pub mod counters;
+pub mod heap;
 pub mod job;
 pub mod policy;
 pub mod time;

@@ -22,8 +22,8 @@ mod worker;
 
 pub use dispatch::{flow_hash, DispatchPolicy, Dispatcher, TieBreak, WorkerLoad};
 pub use rank::{
-    ConstRank, JsqRank, Loads, P2cRank, PinnedRank, PolicyRng, PolicyView, RankPolicy, RankQueue,
+    ConstRank, JsqRank, Loads, P2cRank, PinnedRank, PolicyView, RankPolicy, RankQueue,
     RankedDispatcher, RoundRobinRank, RssHashRank, Sample, SplitLoads, TieRule,
 };
-pub(crate) use rng::SplitMix64;
-pub use worker::{steal_victim, LasQueue, RunQueue, WorkerPolicy};
+pub use rng::PolicyRng;
+pub use worker::{steal_victim, RunQueue, WorkerPolicy};

@@ -16,14 +16,15 @@
 //! resident job to a `u64` rank (see `WorkerPolicy::job_rank`) and every
 //! worker, simulated or live, pops the minimum from one generic packed
 //! min-rank queue, [`RankQueue`] (the ranked arm of [`RunQueue`]) — the
-//! 4-ary front-slot heap from `tq-sim::events`, re-keyed by
+//! [`KeyHeap`] the simulators' event queues use too, keyed by
 //! `(rank, admission seq)` instead of virtual time.
 //!
 //! [`Dispatcher`]: super::Dispatcher
 //! [`RunQueue`]: super::RunQueue
 
-use super::SplitMix64;
 use super::dispatch::{TieBreak, WorkerLoad};
+use super::PolicyRng;
+use crate::heap::{pack, KeyHeap};
 
 /// One candidate worker's view of the scheduler state a rank function may
 /// consult. Blindness is enforced by construction: nothing here describes
@@ -83,40 +84,6 @@ pub enum Sample {
     Pair(usize, usize),
     /// The decision is forced (single candidate, pinned fast path).
     One(usize),
-}
-
-/// The deterministic randomness a policy's sampling / tie-breaking may
-/// consume. A thin public face over the crate's SplitMix64 so rank
-/// policies can be written outside `tq-core` without exposing the
-/// generator type itself.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PolicyRng {
-    inner: SplitMix64,
-}
-
-impl PolicyRng {
-    /// Creates a generator from a seed (any seed, including 0, is fine).
-    pub fn new(seed: u64) -> Self {
-        PolicyRng {
-            inner: SplitMix64::new(seed),
-        }
-    }
-
-    /// Returns the next 64 random bits.
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-
-    /// Returns a uniform index in `0..n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    #[inline]
-    pub fn index(&mut self, n: usize) -> usize {
-        self.inner.index(n)
-    }
 }
 
 /// A dispatch policy as a rank function: the datapath computes `rank` for
@@ -559,14 +526,10 @@ impl RankPolicy for PinnedRank {
 
 /// A generic packed min-rank queue: the worker-side PIFO datapath.
 ///
-/// Same machinery as `tq-sim`'s event queue — keys packed into one
-/// `u128`, a 4-ary heap, and a dedicated front slot for the current
-/// minimum — but keyed by `(rank, admission seq)` instead of virtual
-/// time, with no monotonicity requirement (a job's rank may be anything;
-/// ranks are policy output, not time). Ties pop FIFO by admission order,
-/// so equal-rank jobs round-robin exactly like a PS rotation — which is
-/// what makes the least-attained-service ordering here bit-identical to
-/// the bespoke `LasQueue` it replaces in the engines.
+/// The [`KeyHeap`] keyed by `(rank, admission seq)`, with no
+/// monotonicity requirement (a job's rank may be anything; ranks are
+/// policy output, not time). Ties pop FIFO by admission order, so
+/// equal-rank jobs round-robin exactly like a PS rotation.
 ///
 /// # Example
 ///
@@ -580,21 +543,7 @@ impl RankPolicy for PinnedRank {
 /// assert_eq!(q.pop(), Some((30, "old")));
 /// ```
 #[derive(Debug, Clone)]
-pub struct RankQueue<T> {
-    /// Fast-path slot. Invariant: when `Some`, its key is strictly
-    /// smaller than every key in `heap` (strict because keys are unique).
-    front: Option<(u128, T)>,
-    /// 4-ary min-heap over packed keys: children of `i` are
-    /// `4i+1 ..= 4i+4`, parent of `i` is `(i-1)/4`.
-    heap: Vec<(u128, T)>,
-    next_seq: u64,
-}
-
-/// Packs a queue key so one `u128` compare orders by `(rank, seq)`.
-#[inline(always)]
-fn pack(rank: u64, seq: u64) -> u128 {
-    ((rank as u128) << 64) | seq as u128
-}
+pub struct RankQueue<T>(KeyHeap<T>);
 
 impl<T> RankQueue<T> {
     /// Creates an empty queue.
@@ -604,113 +553,29 @@ impl<T> RankQueue<T> {
 
     /// Creates an empty queue with capacity for `cap` entries.
     pub fn with_capacity(cap: usize) -> Self {
-        RankQueue {
-            front: None,
-            heap: Vec::with_capacity(cap),
-            next_seq: 0,
-        }
+        RankQueue(KeyHeap::with_capacity(cap))
     }
 
     /// Admits `item` with the given rank. Equal ranks pop in push order.
     #[inline]
     pub fn push(&mut self, rank: u64, item: T) {
-        let key = pack(rank, self.next_seq);
-        self.next_seq += 1;
-        match self.front {
-            Some((front_key, _)) => {
-                if key < front_key {
-                    // New global minimum: demote the old front into the
-                    // heap and take its place.
-                    let old = self.front.take().expect("front checked Some");
-                    self.heap_push(old);
-                    self.front = Some((key, item));
-                } else {
-                    self.heap_push((key, item));
-                }
-            }
-            None => {
-                if self.heap.first().map(|&(k, _)| key < k).unwrap_or(true) {
-                    self.front = Some((key, item));
-                } else {
-                    self.heap_push((key, item));
-                }
-            }
-        }
+        self.0.push(pack(rank, self.0.pushed()), item);
     }
 
     /// Removes and returns the minimum-rank item with its rank.
     #[inline]
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        let (key, item) = match self.front.take() {
-            Some(fe) => fe,
-            None => self.heap_pop()?,
-        };
-        Some(((key >> 64) as u64, item))
-    }
-
-    /// Rank of the item [`pop`](RankQueue::pop) would return.
-    pub fn peek_rank(&self) -> Option<u64> {
-        match &self.front {
-            Some((k, _)) => Some((k >> 64) as u64),
-            None => self.heap.first().map(|&(k, _)| (k >> 64) as u64),
-        }
+        self.0.pop().map(|(key, item)| ((key >> 64) as u64, item))
     }
 
     /// Number of queued items.
     pub fn len(&self) -> usize {
-        self.heap.len() + usize::from(self.front.is_some())
+        self.0.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.front.is_none() && self.heap.is_empty()
-    }
-
-    #[inline]
-    fn heap_push(&mut self, item: (u128, T)) {
-        self.heap.push(item);
-        let mut i = self.heap.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / 4;
-            if self.heap[i].0 < self.heap[parent].0 {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    #[inline]
-    fn heap_pop(&mut self) -> Option<(u128, T)> {
-        let n = self.heap.len();
-        if n == 0 {
-            return None;
-        }
-        self.heap.swap(0, n - 1);
-        let item = self.heap.pop().expect("heap checked non-empty");
-        let n = n - 1;
-        let mut i = 0;
-        loop {
-            let first = 4 * i + 1;
-            if first >= n {
-                break;
-            }
-            let last = (first + 4).min(n);
-            let mut min = first;
-            for c in first + 1..last {
-                if self.heap[c].0 < self.heap[min].0 {
-                    min = c;
-                }
-            }
-            if self.heap[min].0 < self.heap[i].0 {
-                self.heap.swap(i, min);
-                i = min;
-            } else {
-                break;
-            }
-        }
-        Some(item)
+        self.0.is_empty()
     }
 }
 
@@ -802,57 +667,10 @@ mod tests {
         q.push(5, "b2");
         q.push(1, "a");
         q.push(9, "c");
-        assert_eq!(q.peek_rank(), Some(1));
         assert_eq!(q.pop(), Some((1, "a")));
         assert_eq!(q.pop(), Some((5, "b1")));
         assert_eq!(q.pop(), Some((5, "b2")));
         assert_eq!(q.pop(), Some((9, "c")));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn rank_queue_accepts_decreasing_ranks() {
-        // Unlike the event queue there is no "past": ranks may go down.
-        let mut q = RankQueue::new();
-        q.push(10, 10u32);
-        assert_eq!(q.pop(), Some((10, 10)));
-        q.push(3, 3);
-        q.push(1, 1);
-        assert_eq!(q.pop(), Some((1, 1)));
-        assert_eq!(q.pop(), Some((3, 3)));
-    }
-
-    #[test]
-    fn rank_queue_matches_las_queue_order() {
-        // The engines key LAS by attained service; the generic queue must
-        // pop in exactly the order the bespoke LasQueue would.
-        use crate::policy::LasQueue;
-        use crate::Nanos;
-        let mut rank_q = RankQueue::new();
-        let mut las_q = LasQueue::new();
-        let mut state = 0xABCDu64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for i in 0..2_000u64 {
-            if rng() % 3 == 0 && !rank_q.is_empty() {
-                let (ra, ja) = rank_q.pop().expect("non-empty");
-                let (jb, rb) = las_q.take_next().expect("non-empty");
-                assert_eq!((ra, ja), (rb.as_nanos(), jb));
-            } else {
-                let attained = rng() % 50;
-                rank_q.push(attained, i);
-                las_q.admit(i, Nanos::from_nanos(attained));
-            }
-            assert_eq!(rank_q.len(), las_q.len());
-        }
-        while let Some((ra, ja)) = rank_q.pop() {
-            let (jb, rb) = las_q.take_next().expect("non-empty");
-            assert_eq!((ra, ja), (rb.as_nanos(), jb));
-        }
-        assert!(las_q.is_empty());
     }
 }

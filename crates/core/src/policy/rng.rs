@@ -6,26 +6,28 @@
 //! state, and exact cross-platform reproducibility — and it keeps `rand`'s
 //! heavier machinery out of the per-request path.
 
-/// SplitMix64 pseudo-random generator (Steele, Lea & Flood 2014).
+use super::flow_hash;
+
+/// The deterministic randomness a policy's sampling / tie-breaking may
+/// consume: a SplitMix64 generator (Steele, Lea & Flood 2014).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct SplitMix64 {
+pub struct PolicyRng {
     state: u64,
 }
 
-impl SplitMix64 {
-    /// Creates a generator from a seed. Any seed (including 0) is fine.
-    pub(crate) fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
+impl PolicyRng {
+    /// Creates a generator from a seed (any seed, including 0, is fine).
+    pub fn new(seed: u64) -> Self {
+        PolicyRng { state: seed }
     }
 
-    /// Returns the next 64 random bits.
+    /// Returns the next 64 random bits: SplitMix64's output is
+    /// [`flow_hash`] of its state before the state's increment.
     #[inline]
-    pub(crate) fn next_u64(&mut self) -> u64 {
+    pub fn next_u64(&mut self) -> u64 {
+        let z = flow_hash(self.state);
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        z
     }
 
     /// Returns a uniform index in `0..n` (Lemire's multiply-shift method —
@@ -35,7 +37,7 @@ impl SplitMix64 {
     ///
     /// Panics if `n` is zero.
     #[inline]
-    pub(crate) fn index(&mut self, n: usize) -> usize {
+    pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "empty range");
         ((self.next_u64() as u128 * n as u128) >> 64) as usize
     }
@@ -47,23 +49,38 @@ mod tests {
 
     #[test]
     fn deterministic_stream() {
-        let mut a = SplitMix64::new(42);
-        let mut b = SplitMix64::new(42);
+        let mut a = PolicyRng::new(42);
+        let mut b = PolicyRng::new(42);
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 
     #[test]
+    fn matches_the_splitmix64_reference_stream() {
+        // The first outputs of Vigna's `splitmix64.c` seeded with 0.
+        let mut g = PolicyRng::new(0);
+        let first: Vec<u64> = (0..3).map(|_| g.next_u64()).collect();
+        assert_eq!(
+            first,
+            [
+                0xE220_A839_7B1D_CDAF,
+                0x6E78_9E6A_A1B9_65F4,
+                0x06C4_5D18_8009_454F
+            ]
+        );
+    }
+
+    #[test]
     fn different_seeds_diverge() {
-        let mut a = SplitMix64::new(1);
-        let mut b = SplitMix64::new(2);
+        let mut a = PolicyRng::new(1);
+        let mut b = PolicyRng::new(2);
         assert_ne!(a.next_u64(), b.next_u64());
     }
 
     #[test]
     fn index_in_range_and_covers() {
-        let mut g = SplitMix64::new(7);
+        let mut g = PolicyRng::new(7);
         let mut seen = [false; 8];
         for _ in 0..1_000 {
             let i = g.index(8);
@@ -76,6 +93,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty range")]
     fn index_rejects_zero() {
-        let _ = SplitMix64::new(0).index(0);
+        let _ = PolicyRng::new(0).index(0);
     }
 }

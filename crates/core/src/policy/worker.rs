@@ -124,97 +124,6 @@ impl WorkerPolicy {
     }
 }
 
-/// A least-attained-service run queue: [`LasQueue::take_next`] yields the
-/// job with the smallest attained service, breaking ties by admission
-/// order (so equal-attainment jobs round-robin like PS).
-///
-/// # Example
-///
-/// ```
-/// use tq_core::policy::LasQueue;
-/// use tq_core::Nanos;
-///
-/// let mut q = LasQueue::new();
-/// q.admit("old", Nanos::from_micros(30)); // already got 30us
-/// q.admit("new", Nanos::ZERO);
-/// assert_eq!(q.take_next(), Some(("new", Nanos::ZERO)));
-/// ```
-#[derive(Debug, Clone)]
-pub struct LasQueue<T> {
-    heap: std::collections::BinaryHeap<LasEntry<T>>,
-    seq: u64,
-}
-
-#[derive(Debug, Clone)]
-struct LasEntry<T> {
-    attained: crate::time::Nanos,
-    seq: u64,
-    job: T,
-}
-
-impl<T> PartialEq for LasEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.attained == other.attained && self.seq == other.seq
-    }
-}
-
-impl<T> Eq for LasEntry<T> {}
-
-impl<T> PartialOrd for LasEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for LasEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed for a min-heap on (attained, seq).
-        (other.attained, other.seq).cmp(&(self.attained, self.seq))
-    }
-}
-
-impl<T> LasQueue<T> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        LasQueue {
-            heap: std::collections::BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Admits (or re-enters) a job with its attained service so far.
-    pub fn admit(&mut self, job: T, attained: crate::time::Nanos) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(LasEntry {
-            attained,
-            seq,
-            job,
-        });
-    }
-
-    /// Takes the job with the least attained service.
-    pub fn take_next(&mut self) -> Option<(T, crate::time::Nanos)> {
-        self.heap.pop().map(|e| (e.job, e.attained))
-    }
-
-    /// Number of queued jobs.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<T> Default for LasQueue<T> {
-    fn default() -> Self {
-        LasQueue::new()
-    }
-}
-
 /// One worker's run queue of job handles `H` (a slab index, a slot
 /// index, or the job itself), under its [`WorkerPolicy`].
 ///
@@ -445,7 +354,10 @@ mod tests {
         use crate::time::Nanos;
         let p = WorkerPolicy::StrictPriority;
         assert!(p.job_rank(0, Nanos::from_micros(99), 1_000_000) < p.job_rank(1, Nanos::ZERO, 0));
-        assert_eq!(p.job_rank(2, Nanos::ZERO, 5), p.job_rank(2, Nanos::from_micros(1), 7));
+        assert_eq!(
+            p.job_rank(2, Nanos::ZERO, 5),
+            p.job_rank(2, Nanos::from_micros(1), 7)
+        );
     }
 
     #[test]
@@ -532,7 +444,10 @@ mod tests {
         // queue, never to a reordering.
         let p = WorkerPolicy::EarliestDeadline { slo_us: [50; 4] };
         let mut q = RankQueue::new();
-        for (i, arrival) in [u64::MAX - 3, u64::MAX - 1, u64::MAX - 2].iter().enumerate() {
+        for (i, arrival) in [u64::MAX - 3, u64::MAX - 1, u64::MAX - 2]
+            .iter()
+            .enumerate()
+        {
             q.push(p.job_rank(0, Nanos::from_nanos(*arrival), 0), i);
         }
         let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, j)| j)).collect();
@@ -548,30 +463,16 @@ mod tests {
     }
 
     #[test]
-    fn las_prefers_least_attained() {
-        use crate::time::Nanos;
-        let mut q = LasQueue::new();
-        q.admit("a", Nanos::from_micros(10));
-        q.admit("b", Nanos::from_micros(2));
-        q.admit("c", Nanos::from_micros(5));
-        assert_eq!(q.take_next().unwrap().0, "b");
-        assert_eq!(q.take_next().unwrap().0, "c");
-        assert_eq!(q.take_next().unwrap().0, "a");
-        assert!(q.take_next().is_none());
-    }
-
-    #[test]
     fn las_ties_round_robin_by_admission() {
-        use crate::time::Nanos;
-        let mut q = LasQueue::new();
-        q.admit(1, Nanos::ZERO);
-        q.admit(2, Nanos::ZERO);
-        q.admit(3, Nanos::ZERO);
+        let mut q = RunQueue::new(WorkerPolicy::LeastAttainedService, 0);
+        q.push(1, 0);
+        q.push(2, 0);
+        q.push(3, 0);
         // Equal attainment: FIFO among ties, exactly like a PS rotation.
-        assert_eq!(q.take_next().unwrap().0, 1);
-        q.admit(1, Nanos::from_micros(1));
-        assert_eq!(q.take_next().unwrap().0, 2);
-        assert_eq!(q.take_next().unwrap().0, 3);
-        assert_eq!(q.take_next().unwrap().0, 1);
+        assert_eq!(q.take_next(), Some(1));
+        q.push(1, 1);
+        assert_eq!(q.take_next(), Some(2));
+        assert_eq!(q.take_next(), Some(3));
+        assert_eq!(q.take_next(), Some(1));
     }
 }

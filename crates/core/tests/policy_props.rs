@@ -3,9 +3,7 @@
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use tq_core::counters::WorkerCounters;
-use tq_core::policy::{
-    DispatchPolicy, Dispatcher, LasQueue, RunQueue, TieBreak, WorkerLoad, WorkerPolicy,
-};
+use tq_core::policy::{DispatchPolicy, Dispatcher, RunQueue, TieBreak, WorkerLoad, WorkerPolicy};
 use tq_core::Nanos;
 
 /// Every worker policy, the ranked ones with uneven per-class parameters.
@@ -207,20 +205,6 @@ proptest! {
         resident.sort_unstable();
         let rest: Vec<u64> = std::iter::from_fn(|| q.take_next()).collect();
         prop_assert_eq!(rest, resident.iter().map(|&(_, id)| id).collect::<Vec<_>>());
-    }
-
-    /// LAS pops in non-decreasing attained order when nothing re-enters.
-    #[test]
-    fn las_pop_order_sorted(attained in prop::collection::vec(0u64..10_000, 1..50)) {
-        let mut q = LasQueue::new();
-        for (i, &a) in attained.iter().enumerate() {
-            q.admit(i, Nanos::from_nanos(a));
-        }
-        let mut prev = Nanos::ZERO;
-        while let Some((_, a)) = q.take_next() {
-            prop_assert!(a >= prev);
-            prev = a;
-        }
     }
 
     /// RoundRobin fairness: over any full lap of `n` picks, every worker

@@ -1,35 +1,16 @@
-//! The virtual-time event queue.
+//! The virtual-time event queues.
 //!
-//! A specialized future-event list keyed by `(time, sequence)`. The
-//! monotonically increasing sequence number makes simultaneous events pop
-//! in insertion order, which is what makes whole simulations bit-for-bit
-//! reproducible across runs and platforms.
-//!
-//! Internally this is *not* `std::collections::BinaryHeap` (the seed's
-//! implementation, preserved in [`reference`]). Two changes make it
-//! several times cheaper per event at simulation queue depths (tens of
-//! pending events):
-//!
-//! * **Packed keys.** `(time, seq)` is packed into a single `u128`
-//!   (`time << 64 | seq`), so every heap comparison is one integer
-//!   compare instead of a two-field lexicographic compare, and keys sit
-//!   next to their payloads in a flat `Vec`.
-//! * **4-ary layout + front slot.** The heap is 4-ary (shallower, and
-//!   sift-downs touch cache-adjacent children), and the current global
-//!   minimum is held in a dedicated *front slot* outside the heap.
-//!   Pushing an event that is earlier than everything pending — the
-//!   common Arrival → DispatchDone → SliceDone chain, where each event
-//!   schedules its immediate successor — lands in the front slot and is
-//!   popped again without ever touching the heap.
+//! Future-event lists keyed by `(time, sequence)`: the monotonically
+//! increasing sequence number makes simultaneous events pop in insertion
+//! order, which is what makes whole simulations bit-for-bit reproducible
+//! across runs and platforms. Both queues here are keyings of
+//! [`tq_core::heap::KeyHeap`] (packed `u128` keys, a 4-ary heap and a
+//! front slot; see that module for why it is several times cheaper per
+//! event than the seed's `BinaryHeap`, preserved in [`reference`]).
 
 use std::collections::BinaryHeap;
+use tq_core::heap::{pack, KeyHeap};
 use tq_core::Nanos;
-
-/// Packs an event key so one `u128` compare orders by `(time, seq)`.
-#[inline(always)]
-fn pack(time: Nanos, seq: u64) -> u128 {
-    ((time.as_nanos() as u128) << 64) | seq as u128
-}
 
 /// Recovers the timestamp from a packed key.
 #[inline(always)]
@@ -57,13 +38,8 @@ fn key_time(key: u128) -> Nanos {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Fast-path slot. Invariant: when `Some`, its key is strictly
-    /// smaller than every key in `heap` (strict because keys are unique).
-    front: Option<(u128, E)>,
-    /// 4-ary min-heap over packed keys: children of `i` are
-    /// `4i+1 ..= 4i+4`, parent of `i` is `(i-1)/4`.
-    heap: Vec<(u128, E)>,
-    next_seq: u64,
+    /// Keyed `time << 64 | seq`.
+    heap: KeyHeap<E>,
     last_popped: Nanos,
     popped: u64,
 }
@@ -77,9 +53,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with capacity for `cap` pending events.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            front: None,
-            heap: Vec::with_capacity(cap),
-            next_seq: 0,
+            heap: KeyHeap::with_capacity(cap),
             last_popped: Nanos::ZERO,
             popped: 0,
         }
@@ -98,32 +72,8 @@ impl<E> EventQueue<E> {
             "event scheduled into the past: {time} < now {}",
             self.last_popped
         );
-        let key = pack(time, self.next_seq);
-        self.next_seq += 1;
-        match self.front {
-            Some((front_key, _)) => {
-                if key < front_key {
-                    // New global minimum: demote the old front into the
-                    // heap and take its place.
-                    let old = self.front.take().expect("front checked Some");
-                    self.heap_push(old);
-                    self.front = Some((key, event));
-                } else {
-                    self.heap_push((key, event));
-                }
-            }
-            None => {
-                // Front is free after a pop. If the new event precedes
-                // everything in the heap it is the global minimum and can
-                // skip the heap entirely — the common case when each
-                // handled event immediately schedules its successor.
-                if self.heap.first().map(|&(k, _)| key < k).unwrap_or(true) {
-                    self.front = Some((key, event));
-                } else {
-                    self.heap_push((key, event));
-                }
-            }
-        }
+        let key = pack(time.as_nanos(), self.heap.pushed());
+        self.heap.push(key, event);
     }
 
     /// Bulk-schedules a batch of events, preserving batch order among
@@ -131,10 +81,10 @@ impl<E> EventQueue<E> {
     ///
     /// When the queue is empty and the batch's times are ascending — the
     /// shape of a window's worth of inter-shard messages landing in a
-    /// drained inbox — the whole batch is appended in one pass: an
-    /// ascending run of packed keys is already a valid 4-ary min-heap, so
-    /// no sift work is done at all. Any other shape falls back to
-    /// per-event pushes (still correct, just not O(1) per event).
+    /// drained inbox — the whole batch is appended in one pass
+    /// ([`KeyHeap::push_largest`]): no sift work is done at all. Any
+    /// other shape falls back to per-event pushes (still correct, just
+    /// not O(1) per event).
     ///
     /// [`push`]: EventQueue::push
     ///
@@ -145,8 +95,7 @@ impl<E> EventQueue<E> {
         let mut it = batch.into_iter();
         if self.is_empty() {
             // Append while the run stays ascending; keys assigned in
-            // batch order keep FIFO ties intact. Ascending keys at
-            // positions 0..k satisfy heap[(i-1)/4] <= heap[i] trivially.
+            // batch order keep FIFO ties intact.
             let mut last = self.last_popped;
             for (time, event) in it.by_ref() {
                 if time < last {
@@ -157,9 +106,8 @@ impl<E> EventQueue<E> {
                     break;
                 }
                 last = time;
-                let key = pack(time, self.next_seq);
-                self.next_seq += 1;
-                self.heap.push((key, event));
+                let key = pack(time.as_nanos(), self.heap.pushed());
+                self.heap.push_largest(key, event);
             }
         }
         for (time, event) in it {
@@ -170,10 +118,7 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event with its timestamp, advancing
     /// the queue's notion of "now".
     pub fn pop(&mut self) -> Option<(Nanos, E)> {
-        let (key, event) = match self.front.take() {
-            Some(fe) => fe,
-            None => self.heap_pop()?,
-        };
+        let (key, event) = self.heap.pop()?;
         let time = key_time(key);
         debug_assert!(time >= self.last_popped, "heap violated time order");
         self.last_popped = time;
@@ -189,10 +134,7 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<Nanos> {
-        match &self.front {
-            Some((k, _)) => Some(key_time(*k)),
-            None => self.heap.first().map(|&(k, _)| key_time(k)),
-        }
+        self.heap.peek_key().map(key_time)
     }
 
     /// The virtual time of the most recently popped event.
@@ -202,59 +144,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + usize::from(self.front.is_some())
+        self.heap.len()
     }
 
     /// Whether no events are pending (the simulation has quiesced).
     pub fn is_empty(&self) -> bool {
-        self.front.is_none() && self.heap.is_empty()
-    }
-
-    #[inline]
-    fn heap_push(&mut self, item: (u128, E)) {
-        self.heap.push(item);
-        let mut i = self.heap.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / 4;
-            if self.heap[i].0 < self.heap[parent].0 {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    #[inline]
-    fn heap_pop(&mut self) -> Option<(u128, E)> {
-        let n = self.heap.len();
-        if n == 0 {
-            return None;
-        }
-        self.heap.swap(0, n - 1);
-        let item = self.heap.pop().expect("heap checked non-empty");
-        let n = n - 1;
-        let mut i = 0;
-        loop {
-            let first = 4 * i + 1;
-            if first >= n {
-                break;
-            }
-            let last = (first + 4).min(n);
-            let mut min = first;
-            for c in first + 1..last {
-                if self.heap[c].0 < self.heap[min].0 {
-                    min = c;
-                }
-            }
-            if self.heap[min].0 < self.heap[i].0 {
-                self.heap.swap(i, min);
-                i = min;
-            } else {
-                break;
-            }
-        }
-        Some(item)
+        self.heap.is_empty()
     }
 }
 
@@ -272,23 +167,20 @@ const TAG_BITS: u32 = 16;
 ///
 /// Same ordering contract as [`EventQueue`] (`(time, sequence)`, FIFO
 /// among simultaneous events), but the payload rides in the packed key
-/// itself: `time << 64 | seq << 16 | tag`. Heap elements are bare
-/// `u128`s, so they are half the size of `EventQueue`'s `(key, event)`
-/// pairs, a sift-down's four-child scan reads a single cache line, and
-/// every swap moves 16 bytes. The sequence number still occupies the
-/// bits above the tag, so ties between simultaneous events break by
-/// insertion order exactly as in [`EventQueue`] and [`reference`].
+/// itself: `time << 64 | seq << 16 | tag`. The heap's payload is `()`,
+/// so its elements are bare 16-byte keys, half the size of
+/// `EventQueue`'s `(key, event)` pairs: a sift-down's four-child scan
+/// reads a single cache line, and every swap moves 16 bytes. The
+/// sequence number still occupies the bits above the tag, so ties
+/// between simultaneous events break by insertion order exactly as in
+/// [`EventQueue`] and [`reference`].
 ///
 /// Capacity: tags are 16 bits (engines encode "event kind + worker
 /// index" in them) and the sequence counter has 48 bits — ~2.8 × 10¹⁴
 /// pushes per queue, far beyond any simulation run.
 #[derive(Debug)]
 pub struct TagQueue {
-    /// Fast-path slot. `Some` key is strictly smaller than every heap key.
-    front: Option<u128>,
-    /// 4-ary min-heap over packed keys (children of `i`: `4i+1 ..= 4i+4`).
-    heap: Vec<u128>,
-    next_seq: u64,
+    heap: KeyHeap<()>,
     last_popped: Nanos,
     popped: u64,
 }
@@ -297,9 +189,7 @@ impl TagQueue {
     /// Creates an empty queue with capacity for `cap` pending events.
     pub fn with_capacity(cap: usize) -> Self {
         TagQueue {
-            front: None,
-            heap: Vec::with_capacity(cap),
-            next_seq: 0,
+            heap: KeyHeap::with_capacity(cap),
             last_popped: Nanos::ZERO,
             popped: 0,
         }
@@ -319,38 +209,17 @@ impl TagQueue {
             "event scheduled into the past: {time} < now {}",
             self.last_popped
         );
-        debug_assert!(self.next_seq < 1 << (64 - TAG_BITS), "sequence space exhausted");
-        let key = ((time.as_nanos() as u128) << 64)
-            | ((self.next_seq as u128) << TAG_BITS)
-            | tag as u128;
-        self.next_seq += 1;
-        match self.front {
-            Some(front_key) => {
-                if key < front_key {
-                    self.heap_push(front_key);
-                    self.front = Some(key);
-                } else {
-                    self.heap_push(key);
-                }
-            }
-            None => {
-                if self.heap.first().map(|&k| key < k).unwrap_or(true) {
-                    self.front = Some(key);
-                } else {
-                    self.heap_push(key);
-                }
-            }
-        }
+        let seq = self.heap.pushed();
+        debug_assert!(seq < 1 << (64 - TAG_BITS), "sequence space exhausted");
+        let key = pack(time.as_nanos(), (seq << TAG_BITS) | tag as u64);
+        self.heap.push(key, ());
     }
 
     /// Removes and returns the earliest event as `(time, tag)`, advancing
     /// the queue's notion of "now".
     #[inline(always)]
     pub fn pop(&mut self) -> Option<(Nanos, u16)> {
-        let key = match self.front.take() {
-            Some(k) => k,
-            None => self.heap_pop()?,
-        };
+        let (key, ()) = self.heap.pop()?;
         let time = key_time(key);
         debug_assert!(time >= self.last_popped, "heap violated time order");
         self.last_popped = time;
@@ -366,10 +235,7 @@ impl TagQueue {
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<Nanos> {
-        match self.front {
-            Some(k) => Some(key_time(k)),
-            None => self.heap.first().map(|&k| key_time(k)),
-        }
+        self.heap.peek_key().map(key_time)
     }
 
     /// The virtual time of the most recently popped event.
@@ -379,59 +245,12 @@ impl TagQueue {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + usize::from(self.front.is_some())
+        self.heap.len()
     }
 
     /// Whether no events are pending (the simulation has quiesced).
     pub fn is_empty(&self) -> bool {
-        self.front.is_none() && self.heap.is_empty()
-    }
-
-    #[inline]
-    fn heap_push(&mut self, key: u128) {
-        self.heap.push(key);
-        let mut i = self.heap.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / 4;
-            if self.heap[i] < self.heap[parent] {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    #[inline]
-    fn heap_pop(&mut self) -> Option<u128> {
-        let n = self.heap.len();
-        if n == 0 {
-            return None;
-        }
-        self.heap.swap(0, n - 1);
-        let key = self.heap.pop().expect("heap checked non-empty");
-        let n = n - 1;
-        let mut i = 0;
-        loop {
-            let first = 4 * i + 1;
-            if first >= n {
-                break;
-            }
-            let last = (first + 4).min(n);
-            let mut min = first;
-            for c in first + 1..last {
-                if self.heap[c] < self.heap[min] {
-                    min = c;
-                }
-            }
-            if self.heap[min] < self.heap[i] {
-                self.heap.swap(i, min);
-                i = min;
-            } else {
-                break;
-            }
-        }
-        Some(key)
+        self.heap.is_empty()
     }
 }
 
@@ -627,44 +446,6 @@ mod tests {
         q.push(Nanos::from_nanos(1), ());
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(Nanos::from_nanos(1)));
-    }
-
-    #[test]
-    fn front_slot_fast_path_chain() {
-        // pop → push(successor that is the new minimum) → pop never
-        // reorders: the successor must come out before the far event.
-        let mut q = EventQueue::new();
-        q.push(Nanos::from_nanos(1_000_000), "far");
-        q.push(Nanos::from_nanos(1), "start");
-        let mut t = 1u64;
-        let mut hops = 0;
-        loop {
-            let (now, ev) = q.pop().expect("non-empty");
-            if ev == "far" {
-                assert_eq!(now, Nanos::from_nanos(1_000_000));
-                break;
-            }
-            assert_eq!(now, Nanos::from_nanos(t));
-            hops += 1;
-            if t < 100 {
-                t += 1;
-                q.push(Nanos::from_nanos(t), "hop");
-            }
-        }
-        assert_eq!(hops, 100);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn front_slot_demotes_on_earlier_push() {
-        // Pushing successively earlier events keeps popping globally
-        // sorted even though each push displaces the front slot.
-        let mut q = EventQueue::new();
-        for t in (1..=50u64).rev() {
-            q.push(Nanos::from_nanos(t), t);
-        }
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, (1..=50).collect::<Vec<_>>());
     }
 
     #[test]
