@@ -12,11 +12,10 @@
 //! normalized by subtracting `t0`, putting the output on the stream's
 //! time base, directly comparable with a sim run of the same spec.
 //!
-//! One `TscClock` is calibrated when the engine is built and shared with
+//! One `TscClock` is made when the engine is built and shared with
 //! every server it starts (via [`TinyQuanta::start_with_clock`]) and
 //! with the spin jobs: pacer, dispatcher, workers and jobs all measure
-//! on the same origin, and a sweep of many runs pays the ~10 ms
-//! calibration window once instead of twice per run.
+//! on the same origin.
 //!
 //! Jobs are synthetic [`SpinJob`]s burning the request's service-time
 //! hint on the CPU — the runtime analogue of the paper's spin-server
@@ -111,8 +110,8 @@ pub struct RtEngine {
 }
 
 impl RtEngine {
-    /// Wraps a server configuration and calibrates the engine's shared
-    /// clock (~10 ms, once). The server itself is started (and torn
+    /// Wraps a server configuration and makes the engine's shared
+    /// clock. The server itself is started (and torn
     /// down) inside each [`Engine::run`] call, so one engine value can
     /// serve many runs — all on this one clock.
     ///

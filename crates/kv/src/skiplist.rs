@@ -6,7 +6,7 @@
 //! the access pattern split (short descent vs. long pointer walk) that
 //! makes GETs microsecond-scale and SCANs hundreds of microseconds.
 //!
-//! Nodes live in four packed arenas (`Vec`s) and link by index: safe Rust,
+//! Nodes live in five packed arenas (`Vec`s) and link by index: safe Rust,
 //! no allocation per node, and — useful for the cache study — a stable
 //! synthetic "address" for every node in an access trace:
 //!
@@ -14,9 +14,18 @@
 //!   own — 4 bytes a node, 32 KB for 8192 keys. It is the only load a
 //!   SCAN's next hop depends on, so the chain it chases stays in L1 and
 //!   the loads of each node's record come off that chain and overlap.
+//! - `prefix`: every node's first 8 key bytes as a big-endian `u64`,
+//!   zero-padded. Two prefixes that differ order their keys as the byte
+//!   strings do (a zero pad sorts a key below its extensions), so a
+//!   descent compares `u64`s and reads a key's bytes only on a tie.
 //! - `recs`: a fixed-size record a node: where its key, value and tower are.
 //! - `links`: the links of levels ≥ 1, each node's tower contiguous.
 //! - `bytes`: key and value bytes, back to back.
+//!
+//! Beside them, `tail` holds the last node at every level. An insert of a
+//! key above every key in the list (what loading a store in key order
+//! does for every key, RocksDB's sequential-insert hint) links after
+//! `tail` and skips the descent; any other insert descends once.
 //!
 //! It also makes a walk resumable: a [`Cursor`] is the arena index of the
 //! last entry yielded (the head sentinel before the first) — four `Copy`
@@ -75,11 +84,15 @@ pub struct Cursor(u32);
 /// ```
 #[derive(Clone)]
 pub struct SkipList {
-    /// The four arenas (module docs); node 0 is the head sentinel (empty key, full height).
+    /// The five arenas (module docs); node 0 is the head sentinel (empty key, full height).
     next0: Vec<u32>,
+    prefix: Vec<u64>,
     recs: Vec<Rec>,
     links: Vec<u32>,
     bytes: Vec<u8>,
+    /// The last node at every level (the head where there is none): an
+    /// appending insert's update path.
+    tail: [u32; MAX_HEIGHT],
     /// Current maximum occupied height.
     height: usize,
     rng: u64,
@@ -90,9 +103,11 @@ impl SkipList {
     pub fn new(seed: u64) -> Self {
         SkipList {
             next0: vec![NIL],
+            prefix: vec![0],
             recs: vec![Rec::default()],
             links: vec![NIL; MAX_HEIGHT - 1],
             bytes: Vec::new(),
+            tail: [0; MAX_HEIGHT],
             height: 1,
             rng: seed | 1,
         }
@@ -108,10 +123,27 @@ impl SkipList {
         self.len() == 0
     }
 
+    /// Reserves room for `nodes` more entries holding `bytes` more key and
+    /// value bytes.
+    pub(crate) fn reserve(&mut self, nodes: usize, bytes: usize) {
+        self.next0.reserve(nodes);
+        self.prefix.reserve(nodes);
+        self.recs.reserve(nodes);
+        // A tower has 1/3 of a link above level 0 on average (p = 1/4).
+        self.links.reserve(nodes / 3 + MAX_HEIGHT);
+        self.bytes.reserve(bytes);
+    }
+
     /// Inserts or replaces; returns the previous value if the key existed.
     pub fn insert(&mut self, key: impl AsRef<[u8]>, value: impl AsRef<[u8]>) -> Option<Vec<u8>> {
         let (key, value) = (key.as_ref(), value.as_ref());
-        let update = self.descend(key, &mut |_| {});
+        let want = prefix_of(key);
+        // Above the last key, `tail` is the path a descent would find.
+        let update = if self.below(self.tail[0], key, want) {
+            self.tail
+        } else {
+            self.descend(key, &mut |_| {})
+        };
         let mut at = Cursor(update[0]);
         if let Some((_, old)) = self.cursor_next(&mut at).filter(|&(k, _)| k == key) {
             let (old, len) = (old.to_vec(), index(value.len()));
@@ -138,13 +170,21 @@ impl SkipList {
         self.bytes.extend_from_slice(key);
         self.bytes.extend_from_slice(value);
         self.recs.push(rec);
-        // Each predecessor's link becomes the new node's, then points at it.
+        self.prefix.push(want);
+        // Each predecessor's link becomes the new node's, then points at
+        // it; a node linked in before `NIL` is its level's new tail.
         let after = std::mem::replace(&mut self.next0[update[0] as usize], idx);
         self.next0.push(after);
+        if after == NIL {
+            self.tail[0] = idx;
+        }
         for (level, &pred) in update.iter().enumerate().take(h).skip(1) {
             let link = self.recs[pred as usize].tower as usize + level - 1;
             let after = std::mem::replace(&mut self.links[link], idx);
             self.links.push(after);
+            if after == NIL {
+                self.tail[level] = idx;
+            }
         }
         None
     }
@@ -230,6 +270,7 @@ impl SkipList {
     /// [`SkipList::seek`]'s descent: the last node with key < `key` at
     /// every level, the head at those above the occupied height.
     fn descend(&self, key: &[u8], visit: &mut impl FnMut(u32)) -> [u32; MAX_HEIGHT] {
+        let want = prefix_of(key);
         let mut path = [0u32; MAX_HEIGHT]; // head
         let mut pred = 0u32;
         for level in (0..self.height).rev() {
@@ -239,7 +280,7 @@ impl SkipList {
                     break;
                 }
                 visit(next);
-                if self.entry(next).0 >= key {
+                if !self.below(next, key, want) {
                     break;
                 }
                 pred = next;
@@ -247,6 +288,14 @@ impl SkipList {
             path[level] = pred;
         }
         path
+    }
+
+    /// Whether `node`'s key sorts below `key`, whose prefix is `want`:
+    /// the prefixes decide unless they tie (module docs).
+    #[inline]
+    fn below(&self, node: u32, key: &[u8], want: u64) -> bool {
+        let have = self.prefix[node as usize];
+        have < want || (have == want && self.entry(node).0 < key)
     }
 
     /// Geometric tower height with p = 1/4, capped at [`MAX_HEIGHT`].
@@ -269,6 +318,18 @@ impl SkipList {
     /// The number of arena slots (for synthetic address assignment).
     pub fn arena_len(&self) -> usize {
         self.recs.len()
+    }
+}
+
+/// A key's first 8 bytes as a big-endian `u64`, zero-padded.
+fn prefix_of(key: &[u8]) -> u64 {
+    match key.first_chunk::<8>() {
+        Some(&first) => u64::from_be_bytes(first),
+        None => {
+            let mut first = [0u8; 8];
+            first[..key.len()].copy_from_slice(key);
+            u64::from_be_bytes(first)
+        }
     }
 }
 
@@ -526,18 +587,91 @@ mod tests {
         assert_eq!((sl.len(), sl.arena_len()), (10, 11));
     }
 
+    /// What the arenas beside `next0` must agree on after every insert:
+    /// `tail[l]` is the last node a walk of level `l` reaches (the head
+    /// on an empty level), and `prefix` is each key's first 8 bytes.
+    fn assert_invariants(sl: &SkipList) {
+        for level in 0..MAX_HEIGHT {
+            let mut last = 0;
+            while sl.next(last, level) != NIL {
+                last = sl.next(last, level);
+            }
+            assert_eq!(sl.tail[level], last, "tail at level {level}");
+        }
+        for node in 0..sl.arena_len() as u32 {
+            assert_eq!(sl.prefix[node as usize], prefix_of(sl.entry(node).0));
+        }
+    }
+
+    /// Prefixes order keys exactly as their bytes do, zero pads included.
+    #[test]
+    fn prefixes_that_differ_order_keys_as_bytes() {
+        let keys: [&[u8]; 8] = [
+            b"",
+            b"\0",
+            b"\0\0\0\0\0\0\0\0\0",
+            b"a",
+            b"a\0",
+            b"a\0\x01",
+            b"abcdefgh",
+            b"abcdefgh\0",
+        ];
+        for a in keys {
+            for b in keys {
+                let (pa, pb) = (prefix_of(a), prefix_of(b));
+                if pa != pb {
+                    assert_eq!(pa < pb, a < b, "{a:?} {b:?}");
+                }
+            }
+        }
+    }
+
     type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
 
+    /// 0..12 bytes over an alphabet with both extremes, so keys tie in
+    /// the padded prefix, are prefixes of each other and run past 8 bytes.
+    fn key() -> impl Strategy<Value = Vec<u8>> {
+        let byte = (0usize..4).prop_map(|i| [0x00u8, 0x01, 0x80, 0xFF][i]);
+        prop::collection::vec(byte, 0..12)
+    }
+
+    fn value() -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec(any::<u8>(), 0..8)
+    }
+
     fn pairs(max: usize) -> impl Strategy<Value = Pairs> {
-        let bytes = || prop::collection::vec(any::<u8>(), 0..8);
-        prop::collection::vec((bytes(), bytes()), 0..max)
+        prop::collection::vec((key(), value()), 0..max)
+    }
+
+    /// One step of a load that mostly appends.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Sorted keys; each one above the list's last key appends.
+        Run(Vec<Vec<u8>>),
+        /// One key anywhere, usually below the last: a descent.
+        Middle(Vec<u8>, Vec<u8>),
+        /// A new value for the last key: a descent that overwrites.
+        OverwriteLast(Vec<u8>),
+    }
+
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        let run = prop::collection::vec(key(), 0..24).prop_map(|mut keys| {
+            keys.sort();
+            Step::Run(keys)
+        });
+        let step = prop_oneof![
+            run,
+            (key(), value()).prop_map(|(k, v)| Step::Middle(k, v)),
+            value().prop_map(Step::OverwriteLast),
+        ];
+        prop::collection::vec(step, 0..40)
     }
 
     proptest! {
         #[test]
         fn behaves_like_btreemap(
             ops in pairs(200),
-            start in prop::collection::vec(any::<u8>(), 0..8),
+            start in key(),
             walk in prop::collection::vec((0usize..40, pairs(6)), 0..12),
         ) {
             let mut sl = SkipList::new(42);
@@ -546,6 +680,7 @@ mod tests {
                 let expect = model.insert(k.clone(), v.clone());
                 let got = sl.insert(k.clone(), v.clone());
                 prop_assert_eq!(got, expect);
+                assert_invariants(&sl);
             }
             prop_assert_eq!(sl.len(), model.len());
             for (k, v) in &model {
@@ -579,7 +714,43 @@ mod tests {
                 for (k, v) in inserts {
                     let expect = model.insert(k.clone(), v.clone());
                     prop_assert_eq!(sl.insert(k.clone(), v.clone()), expect);
+                    assert_invariants(&sl);
                 }
+            }
+        }
+
+        /// Ascending runs (the append path), middle inserts after them
+        /// (a `tail` that must survive a descent) and overwrites of the
+        /// last key (an append refused for a key equal to the last).
+        #[test]
+        fn appends_interleaved_with_descents_behave_like_btreemap(
+            steps in steps(),
+            seed in any::<u64>(),
+        ) {
+            let mut sl = SkipList::new(seed);
+            let mut model = BTreeMap::new();
+            for step in steps {
+                let last = model.keys().next_back().cloned();
+                let inserts: Pairs = match step {
+                    Step::Run(keys) => keys
+                        .into_iter()
+                        .filter(|k| last.as_ref().is_none_or(|last| k > last))
+                        .map(|k| (k, b"run".to_vec()))
+                        .collect(),
+                    Step::Middle(k, v) => vec![(k, v)],
+                    Step::OverwriteLast(v) => last.map(|k| (k, v)).into_iter().collect(),
+                };
+                for (k, v) in inserts {
+                    let expect = model.insert(k.clone(), v.clone());
+                    prop_assert_eq!(sl.insert(k, v), expect);
+                    assert_invariants(&sl);
+                }
+            }
+            let got: Vec<_> = sl.iter_from(&[]).map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+            let expect: Vec<_> = model.clone().into_iter().collect();
+            prop_assert_eq!(got, expect);
+            for (k, v) in &model {
+                prop_assert_eq!(sl.get(k), Some(v.as_slice()));
             }
         }
     }

@@ -66,6 +66,9 @@ impl KvStore {
     /// keyed [`KvStore::nth_key`]`(0..n)`.
     pub fn populate(&mut self, n: u64, value_size: usize) {
         self.value_size = value_size;
+        let entries = usize::try_from(n).expect("entry count fits in memory");
+        self.list
+            .reserve(entries, entries.saturating_mul(8 + value_size));
         let mut v = vec![0u8; value_size];
         for i in 0..n {
             v.fill((i % 251) as u8);

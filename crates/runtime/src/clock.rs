@@ -1,9 +1,10 @@
 //! The physical clock behind forced multitasking.
 //!
 //! TQ's probes read the hardware cycle counter (`RDTSC` on x86, §3.1).
-//! [`TscClock`] wraps that read and a one-time calibration of cycles per
-//! nanosecond; on non-x86 targets it falls back to `Instant`, preserving
-//! semantics at a coarser cost. Which clock stamps what:
+//! [`TscClock`] wraps that read and a calibration of cycles per
+//! nanosecond, measured once per process; on non-x86 targets it falls
+//! back to `Instant`, preserving semantics at a coarser cost. Which clock
+//! stamps what:
 //! - Quantum deadlines and probes ([`TscClock::now`]) read the bare TSC:
 //!   a probe only ever compares against its own worker's deadline.
 //! - Request timestamps ([`TscClock::wall_nanos`]) are compared across
@@ -13,6 +14,8 @@
 //! - A completion ([`TscClock::stamp`]) is one reading of both, which the
 //!   worker stamps `finished` with and arms the next quantum from.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 use tq_core::{CpuFreq, Cycles, Nanos};
 
@@ -46,23 +49,48 @@ enum Source {
     TscWall { base: u64, ns_per_cycle: u64 },
 }
 
+/// Calibration windows this process has spun: one, after the first
+/// [`TscClock::calibrated`].
+static WINDOWS: AtomicUsize = AtomicUsize::new(0);
+
 impl TscClock {
-    /// Calibrates the cycle counter against the monotonic clock
-    /// (~10 ms of sampling, done once at server start).
+    /// Calibrates the cycle counter against the monotonic clock: one
+    /// ~10 ms window per process, on first use. Every clock, the first
+    /// included, takes its own origin after it, so its wall time starts
+    /// near zero; only the frequency and the fallback decision are shared.
     pub fn calibrated() -> Self {
+        static CALIBRATION: OnceLock<TscClock> = OnceLock::new();
+        Self::from_cache(&CALIBRATION, Self::calibration_window)
+    }
+
+    /// The clock `cache` holds, measured by `window` on first use, with a
+    /// fresh origin (and TSC base, where wall time is TSC time).
+    fn from_cache(cache: &OnceLock<TscClock>, window: impl FnOnce() -> TscClock) -> Self {
+        let calibrated = cache.get_or_init(window);
+        let mut clock = TscClock {
+            origin: Instant::now(),
+            ..calibrated.clone()
+        };
+        #[cfg(target_arch = "x86_64")]
+        if let Source::TscWall { base, .. } = &mut clock.source {
+            *base = rdtsc::<true>();
+        }
+        clock
+    }
+
+    /// Busy-waits one calibration window and reads the kernel's clocksource.
+    fn calibration_window() -> Self {
+        WINDOWS.fetch_add(1, Ordering::Relaxed);
         let origin = Instant::now();
         #[cfg(target_arch = "x86_64")]
         {
-            // Read once per process: every benchmark trial calibrates.
             const FILE: &str = "/sys/devices/system/clocksource/clocksource0/current_clocksource";
-            static CLOCKSOURCE: std::sync::OnceLock<Option<String>> = std::sync::OnceLock::new();
             let base = rdtsc::<true>();
-            // Busy-wait a calibration window.
             while origin.elapsed().as_millis() < 10 {
                 std::hint::spin_loop();
             }
             let hz = rdtsc::<true>().wrapping_sub(base) as f64 / origin.elapsed().as_secs_f64();
-            let source = CLOCKSOURCE.get_or_init(|| std::fs::read_to_string(FILE).ok());
+            let source = std::fs::read_to_string(FILE).ok();
             if let Some(clock) = Self::from_calibration(hz, origin, base, source.as_deref()) {
                 return clock;
             }
@@ -279,6 +307,81 @@ mod tests {
         let back = clock.to_nanos(cycles);
         let err = back.as_nanos().abs_diff(q.as_nanos());
         assert!(err <= 2, "round trip error {err}ns");
+    }
+
+    /// However many clocks a process makes, it spins one window.
+    #[test]
+    fn a_process_spins_one_calibration_window() {
+        for _ in 0..8 {
+            TscClock::calibrated();
+        }
+        assert_eq!(WINDOWS.load(Ordering::Relaxed), 1);
+    }
+
+    /// Clocks share the calibration bit for bit: frequency, source and
+    /// wall-time multiplier.
+    #[test]
+    fn every_clock_shares_the_calibration() {
+        let (a, b) = (TscClock::calibrated(), TscClock::calibrated());
+        assert_eq!(a.freq().hz().to_bits(), b.freq().hz().to_bits());
+        match (a.source, b.source) {
+            (
+                Source::TscWall {
+                    ns_per_cycle: x, ..
+                },
+                Source::TscWall {
+                    ns_per_cycle: y, ..
+                },
+            ) => assert_eq!(x, y),
+            (x, y) => assert_eq!(x, y),
+        }
+    }
+
+    /// A clock made 20 ms after another has its own origin, whatever its
+    /// wall time reads: read just before the older one, it is at least
+    /// 20 ms behind.
+    #[test]
+    fn a_later_clock_starts_its_own_wall_time() {
+        let process = TscClock::calibrated();
+        let sources = [
+            process.clone(),
+            TscClock {
+                source: Source::Tsc,
+                ..process
+            },
+            TscClock::instant_fallback(),
+        ];
+        for calibration in sources {
+            let cache = OnceLock::new();
+            let first = TscClock::from_cache(&cache, || calibration.clone());
+            std::thread::sleep(Duration::from_millis(20));
+            let later = TscClock::from_cache(&cache, || unreachable!());
+            let (later, earlier) = (later.wall_nanos().0, first.wall_nanos().0);
+            // 19 ms: the TSC's rate is calibrated to well under 5%.
+            assert!(
+                earlier.saturating_sub(later) >= 19_000_000,
+                "{:?}: the later clock reads {later} ns, the one made 20 ms before it {earlier} ns",
+                calibration.source
+            );
+        }
+    }
+
+    /// A rejected calibration is the cached verdict: every clock after is
+    /// the `Instant` fallback, and the window is not spun again.
+    #[test]
+    fn a_rejected_calibration_is_cached_as_the_fallback() {
+        let cache = OnceLock::new();
+        let mut windows = 0;
+        for _ in 0..3 {
+            let clock = TscClock::from_cache(&cache, || {
+                windows += 1;
+                TscClock::from_calibration(f64::NAN, Instant::now(), 0, Some("tsc"))
+                    .unwrap_or_else(TscClock::instant_fallback)
+            });
+            assert!(!clock.uses_tsc());
+            assert!((clock.freq().hz() - 1e9).abs() < 1.0);
+        }
+        assert_eq!(windows, 1);
     }
 
     /// A clock calibrated at 2 GHz, created now, under `clocksource`.

@@ -196,16 +196,14 @@ impl SpinJob {
     }
 
     /// Builds from a server request whose payload carries the service
-    /// time in nanoseconds (see [`crate::server::RtRequest::service`]).
-    /// Calibrates a process-wide clock once on first use.
+    /// time in nanoseconds (see [`crate::server::RtRequest::service`]),
+    /// converted at the process's calibration ([`TscClock::calibrated`]).
     pub fn from_request(req: &crate::server::RtRequest) -> Self {
-        static CLOCK: std::sync::OnceLock<TscClock> = std::sync::OnceLock::new();
-        let clock = CLOCK.get_or_init(TscClock::calibrated);
-        SpinJob::new(clock.to_cycles(req.service))
+        SpinJob::new(TscClock::calibrated().to_cycles(req.service))
     }
 
-    /// Builds with the service time converted by the given clock (avoids
-    /// re-calibration; preferred inside job factories).
+    /// Builds with the service time converted by the given clock (no new
+    /// clock a request; preferred inside job factories).
     pub fn with_clock(req: &crate::server::RtRequest, clock: &TscClock) -> Self {
         SpinJob::new(clock.to_cycles(req.service))
     }

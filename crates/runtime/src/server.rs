@@ -217,10 +217,10 @@ pub struct TinyQuanta {
 }
 
 impl TinyQuanta {
-    /// Starts the server: spawns one thread per worker, calibrating a
-    /// fresh [`TscClock`] (~10 ms). Callers that already hold a
-    /// calibrated clock should use [`TinyQuanta::start_with_clock`] so
-    /// timestamps share one origin and calibration happens once.
+    /// Starts the server: spawns one thread per worker, on a new
+    /// [`TscClock`] (the process's calibration, with its own origin).
+    /// Callers that stamp their own events should use
+    /// [`TinyQuanta::start_with_clock`] so timestamps share one origin.
     ///
     /// # Panics
     ///
@@ -235,8 +235,7 @@ impl TinyQuanta {
 
     /// Starts the server on an existing clock. All request/completion
     /// timestamps are measured on `clock`, so a caller that stamps its
-    /// own events on the same clock gets directly comparable numbers —
-    /// and avoids paying a second calibration window.
+    /// own events on the same clock gets directly comparable numbers.
     ///
     /// # Panics
     ///
