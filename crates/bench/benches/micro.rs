@@ -218,6 +218,37 @@ fn bench_skiplist(c: &mut Criterion) {
             black_box(store.scan(&start, 100).len());
         });
     });
+    // A SCAN's walk on `wire_kv`'s store (8192 keys, 64-byte values),
+    // loaded in key order (its level-0 links one run, read eight at a
+    // time) and with the same entries inserted in a seeded shuffle (a run
+    // breaks at almost every link, so the walk hops): the first is the
+    // array's cost, the second the hop's.
+    let mut keys: Vec<u64> = (0..8_192).collect();
+    let mut shuffle = SimRng::new(17);
+    for i in (1..keys.len()).rev() {
+        keys.swap(i, (shuffle.u64() % (i as u64 + 1)) as usize);
+    }
+    let mut ordered = tq_kv::KvStore::new(42);
+    ordered.populate(8_192, 64);
+    let mut shuffled = tq_kv::KvStore::new(42);
+    for &i in &keys {
+        shuffled.put(tq_kv::KvStore::nth_key(i), vec![(i % 251) as u8; 64]);
+    }
+    for (name, store) in [("ordered", &ordered), ("shuffled", &shuffled)] {
+        c.bench_function(&format!("kv_walk_2000_{name}"), |b| {
+            b.iter(|| {
+                let start = tq_kv::KvStore::nth_key_bytes(rng.u64() % 4_096);
+                let mut cur = store.cursor_before(&start);
+                let mut sum = 0u64;
+                store.walk(&mut cur, 2_000, |k, v| {
+                    sum = sum
+                        .wrapping_mul(31)
+                        .wrapping_add(v.len() as u64 + k.len() as u64);
+                });
+                black_box(sum)
+            });
+        });
+    }
 }
 
 fn bench_reuse_distance(c: &mut Criterion) {

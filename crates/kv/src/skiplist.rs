@@ -11,9 +11,14 @@
 //! synthetic "address" for every node in an access trace:
 //!
 //! - `next0`: every node's level-0 link, dense and in an array of its
-//!   own — 4 bytes a node, 32 KB for 8192 keys. It is the only load a
-//!   SCAN's next hop depends on, so the chain it chases stays in L1 and
-//!   the loads of each node's record come off that chain and overlap.
+//!   own — 4 bytes a node, 32 KB for 8192 keys. A list loaded in key
+//!   order keeps each node's successor in the next slot, so `next0[i] ==
+//!   i + 1` over long runs, and [`SkipList::walk`] reads a run as an
+//!   array: it checks eight links in one compare, then reads those eight
+//!   slots with no load depending on a link. Where a run breaks (a key
+//!   inserted out of order) it falls back to hopping, where each link is
+//!   the only load the next hop depends on: the chain stays in L1 and
+//!   the loads of each node's record come off it and overlap.
 //! - `prefix`: every node's first 8 key bytes as a big-endian `u64`,
 //!   zero-padded. Two prefixes that differ order their keys as the byte
 //!   strings do (a zero pad sorts a key below its extensions), so a
@@ -224,6 +229,71 @@ impl SkipList {
         Some(self.entry(next))
     }
 
+    /// Hands `f` the next ≤ `n` entries after `cur`, in order, moves
+    /// `cur` onto the last one and returns how many it handed: exactly
+    /// what `n` [`SkipList::cursor_next`] calls yield, on any list.
+    ///
+    /// Where the next eight level-0 links run through consecutive slots
+    /// (`next0[at + j] == at + j + 1`, as a load in key order leaves them)
+    /// it checks all eight at once and reads those slots as an array; the
+    /// first chunk that breaks the run ends that phase, and the rest of
+    /// the window hops (module docs). Always inlined, as the hop is.
+    #[inline(always)]
+    pub fn walk<'a>(
+        &'a self,
+        cur: &mut Cursor,
+        n: usize,
+        mut f: impl FnMut(&'a [u8], &'a [u8]),
+    ) -> usize {
+        let start = cur.0 as usize;
+        let mut at = start;
+        // The array phase counts in slots: `at - start` entries handed.
+        let end = start.saturating_add(n);
+        'array: while end - at >= 8 {
+            let Some(links) = self.next0.get(at..at + 8) else {
+                break;
+            };
+            // Every link compared, no short circuit: one vector compare.
+            // `at + 8` is a slot of `next0`, so no `u32` here wraps.
+            let base = at as u32;
+            let run = (0..8).fold(true, |run, j| run & (links[j] == base + j as u32 + 1));
+            if !run {
+                break;
+            }
+            let Some(recs) = self.recs.get(at + 1..at + 9) else {
+                break;
+            };
+            for rec in recs {
+                // A record `slices` refuses (none: every record is written
+                // with its bytes) ends the chunk there, and the hop panics
+                // on it as `entry` does. On that exit `f`'s state is live,
+                // so each entry's work stays in place; with a panic there
+                // the compiler deferred all eight entries' work to the
+                // chunk's end and spilled their lengths to the stack.
+                let Some((k, v)) = self.slices(rec) else {
+                    break 'array;
+                };
+                f(k, v);
+                at += 1;
+            }
+        }
+        let mut done = at - start;
+        // The hop of `cursor_next`, on a `usize` index: a `u32` cursor
+        // re-widened every hop put a move on the chain of dependent loads.
+        while done < n {
+            let next = self.next0[at];
+            if next == NIL {
+                break;
+            }
+            at = next as usize;
+            let (k, v) = self.entry(next);
+            f(k, v);
+            done += 1;
+        }
+        *cur = Cursor(at as u32);
+        done
+    }
+
     /// Iterates entries with keys ≥ `start`, in order.
     pub fn iter_from(&self, start: &[u8]) -> IterFrom<'_> {
         IterFrom {
@@ -252,6 +322,20 @@ impl SkipList {
             &self.bytes[rec.key as usize..][..rec.key_len as usize],
             &self.bytes[rec.value as usize..][..rec.value_len as usize],
         )
+    }
+
+    /// `rec`'s key and value as [`SkipList::entry`] reads them, `None`
+    /// where one of its bounds checks would panic (for `walk`'s chunks).
+    #[inline(always)]
+    fn slices(&self, rec: &Rec) -> Option<(&[u8], &[u8])> {
+        Some((
+            self.bytes
+                .get(rec.key as usize..)?
+                .get(..rec.key_len as usize)?,
+            self.bytes
+                .get(rec.value as usize..)?
+                .get(..rec.value_len as usize)?,
+        ))
     }
 
     /// The node after `node` at `level`, which `node`'s tower reaches.
@@ -511,6 +595,115 @@ mod tests {
         assert_eq!(sl.iter_from(b"").take(0).count(), 0);
     }
 
+    /// `walk` against `n` `cursor_next` calls, from every cursor the list
+    /// has (the head and every node) and for every `n` in `0..=40` and two
+    /// past the end: the same entries in the same order, the same count
+    /// and the same final cursor. The cursors near the end give windows
+    /// that stop at `NIL` and chunks that reach the last arena slot or
+    /// cannot fit before it.
+    fn assert_walk_is_hops(sl: &SkipList) {
+        for start in 0..sl.arena_len() as u32 {
+            for n in (0..=40).chain([sl.len() + 1, usize::MAX]) {
+                let mut hop = Cursor(start);
+                let want: Vec<_> = std::iter::from_fn(|| sl.cursor_next(&mut hop))
+                    .take(n)
+                    .collect();
+                let (mut cur, mut got) = (Cursor(start), Vec::new());
+                let count = sl.walk(&mut cur, n, |k, v| got.push((k, v)));
+                assert_eq!(got, want, "from {start}, n = {n}");
+                assert_eq!(count, want.len(), "from {start}, n = {n}");
+                assert_eq!(cur, hop, "from {start}, n = {n}");
+            }
+        }
+    }
+
+    /// The slots where `next0` does not run on: node `i` links to `i + 1`
+    /// everywhere else.
+    fn breaks(sl: &SkipList) -> Vec<u32> {
+        let last = sl.arena_len() as u32 - 1;
+        (0..last)
+            .filter(|&i| sl.next0[i as usize] != i + 1)
+            .collect()
+    }
+
+    /// How a list under the walk tests is loaded.
+    #[derive(Debug, Clone)]
+    enum Load {
+        /// Keys `0..m` appended in order: one run.
+        Ascending(u32),
+        /// Keys `0..m` inserted in a seeded shuffle's order.
+        Shuffled(u32, u64),
+        /// Even keys `2..=2m` appended, then `2i + 1` inserted for each
+        /// listed `i`: the node holding key `2i` (node `i`, the head for 0)
+        /// then links to a node out of the run.
+        Broken(u32, Vec<u32>),
+        /// Keys `0..m` appended, then the listed ones written with longer
+        /// values: a key below `m` moves its record to new bytes and keeps
+        /// its links, one above it appends.
+        Grown(u32, Vec<u32>),
+    }
+
+    fn build(load: &Load) -> SkipList {
+        let key = |i: u32| i.to_be_bytes();
+        let mut sl = SkipList::new(7);
+        match load {
+            Load::Ascending(m) => {
+                (0..*m).for_each(|i| assert!(sl.insert(key(i), key(i)).is_none()))
+            }
+            Load::Shuffled(m, seed) => {
+                let mut keys: Vec<u32> = (0..*m).collect();
+                let mut x = seed | 1;
+                for i in (1..keys.len()).rev() {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    keys.swap(i, (x % (i as u64 + 1)) as usize);
+                }
+                keys.into_iter()
+                    .for_each(|i| assert!(sl.insert(key(i), [1]).is_none()));
+            }
+            Load::Broken(m, after) => {
+                (1..=*m).for_each(|i| assert!(sl.insert(key(2 * i), [2]).is_none()));
+                for &i in after {
+                    sl.insert(key(2 * i + 1), [3]);
+                }
+            }
+            Load::Grown(m, grown) => {
+                (0..*m).for_each(|i| assert!(sl.insert(key(i), [4]).is_none()));
+                for &i in grown {
+                    sl.insert(key(i), vec![5; 4 + i as usize % 9]);
+                }
+            }
+        }
+        sl
+    }
+
+    #[test]
+    fn walk_hands_what_hops_do_on_runs_and_where_they_break() {
+        // One run: every link is its slot's successor.
+        let sl = build(&Load::Ascending(100));
+        assert!(breaks(&sl).is_empty());
+        assert_walk_is_hops(&sl);
+        // A run broken at each of a chunk's eight links (the head's chunk
+        // and a later one), and at two neighbouring links.
+        for p in 0..8 {
+            let sl = build(&Load::Broken(100, vec![p, 40 + p, 41 + p]));
+            assert_eq!(breaks(&sl)[..3], [p, 40 + p, 41 + p]);
+            assert_walk_is_hops(&sl);
+        }
+        // Out of order throughout: a break at almost every link.
+        let sl = build(&Load::Shuffled(100, 42));
+        assert!(breaks(&sl).len() > 80);
+        assert_walk_is_hops(&sl);
+        // Grown values are read from where the records point now.
+        let sl = build(&Load::Grown(100, (0..100).step_by(3).collect()));
+        assert!(breaks(&sl).is_empty());
+        assert_eq!(sl.get(&3u32.to_be_bytes()), Some(&[5u8; 7][..]));
+        assert_walk_is_hops(&sl);
+        // The empty list: the head's cursor stays where it is.
+        assert_walk_is_hops(&build(&Load::Ascending(0)));
+    }
+
     #[test]
     fn index_reserves_nil_and_refuses_to_wrap() {
         assert_eq!(index(u32::MAX as usize - 1), u32::MAX - 1);
@@ -667,7 +860,23 @@ mod tests {
         prop::collection::vec(step, 0..40)
     }
 
+    fn loads() -> impl Strategy<Value = Load> {
+        let listed = || prop::collection::vec(0u32..80, 0..12);
+        prop_oneof![
+            (0u32..80).prop_map(Load::Ascending),
+            (0u32..80, any::<u64>()).prop_map(|(m, seed)| Load::Shuffled(m, seed)),
+            (0u32..80, listed()).prop_map(|(m, after)| Load::Broken(m, after)),
+            (0u32..80, listed()).prop_map(|(m, grown)| Load::Grown(m, grown)),
+        ]
+    }
+
     proptest! {
+        /// `walk` is `n` hops, whatever the list's runs look like.
+        #[test]
+        fn walk_is_hops(load in loads()) {
+            assert_walk_is_hops(&build(&load));
+        }
+
         #[test]
         fn behaves_like_btreemap(
             ops in pairs(200),

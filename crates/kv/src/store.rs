@@ -89,7 +89,8 @@ impl KvStore {
     /// Range scan: up to `count` entries with keys ≥ `start`.
     pub fn scan(&self, start: &[u8], count: usize) -> Vec<(&[u8], &[u8])> {
         let mut out = Vec::with_capacity(count.min(self.len()));
-        out.extend(self.list.iter_from(start).take(count));
+        let mut cur = self.list.cursor_before(start);
+        self.list.walk(&mut cur, count, |k, v| out.push((k, v)));
         out
     }
 
@@ -102,6 +103,18 @@ impl KvStore {
     #[inline(always)]
     pub fn cursor_next(&self, cur: &mut Cursor) -> Option<(&[u8], &[u8])> {
         self.list.cursor_next(cur)
+    }
+
+    /// The next ≤ `n` entries of a resumable scan, handed to `f` in order;
+    /// returns how many (see [`SkipList::walk`]).
+    #[inline(always)]
+    pub fn walk<'a>(
+        &'a self,
+        cur: &mut Cursor,
+        n: usize,
+        f: impl FnMut(&'a [u8], &'a [u8]),
+    ) -> usize {
+        self.list.walk(cur, n, f)
     }
 
     /// GET with a synthetic memory-access trace: descent node touches,

@@ -12,19 +12,23 @@
 //! A resumed slice redoes nothing: the SCAN descends the skip list once,
 //! on its first slice (inside the quantum: service time, not admit
 //! time), then holds a [`tq_kv::Cursor`] — the arena index of the last
-//! entry read — so a slice costs one pointer hop per entry and a yield
-//! saves four bytes. The arena only grows, so the index needs no check.
+//! entry read — so a slice walks on from there and a yield saves four
+//! bytes. The arena only grows, so the index needs no check.
 //!
-//! A hop is loads, not a call: the skip list's hop and entry read are
+//! A walk is loads, not calls: the skip list's walk and entry reads are
 //! always inlined, and the walk runs in locals that are written back to
-//! the job once, at the yield or at the end. The probe gate is every
-//! `SCAN_GATE` = 256 entries: the period `tq-instrument`'s TQ pass gives
+//! the job once, at the yield or at the end. A store loaded in key order
+//! keeps each entry's successor in the next arena slot, so the walk
+//! reads those runs as an array: one vector compare checks eight links,
+//! then eight records are read with no load waiting on a link; where a
+//! run breaks it hops (`tq_kv::SkipList::walk`). The probe gate is every
+//! `SCAN_GATE` = 512 entries: the period `tq-instrument`'s TQ pass gives
 //! the SCAN loop for the paper's 3% probe overhead at the costs measured
-//! on a 2.0 GHz Xeon, ≈ 2.1 ns a hop and ≈ 18 ns a probe (the pass says
-//! 289; a test re-runs it). That is ≈ 500 ns between probes, 10% of the
-//! default 5 µs quantum and the most a SCAN overshoots it by. The old
-//! gate of 32 entries made the probes cost a SCAN 24–27%
-//! (EXPERIMENTS.md, "A SCAN hop is a load").
+//! on a 2.0 GHz Xeon, ≈ 1.2 ns an entry and ≈ 18 ns a probe (the pass
+//! says 523; a test re-runs it). That is ≈ 610 ns between probes, 12%
+//! of the default 5 µs quantum and the most a SCAN overshoots it by
+//! (EXPERIMENTS.md, "A SCAN reads runs as an array"; a gate of 32 made
+//! the probes cost a SCAN 24–27%, "A SCAN hop is a load").
 //!
 //! This used to live inside `examples/kv_server.rs`; it moved here so
 //! the socket front end (`tq-loadgen`, the net smoke job) and the
@@ -37,7 +41,7 @@ use tq_kv::{Cursor, KvStore};
 
 /// Entries a SCAN reads between probes: the gate period TQ's pass gives
 /// its loop for a 3% probe overhead (module docs), as a power of two.
-const SCAN_GATE: usize = 256;
+const SCAN_GATE: usize = 512;
 
 /// Where a SCAN stands: a start key until its first slice has sought, then a cursor.
 #[derive(Debug, Clone, Copy)]
@@ -97,17 +101,15 @@ impl Job for KvJob {
                     ScanPos::At(cur) => cur,
                 };
                 let (mut left, mut sum) = (*remaining, *checksum);
-                let status = 'walk: loop {
-                    for _ in 0..SCAN_GATE.min(left) {
-                        let Some((k, v)) = store.cursor_next(&mut cur) else {
-                            break 'walk JobStatus::Done;
-                        };
+                let status = loop {
+                    let read = store.walk(&mut cur, SCAN_GATE.min(left), |k, v| {
                         sum = sum
                             .wrapping_mul(31)
                             .wrapping_add(v.len() as u64 + k.len() as u64);
-                        left -= 1;
-                    }
-                    if left == 0 {
+                    });
+                    left -= read;
+                    // Short of a gate: the store ran out, or so did `left`.
+                    if read < SCAN_GATE || left == 0 {
                         break JobStatus::Done;
                     }
                     if ctx.probe() {
@@ -181,7 +183,7 @@ mod tests {
         let completions = server.shutdown();
         assert_eq!(completions.len(), 100);
         // SCANs must have been preempted at least once: 20k entries at
-        // ≈ 2 ns an entry are ≈ 40 us, eight 5 us quanta.
+        // ≈ 1.2 ns an entry are ≈ 24 us, five 5 us quanta.
         let scan_quanta = completions
             .iter()
             .filter(|c| c.class.0 == 1)
@@ -300,11 +302,12 @@ mod tests {
         use tq_instrument::exec::{execute, ExecConfig};
         use tq_instrument::ir::{Function, Inst, Node, Probe, Program, TripSpec};
         use tq_instrument::passes::tq::{instrument, TqPassConfig};
-        // The costs, in picoseconds (EXPERIMENTS.md, "A SCAN hop is a
-        // load"; Xeon, 2.0 GHz TSC): one hop of the SCAN loop with no
-        // probe, through `Box<dyn Job>`, and one `QuantumCtx::probe`
-        // (`job.probe_ns`).
-        const ENTRY_PS: u32 = 2_130;
+        // The costs, in picoseconds (EXPERIMENTS.md, "A SCAN reads runs
+        // as an array" and "A SCAN hop is a load"; Xeon, 2.0 GHz TSC):
+        // one entry of a gated SCAN through `Box<dyn Job>` on `wire_kv`'s
+        // store, with a quantum that never expires, and one
+        // `QuantumCtx::probe` (`job.probe_ns`).
+        const ENTRY_PS: u32 = 1_190;
         const PROBE_PS: u64 = 18_200;
         const TARGET_PCT: f64 = 3.0;
         // One model cycle is a picosecond: the costs keep their precision,
@@ -357,30 +360,27 @@ mod tests {
         );
     }
 
-    /// The same hops and checksum as a SCAN, with no probe.
+    /// The same walk and checksum as a SCAN, with no probe.
     #[inline(never)]
     fn ungated_walk(store: &KvStore, start: u64) -> u64 {
         let mut cur = store.cursor_before(&KvStore::nth_key_bytes(start));
         let mut sum = 0u64;
-        for _ in 0..SCAN_LEN {
-            let Some((k, v)) = store.cursor_next(&mut cur) else {
-                break;
-            };
+        store.walk(&mut cur, SCAN_LEN, |k, v| {
             sum = sum
                 .wrapping_mul(31)
                 .wrapping_add(v.len() as u64 + k.len() as u64);
-        }
+        });
         sum
     }
 
-    /// The gate costs what the pass budgets, and a hop is not a call: a
+    /// The gate costs what the pass budgets, and a walk is not a call: a
     /// SCAN through `Box<dyn Job>`, with a quantum that never expires,
-    /// is within 10% of the same walk with no probe (on `wire_kv`'s
+    /// is within 10% of the same `walk` with no probe (on `wire_kv`'s
     /// store). Each start key's SCAN and walk are timed alone, the two
     /// in turn, best of five, so a test running beside this one or a
-    /// descheduling spoils single samples, not a side. It reads 1.06 on
-    /// a quiet 2-vCPU Xeon and up to 1.3 while a neighbour slows every
-    /// load (EXPERIMENTS.md). No functional test sees a lost inline.
+    /// descheduling spoils single samples, not a side. It reads 1.04–1.05
+    /// on a quiet 2-vCPU Xeon and more while a neighbour slows every load
+    /// (EXPERIMENTS.md). No functional test sees a lost inline.
     #[test]
     #[cfg_attr(debug_assertions, ignore = "times optimized code: run with --release")]
     fn scan_gate_costs_at_most_a_tenth_over_the_ungated_walk() {
