@@ -222,7 +222,8 @@ fn bench_skiplist(c: &mut Criterion) {
     // loaded in key order (its level-0 links one run, read eight at a
     // time) and with the same entries inserted in a seeded shuffle (a run
     // breaks at almost every link, so the walk hops): the first is the
-    // array's cost, the second the hop's.
+    // array's cost, the second the hop's. A seek on the same two stores:
+    // a binary search of the arena on the first, the descent on the second.
     let mut keys: Vec<u64> = (0..8_192).collect();
     let mut shuffle = SimRng::new(17);
     for i in (1..keys.len()).rev() {
@@ -246,6 +247,12 @@ fn bench_skiplist(c: &mut Criterion) {
                         .wrapping_add(v.len() as u64 + k.len() as u64);
                 });
                 black_box(sum)
+            });
+        });
+        c.bench_function(&format!("kv_seek_{name}"), |b| {
+            b.iter(|| {
+                let start = tq_kv::KvStore::nth_key_bytes(rng.u64() % 8_192);
+                black_box(store.cursor_before(&start))
             });
         });
     }

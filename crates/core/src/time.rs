@@ -35,15 +35,20 @@ use serde::{Deserialize, Serialize};
 #[serde(transparent)]
 pub struct Nanos(pub u64);
 
-/// `x.round() as u64` for non-negative finite `x`, without the libm
-/// `round` call: `floor` lowers to a single rounding instruction, and the
-/// fractional part `x - floor(x)` is exact in f64 (the operands are within
-/// a factor of two for x >= 1, and floor is 0 below that), so the
-/// half-away-from-zero tie behaviour matches `round` bit for bit.
+/// `x.round() as u64` for every `f64`, with no call: on the baseline
+/// x86-64 target (no SSE4.1) `round` and `floor` are out-of-line
+/// routines, while `x as u64` is an inline truncating conversion. Below
+/// 2^52 the fraction `x - trunc(x)` is exact in f64 (Sterbenz: the
+/// operands are within a factor of two for x >= 1, and the truncation is
+/// 0 below that), so the half-away-from-zero ties match `round` bit for
+/// bit. From 2^52 every `f64` is an integer and the fraction is 0.
+/// Negative values and NaN truncate to 0 with a fraction below 0.5, as
+/// `round` then saturates; +∞ and values past `u64::MAX` saturate both
+/// ways.
 #[inline]
 fn round_nonneg(x: f64) -> u64 {
-    let f = x.floor();
-    f as u64 + u64::from(x - f >= 0.5)
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
 }
 
 impl Nanos {
@@ -163,13 +168,12 @@ impl Nanos {
             factor.is_finite() && factor >= 0.0,
             "invalid scale factor: {factor}"
         );
-        // `floor(x) + (x - floor(x) >= 0.5)` is exactly `x.round()` for
-        // every non-negative x below 2^52 (durations under ~52 simulated
-        // days): the fractional part is computed exactly (Sterbenz), so
-        // unlike `(x + 0.5).floor()` there is no 1-ULP tie drift — and
-        // `floor` compiles to an inline rounding instruction instead of
-        // the libm `round` call. This runs once per admitted job in the
-        // serving engines.
+        // `trunc(x) + (x - trunc(x) >= 0.5)` is exactly `x.round()`
+        // (`round_nonneg`): the fractional part is computed exactly
+        // (Sterbenz), so unlike `(x + 0.5).floor()` there is no 1-ULP tie
+        // drift, and the truncation is an inline conversion where
+        // `round` and `floor` are calls on the baseline x86-64 target.
+        // This runs once per admitted job in the serving engines.
         let scaled = self.0 as f64 * factor;
         debug_assert!(scaled < (1u64 << 52) as f64, "scale overflows exact f64 range");
         Nanos(round_nonneg(scaled))
@@ -368,13 +372,13 @@ impl CpuFreq {
     /// Converts a cycle count to nanoseconds (rounded).
     #[inline]
     pub fn cycles_to_nanos(self, c: Cycles) -> Nanos {
-        Nanos((c.0 as f64 * 1e9 / self.hz).round() as u64)
+        Nanos(round_nonneg(c.0 as f64 * 1e9 / self.hz))
     }
 
     /// Converts nanoseconds to a cycle count (rounded).
     #[inline]
     pub fn nanos_to_cycles(self, n: Nanos) -> Cycles {
-        Cycles((n.0 as f64 * self.hz / 1e9).round() as u64)
+        Cycles(round_nonneg(n.0 as f64 * self.hz / 1e9))
     }
 }
 
@@ -419,6 +423,55 @@ mod tests {
         for i in 0..10_000u64 {
             let x = i as f64 * 0.083;
             assert_eq!(round_nonneg(x), x.round() as u64, "x = {x:?}");
+        }
+        // Past the range durations take: negatives (whose `round` the cast
+        // saturates to 0), NaN, both infinities, the ties and neighbours
+        // of 2^52 where f64 stops holding fractions, and values at and
+        // past `u64::MAX` (the cast saturates).
+        let two52 = (1u64 << 52) as f64;
+        let max = u64::MAX as f64;
+        for x in [
+            -0.0, -0.25, -0.5, -0.5_f64.next_down(), -0.75, -1.5, -2.5, -1e300,
+            f64::MIN, f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY,
+            two52 - 0.5, two52 - 1.5, two52.next_down(), two52, two52.next_up(),
+            two52 + 1.0, 2.0 * two52 + 2.0, (1u64 << 63) as f64,
+            max.next_down(), max, max.next_up(), 1e30, f64::MAX,
+            f64::MIN_POSITIVE, 5e-324,
+        ] {
+            assert_eq!(round_nonneg(x), x.round() as u64, "x = {x:?}");
+        }
+        // Every normal power of two (and zero) with its neighbours, signs
+        // both ways.
+        for e in 0..2047u64 {
+            let p = f64::from_bits(e << 52);
+            for x in [p, p.next_down(), p.next_up(), p + 0.5, p - 0.5] {
+                for x in [x, -x] {
+                    assert_eq!(round_nonneg(x), x.round() as u64, "x = {x:?}");
+                }
+            }
+        }
+        // A seeded sweep over raw bit patterns: every exponent, sign and
+        // NaN payload the generator reaches.
+        let mut bits = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..200_000 {
+            bits ^= bits << 13;
+            bits ^= bits >> 7;
+            bits ^= bits << 17;
+            let x = f64::from_bits(bits);
+            assert_eq!(round_nonneg(x), x.round() as u64, "x = {x:?}");
+        }
+    }
+
+    #[test]
+    fn cpu_freq_conversions_round_to_nearest() {
+        let f = CpuFreq::from_ghz(2.1);
+        for c in [0, 1, 2, 3, 10, 1_000, 2_099, 123_456_789, u64::MAX / 4] {
+            let want = (c as f64 * 1e9 / f.hz()).round() as u64;
+            assert_eq!(f.cycles_to_nanos(Cycles(c)), Nanos(want), "{c} cycles");
+        }
+        for n in [0, 1, 2, 3, 10, 1_000, 476, 123_456_789, u64::MAX / 4] {
+            let want = (n as f64 * f.hz() / 1e9).round() as u64;
+            assert_eq!(f.nanos_to_cycles(Nanos(n)), Cycles(want), "{n} ns");
         }
     }
 

@@ -22,7 +22,10 @@
 //! - `prefix`: every node's first 8 key bytes as a big-endian `u64`,
 //!   zero-padded. Two prefixes that differ order their keys as the byte
 //!   strings do (a zero pad sorts a key below its extensions), so a
-//!   descent compares `u64`s and reads a key's bytes only on a tie.
+//!   descent, and the binary search of a list in key order (below),
+//!   compare `u64`s out of one dense array. On a tie they compare lengths
+//!   (a key of at most 8 bytes is then a prefix of the other) and read
+//!   key bytes only where both keys run past 8 bytes.
 //! - `recs`: a fixed-size record a node: where its key, value and tower are.
 //! - `links`: the links of levels ≥ 1, each node's tower contiguous.
 //! - `bytes`: key and value bytes, back to back.
@@ -31,6 +34,17 @@
 //! key above every key in the list (what loading a store in key order
 //! does for every key, RocksDB's sequential-insert hint) links after
 //! `tail` and skips the descent; any other insert descends once.
+//!
+//! While every new node has been linked after the one in the slot before
+//! it, `in_order` is set: `next0[i] == i + 1` over the whole list, so node
+//! `i` holds the `i`-th smallest key and arena order is key order. A load
+//! in key order (`populate`, any sorted bulk load) leaves a list so.
+//! There [`SkipList::cursor_before`] and [`SkipList::get`] skip the
+//! descent's ~30 dependent node visits and halve `1..=len` instead, one
+//! prefix compare a probe. The first insert linked anywhere else clears
+//! the flag for good, and both descend as before. The traced readers
+//! (`get_traced`, `scan_traced`) and `insert` always descend, so traces
+//! and tower layouts do not depend on the flag.
 //!
 //! It also makes a walk resumable: a [`Cursor`] is the arena index of the
 //! last entry yielded (the head sentinel before the first) — four `Copy`
@@ -42,6 +56,7 @@
 //! last key yielded" returns, whatever was inserted in between.
 
 use std::fmt;
+use std::hint::select_unpredictable;
 
 /// Maximum tower height (enough for billions of entries at p = 1/4).
 pub const MAX_HEIGHT: usize = 16;
@@ -98,6 +113,10 @@ pub struct SkipList {
     /// The last node at every level (the head where there is none): an
     /// appending insert's update path.
     tail: [u32; MAX_HEIGHT],
+    /// Whether arena order is key order: `next0[i] == i + 1` over the
+    /// whole list (module docs). Cleared for good by the first insert
+    /// that links a new node after any node but the last slot.
+    in_order: bool,
     /// Current maximum occupied height.
     height: usize,
     rng: u64,
@@ -113,6 +132,7 @@ impl SkipList {
             links: vec![NIL; MAX_HEIGHT - 1],
             bytes: Vec::new(),
             tail: [0; MAX_HEIGHT],
+            in_order: true,
             height: 1,
             rng: seed | 1,
         }
@@ -176,6 +196,7 @@ impl SkipList {
         self.bytes.extend_from_slice(value);
         self.recs.push(rec);
         self.prefix.push(want);
+        self.in_order &= update[0] + 1 == idx;
         // Each predecessor's link becomes the new node's, then points at
         // it; a node linked in before `NIL` is its level's new tail.
         let after = std::mem::replace(&mut self.next0[update[0] as usize], idx);
@@ -194,9 +215,13 @@ impl SkipList {
         None
     }
 
-    /// Point lookup.
+    /// Point lookup: [`SkipList::cursor_before`], then one hop.
     pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
-        self.get_traced(key, &mut |_| {})
+        let mut cur = self.cursor_before(key);
+        match self.cursor_next(&mut cur) {
+            Some((k, v)) if k == key => Some(v),
+            _ => None,
+        }
     }
 
     /// Point lookup that reports every arena index visited during the
@@ -209,9 +234,49 @@ impl SkipList {
         }
     }
 
-    /// One descent: the position just after the last key below `start`.
+    /// The position just after the last key below `start`: a binary
+    /// search over the arena while it is in key order, else one descent.
     pub fn cursor_before(&self, start: &[u8]) -> Cursor {
-        self.seek(start, &mut |_| {})
+        if self.in_order {
+            self.halve(start)
+        } else {
+            self.seek(start, &mut |_| {})
+        }
+    }
+
+    /// [`SkipList::seek`] on a list in key order, where node `i` holds the
+    /// `i`-th smallest key: the last node `below` the key (the head for
+    /// none), found by one binary search over `1..=len`. Each probe is one
+    /// `below`, so a run of keys that tie in their prefix costs no more
+    /// than any other.
+    fn halve(&self, key: &[u8]) -> Cursor {
+        let want = prefix_of(key);
+        // A key of at most 8 bytes not ending in a zero byte ties in its
+        // padded prefix only with itself and its extensions, none of them
+        // below it: there `below` is its prefix compare alone, and the
+        // probe of the key's own node takes no branch to a tie.
+        if key.len() <= 8 && key.last() != Some(&0) {
+            self.halve_by(|node| self.prefix[node] < want)
+        } else {
+            self.halve_by(|node| self.below(node as u32, key, want))
+        }
+    }
+
+    /// [`SkipList::halve`]'s search, for a `below` that holds on `1..=p`
+    /// and on no later node: returns `p` (0 for none).
+    #[inline(always)]
+    fn halve_by(&self, below: impl Fn(usize) -> bool) -> Cursor {
+        // The answer is in `lo..=lo + n`; `lo` is the head or below the key.
+        let (mut lo, mut n) = (0, self.len());
+        while n > 0 {
+            let half = n - n / 2;
+            let mid = lo + half;
+            // A conditional move, not a branch: each probe's outcome is a
+            // coin toss the predictor would lose half the time.
+            lo = select_unpredictable(below(mid), mid, lo);
+            n -= half;
+        }
+        Cursor(lo as u32)
     }
 
     /// One `next0` hop: yields the entry after `cur` and moves `cur`
@@ -376,10 +441,28 @@ impl SkipList {
 
     /// Whether `node`'s key sorts below `key`, whose prefix is `want`:
     /// the prefixes decide unless they tie (module docs).
-    #[inline]
+    #[inline(always)]
     fn below(&self, node: u32, key: &[u8], want: u64) -> bool {
         let have = self.prefix[node as usize];
-        have < want || (have == want && self.entry(node).0 < key)
+        if have == want {
+            self.tie_below(node, key)
+        } else {
+            have < want
+        }
+    }
+
+    /// [`SkipList::below`] where the prefixes tie. With their first 8
+    /// bytes equal (zero pads included), a key of at most 8 bytes is a
+    /// prefix of the other, so the shorter sorts first; only two keys
+    /// longer than 8 bytes need their bytes compared.
+    #[inline(always)]
+    fn tie_below(&self, node: u32, key: &[u8]) -> bool {
+        let have = self.recs[node as usize].key_len as usize;
+        if have.min(key.len()) <= 8 {
+            have < key.len()
+        } else {
+            self.entry(node).0 < key
+        }
     }
 
     /// Geometric tower height with p = 1/4, capped at [`MAX_HEIGHT`].
@@ -445,7 +528,7 @@ impl<'a> Iterator for IterFrom<'a> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::ops::Bound;
 
     #[test]
@@ -641,6 +724,8 @@ mod tests {
         /// values: a key below `m` moves its record to new bytes and keeps
         /// its links, one above it appends.
         Grown(u32, Vec<u32>),
+        /// The listed keys, inserted in the order given.
+        Keys(Vec<Vec<u8>>),
     }
 
     fn build(load: &Load) -> SkipList {
@@ -674,8 +759,76 @@ mod tests {
                     sl.insert(key(i), vec![5; 4 + i as usize % 9]);
                 }
             }
+            Load::Keys(keys) => keys.iter().for_each(|k| {
+                sl.insert(k, [6]);
+            }),
         }
         sl
+    }
+
+    /// The halving seek against the descent, for every key of `sl`, each
+    /// key one byte up and one byte down from it, the empty key and a key
+    /// above the last: `cursor_before` lands where `seek` does, and `get`
+    /// finds what `get_traced` does.
+    fn assert_seek_is_the_descent(sl: &SkipList) {
+        let mut probes = vec![Vec::new(), vec![0xFF; 13]];
+        for (k, _) in sl.iter_from(b"") {
+            probes.push(k.to_vec());
+            probes.push([k, &[0]].concat());
+            probes.push([k, &[0xFF; 13]].concat());
+            if let Some((&last, rest)) = k.split_last() {
+                probes.push(rest.to_vec());
+                for near in [last.checked_add(1), last.checked_sub(1)]
+                    .into_iter()
+                    .flatten()
+                {
+                    probes.push([rest, &[near]].concat());
+                }
+            }
+        }
+        for probe in &probes {
+            let descent = sl.seek(probe, &mut |_| {});
+            assert_eq!(sl.cursor_before(probe), descent, "cursor_before({probe:?})");
+            assert_eq!(
+                sl.get(probe),
+                sl.get_traced(probe, &mut |_| {}),
+                "get({probe:?})"
+            );
+        }
+    }
+
+    #[test]
+    fn in_order_holds_until_an_insert_lands_out_of_order() {
+        let mut sl = SkipList::new(3);
+        assert!(sl.in_order);
+        // The empty key links after the head, whose key it equals.
+        sl.insert(b"", b"0");
+        assert!(sl.in_order);
+        for k in [&b"a"[..], b"a\0", b"b"] {
+            sl.insert(k, b"1");
+        }
+        assert!(sl.in_order);
+        // An overwrite adds no node, whatever the value's length.
+        assert_eq!(sl.insert(b"a\0", b"a longer value"), Some(b"1".to_vec()));
+        assert!(sl.in_order);
+        assert_eq!(sl.get(b"a\0"), Some(&b"a longer value"[..]));
+        assert_eq!(sl.get(b""), Some(&b"0"[..]));
+        assert_seek_is_the_descent(&sl);
+        let copy = sl.clone();
+        assert!(copy.in_order);
+        assert_seek_is_the_descent(&copy);
+        // One key between two others: node 5 linked after node 3.
+        sl.insert(b"a\0\0", b"2");
+        assert!(!sl.in_order);
+        assert_invariants(&sl);
+        assert_seek_is_the_descent(&sl);
+        // Cleared for good: an append after it does not set it again.
+        sl.insert(b"c", b"3");
+        assert!(!sl.in_order);
+        assert!(copy.in_order, "a clone keeps its own flag");
+        let mut store = crate::KvStore::new(42);
+        store.populate(8_192, 64);
+        assert!(store.list().in_order, "populate loads in key order");
     }
 
     #[test]
@@ -782,8 +935,19 @@ mod tests {
 
     /// What the arenas beside `next0` must agree on after every insert:
     /// `tail[l]` is the last node a walk of level `l` reaches (the head
-    /// on an empty level), and `prefix` is each key's first 8 bytes.
+    /// on an empty level), `prefix` is each key's first 8 bytes, and
+    /// `in_order` says exactly whether `next0` is the chain `i → i + 1`
+    /// ending in `NIL`.
     fn assert_invariants(sl: &SkipList) {
+        let chain = (0..sl.arena_len()).all(|i| {
+            let next = if i + 1 == sl.arena_len() {
+                NIL
+            } else {
+                i as u32 + 1
+            };
+            sl.next0[i] == next
+        });
+        assert_eq!(sl.in_order, chain, "in_order");
         for level in 0..MAX_HEIGHT {
             let mut last = 0;
             while sl.next(last, level) != NIL {
@@ -870,7 +1034,40 @@ mod tests {
         ]
     }
 
+    /// Ascending loads of keys that tie in their 8-byte prefix: those
+    /// `key` draws, with keys under 8 bytes whose zero pad makes their
+    /// prefixes equal (`a`, `a\0`) and keys that run past 8 bytes.
+    fn tied() -> impl Strategy<Value = Load> {
+        prop::collection::vec(key(), 0..48).prop_map(|keys| {
+            let mut keys: BTreeSet<Vec<u8>> = keys.into_iter().collect();
+            for k in [
+                &b"a"[..],
+                b"a\0",
+                b"a\0\0",
+                b"abcdefg",
+                b"abcdefgh",
+                b"abcdefgh\0",
+                b"abcdefgh\x01",
+            ] {
+                keys.insert(k.to_vec());
+            }
+            Load::Keys(keys.into_iter().collect())
+        })
+    }
+
     proptest! {
+        /// The halving seek lands where the descent does, on a list in key
+        /// order and (by falling back to the descent) on any other.
+        #[test]
+        fn cursor_before_is_the_descent(load in prop_oneof![loads(), tied()]) {
+            let sl = build(&load);
+            assert_invariants(&sl);
+            if matches!(load, Load::Ascending(_) | Load::Keys(_)) {
+                prop_assert!(sl.in_order);
+            }
+            assert_seek_is_the_descent(&sl);
+        }
+
         /// `walk` is `n` hops, whatever the list's runs look like.
         #[test]
         fn walk_is_hops(load in loads()) {

@@ -175,6 +175,11 @@ impl KvStore {
     fn value_region_base(&self) -> u64 {
         (self.list.arena_len() as u64 + 1) * NODE_STRIDE
     }
+
+    #[cfg(test)]
+    pub(crate) fn list(&self) -> &SkipList {
+        &self.list
+    }
 }
 
 #[cfg(test)]

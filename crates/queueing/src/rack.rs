@@ -295,6 +295,8 @@ fn run_rack<M: Model>(
     completions: &mut Vec<Completion>,
 ) -> RackStats {
     let n = spec.n_servers;
+    // Each server's completion buffer is sized at its share of the run.
+    let share = gen.expected_arrivals(horizon).div_ceil(n);
     let mut shards: Vec<RackShard<M>> = Vec::with_capacity(n + 1);
     shards.push(RackShard::Sched(SchedShard::new(spec, gen, horizon, seed)));
     for server in 0..n {
@@ -303,6 +305,7 @@ fn run_rack<M: Model>(
             server,
             horizon,
             server_seed(seed, server),
+            share,
         )));
     }
     let pdes = run_conservative(&mut shards, spec.lookahead(), threads);
@@ -319,32 +322,55 @@ fn run_rack<M: Model>(
         threads: pdes.threads,
         per_server: Vec::with_capacity(n),
     };
-    completions.clear();
-    let mut total = 0;
-    for shard in &shards[1..] {
-        let RackShard::Server(s) = shard else {
-            unreachable!("shards 1.. are servers");
-        };
-        total += s.completions.len();
-    }
-    completions.reserve(total);
-    let routed = sched.routed.clone();
-    for (server, shard) in shards[1..].iter_mut().enumerate() {
+    let mut streams = Vec::with_capacity(n);
+    for (server, shard) in shards[1..].iter().enumerate() {
         let RackShard::Server(s) = shard else {
             unreachable!("shards 1.. are servers");
         };
         s.sim.debug_check_drained();
-        let per = s.stats(routed[server]);
+        let per = s.stats(sched.routed[server]);
         stats.events += per.events;
         stats.in_horizon += per.in_horizon;
         stats.per_server.push(per);
-        completions.append(&mut s.completions);
+        streams.push(s.completions.as_slice());
     }
-    // Per-server streams are already finish-ordered; a stable sort on
-    // finish alone therefore merges them with deterministic (finish,
-    // server, within-server) tie-breaking.
-    completions.sort_by_key(|c| c.finish);
+    completions.clear();
+    completions.reserve(streams.iter().map(|s| s.len()).sum());
+    merge_by_finish(&mut streams, completions);
     stats
+}
+
+/// Appends the completions of `streams`, each in finish order, to `out`
+/// in `(finish, stream)` order with each stream's own order kept: what a
+/// stable sort by finish of the streams laid end to end gives. Each step
+/// takes the run of the stream that sorts first up to where another
+/// stream's next completion sorts before it.
+fn merge_by_finish(streams: &mut [&[Completion]], out: &mut Vec<Completion>) {
+    let head = |streams: &[&[Completion]]| {
+        streams
+            .iter()
+            .filter_map(|s| s.first())
+            .map(|c| c.finish)
+            .min()
+    };
+    loop {
+        let Some(first) = (0..streams.len())
+            .filter(|&i| !streams[i].is_empty())
+            .min_by_key(|&i| (streams[i][0].finish, i))
+        else {
+            return;
+        };
+        // A lower-numbered stream's next completion ends the run on a tie,
+        // a higher-numbered one's does not.
+        let before = head(&streams[..first]);
+        let after = head(&streams[first + 1..]);
+        let s = streams[first];
+        let run = s.partition_point(|c| {
+            before.is_none_or(|b| c.finish < b) && after.is_none_or(|a| c.finish <= a)
+        });
+        out.extend_from_slice(&s[..run]);
+        streams[first] = &s[run..];
+    }
 }
 
 /// Either rack shard kind, so the PDES pool runs one homogeneous slice.
@@ -654,11 +680,11 @@ struct ServerShard<M> {
 }
 
 impl<M: Model> ServerShard<M> {
-    fn new(spec: &RackSpec, index: usize, horizon: Nanos, seed: u64) -> Self {
+    fn new(spec: &RackSpec, index: usize, horizon: Nanos, seed: u64, expected: usize) -> Self {
         ServerShard {
             index,
             sim: Engine::new_fed(&spec.server, horizon, seed),
-            completions: Vec::new(),
+            completions: Vec::with_capacity(expected),
             report_delay: spec.report_delay,
             report_interval: spec.report_interval,
             next_report: None,
@@ -907,5 +933,44 @@ mod tests {
             join: false,
         }];
         spec.validate();
+    }
+
+    /// The merge against the stable sort it replaced, on streams whose
+    /// finishes tie within a stream, across streams and at both ends,
+    /// with empty streams among them.
+    #[test]
+    fn merging_streams_is_the_stable_sort_by_finish() {
+        let mut rng = SimRng::new(23);
+        for case in 0..300u64 {
+            let n = 1 + (case % 6) as usize;
+            let mut id = 0;
+            let streams: Vec<Vec<Completion>> = (0..n)
+                .map(|_| {
+                    let empty = rng.u64().is_multiple_of(5);
+                    let len = if empty { 0 } else { (rng.u64() % 12) as usize };
+                    let mut finish = rng.u64() % 4;
+                    (0..len)
+                        .map(|_| {
+                            finish += rng.u64() % 3; // 0: a tie within the stream
+                            id += 1;
+                            Completion {
+                                id: tq_core::JobId(id),
+                                class: tq_core::ClassId(0),
+                                arrival: Nanos::ZERO,
+                                service: Nanos::ZERO,
+                                finish: Nanos(finish),
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut want = streams.concat();
+            want.sort_by_key(|c| c.finish);
+            let mut slices: Vec<&[Completion]> = streams.iter().map(Vec::as_slice).collect();
+            let mut got = Vec::new();
+            merge_by_finish(&mut slices, &mut got);
+            assert_eq!(got, want, "case {case}");
+            assert!(slices.iter().all(|s| s.is_empty()));
+        }
     }
 }
