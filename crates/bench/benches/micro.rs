@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks of the hot-path mechanisms: the probe, the
-//! SPSC ring, the JSQ decision, the event queue, the PDES inter-shard
+//! clock's duration conversion, the SPSC ring, the JSQ decision, the event queue, the PDES inter-shard
 //! channel, the skip list, and the reuse-distance analyzer. These are
 //! the costs the paper's §3 argues must be tiny for tiny quanta to pay
 //! off.
@@ -17,6 +17,15 @@ fn bench_probe(c: &mut Criterion) {
     ctx.arm(clock.to_cycles(Nanos::from_secs(1)));
     c.bench_function("probe_no_yield", |b| {
         b.iter(|| black_box(ctx.probe()));
+    });
+}
+
+fn bench_clock_to_cycles(c: &mut Criterion) {
+    // A job factory's one conversion: a request's service time to cycles,
+    // a fixed-point multiply.
+    let clock = TscClock::calibrated();
+    c.bench_function("clock_to_cycles", |b| {
+        b.iter(|| black_box(clock.to_cycles(black_box(Nanos(2_500)))));
     });
 }
 
@@ -67,6 +76,31 @@ fn bench_spsc_ring(c: &mut Criterion) {
             black_box(out.last().copied())
         });
     });
+}
+
+fn bench_spsc_four_hops(c: &mut Criterion) {
+    // A request's four ring hops on `rt_admit`, 64 items an iteration: a
+    // burst push, 64 single pops, a batch push, a batch pop (per item,
+    // divide the time by 64). At a capacity that is not a power of two a
+    // `%` would be a hardware divide; the wrapped slots need none at any.
+    for cap in [1024, 1000] {
+        let (p, consumer) = tq_runtime::ring::spsc::<u64>(cap);
+        let items: Vec<u64> = (0..64).collect();
+        let mut out: Vec<u64> = Vec::with_capacity(64);
+        c.bench_function(&format!("spsc_four_hops_cap_{cap}"), |b| {
+            b.iter(|| {
+                assert_eq!(p.push_batch_copy(black_box(&items)), items.len());
+                for _ in 0..items.len() {
+                    out.push(consumer.pop().unwrap());
+                }
+                assert_eq!(p.push_batch_copy(black_box(&out)), items.len());
+                out.clear();
+                assert_eq!(consumer.pop_batch(&mut out, items.len()), items.len());
+                black_box(out.last().copied());
+                out.clear();
+            });
+        });
+    }
 }
 
 fn bench_dispatch_snapshot(c: &mut Criterion) {
@@ -352,8 +386,10 @@ criterion_group! {
     name = benches;
     config = quick();
     targets = bench_probe,
+    bench_clock_to_cycles,
     bench_yield_roundtrip,
     bench_spsc_ring,
+    bench_spsc_four_hops,
     bench_dispatch_snapshot,
     bench_jsq_pick,
     bench_event_queue,

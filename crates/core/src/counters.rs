@@ -15,6 +15,13 @@
 //!
 //! [`WorkerCounters`] is the plain (single-threaded, simulator) form;
 //! [`SharedCounters`] is the runtime form, one padded cache line per worker.
+//!
+//! A [`SharedCounters`] has exactly one writer, its own worker, and any
+//! number of readers. So an update is a load of the worker's own last
+//! value and a store of the new one, not a locked read-modify-write: no
+//! other thread's write can fall between the two. `finished` is stored
+//! last, with Release, so a reader that Acquire-loads a finish count also
+//! sees the retired quanta that came with it.
 
 use crate::policy::WorkerLoad;
 use crossbeam::utils::CachePadded;
@@ -80,6 +87,11 @@ impl WorkerCounters {
 /// thread, read by the dispatcher, each field relaxed-atomic and the
 /// group padded to its own cache line (the paper's "counters reside in a
 /// cache line that is periodically read by the dispatcher").
+///
+/// Single writer: only the owning worker may call the worker-side methods
+/// (`on_quantum`, `on_finished`, `add_quanta`, `add_finished`), from one
+/// thread. Two writers would lose updates; the runtime's writer is the
+/// worker's batched flush.
 #[derive(Debug, Default)]
 pub struct SharedCounters {
     inner: CachePadded<SharedInner>,
@@ -101,9 +113,7 @@ impl SharedCounters {
     /// Worker side: record one serviced quantum.
     #[inline]
     pub fn on_quantum(&self) {
-        self.inner
-            .serviced_quanta
-            .fetch_add(1, Ordering::Relaxed);
+        self.add_quanta(1);
     }
 
     /// Worker side: record a completion that had received `quanta_received`
@@ -113,26 +123,28 @@ impl SharedCounters {
         self.add_finished(1, quanta_received);
     }
 
-    /// Worker side: record `quanta` serviced quanta in one atomic add —
-    /// the batched-flush form used by workers that accumulate counter
-    /// deltas locally and publish every few quanta (bounded staleness;
-    /// see DESIGN.md "Batched dispatch pipeline").
+    /// Worker side: record `quanta` serviced quanta in one store — the
+    /// batched-flush form used by workers that accumulate counter deltas
+    /// locally and publish every few quanta (bounded staleness; see
+    /// DESIGN.md "Batched dispatch pipeline").
     #[inline]
     pub fn add_quanta(&self, quanta: u64) {
-        self.inner.serviced_quanta.fetch_add(quanta, Ordering::Relaxed);
+        bump(&self.inner.serviced_quanta, quanta, Ordering::Relaxed);
     }
 
     /// Worker side: record `jobs` completions that together had received
-    /// `retired_quanta` quanta, in two atomic adds (batched-flush form of
+    /// `retired_quanta` quanta, in two stores (batched-flush form of
     /// [`SharedCounters::on_finished`]).
     #[inline]
     pub fn add_finished(&self, jobs: u64, retired_quanta: u64) {
-        self.inner
-            .retired_quanta
-            .fetch_add(retired_quanta, Ordering::Relaxed);
-        // `finished` is incremented last with Release so a dispatcher that
+        bump(
+            &self.inner.retired_quanta,
+            retired_quanta,
+            Ordering::Relaxed,
+        );
+        // `finished` is stored last with Release so a dispatcher that
         // observes the new finished count also observes the retired quanta.
-        self.inner.finished.fetch_add(jobs, Ordering::Release);
+        bump(&self.inner.finished, jobs, Ordering::Release);
     }
 
     /// Dispatcher side: read the worker's cumulative finished-job count.
@@ -149,6 +161,14 @@ impl SharedCounters {
             self.inner.retired_quanta.load(Ordering::Relaxed),
         )
     }
+}
+
+/// Adds `delta` to a counter only the calling thread writes: its own last
+/// store is what it loads, so a plain store (no `lock` prefix) is the add.
+/// Wraps, as the readers' subtractions expect.
+#[inline]
+fn bump(counter: &AtomicU64, delta: u64, order: Ordering) {
+    counter.store(counter.load(Ordering::Relaxed).wrapping_add(delta), order);
 }
 
 /// The dispatcher's private assignment ledger, combining its own assigned
@@ -319,6 +339,72 @@ mod tests {
         b.add_finished(2, 7);
         assert_eq!(a.finished(), b.finished());
         assert_eq!(a.quanta(), b.quanta());
+    }
+
+    /// A flush that carries the counters past `u64::MAX` wraps, and the
+    /// ledger's wrapping subtractions still read the true load.
+    #[test]
+    fn a_flush_past_u64_max_wraps_as_the_ledger_expects() {
+        let shared = vec![SharedCounters {
+            inner: CachePadded::new(SharedInner {
+                finished: AtomicU64::new(u64::MAX - 2),
+                serviced_quanta: AtomicU64::new(u64::MAX - 1),
+                retired_quanta: AtomicU64::new(u64::MAX - 6),
+            }),
+        }];
+        let mut ledger = DispatcherLedger::new(1);
+        ledger.assigned[0] = u64::MAX - 1;
+        ledger.on_assigned_n(0, 10);
+        shared[0].add_quanta(9);
+        shared[0].add_finished(5, 7);
+        assert_eq!(shared[0].finished(), 2);
+        assert_eq!(shared[0].quanta(), (7, 0));
+        let mut out = Vec::new();
+        ledger.snapshot(&shared, &mut out);
+        // Jobs: 1 queued before, 10 assigned and 5 finished since.
+        // Quanta: 5 resident before, 9 serviced and 7 retired since.
+        assert_eq!(
+            out,
+            vec![WorkerLoad {
+                queued_jobs: 6,
+                serviced_quanta: 7
+            }]
+        );
+    }
+
+    /// A reader that Acquire-loads a finish count sees every quantum
+    /// retired with it: the writer stores `retired_quanta` first and
+    /// `finished` last, with Release.
+    #[test]
+    fn a_reader_that_sees_a_finish_sees_its_retired_quanta() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        const FLUSHES: u64 = 10_000_000;
+        let shared = Arc::new(SharedCounters::new());
+        let started = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (shared, started) = (Arc::clone(&shared), Arc::clone(&started));
+            std::thread::spawn(move || {
+                while !started.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                for _ in 0..FLUSHES {
+                    shared.add_finished(1, 1);
+                }
+            })
+        };
+        started.store(true, Ordering::Release);
+        let mut torn = 0u64;
+        loop {
+            let finished = shared.finished();
+            let (_, retired) = shared.quanta();
+            torn += u64::from(retired < finished);
+            if finished == FLUSHES {
+                break;
+            }
+        }
+        writer.join().unwrap();
+        assert_eq!(torn, 0, "{torn} reads saw a finish without its quanta");
     }
 
     #[test]

@@ -13,6 +13,14 @@
 //!   synchronized across CPUs), and `Instant` everywhere else.
 //! - A completion ([`TscClock::stamp`]) is one reading of both, which the
 //!   worker stamps `finished` with and arms the next quantum from.
+//!
+//! A clock holds its rate in one representation: two 32.32 fixed-point
+//! factors, cycles per nanosecond and nanoseconds per cycle, derived once
+//! from the calibrated frequency. Every conversion ([`TscClock::to_cycles`],
+//! [`TscClock::to_nanos`]) and TSC wall time is one `u128` multiply by
+//! one of them, rounded to nearest and saturating at `u64::MAX`: no float
+//! and no divide on a request's path. [`CpuFreq`]'s f64 conversions stay
+//! the simulators' and agree with these to a unit or two (tests below).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -34,6 +42,10 @@ use tq_core::{CpuFreq, Cycles, Nanos};
 #[derive(Debug, Clone)]
 pub struct TscClock {
     freq: CpuFreq,
+    /// Cycles per nanosecond, 32.32 fixed point (`1 << 32` is 1 GHz).
+    cycles_per_ns: u64,
+    /// Nanoseconds per cycle, 32.32 fixed point.
+    ns_per_cycle: u64,
     origin: Instant,
     source: Source,
 }
@@ -45,8 +57,8 @@ enum Source {
     Instant,
     /// The TSC for cycles, `Instant` for wall time.
     Tsc,
-    /// The TSC for both: wall time is `(tsc - base) × ns_per_cycle`, 32.32.
-    TscWall { base: u64, ns_per_cycle: u64 },
+    /// The TSC for both: wall time is `(tsc - base) × ns_per_cycle`.
+    TscWall { base: u64 },
 }
 
 /// Calibration windows this process has spun: one, after the first
@@ -109,14 +121,13 @@ impl TscClock {
         clocksource: Option<&str>,
     ) -> Option<Self> {
         let source = match clocksource.map(str::trim) {
-            Some("tsc") => Source::TscWall {
-                base,
-                ns_per_cycle: (1e9 * (1u64 << 32) as f64 / hz) as u64,
-            },
+            Some("tsc") => Source::TscWall { base },
             _ => Source::Tsc,
         };
         (hz.is_finite() && hz > 1e8).then(|| TscClock {
             freq: CpuFreq::from_hz(hz),
+            cycles_per_ns: fixed_point(hz / 1e9),
+            ns_per_cycle: fixed_point(1e9 / hz),
             origin,
             source,
         })
@@ -133,6 +144,8 @@ impl TscClock {
     fn instant_fallback_at(origin: Instant) -> Self {
         TscClock {
             freq: CpuFreq::from_ghz(1.0),
+            cycles_per_ns: ONE,
+            ns_per_cycle: ONE,
             origin,
             source: Source::Instant,
         }
@@ -161,16 +174,18 @@ impl TscClock {
         Cycles(self.origin.elapsed().as_nanos() as u64)
     }
 
-    /// Converts a cycle delta to nanoseconds.
+    /// Converts a cycle delta to nanoseconds: rounded to nearest,
+    /// saturating at `u64::MAX`.
     #[inline]
     pub fn to_nanos(&self, delta: Cycles) -> Nanos {
-        self.freq.cycles_to_nanos(delta)
+        Nanos(scale(delta.0, self.ns_per_cycle))
     }
 
-    /// Converts a duration to cycles (e.g. the quantum).
+    /// Converts a duration to cycles (e.g. the quantum): rounded to
+    /// nearest, saturating at `u64::MAX`.
     #[inline]
     pub fn to_cycles(&self, d: Nanos) -> Cycles {
-        self.freq.nanos_to_cycles(d)
+        Cycles(scale(d.0, self.cycles_per_ns))
     }
 
     /// Elapsed wall time since the clock was created, for request
@@ -180,9 +195,7 @@ impl TscClock {
     pub fn wall_nanos(&self) -> Nanos {
         match self.source {
             #[cfg(target_arch = "x86_64")]
-            Source::TscWall { base, ns_per_cycle } => {
-                tsc_nanos(rdtsc::<true>(), base, ns_per_cycle)
-            }
+            Source::TscWall { base } => self.tsc_nanos(rdtsc::<true>(), base),
             _ => Nanos(self.origin.elapsed().as_nanos() as u64),
         }
     }
@@ -195,9 +208,9 @@ impl TscClock {
     pub fn stamp(&self) -> (Cycles, Nanos) {
         match self.source {
             #[cfg(target_arch = "x86_64")]
-            Source::TscWall { base, ns_per_cycle } => {
+            Source::TscWall { base } => {
                 let c = rdtsc::<true>();
-                (Cycles(c), tsc_nanos(c, base, ns_per_cycle))
+                (Cycles(c), self.tsc_nanos(c, base))
             }
             Source::Tsc => (self.now(), self.wall_nanos()),
             _ => {
@@ -206,13 +219,30 @@ impl TscClock {
             }
         }
     }
+
+    /// TSC wall time: the cycles since `base`, converted.
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    fn tsc_nanos(&self, cycles: u64, base: u64) -> Nanos {
+        self.to_nanos(Cycles(cycles.saturating_sub(base)))
+    }
 }
 
-/// TSC wall time, multiplied in `u128`: a `u64` product overflows after
-/// ≈ 4 s of cycles.
+/// 1.0 in 32.32 fixed point.
+const ONE: u64 = 1 << 32;
+
+/// `ratio` in 32.32 fixed point, rounded to nearest (saturating).
+fn fixed_point(ratio: f64) -> u64 {
+    (ratio * ONE as f64).round() as u64
+}
+
+/// `x × factor` for a 32.32 `factor`, rounded to nearest and saturating
+/// at `u64::MAX`. The product is taken in `u128`: in `u64` it overflows
+/// after ≈ 4 s of cycles.
 #[inline]
-fn tsc_nanos(cycles: u64, base: u64, ns_per_cycle: u64) -> Nanos {
-    Nanos(((cycles.saturating_sub(base) as u128 * ns_per_cycle as u128) >> 32) as u64)
+fn scale(x: u64, factor: u64) -> u64 {
+    let product = (x as u128 * factor as u128 + (ONE as u128 >> 1)) >> 32;
+    u64::try_from(product).unwrap_or(u64::MAX)
 }
 
 /// `RDTSC`, behind an `LFENCE` when `FENCED`: a fenced read waits for
@@ -297,6 +327,105 @@ mod tests {
         // 1 cycle == 1 ns by construction: conversions are identities.
         assert_eq!(clock.to_cycles(q).0, q.as_nanos());
         assert_eq!(clock.to_nanos(clock.to_cycles(q)), q);
+        // Its factors are exactly one, so they are over the whole range.
+        let spread = (0..4000u64).map(|k| k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        for x in (0..1000).chain(spread).chain([u64::MAX - 1, u64::MAX]) {
+            assert_eq!(clock.to_cycles(Nanos(x)), Cycles(x));
+            assert_eq!(clock.to_nanos(Cycles(x)), Nanos(x));
+        }
+    }
+
+    /// A clock calibrated at `ghz`, its wall time on the TSC.
+    fn clock_at(ghz: f64) -> TscClock {
+        TscClock::from_calibration(ghz * 1e9, Instant::now(), 0, Some("tsc")).expect("sane")
+    }
+
+    /// Durations from 0 to `top`: every value below 1000, `top` itself,
+    /// and 4000 spread over the range by a fixed stride.
+    fn durations(top: u64) -> impl Iterator<Item = u64> {
+        (0..1000)
+            .chain((0..4000u64).map(move |k| (k * 2_654_435_761) % top))
+            .chain([top])
+    }
+
+    /// The fixed-point conversions agree with `CpuFreq`'s f64 ones within
+    /// one unit up to 1 s and two up to 10 s; over an hour, within the
+    /// error of factors rounded to nearest (half a unit in the last of
+    /// their 32 fraction bits), which a factor rounded down exceeds at
+    /// 2.1 and 3.3 GHz.
+    #[test]
+    fn fixed_point_conversions_agree_with_cpu_freq() {
+        const SEC: u64 = 1_000_000_000;
+        for ghz in [1.0, 2.0, 2.1, 3.3] {
+            let clock = clock_at(ghz);
+            let freq = clock.freq();
+            let cycles_per_sec = (ghz * 1e9) as u64;
+            for (secs, tolerance) in [(1, 1), (10, 2)] {
+                for ns in durations(secs * SEC) {
+                    let (got, want) = (
+                        clock.to_cycles(Nanos(ns)).0,
+                        freq.nanos_to_cycles(Nanos(ns)).0,
+                    );
+                    assert!(
+                        got.abs_diff(want) <= tolerance,
+                        "{ghz} GHz: {ns} ns -> {got} cycles, f64 {want}"
+                    );
+                }
+                for c in durations(secs * cycles_per_sec) {
+                    let (got, want) = (
+                        clock.to_nanos(Cycles(c)).0,
+                        freq.cycles_to_nanos(Cycles(c)).0,
+                    );
+                    assert!(
+                        got.abs_diff(want) <= tolerance,
+                        "{ghz} GHz: {c} cycles -> {got} ns, f64 {want}"
+                    );
+                }
+            }
+            let hour = 3600 * SEC;
+            let bound = |units: u64| units as f64 / (1u64 << 33) as f64 + 1.0;
+            let cycles = clock.to_cycles(Nanos(hour)).0;
+            let err = cycles.abs_diff(freq.nanos_to_cycles(Nanos(hour)).0) as f64;
+            assert!(
+                err <= bound(hour),
+                "{ghz} GHz: an hour is {cycles} cycles, off by {err}"
+            );
+            let c = 3600 * cycles_per_sec;
+            let ns = clock.to_nanos(Cycles(c)).0;
+            let err = ns.abs_diff(freq.cycles_to_nanos(Cycles(c)).0) as f64;
+            assert!(
+                err <= bound(c),
+                "{ghz} GHz: {c} cycles are {ns} ns, off by {err}"
+            );
+        }
+    }
+
+    /// Past `u64::MAX` a conversion saturates: it never wraps to a short
+    /// duration.
+    #[test]
+    fn fixed_point_conversions_saturate() {
+        let fast = clock_at(3.3);
+        for ns in [u64::MAX, u64::MAX / 2, u64::MAX / 3 + 1] {
+            assert_eq!(
+                fast.to_cycles(Nanos(ns)),
+                Cycles(u64::MAX),
+                "{ns} ns at 3.3 GHz"
+            );
+        }
+        let near = u64::MAX / 4;
+        assert!(
+            fast.to_cycles(Nanos(near)).0 > near,
+            "no saturation below the top"
+        );
+        let slow = clock_at(0.5);
+        for c in [u64::MAX, u64::MAX / 2 + 1] {
+            assert_eq!(
+                slow.to_nanos(Cycles(c)),
+                Nanos(u64::MAX),
+                "{c} cycles at 0.5 GHz"
+            );
+        }
+        assert_eq!(slow.to_nanos(Cycles(u64::MAX / 4)).0, u64::MAX / 4 * 2);
     }
 
     #[test]
@@ -319,20 +448,15 @@ mod tests {
     }
 
     /// Clocks share the calibration bit for bit: frequency, source and
-    /// wall-time multiplier.
+    /// both fixed-point factors.
     #[test]
     fn every_clock_shares_the_calibration() {
         let (a, b) = (TscClock::calibrated(), TscClock::calibrated());
         assert_eq!(a.freq().hz().to_bits(), b.freq().hz().to_bits());
+        assert_eq!(a.cycles_per_ns, b.cycles_per_ns);
+        assert_eq!(a.ns_per_cycle, b.ns_per_cycle);
         match (a.source, b.source) {
-            (
-                Source::TscWall {
-                    ns_per_cycle: x, ..
-                },
-                Source::TscWall {
-                    ns_per_cycle: y, ..
-                },
-            ) => assert_eq!(x, y),
+            (Source::TscWall { .. }, Source::TscWall { .. }) => {}
             (x, y) => assert_eq!(x, y),
         }
     }
@@ -442,25 +566,24 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         {
             let clock = clock_under(Some("tsc"));
-            let Source::TscWall { base, ns_per_cycle } = clock.source else {
+            let Source::TscWall { base } = clock.source else {
                 unreachable!()
             };
             for _ in 0..1000 {
                 let (cycles, ns) = clock.stamp();
-                assert_eq!(ns, tsc_nanos(cycles.0, base, ns_per_cycle));
+                assert_eq!(ns, clock.tsc_nanos(cycles.0, base));
             }
         }
     }
 
     /// The 32.32 multiply is done in `u128`: a `u64` product overflows
     /// after ≈ 4 s of cycles at 2 GHz.
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn tsc_wall_time_survives_hours_of_cycles() {
-        let Source::TscWall { ns_per_cycle, .. } = clock_under(Some("tsc")).source else {
-            unreachable!()
-        };
+        let clock = clock_under(Some("tsc"));
         let hour = 3_600_000_000_000u64;
-        let ns = tsc_nanos(7 + 2 * hour, 7, ns_per_cycle).0;
+        let ns = clock.tsc_nanos(7 + 2 * hour, 7).0;
         assert!(ns.abs_diff(hour) < hour / 1_000_000, "{ns}");
     }
 

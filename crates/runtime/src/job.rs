@@ -197,13 +197,7 @@ impl SpinJob {
 
     /// Builds from a server request whose payload carries the service
     /// time in nanoseconds (see [`crate::server::RtRequest::service`]),
-    /// converted at the process's calibration ([`TscClock::calibrated`]).
-    pub fn from_request(req: &crate::server::RtRequest) -> Self {
-        SpinJob::new(TscClock::calibrated().to_cycles(req.service))
-    }
-
-    /// Builds with the service time converted by the given clock (no new
-    /// clock a request; preferred inside job factories).
+    /// converted by `clock`: the server's, shared by its job factory.
     pub fn with_clock(req: &crate::server::RtRequest, clock: &TscClock) -> Self {
         SpinJob::new(clock.to_cycles(req.service))
     }

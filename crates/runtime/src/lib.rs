@@ -34,17 +34,21 @@
 //! ## Example
 //!
 //! ```
-//! use tq_runtime::{ServerConfig, TinyQuanta, SpinJob};
+//! use tq_runtime::{ServerConfig, SpinJob, TinyQuanta, TscClock};
 //! use tq_core::Nanos;
 //!
-//! let server = TinyQuanta::start(
+//! let clock = TscClock::calibrated();
+//! let job_clock = clock.clone();
+//! let server = TinyQuanta::start_with_clock(
 //!     ServerConfig {
 //!         workers: 2,
 //!         quantum: Nanos::from_micros(5),
 //!         ..ServerConfig::default()
 //!     },
-//!     // Job factory: a CPU-spinning job of the requested duration.
-//!     |req| Box::new(SpinJob::from_request(req)),
+//!     clock,
+//!     // Job factory: a CPU-spinning job of the requested duration,
+//!     // converted to cycles by the server's clock.
+//!     move |req| Box::new(SpinJob::with_clock(req, &job_clock)),
 //! );
 //! for i in 0..64 {
 //!     server.submit(i % 4, Nanos::from_micros(3));

@@ -6,7 +6,7 @@
 //! Lamport queue; head and tail live on separate cache lines so the two
 //! sides never false-share.
 //!
-//! ## Cached positions and batched transfer
+//! ## Cached positions, wrapped slots and batched transfer
 //!
 //! Each side keeps a private *cached* copy of the other side's index
 //! (producer caches the consumer's head, consumer caches the producer's
@@ -20,6 +20,13 @@
 //! and even the single-item ops skip the cross-core load entirely while
 //! the cache has slack. The protocol (including stale cached positions)
 //! is model-checked exhaustively in `tests/ring_interleavings.rs`.
+//!
+//! Each side also keeps its own index *wrapped*: the producer its
+//! `tail % cap`, the consumer its `head % cap`, advanced a slot at a time
+//! and reset to 0 when it reaches `cap`. No push or pop divides, whatever
+//! the capacity (any `cap ≥ 1`; it is not rounded up to a power of two).
+//! The shared `head`/`tail` stay unwrapped counters, so full and empty
+//! are told apart by their difference alone.
 
 use crossbeam::utils::CachePadded;
 use std::cell::{Cell, UnsafeCell};
@@ -54,6 +61,7 @@ impl<T> Drop for Shared<T> {
         let head = self.head.load(Ordering::Acquire);
         let tail = self.tail.load(Ordering::Acquire);
         for i in head..tail {
+            // Cold: the one `%` left in the ring.
             let slot = &self.buf[i % self.cap];
             // SAFETY: slots in [head, tail) hold initialized values.
             unsafe { (*slot.get()).assume_init_drop() };
@@ -69,6 +77,8 @@ pub struct Producer<T> {
     /// The consumer's head as last observed — a lower bound on the true
     /// head, refreshed (one `Acquire` load) only when the ring looks full.
     cached_head: Cell<usize>,
+    /// The slot the next push writes: `tail % cap`.
+    slot: Cell<usize>,
 }
 
 /// Consumer half; owned by a worker. Not `Sync` (see [`Producer`]).
@@ -78,6 +88,8 @@ pub struct Consumer<T> {
     /// tail, refreshed (one `Acquire` load) only when the ring looks
     /// empty.
     cached_tail: Cell<usize>,
+    /// The slot the next pop reads: `head % cap`.
+    slot: Cell<usize>,
 }
 
 impl<T> std::fmt::Debug for Producer<T> {
@@ -117,15 +129,37 @@ pub fn spsc<T: Send>(cap: usize) -> (Producer<T>, Consumer<T>) {
         Producer {
             shared: Arc::clone(&shared),
             cached_head: Cell::new(0),
+            slot: Cell::new(0),
         },
         Consumer {
             shared,
             cached_tail: Cell::new(0),
+            slot: Cell::new(0),
         },
     )
 }
 
+/// The slot after `slot` in a ring of `cap`: a compare and a reset, not
+/// a divide.
+#[inline]
+fn next_slot(slot: usize, cap: usize) -> usize {
+    let next = slot + 1;
+    if next == cap {
+        0
+    } else {
+        next
+    }
+}
+
 impl<T: Send> Producer<T> {
+    /// The next push's slot, checked against the tail it must wrap.
+    #[inline]
+    fn checked_slot(&self, tail: usize) -> usize {
+        let slot = self.slot.get();
+        debug_assert_eq!(slot, tail % self.shared.cap, "producer slot drifted");
+        slot
+    }
+
     /// Free slots by the cached head, refreshing the cache (the one
     /// `Acquire` load of the consumer's index) only when it reports
     /// fewer than `want` free slots.
@@ -148,12 +182,13 @@ impl<T: Send> Producer<T> {
         if self.free_slots(tail, 1) == 0 {
             return Err(item);
         }
-        let slot = &s.buf[tail % s.cap];
-        // SAFETY: slot index `tail` is not visible to the consumer until
-        // the release store below, and the producer is unique. The cached
-        // head is a lower bound on the true head, so `free_slots > 0`
-        // guarantees the consumer is done with this slot.
-        unsafe { (*slot.get()).write(item) };
+        let slot = self.checked_slot(tail);
+        // SAFETY: `slot` is `tail % cap`, which is not visible to the
+        // consumer until the release store below, and the producer is
+        // unique. The cached head is a lower bound on the true head, so
+        // `free_slots > 0` guarantees the consumer is done with this slot.
+        unsafe { (*s.buf[slot].get()).write(item) };
+        self.slot.set(next_slot(slot, s.cap));
         s.tail.store(tail + 1, Ordering::Release);
         Ok(())
     }
@@ -174,12 +209,15 @@ impl<T: Send> Producer<T> {
         if n == 0 {
             return 0;
         }
-        for (i, item) in items.drain(..n).enumerate() {
-            let slot = &s.buf[(tail + i) % s.cap];
-            // SAFETY: slots [tail, tail + n) are unpublished and — by the
-            // free-slot bound — recycled by the consumer.
-            unsafe { (*slot.get()).write(item) };
+        let mut slot = self.checked_slot(tail);
+        for item in items.drain(..n) {
+            // SAFETY: `slot` wraps positions [tail, tail + n), which are
+            // unpublished and — by the free-slot bound — recycled by the
+            // consumer.
+            unsafe { (*s.buf[slot].get()).write(item) };
+            slot = next_slot(slot, s.cap);
         }
+        self.slot.set(slot);
         s.tail.store(tail + n, Ordering::Release);
         n
     }
@@ -198,12 +236,14 @@ impl<T: Send> Producer<T> {
         }
         let tail = s.tail.load(Ordering::Relaxed);
         let n = self.free_slots(tail, items.len()).min(items.len());
-        for (i, item) in items[..n].iter().enumerate() {
-            let slot = &s.buf[(tail + i) % s.cap];
+        let mut slot = self.checked_slot(tail);
+        for item in &items[..n] {
             // SAFETY: as in `push_batch`.
-            unsafe { (*slot.get()).write(*item) };
+            unsafe { (*s.buf[slot].get()).write(*item) };
+            slot = next_slot(slot, s.cap);
         }
         if n > 0 {
+            self.slot.set(slot);
             s.tail.store(tail + n, Ordering::Release);
         }
         n
@@ -222,6 +262,14 @@ impl<T: Send> Producer<T> {
 }
 
 impl<T: Send> Consumer<T> {
+    /// The next pop's slot, checked against the head it must wrap.
+    #[inline]
+    fn checked_slot(&self, head: usize) -> usize {
+        let slot = self.slot.get();
+        debug_assert_eq!(slot, head % self.shared.cap, "consumer slot drifted");
+        slot
+    }
+
     /// Items available by the cached tail, refreshing the cache (the one
     /// `Acquire` load of the producer's index) only when it reports none.
     #[inline]
@@ -242,11 +290,12 @@ impl<T: Send> Consumer<T> {
         if self.available(head) == 0 {
             return None;
         }
-        let slot = &s.buf[head % s.cap];
-        // SAFETY: the cached tail is a lower bound on the published tail,
-        // so this slot's value is initialized; the consumer is unique,
-        // and the release store below recycles it.
-        let item = unsafe { (*slot.get()).assume_init_read() };
+        let slot = self.checked_slot(head);
+        // SAFETY: `slot` is `head % cap`. The cached tail is a lower bound
+        // on the published tail, so this slot's value is initialized; the
+        // consumer is unique, and the release store below recycles it.
+        let item = unsafe { (*s.buf[slot].get()).assume_init_read() };
+        self.slot.set(next_slot(slot, s.cap));
         s.head.store(head + 1, Ordering::Release);
         Some(item)
     }
@@ -263,12 +312,15 @@ impl<T: Send> Consumer<T> {
             return 0;
         }
         out.reserve(n);
-        for i in 0..n {
-            let slot = &s.buf[(head + i) % s.cap];
-            // SAFETY: slots [head, head + n) are published (cached tail is
-            // a lower bound on the true tail) and not yet recycled.
-            out.push(unsafe { (*slot.get()).assume_init_read() });
+        let mut slot = self.checked_slot(head);
+        for _ in 0..n {
+            // SAFETY: `slot` wraps positions [head, head + n), which are
+            // published (cached tail is a lower bound on the true tail)
+            // and not yet recycled.
+            out.push(unsafe { (*s.buf[slot].get()).assume_init_read() });
+            slot = next_slot(slot, s.cap);
         }
+        self.slot.set(slot);
         s.head.store(head + n, Ordering::Release);
         n
     }
@@ -288,6 +340,8 @@ impl<T: Send> Consumer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     #[test]
     fn fifo_order() {
@@ -493,5 +547,150 @@ mod tests {
             drop((p, c)); // two still in the ring
         }
         assert_eq!(DROPS.load(Ordering::SeqCst), 3);
+    }
+
+    /// One call on the ring.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// `n` single pushes.
+        Push(usize),
+        /// `n` single pops.
+        Pop(usize),
+        PushBatch(usize),
+        PushBatchCopy(usize),
+        PopBatch(usize),
+    }
+
+    impl Op {
+        /// The call `kind` (0..5) of size `raw` scaled to `cap`: up to one
+        /// and a half rings, so a run crosses the wrap at every capacity.
+        fn at(kind: u8, raw: u32, cap: usize) -> Op {
+            let n = raw as usize % (cap + cap / 2 + 2);
+            match kind {
+                0 => Op::Push(n),
+                1 => Op::Pop(n),
+                2 => Op::PushBatch(n),
+                3 => Op::PushBatchCopy(n),
+                _ => Op::PopBatch(n),
+            }
+        }
+    }
+
+    /// Each side's wrapped slot is its index modulo the capacity.
+    fn assert_slots(p: &Producer<u64>, c: &Consumer<u64>) {
+        let s = &*p.shared;
+        let (tail, head) = (
+            s.tail.load(Ordering::Relaxed),
+            s.head.load(Ordering::Relaxed),
+        );
+        assert_eq!(p.slot.get(), tail % s.cap, "producer slot at tail {tail}");
+        assert_eq!(c.slot.get(), head % s.cap, "consumer slot at head {head}");
+    }
+
+    proptest! {
+        /// Every push and pop path against a `VecDeque`: same items in
+        /// the same order, same counts, and the slot invariant after
+        /// every call.
+        #[test]
+        fn ring_is_a_bounded_fifo(calls in prop::collection::vec((0u8..5, any::<u32>()), 1..40)) {
+            for cap in [1, 2, 3, 7, 1000, 1024] {
+                let ops = calls.iter().map(|&(kind, raw)| Op::at(kind, raw, cap));
+                run_against_model(cap, ops)?;
+            }
+        }
+    }
+
+    /// Runs `ops` on a ring of `cap` and on a `VecDeque`, checking after
+    /// every call.
+    fn run_against_model(cap: usize, ops: impl Iterator<Item = Op>) -> Result<(), String> {
+        let (p, c) = spsc::<u64>(cap);
+        let mut model = VecDeque::new();
+        let mut next = 0u64;
+        let mut fresh = |n: usize| -> Vec<u64> {
+            next += n as u64;
+            (next - n as u64..next).collect()
+        };
+        for op in ops {
+            let free = cap - model.len();
+            match op {
+                Op::Push(n) => {
+                    for item in fresh(n) {
+                        let full = model.len() == cap;
+                        prop_assert_eq!(p.push(item).is_err(), full);
+                        if !full {
+                            model.push_back(item);
+                        }
+                    }
+                }
+                Op::Pop(n) => {
+                    for _ in 0..n {
+                        prop_assert_eq!(c.pop(), model.pop_front());
+                    }
+                }
+                Op::PushBatch(n) => {
+                    let mut items = fresh(n);
+                    let want = items.clone();
+                    let pushed = p.push_batch(&mut items);
+                    prop_assert_eq!(pushed, n.min(free));
+                    prop_assert_eq!(&items[..], &want[pushed..]);
+                    model.extend(&want[..pushed]);
+                }
+                Op::PushBatchCopy(n) => {
+                    let items = fresh(n);
+                    let pushed = p.push_batch_copy(&items);
+                    prop_assert_eq!(pushed, n.min(free));
+                    model.extend(&items[..pushed]);
+                }
+                Op::PopBatch(n) => {
+                    let mut out = vec![u64::MAX];
+                    let popped = c.pop_batch(&mut out, n);
+                    // The consumer's cached tail may lag the pushes since
+                    // it last looked: a batch takes what it shows, and
+                    // looks again only when that is nothing.
+                    prop_assert!(popped <= n.min(model.len()));
+                    prop_assert_eq!(popped == 0, n == 0 || model.is_empty());
+                    let want: Vec<u64> = model.drain(..popped).collect();
+                    prop_assert_eq!(&out[1..], &want[..]);
+                }
+            }
+            prop_assert_eq!(p.len(), model.len());
+            prop_assert_eq!(c.len(), model.len());
+            assert_slots(&p, &c);
+        }
+        Ok(())
+    }
+
+    /// After the indices have wrapped, dropping the ring drops exactly
+    /// the items still in it, each once.
+    #[test]
+    fn dropping_a_wrapped_ring_drops_the_items_in_flight() {
+        use std::sync::Mutex;
+        static DROPPED: Mutex<Vec<u32>> = Mutex::new(Vec::new());
+        #[derive(Debug)]
+        struct Tagged(u32);
+        impl Drop for Tagged {
+            fn drop(&mut self) {
+                DROPPED.lock().unwrap().push(self.0);
+            }
+        }
+        let (p, c) = spsc(3);
+        let mut batch: Vec<Tagged> = (0..2).map(Tagged).collect();
+        assert_eq!(p.push_batch(&mut batch), 2);
+        let mut out = Vec::new();
+        assert_eq!(c.pop_batch(&mut out, 2), 2);
+        // Slots 2, 0, 1: the batch crosses the end of the buffer.
+        let mut batch: Vec<Tagged> = (2..5).map(Tagged).collect();
+        assert_eq!(p.push_batch(&mut batch), 3);
+        out.push(c.pop().unwrap());
+        p.push(Tagged(5)).unwrap();
+        drop(out);
+        let delivered = std::mem::take(&mut *DROPPED.lock().unwrap());
+        assert_eq!(delivered, [0, 1, 2]);
+        assert_eq!(
+            (p.shared.head.load(Ordering::Relaxed), p.slot.get()),
+            (3, 0)
+        );
+        drop((p, c));
+        assert_eq!(*DROPPED.lock().unwrap(), [3, 4, 5]);
     }
 }

@@ -14,7 +14,10 @@
 //! persistent cache of the other side's index (`p_cached_head`,
 //! `c_cached_tail`) that survives across operations and is refreshed —
 //! with a possibly-stale Acquire load — only when it reports too little
-//! slack. Batch size is nondeterministic from 1 to `batch_max`, so a
+//! slack. Each side also keeps its own index wrapped (`p_slot`,
+//! `c_slot`), the slot its next access uses, advanced slot by slot with
+//! a compare-and-reset at `cap` as the source advances it: the slots a
+//! burst touches come from that register, not from `index % cap`. Batch size is nondeterministic from 1 to `batch_max`, so a
 //! `batch_max = 1` run is exactly the single-op `push`/`pop` protocol
 //! and larger runs cover every mix of single and batched calls.
 //!
@@ -30,6 +33,9 @@
 //!   (the unsafe `write` would otherwise clobber or double-drop),
 //! * no uninitialized slot is read (`assume_init_read` on garbage),
 //! * items arrive in FIFO order, each exactly once,
+//! * each side's wrapped slot equals its index `% cap` (the producer's
+//!   index counts the burst it has written but not yet published, the
+//!   consumer's the burst it has read but not yet recycled),
 //! * a terminal state (all items transferred) is actually reachable.
 //!
 //! Should the protocol in ring.rs change shape (orderings, index
@@ -62,6 +68,8 @@ struct State {
     p_tail_reg: usize,
     p_cached_head: usize,
     p_k: usize,
+    /// The producer's wrapped slot (`Producer::slot`), persistent.
+    p_slot: usize,
     // Consumer thread: pc, head register, persistent cached tail
     // (coherence floor), chosen batch size, and how many items it has
     // consumed (FIFO expectation).
@@ -70,6 +78,8 @@ struct State {
     c_cached_tail: usize,
     c_k: usize,
     c_got: u64,
+    /// The consumer's wrapped slot (`Consumer::slot`), persistent.
+    c_slot: usize,
 }
 
 struct Model {
@@ -79,9 +89,48 @@ struct Model {
     /// protocol; >1 covers `push_batch`/`pop_batch` mixed with singles
     /// (the nondeterministic k includes 1).
     batch_max: usize,
+    /// The slot after a slot: `next_slot` in ring.rs, or a seeded bug.
+    advance: fn(usize, usize) -> usize,
+}
+
+/// ring.rs's `next_slot`: a compare and a reset at `cap`.
+fn next_slot(slot: usize, cap: usize) -> usize {
+    let next = slot + 1;
+    if next == cap {
+        0
+    } else {
+        next
+    }
 }
 
 impl Model {
+    fn new(cap: usize, n_items: u64, batch_max: usize) -> Self {
+        Model {
+            cap,
+            n_items,
+            batch_max,
+            advance: next_slot,
+        }
+    }
+
+    /// The wrapped-slot invariant: each side's register is its index
+    /// `% cap`, counting a burst between its slot accesses and its
+    /// publish (pc3) as already taken.
+    fn check_slots(&self, s: &State) {
+        let p_index = s.tail + if s.p_pc == 3 { s.p_k } else { 0 };
+        assert_eq!(
+            s.p_slot,
+            p_index % self.cap,
+            "producer slot drifted from tail {p_index}"
+        );
+        let c_index = s.head + if s.c_pc == 3 { s.c_k } else { 0 };
+        assert_eq!(
+            s.c_slot,
+            c_index % self.cap,
+            "consumer slot drifted from head {c_index}"
+        );
+    }
+
     fn initial(&self) -> State {
         State {
             tail: 0,
@@ -92,11 +141,13 @@ impl Model {
             p_tail_reg: 0,
             p_cached_head: 0,
             p_k: 0,
+            p_slot: 0,
             c_pc: 0,
             c_head_reg: 0,
             c_cached_tail: 0,
             c_k: 0,
             c_got: 0,
+            c_slot: 0,
         }
     }
 
@@ -109,7 +160,8 @@ impl Model {
     ///   pc0: tail.load(Relaxed)          — own writes, always current
     ///   pc1: free via cached head; if free < want, refresh the cache
     ///        with head.load(Acquire)     — may be stale (≥ cache)
-    ///   pc2: full check; choose k ≤ min(free, want); write k slots
+    ///   pc2: full check; choose k ≤ min(free, want); write k slots from
+    ///        the wrapped slot, advancing it past them
     ///   pc3: tail.store(+k, Release)     — single publish per burst
     fn producer_step(&self, s: &State) -> Vec<State> {
         let mut out = Vec::new();
@@ -159,8 +211,8 @@ impl Model {
                     // covers single pushes interleaved with batches.
                     for k in 1..=free.min(want) {
                         let mut n = s.clone();
+                        let mut slot = s.p_slot;
                         for i in 0..k {
-                            let slot = (s.p_tail_reg + i) % self.cap;
                             assert!(
                                 n.slots[slot].is_none(),
                                 "producer overwrote an unconsumed slot {slot} \
@@ -170,7 +222,9 @@ impl Model {
                                 s.head
                             );
                             n.slots[slot] = Some(s.p_next + i as u64);
+                            slot = (self.advance)(slot, self.cap);
                         }
+                        n.p_slot = slot;
                         n.p_k = k;
                         n.p_pc = 3;
                         out.push(n);
@@ -195,7 +249,8 @@ impl Model {
     ///   pc0: head.load(Relaxed)          — own writes, always current
     ///   pc1: avail via cached tail; if 0, refresh the cache with
     ///        tail.load(Acquire)          — may be stale (≥ cache)
-    ///   pc2: empty check; choose k ≤ avail; read k slots
+    ///   pc2: empty check; choose k ≤ avail; read k slots from the
+    ///        wrapped slot, advancing it past them
     ///   pc3: head.store(+k, Release)     — single recycle per burst
     fn consumer_step(&self, s: &State) -> Vec<State> {
         let mut out = Vec::new();
@@ -234,8 +289,8 @@ impl Model {
                 } else {
                     for k in 1..=avail.min(self.batch_max) {
                         let mut n = s.clone();
+                        let mut slot = s.c_slot;
                         for i in 0..k {
-                            let slot = (s.c_head_reg + i) % self.cap;
                             let v = s.slots[slot].unwrap_or_else(|| {
                                 panic!(
                                     "consumer read uninitialized slot {slot} \
@@ -251,7 +306,9 @@ impl Model {
                                 s.c_got + i as u64
                             );
                             n.slots[slot] = None;
+                            slot = (self.advance)(slot, self.cap);
                         }
+                        n.c_slot = slot;
                         n.c_k = k;
                         n.c_got = s.c_got + k as u64;
                         n.c_pc = 3;
@@ -282,6 +339,7 @@ impl Model {
             if !seen.insert(s.clone()) {
                 continue;
             }
+            self.check_slots(&s);
             if self.done(&s) {
                 completed = true;
                 continue;
@@ -305,7 +363,7 @@ impl Model {
 fn spsc_protocol_safe_under_all_interleavings_cap2_single() {
     // batch_max = 1: exactly the single-op push/pop protocol with the
     // cached positions, the shape the old (uncached) model covered.
-    let m = Model { cap: 2, n_items: 4, batch_max: 1 };
+    let m = Model::new(2, 4, 1);
     let (states, completed) = m.explore();
     assert!(completed, "no interleaving completed the transfer");
     // Sanity that the exploration is genuinely combinatorial, not a
@@ -318,7 +376,7 @@ fn spsc_protocol_safe_under_all_interleavings_cap1() {
     // Capacity 1 — the `ring_capacity_one` fault scenario's primitive:
     // every push/pop pair contends on the same slot, maximizing the
     // window for overwrite/uninit-read bugs. Batches degenerate to 1.
-    let m = Model { cap: 1, n_items: 3, batch_max: 2 };
+    let m = Model::new(1, 3, 2);
     let (states, completed) = m.explore();
     assert!(completed, "no interleaving completed the transfer");
     assert!(states > 100, "only {states} states explored");
@@ -326,7 +384,7 @@ fn spsc_protocol_safe_under_all_interleavings_cap1() {
 
 #[test]
 fn spsc_protocol_safe_under_all_interleavings_cap2_batched() {
-    let m = Model { cap: 2, n_items: 4, batch_max: 2 };
+    let m = Model::new(2, 4, 2);
     let (states, completed) = m.explore();
     assert!(completed, "no interleaving completed the transfer");
     assert!(states > 300, "only {states} states explored");
@@ -335,7 +393,7 @@ fn spsc_protocol_safe_under_all_interleavings_cap2_batched() {
 #[test]
 fn spsc_protocol_safe_under_all_interleavings_cap3_batched() {
     // Batches can span the wrap point (cap 3, bursts of up to 3).
-    let m = Model { cap: 3, n_items: 6, batch_max: 3 };
+    let m = Model::new(3, 6, 3);
     let (states, completed) = m.explore();
     assert!(completed, "no interleaving completed the transfer");
     assert!(states > 1000, "only {states} states explored");
@@ -346,7 +404,7 @@ fn spsc_protocol_safe_under_all_interleavings_cap4_mixed() {
     // batch_max < cap: bursts and singles mix while slack remains, so
     // the no-refresh fast path (cache has room) is actually exercised
     // across consecutive bursts.
-    let m = Model { cap: 4, n_items: 6, batch_max: 2 };
+    let m = Model::new(4, 6, 2);
     let (states, completed) = m.explore();
     assert!(completed, "no interleaving completed the transfer");
     assert!(states > 1000, "only {states} states explored");
@@ -402,13 +460,15 @@ fn model_detects_a_seeded_capacity_bug() {
                         let want = (m.batch_max as u64).min(m.n_items - s.p_next) as usize;
                         for k in 1..=free.min(want.max(1)) {
                             let mut n = s.clone();
+                            let mut slot = s.p_slot;
                             for i in 0..k {
-                                let slot = (s.p_tail_reg + i) % m.cap;
                                 if n.slots[slot].is_some() {
                                     return Err(format!("overwrite of live slot {slot}"));
                                 }
                                 n.slots[slot] = Some(s.p_next + i as u64);
+                                slot = next_slot(slot, m.cap);
                             }
+                            n.p_slot = slot;
                             n.p_k = k;
                             n.p_pc = 3;
                             stack.push(n);
@@ -422,7 +482,7 @@ fn model_detects_a_seeded_capacity_bug() {
             Ok(())
         }
     }
-    let buggy = Buggy(Model { cap: 2, n_items: 4, batch_max: 2 });
+    let buggy = Buggy(Model::new(2, 4, 2));
     // Detection may surface as the explorer's Err (overwrite seen at the
     // write) or as a panicking invariant downstream (FIFO/uninit-read in
     // a state the extra in-flight item corrupted) — either counts.
@@ -475,10 +535,37 @@ fn model_detects_a_seeded_future_read_bug() {
             Ok(())
         }
     }
-    let buggy = Buggy(Model { cap: 2, n_items: 4, batch_max: 2 });
+    let buggy = Buggy(Model::new(2, 4, 2));
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| buggy.explore()));
     assert!(
         result.is_err(),
         "the checker failed to catch a cache running ahead of the true head"
     );
+}
+
+/// A wrapped slot that falls one short at the wrap (it stays on the last
+/// slot instead of resetting to 0) is caught at every capacity the sound
+/// model runs above 1 (at 1 the last slot is slot 0, so there is nothing
+/// to fall short of), by the slot check or by a slot it clobbers or
+/// misreads.
+#[test]
+fn model_detects_a_slot_one_short_at_the_wrap() {
+    fn one_short(slot: usize, cap: usize) -> usize {
+        if slot + 1 == cap {
+            slot
+        } else {
+            slot + 1
+        }
+    }
+    for (cap, n_items, batch_max) in [(2, 4, 1), (2, 4, 2), (3, 6, 3), (4, 6, 2)] {
+        let m = Model {
+            advance: one_short,
+            ..Model::new(cap, n_items, batch_max)
+        };
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.explore()));
+        assert!(
+            result.is_err(),
+            "cap {cap}: a slot one short at the wrap went unseen"
+        );
+    }
 }
