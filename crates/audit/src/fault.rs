@@ -88,15 +88,6 @@ impl FaultPlan {
             .iter()
             .any(|s| s.worker == worker && s.contains(elapsed))
     }
-
-    /// The latest instant any window ends (drain must be possible after).
-    pub fn last_window_end(&self) -> Nanos {
-        self.stalls
-            .iter()
-            .map(|s| s.after + s.duration)
-            .max()
-            .unwrap_or(Nanos::ZERO)
-    }
 }
 
 /// The hostile-configuration catalog the fault-injection matrix runs —

@@ -7,6 +7,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tq_core::policy::{DispatchPolicy, Dispatcher, TieBreak, WorkerLoad};
 use tq_core::{Cycles, Nanos};
+use tq_harness::{run_to_record, RunSpec, SimEngine};
 use tq_runtime::job::{Job, JobStatus, QuantumCtx};
 use tq_runtime::{SpinJob, TscClock};
 use tq_sim::{EventQueue, SimRng, TagQueue};
@@ -302,7 +303,7 @@ fn bench_reuse_distance(c: &mut Criterion) {
 
 fn bench_summarize(c: &mut Criterion) {
     // Synthetic completions with the extreme-bimodal class/size mix, the
-    // shape run_once hands to the single-pass metrics pipeline.
+    // shape a simulated point hands to the single-pass metrics pipeline.
     let mut gen = tq_workloads::ArrivalGen::new(
         tq_workloads::table1::extreme_bimodal(),
         4.0e6,
@@ -345,19 +346,17 @@ fn bench_summarize(c: &mut Criterion) {
 fn bench_twolevel_point(c: &mut Criterion) {
     // One full TQ simulation point at toy horizon: event loop, incremental
     // load tracking, dispatch, and the metrics pipeline end to end.
-    let cfg = tq_queueing::presets::tq(8, Nanos::from_micros(2));
+    let mut engine = SimEngine::new(tq_queueing::presets::tq(8, Nanos::from_micros(2)));
     let wl = tq_workloads::table1::extreme_bimodal();
-    let rate = wl.rate_for_load(8, 0.6);
+    let spec = RunSpec {
+        rate_rps: wl.rate_for_load(8, 0.6),
+        workload: wl,
+        process: tq_workloads::ArrivalProcess::Poisson,
+        horizon: Nanos::from_millis(2),
+        seed: 1,
+    };
     c.bench_function("twolevel_point_8w_2ms", |b| {
-        b.iter(|| {
-            black_box(tq_queueing::run_once(
-                &cfg,
-                &wl,
-                rate,
-                Nanos::from_millis(2),
-                1,
-            ))
-        });
+        b.iter(|| black_box(run_to_record(&mut engine, &spec)));
     });
 }
 

@@ -57,12 +57,7 @@ fn run_one(cfg: tq_queueing::SystemConfig, preset: &hostile::TrafficPreset, spec
 }
 
 fn main() {
-    let horizon = Nanos::from_millis(
-        std::env::var("TQ_SIM_MILLIS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(80),
-    );
+    let horizon = tq_bench::sim_duration();
     let seed = tq_bench::seed();
     tq_bench::banner(
         "adaptive_sweep",

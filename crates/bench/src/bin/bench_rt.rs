@@ -108,19 +108,6 @@ fn parse_args() -> Args {
     parsed
 }
 
-fn audit_enabled() -> bool {
-    std::env::var("TQ_AUDIT").map_or(true, |v| v != "0")
-}
-
-/// Worker count (`TQ_RT_WORKERS` overrides the default of 2).
-fn rt_workers() -> usize {
-    std::env::var("TQ_RT_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(2)
-}
-
 fn rt_horizon(smoke: bool) -> Nanos {
     let default_ms = if smoke { 40 } else { 80 };
     let ms = std::env::var("TQ_RT_MILLIS")
@@ -255,8 +242,8 @@ fn run_and_report(engine: &mut dyn Engine, spec: &RunSpec, load: f64) -> (RunRec
 fn main() {
     let args = parse_args();
     let (choice, smoke) = (args.engine, args.smoke);
-    let audit = audit_enabled();
-    let workers = rt_workers();
+    let audit = tq_bench::audit_enabled();
+    let workers = tq_bench::rt_workers();
     let horizon = rt_horizon(smoke);
     let seed = tq_bench::seed();
     // Default: the bimodal sweep at conservative loads (the live workers

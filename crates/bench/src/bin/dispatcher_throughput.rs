@@ -5,9 +5,9 @@
 //! the bottleneck at 16 cores) and report goodput, which saturates at
 //! the dispatcher's 1/cost ceiling.
 
-use tq_bench::{banner, mrps, seed, sim_duration};
+use tq_bench::{banner, mrps, run_point};
 use tq_core::{costs, Nanos};
-use tq_queueing::{presets, run::run_once};
+use tq_queueing::presets;
 use tq_workloads::{ClassDist, JobClass, Workload};
 
 fn main() {
@@ -45,9 +45,9 @@ fn main() {
     );
     for offered_mrps in [2.0, 4.0, 5.0, 6.0, 10.0, 13.0, 14.0, 16.0, 20.0] {
         let rate = offered_mrps * 1e6;
-        let a = run_once(&tq, &wl, rate, sim_duration(), seed());
-        let b = run_once(&shinjuku, &wl, rate, sim_duration(), seed());
-        let c = run_once(&ct_packets_only, &wl, rate, sim_duration(), seed());
+        let a = run_point(&tq, &wl, rate);
+        let b = run_point(&shinjuku, &wl, rate);
+        let c = run_point(&ct_packets_only, &wl, rate);
         println!(
             "{:>12}{:>16}{:>16}{:>18}",
             mrps(rate),

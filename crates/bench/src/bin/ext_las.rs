@@ -8,9 +8,9 @@
 //! job immediate service) and *sacrifices the long jobs' tail* (the most
 //! attained job starves while anything newer exists).
 
-use tq_bench::{banner, mrps, seed, sim_duration, us, LOAD_SWEEP};
+use tq_bench::{banner, mrps, run_point, us, LOAD_SWEEP};
 use tq_core::Nanos;
-use tq_queueing::{presets, run::run_once};
+use tq_queueing::presets;
 use tq_workloads::table1;
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
             let rate = wl.rate_for_load(16, load);
             print!("{:>10}", mrps(rate));
             for s in &systems {
-                let r = run_once(s, &wl, rate, sim_duration(), seed());
+                let r = run_point(s, &wl, rate);
                 print!("{:>14}", us(r.class(class_idx).p999));
             }
             println!();

@@ -7,9 +7,9 @@
 //! live worker counters. Goodput on a dispatcher-bound tiny-job workload
 //! should scale ~linearly in D, with tail latency intact.
 
-use tq_bench::{banner, mrps, seed, sim_duration, us};
+use tq_bench::{banner, mrps, run_point, us};
 use tq_core::Nanos;
-use tq_queueing::{presets, run::run_once};
+use tq_queueing::presets;
 use tq_workloads::{ClassDist, JobClass, Workload};
 
 fn main() {
@@ -39,7 +39,7 @@ fn main() {
         print!("{:>10}", mrps(rate));
         for d in dispatchers {
             let cfg = presets::tq_multi_dispatcher(64, Nanos::from_micros(2), d);
-            let r = run_once(&cfg, &wl, rate, sim_duration(), seed());
+            let r = run_point(&cfg, &wl, rate);
             let p999 = r
                 .classes
                 .first()

@@ -5,9 +5,9 @@
 //! Smaller quanta reduce head-of-line blocking of the 0.5 µs jobs, so the
 //! 99.9% slowdown curve rises later — the case for tiny quanta.
 
-use tq_bench::{banner, seed, sim_duration, LOAD_SWEEP};
+use tq_bench::{banner, run_point, LOAD_SWEEP};
 use tq_core::Nanos;
-use tq_queueing::{presets, run::run_once};
+use tq_queueing::presets;
 use tq_workloads::table1;
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
         print!("{load:>6.2}");
         for q in quanta_us {
             let cfg = presets::ideal_centralized_ps(16, Nanos::from_micros_f64(q));
-            let r = run_once(&cfg, &wl, rate, sim_duration(), seed());
+            let r = run_point(&cfg, &wl, rate);
             print!("{:>12.1}", r.overall_slowdown_p999);
         }
         println!();

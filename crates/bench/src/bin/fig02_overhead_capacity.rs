@@ -7,9 +7,8 @@
 //! interrupt) anything below ~3 µs *loses* capacity — the overhead has to
 //! be tiny for tiny quanta to pay off.
 
-use tq_bench::{banner, mrps, seed, sim_duration};
+use tq_bench::{banner, max_rate_under, mrps, run_point};
 use tq_core::Nanos;
-use tq_queueing::run::{max_rate_under, run_once};
 use tq_queueing::presets;
 use tq_workloads::table1;
 
@@ -36,7 +35,7 @@ fn main() {
             cfg.preempt_overhead = Nanos::from_nanos(o);
             let results: Vec<_> = loads
                 .iter()
-                .map(|&l| run_once(&cfg, &wl, wl.rate_for_load(16, l), sim_duration(), seed()))
+                .map(|&l| run_point(&cfg, &wl, wl.rate_for_load(16, l)))
                 .collect();
             let cap = max_rate_under(&results, 10.0, |r| r.overall_slowdown_p999);
             match cap {

@@ -5,10 +5,10 @@
 //! two-level JSQ-PS with naive random tie-breaking hurts long jobs;
 //! Maximum-Serviced-Quanta tie-breaking recovers most of the gap.
 
-use tq_bench::{banner, seed, sim_duration, LOAD_SWEEP};
+use tq_bench::{banner, run_point, LOAD_SWEEP};
 use tq_core::policy::TieBreak;
 use tq_core::Nanos;
-use tq_queueing::{presets, run::run_once};
+use tq_queueing::presets;
 use tq_workloads::table1;
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
         let rate = wl.rate_for_load(16, load);
         print!("{load:>6.2}");
         for s in &systems {
-            let r = run_once(s, &wl, rate, sim_duration(), seed());
+            let r = run_point(s, &wl, rate);
             print!("{:>26.2}", r.classes_sojourn[1].slowdown_p999);
         }
         println!();

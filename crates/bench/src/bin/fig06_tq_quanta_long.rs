@@ -4,9 +4,9 @@
 //! identical for all quanta above 0.5 µs — evidence that preemption
 //! overhead, not scheduling capacity, is the only cost of going finer.
 
-use tq_bench::{banner, mrps, seed, sim_duration, us, LOAD_SWEEP};
+use tq_bench::{banner, mrps, run_point, us, LOAD_SWEEP};
 use tq_core::Nanos;
-use tq_queueing::{presets, run::run_once};
+use tq_queueing::presets;
 use tq_workloads::table1;
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
         print!("{:>10}", mrps(rate));
         for q in quanta_us {
             let cfg = presets::tq(16, Nanos::from_micros_f64(q));
-            let r = run_once(&cfg, &wl, rate, sim_duration(), seed());
+            let r = run_point(&cfg, &wl, rate);
             print!("{:>12}", us(r.class(1).p999));
         }
         println!();

@@ -6,9 +6,9 @@
 //! bad short). TQ gets the best of both; the overall 99.9% slowdown
 //! calibrates across the size mix.
 
-use tq_bench::{banner, better_caladan, compare_systems, mrps, seed, sim_duration, LOAD_SWEEP};
+use tq_bench::{banner, better_caladan, compare_systems, mrps, run_point, LOAD_SWEEP};
 use tq_core::Nanos;
-use tq_queueing::{presets, run::run_once};
+use tq_queueing::presets;
 use tq_workloads::table1;
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
         let rate = wl.rate_for_load(16, load);
         print!("{:>10}", mrps(rate));
         for cfg in &systems {
-            let r = run_once(cfg, &wl, rate, sim_duration(), seed());
+            let r = run_point(cfg, &wl, rate);
             print!("{:>24.1}", r.overall_slowdown_p999);
         }
         println!();

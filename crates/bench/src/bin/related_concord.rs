@@ -8,9 +8,9 @@
 //! forced multitasking needs no external signal at all, so its dispatcher
 //! load is per-job (~14 Mrps) and constant in the quantum size.
 
-use tq_bench::{banner, mrps, seed, sim_duration, us, LOAD_SWEEP};
+use tq_bench::{banner, mrps, run_point, us, LOAD_SWEEP};
 use tq_core::Nanos;
-use tq_queueing::{presets, run::run_once};
+use tq_queueing::presets;
 use tq_workloads::{table1, ClassDist, JobClass, Workload};
 
 fn main() {
@@ -31,20 +31,8 @@ fn main() {
     println!("{:>10}{:>16}{:>16}   (goodput, Mrps)", "offered", "TQ", "Concord");
     for offered_mrps in [2.0, 4.0, 6.0, 10.0, 14.0, 18.0] {
         let rate = offered_mrps * 1e6;
-        let tq = run_once(
-            &presets::tq(16, Nanos::from_micros(2)),
-            &tiny,
-            rate,
-            sim_duration(),
-            seed(),
-        );
-        let concord = run_once(
-            &presets::concord(16, Nanos::from_micros(2)),
-            &tiny,
-            rate,
-            sim_duration(),
-            seed(),
-        );
+        let tq = run_point(&presets::tq(16, Nanos::from_micros(2)), &tiny, rate);
+        let concord = run_point(&presets::concord(16, Nanos::from_micros(2)), &tiny, rate);
         println!(
             "{:>10}{:>16}{:>16}",
             mrps(rate),
@@ -59,20 +47,8 @@ fn main() {
     println!("{:>10}{:>16}{:>16}", "Mrps", "TQ", "Concord");
     for load in LOAD_SWEEP {
         let rate = wl.rate_for_load(16, load);
-        let tq = run_once(
-            &presets::tq(16, Nanos::from_micros(2)),
-            &wl,
-            rate,
-            sim_duration(),
-            seed(),
-        );
-        let concord = run_once(
-            &presets::concord(16, Nanos::from_micros(2)),
-            &wl,
-            rate,
-            sim_duration(),
-            seed(),
-        );
+        let tq = run_point(&presets::tq(16, Nanos::from_micros(2)), &wl, rate);
+        let concord = run_point(&presets::concord(16, Nanos::from_micros(2)), &wl, rate);
         println!(
             "{:>10}{:>16}{:>16}",
             mrps(rate),

@@ -96,7 +96,7 @@ fn parse_args() -> (usize, EngineChoice) {
             std::process::exit(2);
         }
     }
-    (jobs.unwrap_or_else(tq_queueing::default_jobs), engine)
+    (jobs.unwrap_or_else(tq_bench::default_jobs), engine)
 }
 
 /// Spawns one experiment binary, or records it as failed if missing.

@@ -7,10 +7,9 @@
 //! 50 µs budget (the paper's recurring SLO), and prints TQ's advantage
 //! over the better baseline and over each individually.
 
-use tq_bench::{banner, better_caladan, mrps, seed, sim_duration};
+use tq_bench::{banner, better_caladan, mrps, run_point};
 use tq_core::Nanos;
-use tq_queueing::{run_once, SystemConfig};
-use tq_queueing::presets;
+use tq_queueing::{presets, SystemConfig};
 use tq_workloads::{table1, Workload};
 
 /// Max sustainable Mrps under the 50 µs shortest-class budget, by
@@ -18,13 +17,7 @@ use tq_workloads::{table1, Workload};
 fn capacity(cfg: &SystemConfig, wl: &Workload) -> f64 {
     let budget = Nanos::from_micros(50);
     let ok = |load: f64| {
-        let r = run_once(
-            cfg,
-            wl,
-            wl.rate_for_load(cfg.n_workers, load),
-            sim_duration(),
-            seed(),
-        );
+        let r = run_point(cfg, wl, wl.rate_for_load(cfg.n_workers, load));
         r.classes.first().map(|c| c.p999 <= budget).unwrap_or(false)
     };
     let (mut lo, mut hi) = (0.02, 1.6);

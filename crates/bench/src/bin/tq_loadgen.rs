@@ -221,17 +221,9 @@ fn parse_args() -> Args {
     args.requests = requests.unwrap_or(if args.smoke { 2_000 } else { 20_000 });
     args.rate_rps = rate.unwrap_or(if args.smoke { 10_000.0 } else { 20_000.0 });
     if args.workers == 0 {
-        args.workers = std::env::var("TQ_RT_WORKERS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(2);
+        args.workers = tq_bench::rt_workers();
     }
     args
-}
-
-fn audit_enabled() -> bool {
-    std::env::var("TQ_AUDIT").map_or(true, |v| v != "0")
 }
 
 /// `--transport io_uring` on a kernel whose probe fails: skip loudly,
@@ -488,7 +480,7 @@ fn run_server(args: &Args, config: ServerConfig, bind: SocketAddr) {
 
 fn main() {
     let args = parse_args();
-    let audit = audit_enabled();
+    let audit = tq_bench::audit_enabled();
     let seed = tq_bench::seed();
     // One server shape for every mode (in-process, --serve, --compare):
     // the defaults, or a named preset's dispatch/discipline/stealing.

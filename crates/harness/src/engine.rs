@@ -334,9 +334,9 @@ pub trait Engine {
     }
 }
 
-/// One engine run summarized through the same metrics path as
-/// `tq_queueing::run::run_once`: warm-up discarding, per-class
-/// percentiles, and the overall slowdown tail, all in one recorder pass.
+/// One engine run summarized by [`summarize`]: warm-up discarding,
+/// per-class percentiles, and the overall slowdown tail, all in one
+/// recorder pass.
 #[derive(Debug, Clone)]
 pub struct RunRecord {
     /// `"sim"` or `"rt"`.
@@ -391,11 +391,22 @@ impl RunRecord {
     pub fn conserved(&self) -> bool {
         self.submitted == self.completed
     }
+
+    /// The end-to-end summary for one class by its index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no job of that class completed after warm-up.
+    pub fn class(&self, idx: usize) -> &ClassSummary {
+        self.classes
+            .iter()
+            .find(|c| c.class.0 as usize == idx)
+            .unwrap_or_else(|| panic!("no completions for class {idx}"))
+    }
 }
 
-/// Runs `spec` on `engine` and summarizes the completions through the
-/// exact pipeline `run_once` uses: `ClassRecorder::summarize_all` with
-/// the repo-standard warm-up fraction and network RTT.
+/// Runs `spec` on `engine` and summarizes the completions with
+/// [`summarize`].
 pub fn run_to_record(engine: &mut dyn Engine, spec: &RunSpec) -> RunRecord {
     let mut out = engine.run(spec, spec.arrivals(), spec.horizon);
     let completed = out.completions.len() as u64;
@@ -428,11 +439,48 @@ pub fn run_to_record(engine: &mut dyn Engine, spec: &RunSpec) -> RunRecord {
     }
 }
 
+/// Warm-up fraction discarded from every run (§5.1: "the first 10% samples
+/// are discarded").
+pub const WARMUP_FRAC: f64 = 0.1;
+
 /// The shared metrics tail: takes a completion buffer (consumed via the
-/// recorder's zero-copy hand-off) and produces the run summary with the
-/// same warm-up fraction and fixed network RTT as every sim experiment.
+/// recorder's zero-copy hand-off) and produces the run summary with
+/// [`WARMUP_FRAC`] discarded and the fixed network RTT added.
 pub fn summarize(completions: &mut Vec<Completion>) -> RunSummary {
-    let mut rec = ClassRecorder::with_capacity(tq_queueing::run::WARMUP_FRAC, 0);
+    let mut rec = ClassRecorder::with_capacity(WARMUP_FRAC, 0);
     rec.record_all(completions);
-    rec.summarize_all(costs::NETWORK_RTT)
+    let summary = rec.summarize_all(costs::NETWORK_RTT);
+    debug_assert_eq!(
+        rec.arrival_sorts(),
+        0,
+        "summarize must never need a full arrival sort"
+    );
+    summary
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SimEngine;
+    use tq_queueing::presets;
+    use tq_workloads::table1;
+
+    #[test]
+    fn summarize_never_sorts_completions() {
+        // The single-pass pipeline's contract, end to end: one run, zero
+        // arrival sorts. The warm-up cutoff is a selection, enforced in
+        // `summarize` by a debug assertion that this run goes through.
+        let wl = table1::extreme_bimodal();
+        let spec = RunSpec {
+            rate_rps: wl.rate_for_load(4, 0.4),
+            workload: wl,
+            process: ArrivalProcess::Poisson,
+            horizon: Nanos::from_millis(6),
+            seed: 13,
+        };
+        let mut engine = SimEngine::new(presets::tq(4, Nanos::from_micros(2)));
+        let r = run_to_record(&mut engine, &spec);
+        assert!(r.counters.sim_events > 0);
+        assert!(r.completed > 0);
+    }
 }

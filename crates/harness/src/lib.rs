@@ -7,8 +7,8 @@
 //! interchangeable behind the [`Engine`] trait:
 //!
 //! * [`SimEngine`] — the discrete-event models of `tq-queueing`
-//!   (two-level and centralized), bit-identical to the existing
-//!   `run_once` sweep machinery.
+//!   (two-level and centralized): the one way to run a simulated point,
+//!   alone or over a list of rates with [`sweep`].
 //! * [`RackEngine`] — N server instances behind a rack scheduler
 //!   (power-of-k over stale load reports, random, round-robin, or
 //!   flow-affinity), executed in parallel by the conservative-lookahead
@@ -60,4 +60,4 @@ pub use engine::{
 };
 pub use rack::RackEngine;
 pub use rt::{Pacer, RtEngine};
-pub use sim::SimEngine;
+pub use sim::{sweep, SimEngine};

@@ -1,8 +1,8 @@
 //! [`Engine`] over the rack tier: N TQ servers behind a rack scheduler,
 //! executed on the conservative-lookahead PDES core.
 //!
-//! The adapter mirrors [`crate::SimEngine`] — same seed derivation
-//! (`spec.seed ^ 0xD15`), same counters shape (the worker vector
+//! The adapter mirrors [`crate::SimEngine`] — same policy-seed
+//! derivation, same counters shape (the worker vector
 //! concatenates every server's workers in server order) — so rack
 //! records flow through `run_to_record` and the `tq-run/v1` schema
 //! unchanged, with the rack-specific breakdown carried in
@@ -15,6 +15,7 @@ use crate::engine::{
     Engine, EngineCounters, EngineKind, PolicyMeta, RackMeta, RackServerMeta, RunOutput, RunSpec,
     WorkerCounters,
 };
+use crate::SimEngine;
 use tq_audit::InvariantAuditor;
 use tq_core::Nanos;
 use tq_queueing::rack::{simulate_rack_into, RackSpec};
@@ -84,12 +85,11 @@ impl Engine for RackEngine {
 
     fn run(&mut self, spec: &RunSpec, arrivals: ArrivalGen, horizon: Nanos) -> RunOutput {
         let mut completions = Vec::new();
-        // Same policy-seed derivation as SimEngine/run_once.
         let stats = simulate_rack_into(
             &self.spec,
             arrivals,
             horizon,
-            spec.seed ^ 0xD15,
+            SimEngine::policy_seed(spec.seed),
             self.threads,
             &mut completions,
         );

@@ -153,12 +153,6 @@ impl SystemConfig {
         self
     }
 
-    /// Returns a copy with a different quantum.
-    pub fn with_quantum(mut self, quantum: Nanos) -> Self {
-        self.quantum = quantum;
-        self
-    }
-
     /// Returns a copy with the adaptive-quantum controller enabled
     /// (`quantum` becomes the controller's starting point).
     pub fn with_controller(mut self, controller: ControllerConfig) -> Self {

@@ -17,22 +17,32 @@
 //!
 //! The models share the policy code in [`tq_core::policy`] and the event
 //! queue and metrics in `tq_sim`, and are exercised by one regeneration
-//! binary per paper figure in `tq-bench`.
+//! binary per paper figure in `tq-bench`. Experiments run them through
+//! `tq_harness::SimEngine`, which adds the warm-up discard and the
+//! per-class summaries.
 //!
 //! ## Example
 //!
 //! ```
 //! use tq_core::Nanos;
-//! use tq_queueing::{presets, run::run_once};
-//! use tq_workloads::table1;
+//! use tq_queueing::{presets, simulate};
+//! use tq_sim::SimRng;
+//! use tq_workloads::{table1, ArrivalGen};
 //!
 //! let cfg = presets::tq(16, Nanos::from_micros(2));
 //! let wl = table1::extreme_bimodal();
 //! let rate = wl.rate_for_load(16, 0.4); // 40% load
-//! let result = run_once(&cfg, &wl, rate, Nanos::from_millis(20), 1);
-//! let short = &result.classes[0];
+//! let arrivals = ArrivalGen::new(wl, rate, SimRng::new(1));
+//! let out = simulate(&cfg, arrivals, Nanos::from_millis(20), 1);
+//! let mut short: Vec<Nanos> = out
+//!     .completions
+//!     .iter()
+//!     .filter(|c| c.class.0 == 0)
+//!     .map(|c| c.finish - c.arrival)
+//!     .collect();
+//! short.sort_unstable();
 //! // At 40% load with 2µs quanta, short jobs see little queueing:
-//! assert!(short.p999 < Nanos::from_micros(60));
+//! assert!(short[short.len() * 999 / 1000] < Nanos::from_micros(60));
 //! ```
 
 #![warn(missing_docs)]
@@ -43,7 +53,6 @@ pub mod engine;
 pub mod presets;
 pub mod rack;
 pub mod reference;
-pub mod run;
 pub mod scaling;
 pub mod theory;
 
@@ -56,7 +65,3 @@ mod twolevel;
 pub use config::{Architecture, SystemConfig};
 pub use engine::{simulate, simulate_into, SystemOutcome, SystemSim, SystemStats};
 pub use rack::{simulate_rack, simulate_rack_into, MembershipChange, RackPolicy, RackSpec, RackStats};
-pub use run::{
-    default_jobs, run_once, run_once_process, run_replicated, run_replicated_jobs, sweep,
-    sweep_jobs, sweep_jobs_process, Replicated, RunResult,
-};

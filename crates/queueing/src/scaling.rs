@@ -20,20 +20,6 @@ use crate::config::{Architecture, SystemConfig};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use tq_core::Nanos;
-use tq_workloads::{ClassDist, JobClass, Workload};
-
-/// The 1 ms single-class workload §5.6 uses to isolate quantum-scheduling
-/// cost from packet processing.
-pub fn long_job_workload() -> Workload {
-    Workload::new(
-        "1ms jobs",
-        vec![JobClass::new(
-            "1ms",
-            ClassDist::Deterministic(Nanos::from_millis(1)),
-            1.0,
-        )],
-    )
-}
 
 /// Simulates `rounds` preemption rounds of `cores` always-busy workers
 /// whose quanta (target `quantum`) must each be ended by a serial

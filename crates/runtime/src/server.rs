@@ -152,11 +152,6 @@ impl ServerStats {
         self.workers.iter().map(|w| w.quanta).sum()
     }
 
-    /// Total jobs stolen across all workers (work-stealing mode).
-    pub fn total_steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals).sum()
-    }
-
     /// Highest dispatch-ring occupancy observed on any worker.
     pub fn max_ring_occupancy(&self) -> u64 {
         self.workers

@@ -255,9 +255,8 @@ impl ClassRecorder {
     /// Records a whole simulation's completions at once by taking the
     /// vector's contents (leaving `batch` empty, capacity intact). Into
     /// an empty recorder this is a pointer swap — no per-completion
-    /// copying — which is how `run_once` feeds each sweep point's
-    /// completions in; [`ClassRecorder::into_completions`] hands the
-    /// buffer back for reuse.
+    /// copying — which is how `tq_harness::summarize` feeds each run's
+    /// completions in.
     pub fn record_all(&mut self, batch: &mut Vec<Completion>) {
         if self.completions.is_empty() {
             std::mem::swap(&mut self.completions, batch);
@@ -265,12 +264,6 @@ impl ClassRecorder {
             self.completions.append(batch);
         }
         self.sorted = false;
-    }
-
-    /// Consumes the recorder, returning the recorded completions (in
-    /// unspecified order) so a caller can reuse the allocation.
-    pub fn into_completions(self) -> Vec<Completion> {
-        self.completions
     }
 
     /// Total completions recorded (before warm-up discarding).

@@ -17,8 +17,9 @@
 //! breaks.
 
 use tq_core::Nanos;
-use tq_queueing::{presets, run::run_once, SystemConfig};
-use tq_workloads::{table1, Workload};
+use tq_harness::{run_to_record, RunSpec, SimEngine};
+use tq_queueing::{presets, SystemConfig};
+use tq_workloads::{table1, ArrivalProcess, Workload};
 
 fn workload(name: &str) -> Option<Workload> {
     Some(match name {
@@ -78,7 +79,14 @@ fn main() {
         load * 100.0,
         millis
     );
-    let result = run_once(&cfg, &wl, rate, Nanos::from_millis(millis), 42);
+    let spec = RunSpec {
+        workload: wl.clone(),
+        process: ArrivalProcess::Poisson,
+        rate_rps: rate,
+        horizon: Nanos::from_millis(millis),
+        seed: 42,
+    };
+    let result = run_to_record(&mut SimEngine::new(cfg), &spec);
     println!(
         "{:<14}{:>10}{:>12}{:>12}{:>12}",
         "class", "count", "p50(us)", "p99(us)", "p99.9(us)"

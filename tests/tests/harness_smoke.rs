@@ -8,8 +8,9 @@ use tq_cache::reuse::ReuseHistogram;
 use tq_core::policy::TieBreak;
 use tq_core::Nanos;
 use tq_instrument::exec::ExecConfig;
+use tq_integration::sim_point;
 use tq_kv::{AccessTrace, KvStore};
-use tq_queueing::{presets, run::run_once, scaling};
+use tq_queueing::{presets, scaling};
 use tq_workloads::table1;
 
 const TINY: Nanos = Nanos::from_millis(4);
@@ -20,7 +21,7 @@ fn fig1_2_path() {
     for q in [0.5, 5.0] {
         let mut cfg = presets::ideal_centralized_ps(8, Nanos::from_micros_f64(q));
         cfg.preempt_overhead = Nanos::from_nanos(100);
-        let r = run_once(&cfg, &wl, wl.rate_for_load(8, 0.5), TINY, 1);
+        let r = sim_point(&cfg, &wl, wl.rate_for_load(8, 0.5), TINY, 1);
         assert!(r.completed > 0);
     }
 }
@@ -30,7 +31,7 @@ fn fig4_path() {
     let wl = table1::extreme_bimodal();
     for tie in [TieBreak::Random, TieBreak::MaxServicedQuanta] {
         let cfg = presets::ideal_two_level(8, Nanos::from_micros(1), tie);
-        let r = run_once(&cfg, &wl, wl.rate_for_load(8, 0.5), TINY, 1);
+        let r = sim_point(&cfg, &wl, wl.rate_for_load(8, 0.5), TINY, 1);
         assert!(r.completed > 0);
     }
 }
@@ -62,7 +63,7 @@ fn fig5_to_12_paths() {
         table1::rocksdb_high_scan(),
     ] {
         for cfg in &systems {
-            let r = run_once(cfg, &wl, wl.rate_for_load(8, 0.4), TINY, 2);
+            let r = sim_point(cfg, &wl, wl.rate_for_load(8, 0.4), TINY, 2);
             assert!(
                 r.completed > 0,
                 "{} on {} produced no completions",

@@ -4,13 +4,14 @@
 
 use tq_core::policy::TieBreak;
 use tq_core::Nanos;
-use tq_queueing::{presets, run::run_once, scaling, SystemConfig};
+use tq_integration::sim_point;
+use tq_queueing::{presets, scaling, SystemConfig};
 use tq_workloads::table1;
 
 const DUR: Nanos = Nanos::from_millis(40);
 
 fn short_p999(cfg: &SystemConfig, wl: &tq_workloads::Workload, load: f64, seed: u64) -> Nanos {
-    let r = run_once(cfg, wl, wl.rate_for_load(16, load), DUR, seed);
+    let r = sim_point(cfg, wl, wl.rate_for_load(16, load), DUR, seed);
     r.class(0).p999
 }
 
@@ -62,14 +63,14 @@ fn msq_beats_random_tiebreak_for_long_jobs() {
     let rate = wl.rate_for_load(16, 0.55);
     let mut msq_wins = 0;
     for seed in [1, 2, 3] {
-        let msq = run_once(
+        let msq = sim_point(
             &presets::ideal_two_level(16, Nanos::from_micros(1), TieBreak::MaxServicedQuanta),
             &wl,
             rate,
             Nanos::from_millis(60),
             seed,
         );
-        let rnd = run_once(
+        let rnd = sim_point(
             &presets::ideal_two_level(16, Nanos::from_micros(1), TieBreak::Random),
             &wl,
             rate,
@@ -134,8 +135,8 @@ fn dispatcher_throughput_gap() {
         )],
     );
     let offered = 20.0e6; // far past both ceilings
-    let tq = run_once(&presets::tq(16, Nanos::from_micros(2)), &wl, offered, DUR, 3);
-    let ct = run_once(
+    let tq = sim_point(&presets::tq(16, Nanos::from_micros(2)), &wl, offered, DUR, 3);
+    let ct = sim_point(
         &presets::shinjuku(16, Nanos::from_micros(5)),
         &wl,
         offered,

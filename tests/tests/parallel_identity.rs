@@ -1,13 +1,14 @@
 //! The parallel experiment harness must be a pure performance knob:
-//! whatever `--jobs` value drives `sweep_jobs` / `run_replicated_jobs`,
-//! the results are byte-identical to the serial run. These properties
-//! draw the system, load grid, seeds, and job count at random and
-//! compare the full `Debug` rendering of the outputs.
+//! whatever `jobs` value drives `tq_harness::sweep`, the records are
+//! byte-identical to the serial run. This property draws the system,
+//! load grid, seed, and job count at random and compares the full
+//! `Debug` rendering of the outputs.
 
 use proptest::prelude::*;
 use tq_core::Nanos;
-use tq_queueing::{presets, run_replicated_jobs, sweep_jobs};
-use tq_workloads::table1;
+use tq_harness::{sweep, RunSpec, SimEngine};
+use tq_queueing::presets;
+use tq_workloads::{table1, ArrivalProcess};
 
 const TINY: Nanos = Nanos::from_millis(1);
 
@@ -30,26 +31,16 @@ proptest! {
         let rates: Vec<f64> = (1..=n_rates)
             .map(|i| wl.rate_for_load(4, 0.15 * i as f64))
             .collect();
-        let serial = sweep_jobs(&cfg, &wl, &rates, TINY, seed, 1);
-        let parallel = sweep_jobs(&cfg, &wl, &rates, TINY, seed, jobs);
-        prop_assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
-    }
-
-    #[test]
-    fn parallel_replication_is_byte_identical_to_serial(
-        base_seed in 1u64..1_000,
-        n_seeds in 1usize..6,
-        jobs in 2usize..6,
-    ) {
-        let cfg = presets::tq(4, Nanos::from_micros(2));
-        let wl = table1::extreme_bimodal();
-        let seeds: Vec<u64> = (0..n_seeds as u64).map(|i| base_seed + i).collect();
-        let rate = wl.rate_for_load(4, 0.4);
-        // Long enough that every seed completes jobs of both classes
-        // (run_replicated asserts the class sets agree across seeds).
-        let dur = Nanos::from_millis(4);
-        let serial = run_replicated_jobs(&cfg, &wl, rate, dur, &seeds, 1);
-        let parallel = run_replicated_jobs(&cfg, &wl, rate, dur, &seeds, jobs);
+        let engine = SimEngine::new(cfg);
+        let spec = RunSpec {
+            workload: wl,
+            process: ArrivalProcess::Poisson,
+            rate_rps: 0.0,
+            horizon: TINY,
+            seed,
+        };
+        let serial = sweep(&engine, &spec, &rates, 1);
+        let parallel = sweep(&engine, &spec, &rates, jobs);
         prop_assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
     }
 }

@@ -4,7 +4,8 @@
 
 use tq_core::policy::WorkerPolicy;
 use tq_core::Nanos;
-use tq_queueing::{presets, run::run_once};
+use tq_integration::sim_point;
+use tq_queueing::presets;
 use tq_workloads::{table1, ClassDist, JobClass, Workload};
 
 fn exp_workload(mean_us: u64) -> Workload {
@@ -29,7 +30,7 @@ fn mm1_fcfs_mean_sojourn_matches_analytic() {
     let wl = exp_workload(1); // mu = 1 per us
     for rho in [0.3, 0.5, 0.7] {
         let rate = wl.rate_for_load(1, rho);
-        let r = run_once(&cfg, &wl, rate, Nanos::from_millis(400), 7);
+        let r = sim_point(&cfg, &wl, rate, Nanos::from_millis(400), 7);
         let measured = r.classes_sojourn[0].mean.as_nanos() as f64;
         let analytic = 1_000.0 / (1.0 - rho); // ns
         let err = (measured - analytic).abs() / analytic;
@@ -53,7 +54,7 @@ fn mm1_ps_mean_matches_fcfs_mean() {
     fcfs.worker_rx_cost = Nanos::ZERO;
     fcfs.work_stealing = false;
     fcfs.dispatch_per_req = Nanos::ZERO;
-    let fcfs_mean = run_once(&fcfs, &wl, rate, dur, 9).classes_sojourn[0]
+    let fcfs_mean = sim_point(&fcfs, &wl, rate, dur, 9).classes_sojourn[0]
         .mean
         .as_nanos() as f64;
 
@@ -63,7 +64,7 @@ fn mm1_ps_mean_matches_fcfs_mean() {
         tq_core::policy::TieBreak::MaxServicedQuanta,
     );
     ps.worker_policy = WorkerPolicy::ProcessorSharing;
-    let ps_mean = run_once(&ps, &wl, rate, dur, 9).classes_sojourn[0]
+    let ps_mean = sim_point(&ps, &wl, rate, dur, 9).classes_sojourn[0]
         .mean
         .as_nanos() as f64;
 
@@ -86,7 +87,7 @@ fn ps_bounds_short_job_tail_under_extreme_bimodal() {
         tq_core::policy::TieBreak::MaxServicedQuanta,
     );
     let wl = table1::extreme_bimodal();
-    let r = run_once(&cfg, &wl, wl.rate_for_load(16, 0.5), Nanos::from_millis(60), 3);
+    let r = sim_point(&cfg, &wl, wl.rate_for_load(16, 0.5), Nanos::from_millis(60), 3);
     let p999 = r.classes_sojourn[0].p999;
     assert!(
         p999 < Nanos::from_micros(30),
@@ -102,7 +103,7 @@ fn fcfs_head_of_line_blocks_shorts() {
     // stragglers: a run-to-completion worker blocks its queued shorts.
     let fcfs = presets::tq_fcfs(16);
     let wl = table1::extreme_bimodal();
-    let r = run_once(&fcfs, &wl, wl.rate_for_load(16, 0.7), Nanos::from_millis(60), 3);
+    let r = sim_point(&fcfs, &wl, wl.rate_for_load(16, 0.7), Nanos::from_millis(60), 3);
     let p999 = r.classes_sojourn[0].p999;
     assert!(
         p999 > Nanos::from_micros(200),
@@ -124,9 +125,9 @@ fn all_systems_conserve_jobs() {
         presets::tq_fcfs(8),
     ] {
         let rate = wl.rate_for_load(8, 0.5);
-        let r = run_once(&cfg, &wl, rate, dur, 11);
+        let r = sim_point(&cfg, &wl, rate, dur, 11);
         let expected = (rate * dur.as_secs_f64() * 0.9) as f64;
-        let got = r.completed as f64;
+        let got = r.classes.iter().map(|c| c.count).sum::<usize>() as f64;
         assert!(
             (got - expected).abs() / expected < 0.05,
             "{}: completed {got} vs expected ~{expected}",
@@ -149,7 +150,7 @@ fn mmk_mean_matches_erlang_c() {
     for rho in [0.4, 0.7] {
         let lambda = rho * k as f64; // jobs per us
         let rate = wl.rate_for_load(k, rho);
-        let r = run_once(&cfg, &wl, rate, Nanos::from_millis(400), 13);
+        let r = sim_point(&cfg, &wl, rate, Nanos::from_millis(400), 13);
         let measured_us = r.classes_sojourn[0].mean.as_nanos() as f64 / 1_000.0;
         let analytic_us = mmk_mean_sojourn(lambda, 1.0, k);
         let err = (measured_us - analytic_us).abs() / analytic_us;
@@ -188,7 +189,7 @@ fn ps_insensitivity_holds_in_simulation() {
     let analytic = mg1_ps_mean_sojourn(1.0, rho); // us
     for wl in [exp, two_point] {
         let rate = wl.rate_for_load(1, rho);
-        let r = run_once(&cfg, &wl, rate, dur, 21);
+        let r = sim_point(&cfg, &wl, rate, dur, 21);
         let mean_us: f64 = r
             .classes_sojourn
             .iter()
@@ -205,14 +206,14 @@ fn ps_insensitivity_holds_in_simulation() {
     }
 }
 
-/// Determinism across the whole pipeline: same seed, same RunResult.
+/// Determinism across the whole pipeline: same seed, same RunRecord.
 #[test]
 fn end_to_end_determinism() {
     let wl = table1::tpcc();
     let cfg = presets::tq(8, Nanos::from_micros(2));
     let rate = wl.rate_for_load(8, 0.7);
-    let a = run_once(&cfg, &wl, rate, Nanos::from_millis(20), 123);
-    let b = run_once(&cfg, &wl, rate, Nanos::from_millis(20), 123);
+    let a = sim_point(&cfg, &wl, rate, Nanos::from_millis(20), 123);
+    let b = sim_point(&cfg, &wl, rate, Nanos::from_millis(20), 123);
     assert_eq!(a.classes, b.classes);
     assert_eq!(a.overall_slowdown_p999, b.overall_slowdown_p999);
 }
