@@ -332,15 +332,6 @@ fn bench_summarize(c: &mut Criterion) {
             black_box(rec.summarize_all(tq_core::costs::NETWORK_RTT))
         });
     });
-    c.bench_function("summarize_all_50k_multi_pass_reference", |b| {
-        b.iter(|| {
-            black_box(tq_sim::metrics::reference::summarize_all(
-                &completions,
-                0.1,
-                tq_core::costs::NETWORK_RTT,
-            ))
-        });
-    });
 }
 
 fn bench_twolevel_point(c: &mut Criterion) {

@@ -3,7 +3,9 @@
 //! For every preset in `tq_workloads::hostile` this runs the TQ sim with
 //! each quantum in a static grid (1–50 µs) and once with the adaptive
 //! controller (`presets::tq_adaptive`), compares the class-blind p999
-//! slowdown, and writes `results/adaptive_sweep.json`.
+//! slowdown, and writes `results/adaptive_sweep.json` if acceptance
+//! holds. A failing run prints its failures, exits 1 and leaves the
+//! file as it was.
 //!
 //! Acceptance (asserted):
 //!   * the controller lands within 10% of the best static quantum on
@@ -124,19 +126,19 @@ fn main() {
         }
     }
 
-    std::fs::create_dir_all("results").expect("mkdir results");
-    std::fs::write("results/adaptive_sweep.json", document(&results, seed, horizon))
-        .expect("write adaptive_sweep.json");
-    println!("\nwrote results/adaptive_sweep.json");
-
     if !failures.is_empty() {
-        eprintln!("\nADAPTIVE SWEEP ACCEPTANCE FAILED:");
+        eprintln!("\nADAPTIVE SWEEP ACCEPTANCE FAILED (results/adaptive_sweep.json not written):");
         for f in &failures {
             eprintln!("  {f}");
         }
         std::process::exit(1);
     }
-    println!("acceptance: adaptive within 10% of best static on all {} presets", results.len());
+    println!("\nacceptance: adaptive within 10% of best static on all {} presets", results.len());
+
+    std::fs::create_dir_all("results").expect("mkdir results");
+    std::fs::write("results/adaptive_sweep.json", document(&results, seed, horizon))
+        .expect("write adaptive_sweep.json");
+    println!("wrote results/adaptive_sweep.json");
 }
 
 /// Hand-rolled JSON (no serde in the tree): one row per preset with the

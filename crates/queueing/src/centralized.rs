@@ -17,8 +17,9 @@
 //! Like [`crate::twolevel`], this is the scheduler half of the optimized
 //! engine (job slab + index queue + idle bitmask, allocation-free in
 //! steady state) behind the [`crate::engine`] shell; the seed
-//! implementation is preserved in [`crate::reference`] and pinned
-//! bit-identical by differential tests.
+//! implementation is kept in the integration tests as
+//! `tq_integration::oracle::queueing` and pinned bit-identical by
+//! differential tests there.
 
 use crate::active::ActiveJob;
 use crate::config::{Architecture, SystemConfig};
@@ -339,25 +340,5 @@ mod tests {
         );
         assert_eq!(a.completions, b.completions);
         assert_eq!(a.quanta_scheduled, b.quanta_scheduled);
-    }
-
-    /// Engine-vs-seed contract at unit level (the exhaustive version
-    /// lives in the integration proptests).
-    #[test]
-    fn matches_reference_engine() {
-        let wl = table1::high_bimodal();
-        let rate = wl.rate_for_load(4, 0.6);
-        for cfg in [
-            presets::shinjuku(4, Nanos::from_micros(5)),
-            presets::ideal_centralized_ps(4, Nanos::from_micros(1)),
-        ] {
-            let gen = ArrivalGen::new(wl.clone(), rate, SimRng::new(13));
-            let fast = simulate(&cfg, gen.clone(), Nanos::from_millis(10), 0);
-            let slow = crate::reference::centralized(&cfg, gen, Nanos::from_millis(10));
-            assert_eq!(fast.completions, slow.completions, "{} diverged", cfg.name);
-            assert_eq!(fast.quanta_scheduled, slow.quanta_scheduled);
-            assert_eq!(fast.busy_span, slow.busy_span);
-            assert_eq!(fast.events, slow.events);
-        }
     }
 }

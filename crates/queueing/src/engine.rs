@@ -10,8 +10,9 @@
 //! architecture is chosen once per run ([`simulate_into`], the rack
 //! tier) and `step` inlines the model's handlers.
 //!
-//! The seed implementations are preserved in [`crate::reference`];
-//! differential proptests pin this engine to them bit for bit.
+//! The seed implementations are kept in the integration tests as
+//! `tq_integration::oracle::queueing`; differential tests there pin this
+//! engine to them bit for bit.
 
 use crate::active::ActiveJob;
 use crate::centralized::Centralized;
@@ -340,7 +341,8 @@ pub struct SystemStats {
     pub controller: Option<ControllerReport>,
 }
 
-/// What [`simulate`] and the [`crate::reference`] models return.
+/// What [`simulate`] returns (and the seed models the differential
+/// tests compare it against).
 #[derive(Debug)]
 pub struct SystemOutcome {
     /// Every job completion, in finish order.

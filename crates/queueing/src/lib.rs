@@ -52,7 +52,6 @@ pub mod config;
 pub mod engine;
 pub mod presets;
 pub mod rack;
-pub mod reference;
 pub mod scaling;
 pub mod theory;
 

@@ -19,9 +19,10 @@
 //! ## Hot-path layout
 //!
 //! This is the scheduler half of the optimized engine (the shell around
-//! it is [`crate::engine`]); the seed implementation is preserved in
-//! [`crate::reference`] and differential proptests pin the two to
-//! bit-identical completion streams. Worker state is struct-of-arrays:
+//! it is [`crate::engine`]); the seed implementation is kept in the
+//! integration tests as `tq_integration::oracle::queueing`, and
+//! differential tests there pin the two to bit-identical completion
+//! streams. Worker state is struct-of-arrays:
 //! `queued_jobs`/`serviced_quanta` live in flat `u64` arrays scanned
 //! directly by [`Dispatcher::pick_split`], idle/backlog membership is a
 //! bit per worker ([`crate::mask::WorkerMask`]), jobs live in a recycling
@@ -517,27 +518,5 @@ mod tests {
         let mut comps = Vec::new();
         let stats = simulate_into(&cfg, gen, Nanos::from_millis(5), 5, &mut comps);
         assert!(stats.controller.is_none());
-    }
-
-    /// The engine-vs-seed contract, pinned here at unit level too (the
-    /// exhaustive version lives in the integration proptests): identical
-    /// completion streams on a mid-load stealing configuration.
-    #[test]
-    fn matches_reference_engine() {
-        let wl = table1::extreme_bimodal();
-        let rate = wl.rate_for_load(8, 0.7);
-        for cfg in [
-            presets::tq(8, Nanos::from_micros(2)),
-            presets::caladan_directpath(8),
-            presets::tq_las(8, Nanos::from_micros(2)),
-            presets::tq_multi_dispatcher(8, Nanos::from_micros(2), 3),
-        ] {
-            let gen = ArrivalGen::new(wl.clone(), rate, SimRng::new(21));
-            let fast = simulate(&cfg, gen.clone(), Nanos::from_millis(10), 21);
-            let slow = crate::reference::two_level(&cfg, gen, Nanos::from_millis(10), 21);
-            assert_eq!(fast.completions, slow.completions, "{} diverged", cfg.name);
-            assert_eq!(fast.events, slow.events);
-            assert_eq!(fast.quanta_scheduled, slow.quanta_scheduled);
-        }
     }
 }

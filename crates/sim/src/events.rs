@@ -6,9 +6,9 @@
 //! across runs and platforms. Both queues here are keyings of
 //! [`tq_core::heap::KeyHeap`] (packed `u128` keys, a 4-ary heap and a
 //! front slot; see that module for why it is several times cheaper per
-//! event than the seed's `BinaryHeap`, preserved in [`reference`]).
+//! event than the seed's `BinaryHeap`, kept in the integration tests as
+//! `tq_integration::oracle::events`).
 
-use std::collections::BinaryHeap;
 use tq_core::heap::{pack, KeyHeap};
 use tq_core::Nanos;
 
@@ -173,7 +173,7 @@ const TAG_BITS: u32 = 16;
 /// reads a single cache line, and every swap moves 16 bytes. The
 /// sequence number still occupies the bits above the tag, so ties
 /// between simultaneous events break by insertion order exactly as in
-/// [`EventQueue`] and [`reference`].
+/// [`EventQueue`] and the seed queue.
 ///
 /// Capacity: tags are 16 bits (engines encode "event kind + worker
 /// index" in them) and the sequence counter has 48 bits — ~2.8 × 10¹⁴
@@ -254,137 +254,6 @@ impl TagQueue {
     }
 }
 
-/// The seed's `BinaryHeap`-based event queue, preserved verbatim as the
-/// differential-testing oracle (mirroring `tq_sim::metrics::reference`):
-/// property tests assert the packed 4-ary queue delivers the exact same
-/// `(time, event)` stream, and the reference serving-system models in
-/// `tq-queueing` run on it so whole-simulation completion streams can be
-/// pinned against the seed semantics.
-pub mod reference {
-    use super::*;
-    use std::cmp::Ordering;
-
-    struct Entry<E> {
-        time: Nanos,
-        seq: u64,
-        event: E,
-    }
-
-    impl<E> PartialEq for Entry<E> {
-        fn eq(&self, other: &Self) -> bool {
-            self.time == other.time && self.seq == other.seq
-        }
-    }
-
-    impl<E> Eq for Entry<E> {}
-
-    impl<E> PartialOrd for Entry<E> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    impl<E> Ord for Entry<E> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-            (other.time, other.seq).cmp(&(self.time, self.seq))
-        }
-    }
-
-    impl<E: std::fmt::Debug> std::fmt::Debug for Entry<E> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("Entry")
-                .field("time", &self.time)
-                .field("seq", &self.seq)
-                .field("event", &self.event)
-                .finish()
-        }
-    }
-
-    /// The seed's deterministic future-event list (generic binary heap).
-    #[derive(Debug)]
-    pub struct EventQueue<E> {
-        heap: BinaryHeap<Entry<E>>,
-        next_seq: u64,
-        last_popped: Nanos,
-        popped: u64,
-    }
-
-    impl<E> EventQueue<E> {
-        /// Creates an empty queue.
-        pub fn new() -> Self {
-            EventQueue::with_capacity(0)
-        }
-
-        /// Creates an empty queue with capacity for `cap` pending events.
-        pub fn with_capacity(cap: usize) -> Self {
-            EventQueue {
-                heap: BinaryHeap::with_capacity(cap),
-                next_seq: 0,
-                last_popped: Nanos::ZERO,
-                popped: 0,
-            }
-        }
-
-        /// Schedules `event` at absolute virtual time `time`.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `time` is earlier than the last popped time.
-        pub fn push(&mut self, time: Nanos, event: E) {
-            assert!(
-                time >= self.last_popped,
-                "event scheduled into the past: {time} < now {}",
-                self.last_popped
-            );
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.heap.push(Entry { time, seq, event });
-        }
-
-        /// Removes and returns the earliest event with its timestamp.
-        pub fn pop(&mut self) -> Option<(Nanos, E)> {
-            self.heap.pop().map(|e| {
-                debug_assert!(e.time >= self.last_popped, "heap violated time order");
-                self.last_popped = e.time;
-                self.popped += 1;
-                (e.time, e.event)
-            })
-        }
-
-        /// Total events delivered over the queue's lifetime.
-        pub fn popped(&self) -> u64 {
-            self.popped
-        }
-
-        /// Timestamp of the next event without removing it.
-        pub fn peek_time(&self) -> Option<Nanos> {
-            self.heap.peek().map(|e| e.time)
-        }
-
-        /// The virtual time of the most recently popped event.
-        pub fn now(&self) -> Nanos {
-            self.last_popped
-        }
-
-        /// Number of pending events.
-        pub fn len(&self) -> usize {
-            self.heap.len()
-        }
-
-        /// Whether no events are pending.
-        pub fn is_empty(&self) -> bool {
-            self.heap.is_empty()
-        }
-    }
-
-    impl<E> Default for EventQueue<E> {
-        fn default() -> Self {
-            EventQueue::new()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,45 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn tag_queue_matches_reference_on_mixed_workload() {
-        // Same deterministic interleaving as the generic-queue test
-        // below: the tag-in-key packing must not change the delivery
-        // order in any way.
-        let mut fast = TagQueue::with_capacity(8);
-        let mut slow = reference::EventQueue::with_capacity(8);
-        let mut state = 0xFEED5EEDu64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut now = 0u64;
-        for i in 0..10_000u64 {
-            if rng() % 3 == 0 && !fast.is_empty() {
-                let a = fast.pop();
-                let b = slow.pop();
-                assert_eq!(a, b);
-                now = fast.now().as_nanos();
-            } else {
-                let t = now + rng() % 1_000;
-                fast.push(Nanos::from_nanos(t), i as u16);
-                slow.push(Nanos::from_nanos(t), i as u16);
-            }
-            assert_eq!(fast.len(), slow.len());
-        }
-        loop {
-            let a = fast.pop();
-            let b = slow.pop();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        assert_eq!(fast.popped(), slow.popped());
-    }
-
-    #[test]
     fn extend_sorted_matches_pushes() {
         // Sorted batch into an empty queue (the bulk fast path), unsorted
         // batch (fallback), and a batch into a non-empty queue must all
@@ -532,44 +362,5 @@ mod tests {
         }
         let order: Vec<u16> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn matches_reference_on_mixed_workload() {
-        // Deterministic pseudo-random interleaving of pushes and pops,
-        // mirrored into the seed queue; streams must be identical.
-        let mut fast = EventQueue::with_capacity(8);
-        let mut slow = reference::EventQueue::with_capacity(8);
-        let mut state = 0x12345678u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut now = 0u64;
-        for i in 0..10_000u64 {
-            if rng() % 3 == 0 && !fast.is_empty() {
-                let a = fast.pop();
-                let b = slow.pop();
-                assert_eq!(a, b);
-                now = fast.now().as_nanos();
-            } else {
-                let t = now + rng() % 1_000;
-                fast.push(Nanos::from_nanos(t), i);
-                slow.push(Nanos::from_nanos(t), i);
-            }
-            assert_eq!(fast.len(), slow.len());
-            assert_eq!(fast.peek_time(), slow.peek_time());
-        }
-        loop {
-            let a = fast.pop();
-            let b = slow.pop();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        assert_eq!(fast.popped(), slow.popped());
     }
 }

@@ -12,8 +12,9 @@
 //! end-to-end, sojourn, and overall-slowdown statistics together — the
 //! end-to-end and sojourn summaries even share one sorted latency array
 //! per class, since adding a constant RTT commutes with nearest-rank
-//! percentiles. The pre-optimization multi-pass implementation survives
-//! in [`reference`] as the differential-testing oracle.
+//! percentiles. The pre-optimization multi-pass implementation is kept
+//! in the integration tests as `tq_integration::oracle::metrics`, the
+//! differential-testing oracle.
 
 use serde::{Deserialize, Serialize};
 use tq_core::job::Completion;
@@ -294,13 +295,13 @@ impl ClassRecorder {
     ///
     /// `extra` is the fixed latency added to each sojourn for the
     /// end-to-end view (e.g. the network RTT); the sojourn view always
-    /// uses zero. Every percentile equals the multi-pass
-    /// [`reference::summarize_all`] exactly: the warm-up cutoff is found
-    /// by selecting the k-th smallest `(arrival, id)` key, so the kept
-    /// *set* matches the sorted reference while the full completion sort
-    /// (the dominant cost on big runs) never happens. The means can
-    /// differ from the reference in the last ULP because they are
-    /// accumulated in scan order instead of ascending order.
+    /// uses zero. Every percentile equals the seed's multi-pass
+    /// pipeline (`tq_integration::oracle::metrics`) exactly: the warm-up
+    /// cutoff is found by selecting the k-th smallest `(arrival, id)`
+    /// key, so the kept *set* matches the sorted seed's while the full
+    /// completion sort (the dominant cost on big runs) never happens.
+    /// The means can differ from the seed's in the last ULP because they
+    /// are accumulated in scan order instead of ascending order.
     pub fn summarize_all(&mut self, extra: Nanos) -> RunSummary {
         let kept: &[Completion] = if self.sorted {
             self.kept()
@@ -356,7 +357,7 @@ impl ClassRecorder {
             // percentile is an exact k-th smallest, found in O(n) rather
             // than O(n log n). Values are identical to sorting; only the
             // means (summed in scan order rather than ascending) can
-            // differ from [`reference`] in the last ULP.
+            // differ from the seed's multi-pass pipeline in the last ULP.
             let [p50, p99, p999] =
                 select_ranks_u64(&mut soj, [rank_index(n, 50.0), rank_index(n, 99.0), rank_index(n, 99.9)]);
             let soj_mean = soj.iter().map(|&v| v as f64).sum::<f64>() / n as f64;
@@ -480,77 +481,11 @@ fn select_ranks_u64<const K: usize>(v: &mut [u64], ranks: [usize; K]) -> [u64; K
 ///
 /// Panics if any value is NaN.
 fn select_rank_f64(v: &mut [f64], rank: usize) -> f64 {
-    *v.select_nth_unstable_by(rank, |a, b| a.partial_cmp(b).expect("NaN slowdown"))
-        .1
-}
-
-/// The seed's multi-pass metrics implementation, preserved verbatim as
-/// the differential-testing oracle: property tests assert the
-/// single-pass [`ClassRecorder::summarize_all`] reproduces these
-/// results exactly.
-pub mod reference {
-    use super::{percentile_f64, ClassSummary, RunSummary, TailStats};
-    use tq_core::job::Completion;
-    use tq_core::{ClassId, Nanos};
-
-    /// Multi-pass equivalent of [`super::ClassRecorder::summarize_all`]:
-    /// two independent `summarize` passes plus an `overall_slowdown`
-    /// pass, each re-sorting and re-filtering from scratch.
-    pub fn summarize_all(completions: &[Completion], warmup_frac: f64, extra: Nanos) -> RunSummary {
-        RunSummary {
-            classes_e2e: summarize(completions, warmup_frac, extra),
-            classes_sojourn: summarize(completions, warmup_frac, Nanos::ZERO),
-            overall_slowdown_p999: overall_slowdown(completions, warmup_frac, 99.9),
-        }
-    }
-
-    /// The seed's `ClassRecorder::summarize`: clones and sorts the
-    /// completions, then filters the kept slice once per class.
-    pub fn summarize(completions: &[Completion], warmup_frac: f64, extra: Nanos) -> Vec<ClassSummary> {
-        let kept = after_warmup(completions, warmup_frac);
-        let mut classes: Vec<ClassId> = kept.iter().map(|c| c.class).collect();
-        classes.sort_unstable();
-        classes.dedup();
-        classes
-            .into_iter()
-            .map(|class| {
-                let mut lat = TailStats::new();
-                let mut slow = Vec::new();
-                for c in kept.iter().filter(|c| c.class == class) {
-                    lat.record((c.sojourn() + extra).as_nanos());
-                    slow.push(c.slowdown());
-                }
-                let slowdown_p999 = percentile_f64(&mut slow, 99.9);
-                let slowdown_mean = slow.iter().sum::<f64>() / slow.len() as f64;
-                ClassSummary {
-                    class,
-                    count: lat.count(),
-                    p50: Nanos::from_nanos(lat.percentile(50.0)),
-                    p99: Nanos::from_nanos(lat.percentile(99.0)),
-                    p999: Nanos::from_nanos(lat.percentile(99.9)),
-                    mean: Nanos::from_nanos(lat.mean().round() as u64),
-                    slowdown_p999,
-                    slowdown_mean,
-                }
-            })
-            .collect()
-    }
-
-    /// The seed's `ClassRecorder::overall_slowdown`.
-    pub fn overall_slowdown(completions: &[Completion], warmup_frac: f64, p: f64) -> f64 {
-        let mut slow: Vec<f64> = after_warmup(completions, warmup_frac)
-            .iter()
-            .map(|c| c.slowdown())
-            .collect();
-        percentile_f64(&mut slow, p)
-    }
-
-    fn after_warmup(completions: &[Completion], warmup_frac: f64) -> Vec<Completion> {
-        let mut by_arrival = completions.to_vec();
-        by_arrival.sort_unstable_by_key(|c| (c.arrival, c.id));
-        let skip = (by_arrival.len() as f64 * warmup_frac).floor() as usize;
-        by_arrival.split_off(skip.min(by_arrival.len()))
-    }
+    *v.select_nth_unstable_by(rank, |a, b| {
+        a.partial_cmp(b)
+            .expect("NaN slowdown (service is never zero)")
+    })
+    .1
 }
 
 /// A log₂-bucketed histogram of nanosecond samples — the compact way to
@@ -796,59 +731,6 @@ mod tests {
         let sums = rec.summarize(Nanos::from_micros(10));
         assert_eq!(sums[0].p999, Nanos::from_nanos(11_000));
         assert!((sums[0].slowdown_p999 - 2.0).abs() < 1e-12);
-    }
-
-    /// Asserts the single-pass summary matches the multi-pass reference:
-    /// percentiles exactly, means within the ULP slack the different
-    /// summation order permits (±1 ns latency, 1e-9 relative slowdown).
-    pub(super) fn assert_matches_reference(fast: &RunSummary, slow: &RunSummary) {
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
-        let check = |f: &[ClassSummary], s: &[ClassSummary]| {
-            assert_eq!(f.len(), s.len(), "class sets differ");
-            for (a, b) in f.iter().zip(s) {
-                assert_eq!((a.class, a.count), (b.class, b.count));
-                assert_eq!((a.p50, a.p99, a.p999), (b.p50, b.p99, b.p999), "class {}", a.class);
-                assert!(
-                    a.mean.as_nanos().abs_diff(b.mean.as_nanos()) <= 1,
-                    "mean {} vs {}",
-                    a.mean,
-                    b.mean
-                );
-                assert_eq!(a.slowdown_p999, b.slowdown_p999, "class {}", a.class);
-                assert!(
-                    close(a.slowdown_mean, b.slowdown_mean),
-                    "slowdown mean {} vs {}",
-                    a.slowdown_mean,
-                    b.slowdown_mean
-                );
-            }
-        };
-        check(&fast.classes_e2e, &slow.classes_e2e);
-        check(&fast.classes_sojourn, &slow.classes_sojourn);
-        assert_eq!(fast.overall_slowdown_p999, slow.overall_slowdown_p999);
-    }
-
-    #[test]
-    fn summarize_all_matches_reference() {
-        let mut rec = ClassRecorder::new(0.1);
-        // A mix of classes, out-of-order arrivals, and duplicate arrival
-        // times (id breaks the tie).
-        let raw = [
-            comp(3, 1, 40, 200, 900),
-            comp(0, 0, 0, 100, 350),
-            comp(1, 0, 20, 100, 150),
-            comp(5, 2, 20, 400, 2_000),
-            comp(2, 1, 10, 300, 700),
-            comp(4, 0, 80, 100, 1_000),
-            comp(6, 0, 80, 50, 210),
-        ];
-        for c in raw {
-            rec.record(c);
-        }
-        let extra = Nanos::from_micros(5);
-        let fast = rec.summarize_all(extra);
-        let slow = reference::summarize_all(rec.completions(), 0.1, extra);
-        assert_matches_reference(&fast, &slow);
     }
 
     #[test]

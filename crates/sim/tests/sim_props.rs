@@ -6,55 +6,6 @@ use tq_core::{ClassId, JobId, Nanos};
 use tq_sim::{ClassRecorder, EventQueue, SimRng, TailStats};
 
 proptest! {
-    /// The single-pass `summarize_all` reproduces the seed's multi-pass
-    /// pipeline (kept in `tq_sim::metrics::reference`) on arbitrary
-    /// completion sets: percentiles bit-for-bit, means within the ULP
-    /// slack a different summation order permits.
-    #[test]
-    fn summarize_all_matches_multipass_reference(
-        jobs in prop::collection::vec(
-            // (arrival, service − 1, extra wait, class)
-            (0u64..1_000_000, 0u64..100_000, 0u64..1_000_000, 0u16..3),
-            0..300,
-        ),
-        warmup_choice in 0usize..3,
-        extra_us in 0u64..10,
-    ) {
-        let warmup = [0.0, 0.1, 0.5][warmup_choice];
-        let extra = Nanos::from_micros(extra_us);
-        let mut rec = ClassRecorder::new(warmup);
-        for (i, &(arrival, service, wait, class)) in jobs.iter().enumerate() {
-            let arrival = Nanos::from_nanos(arrival);
-            let service = Nanos::from_nanos(service + 1);
-            rec.record(Completion {
-                id: JobId(i as u64),
-                class: ClassId(class),
-                arrival,
-                service,
-                finish: arrival + service + Nanos::from_nanos(wait),
-            });
-        }
-        let fast = rec.summarize_all(extra);
-        let slow = tq_sim::metrics::reference::summarize_all(rec.completions(), warmup, extra);
-
-        prop_assert_eq!(fast.overall_slowdown_p999, slow.overall_slowdown_p999);
-        for (f, s) in [(&fast.classes_e2e, &slow.classes_e2e),
-                       (&fast.classes_sojourn, &slow.classes_sojourn)] {
-            prop_assert_eq!(f.len(), s.len());
-            for (a, b) in f.iter().zip(s.iter()) {
-                prop_assert_eq!(a.class, b.class);
-                prop_assert_eq!(a.count, b.count);
-                prop_assert_eq!(a.p50, b.p50);
-                prop_assert_eq!(a.p99, b.p99);
-                prop_assert_eq!(a.p999, b.p999);
-                prop_assert_eq!(a.slowdown_p999, b.slowdown_p999);
-                prop_assert!(a.mean.as_nanos().abs_diff(b.mean.as_nanos()) <= 1);
-                let tol = 1e-9 * a.slowdown_mean.abs().max(b.slowdown_mean.abs()).max(1.0);
-                prop_assert!((a.slowdown_mean - b.slowdown_mean).abs() <= tol);
-            }
-        }
-    }
-
     /// However queries interleave, the completion vector is sorted at
     /// most once per batch of recordings.
     #[test]
@@ -118,38 +69,6 @@ proptest! {
                 next_id += 1;
             }
         }
-    }
-
-    /// The packed 4-ary event queue delivers the exact same
-    /// `(time, event)` stream, lengths, and peeks as the seed's
-    /// `BinaryHeap` queue (kept in `tq_sim::events::reference`) under an
-    /// arbitrary interleaving of pushes and pops.
-    #[test]
-    fn event_queue_matches_reference(
-        ops in prop::collection::vec((any::<bool>(), 0u64..200), 1..400),
-    ) {
-        let mut fast = EventQueue::new();
-        let mut slow = tq_sim::events::reference::EventQueue::new();
-        let mut now = 0u64;
-        for (i, &(pop, delta)) in ops.iter().enumerate() {
-            if pop && !fast.is_empty() {
-                let a = fast.pop();
-                prop_assert_eq!(a, slow.pop());
-                now = fast.now().as_nanos();
-            } else {
-                let t = Nanos::from_nanos(now + delta);
-                fast.push(t, i);
-                slow.push(t, i);
-            }
-            prop_assert_eq!(fast.len(), slow.len());
-            prop_assert_eq!(fast.peek_time(), slow.peek_time());
-        }
-        loop {
-            let a = fast.pop();
-            prop_assert_eq!(a, slow.pop());
-            if a.is_none() { break; }
-        }
-        prop_assert_eq!(fast.popped(), slow.popped());
     }
 
     /// The percentile estimator matches the naive sorted definition.

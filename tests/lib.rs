@@ -1,4 +1,8 @@
-//! Integration-test helper library (intentionally minimal).
+//! Integration-test helper library: [`sim_point`], the one way a test
+//! runs a simulated point, and [`oracle`], the seed implementations the
+//! differential tests compare the release crates against.
+
+pub mod oracle;
 
 use tq_core::Nanos;
 use tq_harness::{run_to_record, RunRecord, RunSpec, SimEngine};

@@ -2,15 +2,19 @@
 //! struct-of-arrays worker state, bitmask idle/backlog sets, job slab)
 //! must be a pure performance change: for every configuration the
 //! completion stream — ids, classes, arrival/service/finish times, in
-//! order — is bit-identical to the seed models preserved in
-//! `tq_queueing::reference`. These properties draw the worker discipline,
-//! dispatch policy, stealing flag, worker/dispatcher counts, load, and
-//! seed at random and compare full outcomes.
+//! order — is bit-identical to the seed models kept in
+//! `tq_integration::oracle::queueing`. These properties draw the worker
+//! discipline, dispatch policy, stealing flag, worker/dispatcher counts,
+//! load, and seed at random and compare full outcomes. The fixed cases
+//! in `twolevel` and `centralized` pin named presets over a 10 ms
+//! horizon, among them Caladan directpath, whose non-zero
+//! `worker_rx_cost` the grid never sets, and TQ with three dispatchers.
 
 use proptest::prelude::*;
 use tq_core::policy::{DispatchPolicy, TieBreak, WorkerPolicy};
 use tq_core::Nanos;
-use tq_queueing::{presets, reference, SystemConfig};
+use tq_integration::oracle::queueing::{self as oracle, assert_matches};
+use tq_queueing::{presets, SystemConfig};
 use tq_sim::SimRng;
 use tq_workloads::{table1, ArrivalGen};
 
@@ -79,10 +83,8 @@ proptest! {
         let gen = ArrivalGen::new(wl, rate, SimRng::new(seed));
 
         let fast = tq_queueing::simulate(&cfg, gen.clone(), HORIZON, seed);
-        let slow = reference::two_level(&cfg, gen, HORIZON, seed);
-
-        prop_assert_eq!(&fast.completions, &slow.completions, "{} diverged", cfg.name);
-        prop_assert_eq!(fast.events, slow.events);
+        let slow = oracle::two_level(&cfg, gen, HORIZON, seed);
+        assert_matches(&fast, &slow, &cfg.name);
     }
 
     #[test]
@@ -95,9 +97,8 @@ proptest! {
         let rate = wl.rate_for_load(6, 0.4);
         let gen = ArrivalGen::new(wl, rate, SimRng::new(seed));
         let fast = tq_queueing::simulate(&cfg, gen.clone(), HORIZON, seed);
-        let slow = reference::two_level(&cfg, gen, HORIZON, seed);
-        prop_assert_eq!(&fast.completions, &slow.completions);
-        prop_assert_eq!(fast.events, slow.events);
+        let slow = oracle::two_level(&cfg, gen, HORIZON, seed);
+        assert_matches(&fast, &slow, &cfg.name);
     }
 
     #[test]
@@ -117,11 +118,52 @@ proptest! {
         let gen = ArrivalGen::new(wl, rate, SimRng::new(seed));
 
         let fast = tq_queueing::simulate(&cfg, gen.clone(), HORIZON, seed);
-        let slow = reference::centralized(&cfg, gen, HORIZON);
+        let slow = oracle::centralized(&cfg, gen, HORIZON);
+        assert_matches(&fast, &slow, &cfg.name);
+    }
+}
 
-        prop_assert_eq!(&fast.completions, &slow.completions, "{} diverged", cfg.name);
-        prop_assert_eq!(fast.quanta_scheduled, slow.quanta_scheduled);
-        prop_assert_eq!(fast.busy_span, slow.busy_span);
-        prop_assert_eq!(fast.events, slow.events);
+mod twolevel {
+    use super::*;
+
+    /// Identical outcomes on mid-load presets the grid does not build:
+    /// stealing TQ, Caladan directpath (per-request RX work on the
+    /// worker), LAS, and three dispatchers.
+    #[test]
+    fn matches_reference_engine() {
+        let wl = table1::extreme_bimodal();
+        let rate = wl.rate_for_load(8, 0.7);
+        for cfg in [
+            presets::tq(8, Nanos::from_micros(2)),
+            presets::caladan_directpath(8),
+            presets::tq_las(8, Nanos::from_micros(2)),
+            presets::tq_multi_dispatcher(8, Nanos::from_micros(2), 3),
+        ] {
+            let gen = ArrivalGen::new(wl.clone(), rate, SimRng::new(21));
+            let fast = tq_queueing::simulate(&cfg, gen.clone(), Nanos::from_millis(10), 21);
+            let slow = oracle::two_level(&cfg, gen, Nanos::from_millis(10), 21);
+            assert_matches(&fast, &slow, &cfg.name);
+        }
+    }
+}
+
+mod centralized {
+    use super::*;
+
+    /// Identical outcomes, quanta scheduled and busy span included, for
+    /// Shinjuku and the idealized centralized PS at mid load.
+    #[test]
+    fn matches_reference_engine() {
+        let wl = table1::high_bimodal();
+        let rate = wl.rate_for_load(4, 0.6);
+        for cfg in [
+            presets::shinjuku(4, Nanos::from_micros(5)),
+            presets::ideal_centralized_ps(4, Nanos::from_micros(1)),
+        ] {
+            let gen = ArrivalGen::new(wl.clone(), rate, SimRng::new(13));
+            let fast = tq_queueing::simulate(&cfg, gen.clone(), Nanos::from_millis(10), 0);
+            let slow = oracle::centralized(&cfg, gen, Nanos::from_millis(10));
+            assert_matches(&fast, &slow, &cfg.name);
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! refactor for every pre-existing policy: identical decisions AND
 //! identical RNG consumption, so the completion stream — ids, classes,
 //! arrival/service/finish times, in order — is bit-identical to the seed
-//! models preserved in `tq_queueing::reference`. Unlike the randomized
+//! models kept in `tq_integration::oracle::queueing`. Unlike the randomized
 //! grid in `engine_identity.rs`, these tests walk the full
 //! dispatch × discipline × stealing grid deterministically over a fixed
 //! seed set, and extend it to the three policies the rank layer adds
@@ -21,7 +21,8 @@ use tq_core::policy::{DispatchPolicy, TieBreak, WorkerPolicy};
 use tq_core::Nanos;
 use tq_harness::{json, run_to_record, RackEngine, RtEngine, RunSpec, SimEngine};
 use tq_queueing::rack::{simulate_rack_into, RackPolicy, RackSpec};
-use tq_queueing::{presets, reference, SystemConfig};
+use tq_integration::oracle::queueing::{self as oracle, assert_matches};
+use tq_queueing::{presets, SystemConfig};
 use tq_sim::SimRng;
 use tq_workloads::{table1, ArrivalGen, ArrivalProcess};
 
@@ -91,13 +92,8 @@ fn two_level_grid_is_bit_exact_across_seeds() {
             for seed in SEEDS {
                 let gen = ArrivalGen::new(wl.clone(), rate, SimRng::new(seed));
                 let fast = tq_queueing::simulate(&cfg, gen.clone(), HORIZON, seed);
-                let slow = reference::two_level(&cfg, gen, HORIZON, seed);
-                assert_eq!(
-                    fast.completions, slow.completions,
-                    "{} diverged at seed {seed}",
-                    cfg.name
-                );
-                assert_eq!(fast.events, slow.events, "{} event count", cfg.name);
+                let slow = oracle::two_level(&cfg, gen, HORIZON, seed);
+                assert_matches(&fast, &slow, &format!("{} at seed {seed}", cfg.name));
             }
         }
     }
@@ -116,14 +112,8 @@ fn centralized_disciplines_are_bit_exact_across_seeds() {
         for seed in SEEDS {
             let gen = ArrivalGen::new(wl.clone(), rate, SimRng::new(seed));
             let fast = tq_queueing::simulate(&cfg, gen.clone(), HORIZON, seed);
-            let slow = reference::centralized(&cfg, gen, HORIZON);
-            assert_eq!(
-                fast.completions, slow.completions,
-                "{} diverged at seed {seed}",
-                cfg.name
-            );
-            assert_eq!(fast.quanta_scheduled, slow.quanta_scheduled);
-            assert_eq!(fast.events, slow.events);
+            let slow = oracle::centralized(&cfg, gen, HORIZON);
+            assert_matches(&fast, &slow, &format!("{} at seed {seed}", cfg.name));
         }
     }
 }
