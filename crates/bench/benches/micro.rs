@@ -253,12 +253,14 @@ fn bench_skiplist(c: &mut Criterion) {
             black_box(store.scan(&start, 100).len());
         });
     });
-    // A SCAN's walk on `wire_kv`'s store (8192 keys, 64-byte values),
-    // loaded in key order (its level-0 links one run, read eight at a
-    // time) and with the same entries inserted in a seeded shuffle (a run
-    // breaks at almost every link, so the walk hops): the first is the
-    // array's cost, the second the hop's. A seek on the same two stores:
-    // a binary search of the arena on the first, the descent on the second.
+    // A SCAN's walk and checksum, as the SCAN job runs them, on
+    // `wire_kv`'s store (8192 keys, 64-byte values), loaded in key order
+    // (its level-0 links one run, read and folded eight at a time) and
+    // with the same entries inserted in a seeded shuffle (a run breaks at
+    // almost every link, so the walk hops and folds one entry a step): the
+    // first is the array's cost, the second the hop's. A seek on the same
+    // two stores: a binary search of the arena on the first, the descent
+    // on the second.
     let mut keys: Vec<u64> = (0..8_192).collect();
     let mut shuffle = SimRng::new(17);
     for i in (1..keys.len()).rev() {
@@ -275,12 +277,8 @@ fn bench_skiplist(c: &mut Criterion) {
             b.iter(|| {
                 let start = tq_kv::KvStore::nth_key_bytes(rng.u64() % 4_096);
                 let mut cur = store.cursor_before(&start);
-                let mut sum = 0u64;
-                store.walk(&mut cur, 2_000, |k, v| {
-                    sum = sum
-                        .wrapping_mul(31)
-                        .wrapping_add(v.len() as u64 + k.len() as u64);
-                });
+                let mut sum = tq_runtime::kv::Checksum::default();
+                store.walk(&mut cur, 2_000, &mut sum);
                 black_box(sum)
             });
         });

@@ -30,6 +30,6 @@ pub mod skiplist;
 pub mod store;
 pub mod trace;
 
-pub use skiplist::{Cursor, SkipList};
+pub use skiplist::{Chunk, Cursor, SkipList, Visit, CHUNK};
 pub use store::KvStore;
 pub use trace::AccessTrace;

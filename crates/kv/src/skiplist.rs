@@ -14,10 +14,11 @@
 //!   own — 4 bytes a node, 32 KB for 8192 keys. A list loaded in key
 //!   order keeps each node's successor in the next slot, so `next0[i] ==
 //!   i + 1` over long runs, and [`SkipList::walk`] reads a run as an
-//!   array: it checks eight links in one compare, then reads those eight
-//!   slots with no load depending on a link. Where a run breaks (a key
-//!   inserted out of order) it falls back to hopping, where each link is
-//!   the only load the next hop depends on: the chain stays in L1 and
+//!   array: it checks eight links in one compare, then the eight records'
+//!   spans in one branch, and hands the eight entries on as one
+//!   [`Chunk`] with no load depending on a link. Where a run breaks (a
+//!   key inserted out of order) it falls back to hopping, where each link
+//!   is the only load the next hop depends on: the chain stays in L1 and
 //!   the loads of each node's record come off it and overlap.
 //! - `prefix`: every node's first 8 key bytes as a big-endian `u64`,
 //!   zero-padded. Two prefixes that differ order their keys as the byte
@@ -26,9 +27,18 @@
 //!   compare `u64`s out of one dense array. On a tie they compare lengths
 //!   (a key of at most 8 bytes is then a prefix of the other) and read
 //!   key bytes only where both keys run past 8 bytes.
-//! - `recs`: a fixed-size record a node: where its key, value and tower are.
+//! - `recs`: a 16-byte record a node: where its entry starts, its key and
+//!   value lengths, and where its tower is.
 //! - `links`: the links of levels ≥ 1, each node's tower contiguous.
-//! - `bytes`: key and value bytes, back to back.
+//! - `bytes`: every entry's key, its value right after it.
+//!
+//! An entry is one span of `bytes`: `key .. key + key_len + value_len`,
+//! the key then the value. A record is valid when that span lies in
+//! `bytes`, and that one range check (one compare, no overflow: the three
+//! `u32`s add in `usize`) is all a reader needs before it splits the span
+//! after the key. An overwrite keeps the span whole: a value no longer
+//! than the old one is written in place after the key, a longer one is
+//! appended with a fresh copy of its key and the record re-pointed at it.
 //!
 //! Beside them, `tail` holds the last node at every level. An insert of a
 //! key above every key in the list (what loading a store in key order
@@ -49,11 +59,11 @@
 //! It also makes a walk resumable: a [`Cursor`] is the arena index of the
 //! last entry yielded (the head sentinel before the first) — four `Copy`
 //! bytes, no borrow. The arenas are append-only (nodes never move or go;
-//! an overwrite no longer than the old value is written in place, a longer
-//! one appended and the record re-pointed), so an index is valid for the
-//! list's life and needs no generation check. A resumed walk follows
-//! `next0` as it is *now*: exactly the entries a fresh seek of "first key >
-//! last key yielded" returns, whatever was inserted in between.
+//! an overwrite re-points a record at most, by the rule above), so an
+//! index is valid for the list's life and needs no generation check. A
+//! resumed walk follows `next0` as it is *now*: exactly the entries a
+//! fresh seek of "first key > last key yielded" returns, whatever was
+//! inserted in between.
 
 use std::fmt;
 use std::hint::select_unpredictable;
@@ -76,17 +86,95 @@ fn index(n: usize) -> u32 {
 /// Where one node's parts are in the arenas.
 #[derive(Debug, Clone, Copy, Default)]
 struct Rec {
+    /// Offset in `bytes` of the key; the value follows it (module docs).
     key: u32,
     key_len: u32,
-    value: u32,
     value_len: u32,
     /// Offset in `links` of the level-1 link; levels 2.. follow it.
     tower: u32,
 }
 
+impl Rec {
+    /// The entry's key and value bytes together: its span's length.
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.key_len as usize + self.value_len as usize
+    }
+
+    /// One past the entry's last byte in `bytes`: its span's end.
+    #[inline(always)]
+    fn end(&self) -> usize {
+        self.key as usize + self.len()
+    }
+}
+
+/// The key and value of `rec`: its span of `bytes`, split after the key.
+/// Panics where the span runs past `bytes`, which no record's does: each
+/// is written with its bytes.
+#[inline(always)]
+fn split<'a>(bytes: &'a [u8], rec: &Rec) -> (&'a [u8], &'a [u8]) {
+    bytes[rec.key as usize..rec.end()].split_at(rec.key_len as usize)
+}
+
+/// `arena`'s slots from `from` on, [`CHUNK`] at a time (none past its end).
+#[inline(always)]
+fn chunks<T>(arena: &[T], from: usize) -> &[[T; CHUNK]] {
+    arena.get(from..).unwrap_or_default().as_chunks().0
+}
+
 /// A resumable position in a level-0 walk: just after one entry (module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cursor(u32);
+
+/// Entries in a [`Chunk`]: the links [`SkipList::walk`] checks in one compare.
+pub const CHUNK: usize = 8;
+
+/// [`CHUNK`] entries in a row that [`SkipList::walk`] read as an array,
+/// every record's span already checked to lie in the list's bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct Chunk<'a> {
+    bytes: &'a [u8],
+    recs: &'a [Rec; CHUNK],
+}
+
+impl<'a> Chunk<'a> {
+    /// The key and value of entry `j` (`0..CHUNK`, in key order).
+    #[inline(always)]
+    pub fn entry(&self, j: usize) -> (&'a [u8], &'a [u8]) {
+        split(self.bytes, &self.recs[j])
+    }
+
+    /// Each entry's key length plus value length, in key order: what its
+    /// record says, with no load of its bytes.
+    #[inline(always)]
+    pub fn lens(&self) -> [u64; CHUNK] {
+        self.recs.each_ref().map(|rec| rec.len() as u64)
+    }
+}
+
+/// What [`SkipList::walk`] hands its entries to, in key order: one at a
+/// time where it hops, a [`Chunk`] at a time where it reads a run as an
+/// array. Any `FnMut(key, value)` is one, taking a chunk entry by entry.
+pub trait Visit<'a> {
+    /// The next entry.
+    fn entry(&mut self, key: &'a [u8], value: &'a [u8]);
+
+    /// The next [`CHUNK`] entries; by default [`Visit::entry`] for each.
+    #[inline(always)]
+    fn chunk(&mut self, chunk: Chunk<'a>) {
+        for j in 0..CHUNK {
+            let (key, value) = chunk.entry(j);
+            self.entry(key, value);
+        }
+    }
+}
+
+impl<'a, F: FnMut(&'a [u8], &'a [u8])> Visit<'a> for F {
+    #[inline(always)]
+    fn entry(&mut self, key: &'a [u8], value: &'a [u8]) {
+        self(key, value)
+    }
+}
 
 /// An ordered map from byte keys to byte values.
 ///
@@ -173,11 +261,14 @@ impl SkipList {
         if let Some((_, old)) = self.cursor_next(&mut at).filter(|&(k, _)| k == key) {
             let (old, len) = (old.to_vec(), index(value.len()));
             let rec = &mut self.recs[at.0 as usize];
+            // The value stays right after its key (module docs).
             if value.len() > old.len() {
-                rec.value = index(self.bytes.len());
+                rec.key = index(self.bytes.len());
+                self.bytes.extend_from_slice(key);
                 self.bytes.extend_from_slice(value);
             } else {
-                self.bytes[rec.value as usize..][..value.len()].copy_from_slice(value);
+                let at = rec.key as usize + key.len();
+                self.bytes[at..][..value.len()].copy_from_slice(value);
             }
             rec.value_len = len;
             return Some(old);
@@ -187,7 +278,6 @@ impl SkipList {
         let rec = Rec {
             key: index(self.bytes.len()),
             key_len: index(key.len()),
-            value: index(self.bytes.len() + key.len()),
             value_len: index(value.len()),
             tower: index(self.links.len()),
         };
@@ -294,53 +384,55 @@ impl SkipList {
         Some(self.entry(next))
     }
 
-    /// Hands `f` the next ≤ `n` entries after `cur`, in order, moves
+    /// Hands `visit` the next ≤ `n` entries after `cur`, in order, moves
     /// `cur` onto the last one and returns how many it handed: exactly
     /// what `n` [`SkipList::cursor_next`] calls yield, on any list.
     ///
-    /// Where the next eight level-0 links run through consecutive slots
+    /// Where the next [`CHUNK`] level-0 links run through consecutive slots
     /// (`next0[at + j] == at + j + 1`, as a load in key order leaves them)
-    /// it checks all eight at once and reads those slots as an array; the
-    /// first chunk that breaks the run ends that phase, and the rest of
-    /// the window hops (module docs). Always inlined, as the hop is.
+    /// it checks all eight at once, then all eight records' spans at once,
+    /// and hands those slots on as one [`Chunk`]. The first chunk that
+    /// breaks the run, or holds a record whose span runs past `bytes`,
+    /// ends that phase, and the rest of the window hops one entry at a
+    /// time (module docs); the hop panics on such a record, as
+    /// [`SkipList::cursor_next`] does. Always inlined, as the hop is.
     #[inline(always)]
-    pub fn walk<'a>(
-        &'a self,
-        cur: &mut Cursor,
-        n: usize,
-        mut f: impl FnMut(&'a [u8], &'a [u8]),
-    ) -> usize {
+    pub fn walk<'a>(&'a self, cur: &mut Cursor, n: usize, visit: &mut impl Visit<'a>) -> usize {
         let start = cur.0 as usize;
         let mut at = start;
-        // The array phase counts in slots: `at - start` entries handed.
-        let end = start.saturating_add(n);
-        'array: while end - at >= 8 {
-            let Some(links) = self.next0.get(at..at + 8) else {
-                break;
-            };
+        // The array phase walks `next0` from the cursor's slot and `recs`
+        // from the slot after it, a chunk of each a step, in lockstep, with
+        // no bounds check a step. It counts in slots: `at - start` entries
+        // handed.
+        let (links, recs) = (chunks(&self.next0, at), chunks(&self.recs, at + 1));
+        for (links, recs) in links.iter().zip(recs).take(n / CHUNK) {
             // Every link compared, no short circuit: one vector compare.
             // `at + 8` is a slot of `next0`, so no `u32` here wraps.
             let base = at as u32;
-            let run = (0..8).fold(true, |run, j| run & (links[j] == base + j as u32 + 1));
+            let run = (0..CHUNK).fold(true, |run, j| run & (links[j] == base + j as u32 + 1));
             if !run {
                 break;
             }
-            let Some(recs) = self.recs.get(at + 1..at + 9) else {
+            // Every span checked, no short circuit: one branch a chunk.
+            // `end - (len + 1)` wraps to a value with its top bit set
+            // exactly where a span lies in the bytes (no length nears
+            // 2⁶³), so the AND of the eight has it set where all do. Each
+            // end adds its key to the span's length, the sum a fold reads
+            // (`Chunk::lens`): summed in another order, the compiler held
+            // the key and value lengths apart and spilled them.
+            let over = self.bytes.len() + 1;
+            let lens = recs.each_ref().map(Rec::len);
+            let fit = (0..CHUNK).fold(!0, |fit, j| {
+                fit & (recs[j].key as usize + lens[j]).wrapping_sub(over)
+            });
+            if (fit as isize) >= 0 {
                 break;
-            };
-            for rec in recs {
-                // A record `slices` refuses (none: every record is written
-                // with its bytes) ends the chunk there, and the hop panics
-                // on it as `entry` does. On that exit `f`'s state is live,
-                // so each entry's work stays in place; with a panic there
-                // the compiler deferred all eight entries' work to the
-                // chunk's end and spilled their lengths to the stack.
-                let Some((k, v)) = self.slices(rec) else {
-                    break 'array;
-                };
-                f(k, v);
-                at += 1;
             }
+            visit.chunk(Chunk {
+                bytes: &self.bytes,
+                recs,
+            });
+            at += CHUNK;
         }
         let mut done = at - start;
         // The hop of `cursor_next`, on a `usize` index: a `u32` cursor
@@ -352,7 +444,7 @@ impl SkipList {
             }
             at = next as usize;
             let (k, v) = self.entry(next);
-            f(k, v);
+            visit.entry(k, v);
             done += 1;
         }
         *cur = Cursor(at as u32);
@@ -382,25 +474,7 @@ impl SkipList {
     /// The key and value of `node`.
     #[inline(always)]
     fn entry(&self, node: u32) -> (&[u8], &[u8]) {
-        let rec = &self.recs[node as usize];
-        (
-            &self.bytes[rec.key as usize..][..rec.key_len as usize],
-            &self.bytes[rec.value as usize..][..rec.value_len as usize],
-        )
-    }
-
-    /// `rec`'s key and value as [`SkipList::entry`] reads them, `None`
-    /// where one of its bounds checks would panic (for `walk`'s chunks).
-    #[inline(always)]
-    fn slices(&self, rec: &Rec) -> Option<(&[u8], &[u8])> {
-        Some((
-            self.bytes
-                .get(rec.key as usize..)?
-                .get(..rec.key_len as usize)?,
-            self.bytes
-                .get(rec.value as usize..)?
-                .get(..rec.value_len as usize)?,
-        ))
+        split(&self.bytes, &self.recs[node as usize])
     }
 
     /// The node after `node` at `level`, which `node`'s tower reaches.
@@ -678,12 +752,43 @@ mod tests {
         assert_eq!(sl.iter_from(b"").take(0).count(), 0);
     }
 
+    /// What `walk` handed over, and how: where each chunk began among the
+    /// entries, recorded before any of its bytes are read.
+    #[derive(Default)]
+    struct Handed<'a> {
+        entries: Vec<(&'a [u8], &'a [u8])>,
+        chunks: Vec<usize>,
+    }
+
+    impl<'a> Visit<'a> for Handed<'a> {
+        fn entry(&mut self, key: &'a [u8], value: &'a [u8]) {
+            self.entries.push((key, value));
+        }
+
+        fn chunk(&mut self, chunk: Chunk<'a>) {
+            self.chunks.push(self.entries.len());
+            let lens = chunk.lens();
+            for (j, len) in lens.into_iter().enumerate() {
+                let (key, value) = chunk.entry(j);
+                assert_eq!(len, (key.len() + value.len()) as u64, "lens()[{j}]");
+                self.entry(key, value);
+            }
+        }
+    }
+
+    /// Whether the `CHUNK` links from slot `at` run through consecutive slots.
+    fn runs_on(sl: &SkipList, at: usize) -> bool {
+        (0..CHUNK).all(|j| sl.next0.get(at + j) == Some(&(at as u32 + j as u32 + 1)))
+    }
+
     /// `walk` against `n` `cursor_next` calls, from every cursor the list
     /// has (the head and every node) and for every `n` in `0..=40` and two
     /// past the end: the same entries in the same order, the same count
     /// and the same final cursor. The cursors near the end give windows
     /// that stop at `NIL` and chunks that reach the last arena slot or
-    /// cannot fit before it.
+    /// cannot fit before it. And the array phase is taken wherever it can
+    /// be: chunks from the window's start on, for as long as a whole
+    /// chunk is left to hand and its links run.
     fn assert_walk_is_hops(sl: &SkipList) {
         for start in 0..sl.arena_len() as u32 {
             for n in (0..=40).chain([sl.len() + 1, usize::MAX]) {
@@ -691,11 +796,19 @@ mod tests {
                 let want: Vec<_> = std::iter::from_fn(|| sl.cursor_next(&mut hop))
                     .take(n)
                     .collect();
-                let (mut cur, mut got) = (Cursor(start), Vec::new());
-                let count = sl.walk(&mut cur, n, |k, v| got.push((k, v)));
-                assert_eq!(got, want, "from {start}, n = {n}");
+                let (mut cur, mut got) = (Cursor(start), Handed::default());
+                let count = sl.walk(&mut cur, n, &mut got);
+                assert_eq!(got.entries, want, "from {start}, n = {n}");
                 assert_eq!(count, want.len(), "from {start}, n = {n}");
                 assert_eq!(cur, hop, "from {start}, n = {n}");
+                let chunks = got.chunks.len();
+                let array: Vec<usize> = (0..chunks).map(|c| c * CHUNK).collect();
+                assert_eq!(got.chunks, array, "from {start}, n = {n}");
+                let at = start as usize + chunks * CHUNK;
+                assert!(
+                    n - chunks * CHUNK < CHUNK || !runs_on(sl, at),
+                    "from {start}, n = {n}: hopped from slot {at} on a run"
+                );
             }
         }
     }
@@ -857,6 +970,72 @@ mod tests {
         assert_walk_is_hops(&build(&Load::Ascending(0)));
     }
 
+    /// An overwrite keeps the value right after its key: one that grows it
+    /// appends key and value afresh and re-points the record, one that
+    /// does not writes the value in place. Every reader sees the new value.
+    #[test]
+    fn overwrites_keep_the_value_after_its_key() {
+        let mut sl = build(&Load::Ascending(40));
+        let key = 20u32.to_be_bytes();
+        let node = 21; // key k is node k + 1
+        let was = sl.recs[node];
+        for (value, grows) in [
+            (&[7u8; 9][..], true),
+            (&[8; 9][..], false),
+            (&[9; 2][..], false),
+            (&[6; 11][..], true),
+        ] {
+            let (bytes, rec) = (sl.bytes.len(), sl.recs[node]);
+            sl.insert(key, value);
+            let now = sl.recs[node];
+            if grows {
+                assert_eq!(now.key as usize, bytes, "re-pointed at the appended copy");
+                assert_eq!(sl.bytes.len(), bytes + key.len() + value.len());
+            } else {
+                assert_eq!(now.key, rec.key, "written in place");
+                assert_eq!(sl.bytes.len(), bytes);
+            }
+            assert_eq!((now.key_len, now.tower), (was.key_len, was.tower));
+            assert_eq!(now.end(), now.key as usize + key.len() + value.len());
+            assert_eq!(sl.get(&key), Some(value));
+            assert_eq!(sl.iter_from(&key).next(), Some((&key[..], value)));
+            let mut cur = sl.cursor_before(&16u32.to_be_bytes());
+            let mut got = Handed::default();
+            assert_eq!(sl.walk(&mut cur, CHUNK, &mut got), CHUNK);
+            assert_eq!(got.chunks, [0], "a run of eight read as a chunk");
+            assert_eq!(got.entries[4], (&key[..], value));
+            assert_invariants(&sl);
+            assert_walk_is_hops(&sl);
+        }
+    }
+
+    /// A record whose span runs past `bytes` (none can, short of a bug in
+    /// `insert`) fails its chunk's check: the chunk is not handed, and the
+    /// hop hands the entries before the record, then panics on it. So no
+    /// record's entry is handed on before its span is checked, whichever
+    /// of a chunk's eight slots it sits in.
+    #[test]
+    fn a_chunk_with_a_record_past_the_bytes_falls_to_the_hop() {
+        for p in 0..CHUNK {
+            let mut sl = build(&Load::Ascending(40));
+            sl.recs[1 + CHUNK + p].value_len = sl.bytes.len() as u32;
+            let mut got = Handed::default();
+            let walk = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sl.walk(&mut Cursor(0), 40, &mut got)
+            }));
+            assert!(
+                walk.is_err(),
+                "slot {p}: the walk handed a record past the bytes"
+            );
+            assert_eq!(got.chunks, [0], "slot {p}: only the first chunk is whole");
+            assert_eq!(
+                got.entries.len(),
+                CHUNK + p,
+                "slot {p}: hops up to the record"
+            );
+        }
+    }
+
     #[test]
     fn index_reserves_nil_and_refuses_to_wrap() {
         assert_eq!(index(u32::MAX as usize - 1), u32::MAX - 1);
@@ -935,7 +1114,8 @@ mod tests {
 
     /// What the arenas beside `next0` must agree on after every insert:
     /// `tail[l]` is the last node a walk of level `l` reaches (the head
-    /// on an empty level), `prefix` is each key's first 8 bytes, and
+    /// on an empty level), every record's span lies in `bytes`, `prefix`
+    /// is the first 8 bytes of the key the record points at, and
     /// `in_order` says exactly whether `next0` is the chain `i → i + 1`
     /// ending in `NIL`.
     fn assert_invariants(sl: &SkipList) {
@@ -955,8 +1135,13 @@ mod tests {
             }
             assert_eq!(sl.tail[level], last, "tail at level {level}");
         }
-        for node in 0..sl.arena_len() as u32 {
-            assert_eq!(sl.prefix[node as usize], prefix_of(sl.entry(node).0));
+        for (node, rec) in sl.recs.iter().enumerate() {
+            assert!(
+                rec.end() <= sl.bytes.len(),
+                "node {node}'s span runs past the bytes"
+            );
+            let key = &sl.bytes[rec.key as usize..][..rec.key_len as usize];
+            assert_eq!(sl.prefix[node], prefix_of(key), "node {node}'s prefix");
         }
     }
 

@@ -4,7 +4,7 @@
 //! workload issues — GET and SCAN — plus deterministic population and
 //! optional access tracing for the Figure 15 reuse-distance study.
 
-use crate::skiplist::{Cursor, SkipList};
+use crate::skiplist::{Cursor, SkipList, Visit};
 use crate::trace::AccessTrace;
 
 /// Bytes of synthetic address space per skip-list arena slot. A stride of
@@ -90,7 +90,8 @@ impl KvStore {
     pub fn scan(&self, start: &[u8], count: usize) -> Vec<(&[u8], &[u8])> {
         let mut out = Vec::with_capacity(count.min(self.len()));
         let mut cur = self.list.cursor_before(start);
-        self.list.walk(&mut cur, count, |k, v| out.push((k, v)));
+        self.list
+            .walk(&mut cur, count, &mut |k, v| out.push((k, v)));
         out
     }
 
@@ -105,16 +106,11 @@ impl KvStore {
         self.list.cursor_next(cur)
     }
 
-    /// The next ≤ `n` entries of a resumable scan, handed to `f` in order;
-    /// returns how many (see [`SkipList::walk`]).
+    /// The next ≤ `n` entries of a resumable scan, handed to `visit` in
+    /// order; returns how many (see [`SkipList::walk`]).
     #[inline(always)]
-    pub fn walk<'a>(
-        &'a self,
-        cur: &mut Cursor,
-        n: usize,
-        f: impl FnMut(&'a [u8], &'a [u8]),
-    ) -> usize {
-        self.list.walk(cur, n, f)
+    pub fn walk<'a>(&'a self, cur: &mut Cursor, n: usize, visit: &mut impl Visit<'a>) -> usize {
+        self.list.walk(cur, n, visit)
     }
 
     /// GET with a synthetic memory-access trace: descent node touches,

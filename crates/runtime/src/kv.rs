@@ -19,16 +19,20 @@
 //! always inlined, and the walk runs in locals that are written back to
 //! the job once, at the yield or at the end. A store loaded in key order
 //! keeps each entry's successor in the next arena slot, so the walk
-//! reads those runs as an array: one vector compare checks eight links,
-//! then eight records are read with no load waiting on a link; where a
-//! run breaks it hops (`tq_kv::SkipList::walk`). The probe gate is every
-//! `SCAN_GATE` = 512 entries: the period `tq-instrument`'s TQ pass gives
-//! the SCAN loop for the paper's 3% probe overhead at the costs measured
-//! on a 2.0 GHz Xeon, ≈ 1.2 ns an entry and ≈ 18 ns a probe (the pass
-//! says 523; a test re-runs it). That is ≈ 610 ns between probes, 12%
-//! of the default 5 µs quantum and the most a SCAN overshoots it by
-//! (EXPERIMENTS.md, "A SCAN reads runs as an array"; a gate of 32 made
-//! the probes cost a SCAN 24–27%, "A SCAN hop is a load").
+//! reads those runs as an array, eight entries a step: one vector compare
+//! checks eight links, one branch checks the eight records' spans (an
+//! entry is one span, its value right after its key), and the checksum
+//! folds the eight in one multiply-add on its chain ([`Checksum`]). Where
+//! a run breaks it hops, one entry a step (`tq_kv::SkipList::walk`).
+//!
+//! The probe gate is every `SCAN_GATE` = 512 entries: the period
+//! `tq-instrument`'s TQ pass gives the SCAN loop for the paper's 3% probe
+//! overhead at the costs measured on this loop on a 2.0 GHz Xeon, both in
+//! one process, ≈ 0.97 ns a gated entry and ≈ 18.5 ns a probe (the pass
+//! says 656; a test re-runs it). That is ≈ 0.5 µs between probes, 10% of
+//! the default 5 µs quantum and the most a SCAN overshoots it by
+//! (EXPERIMENTS.md, "A SCAN entry is one span"; a gate of 32 made the
+//! probes cost a SCAN 24–27%, "A SCAN hop is a load").
 //!
 //! This used to live inside `examples/kv_server.rs`; it moved here so
 //! the socket front end (`tq-loadgen`, the net smoke job) and the
@@ -37,11 +41,49 @@
 use crate::job::{Job, JobStatus, QuantumCtx};
 use crate::server::{JobFactory, RtRequest};
 use std::sync::Arc;
-use tq_kv::{Cursor, KvStore};
+use tq_kv::{Chunk, Cursor, KvStore, Visit, CHUNK};
 
 /// Entries a SCAN reads between probes: the gate period TQ's pass gives
 /// its loop for a 3% probe overhead (module docs), as a power of two.
 const SCAN_GATE: usize = 512;
+
+/// A SCAN's checksum, so its work is not optimised away: Horner's rule in
+/// base 31 over each entry's key length plus value length, wrapping,
+/// `s ← 31·s + t`. A chunk folds in one step, `s ← 31⁸·s + Σⱼ 31⁷⁻ʲ·tⱼ`,
+/// which is its eight Horner steps exactly (the same polynomial, mod
+/// 2⁶⁴): the chain through `s` is one multiply-add a chunk, and the eight
+/// products beside it do not wait on it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Checksum(pub u64);
+
+/// `31⁷, …, 31, 1`: the weight of each of a chunk's entries in its fold.
+const LANES: [u64; CHUNK] = {
+    let mut lanes = [1u64; CHUNK];
+    let mut j = CHUNK - 1;
+    while j > 0 {
+        lanes[j - 1] = lanes[j] * 31;
+        j -= 1;
+    }
+    lanes
+};
+
+/// `31⁸`: what a chunk's fold multiplies the checksum by.
+const STRIDE: u64 = LANES[0] * 31;
+
+impl<'a> Visit<'a> for Checksum {
+    #[inline(always)]
+    fn entry(&mut self, key: &'a [u8], value: &'a [u8]) {
+        let t = key.len() as u64 + value.len() as u64;
+        self.0 = self.0.wrapping_mul(31).wrapping_add(t);
+    }
+
+    #[inline(always)]
+    fn chunk(&mut self, chunk: Chunk<'a>) {
+        let lens = chunk.lens();
+        let step = (0..CHUNK).fold(0u64, |s, j| s.wrapping_add(lens[j].wrapping_mul(LANES[j])));
+        self.0 = self.0.wrapping_mul(STRIDE).wrapping_add(step);
+    }
+}
 
 /// Where a SCAN stands: a start key until its first slice has sought, then a cursor.
 #[derive(Debug, Clone, Copy)]
@@ -100,13 +142,9 @@ impl Job for KvJob {
                     ScanPos::Start(key) => store.cursor_before(&key),
                     ScanPos::At(cur) => cur,
                 };
-                let (mut left, mut sum) = (*remaining, *checksum);
+                let (mut left, mut sum) = (*remaining, Checksum(*checksum));
                 let status = loop {
-                    let read = store.walk(&mut cur, SCAN_GATE.min(left), |k, v| {
-                        sum = sum
-                            .wrapping_mul(31)
-                            .wrapping_add(v.len() as u64 + k.len() as u64);
-                    });
+                    let read = store.walk(&mut cur, SCAN_GATE.min(left), &mut sum);
                     left -= read;
                     // Short of a gate: the store ran out, or so did `left`.
                     if read < SCAN_GATE || left == 0 {
@@ -116,7 +154,7 @@ impl Job for KvJob {
                         break JobStatus::Yielded;
                     }
                 };
-                (*pos, *remaining, *checksum) = (ScanPos::At(cur), left, sum);
+                (*pos, *remaining, *checksum) = (ScanPos::At(cur), left, sum.0);
                 status
             }
         }
@@ -160,6 +198,7 @@ pub fn kv_factory(store: Arc<KvStore>, n_keys: u64, scan_len: usize) -> Box<JobF
 mod tests {
     use super::*;
     use crate::{ServerConfig, TinyQuanta, TscClock};
+    use proptest::prelude::*;
     use std::hint::black_box;
     use std::time::{Duration, Instant};
     use tq_core::{CpuFreq, Cycles, Nanos};
@@ -290,6 +329,121 @@ mod tests {
         assert_eq!(saved, walk);
     }
 
+    /// A store of even keys `2i + 2`, `i` in `0..m`, whose values' lengths
+    /// vary with `i` (no two neighbours fold alike, so a lane weighted
+    /// wrong shows): appended in key order (key `2i + 2` is node `i + 1`),
+    /// or inserted in a seeded shuffle's order; then `2i + 1` inserted for
+    /// each `broken` `i` (node `i`, the head for 0, then links out of its
+    /// run), and the `grown` keys written with longer values (their
+    /// records re-pointed at new bytes).
+    fn store(m: u32, shuffle: Option<u64>, broken: &[u32], grown: &[u32]) -> KvStore {
+        let key = |i: u32| (2 * i + 2).to_be_bytes().to_vec();
+        let value = |i: u32, more: usize| vec![i as u8; i as usize % 11 + more];
+        let mut order: Vec<u32> = (0..m).collect();
+        if let Some(seed) = shuffle {
+            let mut x = seed | 1;
+            for i in (1..order.len()).rev() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                order.swap(i, (x % (i as u64 + 1)) as usize);
+            }
+        }
+        let mut store = KvStore::new(7);
+        for i in order {
+            store.put(key(i), value(i, 0));
+        }
+        for &i in broken {
+            store.put((2 * i + 1).to_be_bytes().to_vec(), value(i, 1));
+        }
+        for &i in grown.iter().filter(|_| m > 0) {
+            store.put(key(i % m), value(i % m, 12));
+        }
+        store
+    }
+
+    /// A [`Checksum`] that counts the chunks it folds.
+    struct Counted(Checksum, usize);
+
+    impl<'a> Visit<'a> for Counted {
+        fn entry(&mut self, key: &'a [u8], value: &'a [u8]) {
+            self.0.entry(key, value);
+        }
+
+        fn chunk(&mut self, chunk: Chunk<'a>) {
+            self.0.chunk(chunk);
+            self.1 += 1;
+        }
+    }
+
+    /// The chunk fold against Horner's rule one hop at a time, from every
+    /// cursor the store has (the head's and one after each entry) and for
+    /// every `n` in `0..=40` and past the end, from a checksum that is not
+    /// zero (so its `31⁸` shows in the first chunk too): the same checksum,
+    /// count and final cursor. Returns how many chunks were folded.
+    fn assert_fold_is_horner(store: &KvStore) -> usize {
+        let mut cursors = vec![store.cursor_before(b"")];
+        let mut cur = cursors[0];
+        while store.cursor_next(&mut cur).is_some() {
+            cursors.push(cur);
+        }
+        let mut chunks = 0;
+        for &from in &cursors {
+            for n in (0..=40).chain([store.len() + 1, usize::MAX]) {
+                let seed: u64 = 0x9E37_79B9_7F4A_7C15;
+                let (mut hop, mut want, mut count) = (from, seed, 0);
+                while count < n {
+                    let Some((k, v)) = store.cursor_next(&mut hop) else {
+                        break;
+                    };
+                    want = want
+                        .wrapping_mul(31)
+                        .wrapping_add((k.len() + v.len()) as u64);
+                    count += 1;
+                }
+                let (mut cur, mut got) = (from, Counted(Checksum(seed), 0));
+                let read = store.walk(&mut cur, n, &mut got);
+                assert_eq!(
+                    (got.0 .0, read, cur),
+                    (want, count, hop),
+                    "from {from:?}, n = {n}"
+                );
+                chunks += got.1;
+            }
+        }
+        chunks
+    }
+
+    #[test]
+    fn fold_is_horner_over_hops_on_runs_and_where_they_break() {
+        // One run: the walk folds chunks.
+        assert!(assert_fold_is_horner(&store(100, None, &[], &[])) > 0);
+        // A run broken at each of a chunk's eight links (the head's chunk
+        // and a later one), and at two neighbouring links.
+        for p in 0..8 {
+            assert!(assert_fold_is_horner(&store(100, None, &[p, 40 + p, 41 + p], &[])) > 0);
+        }
+        // Out of order throughout, and values grown out of their place.
+        assert_fold_is_horner(&store(100, Some(42), &[], &[]));
+        let grown: Vec<u32> = (0..100).step_by(3).collect();
+        assert!(assert_fold_is_horner(&store(100, None, &[], &grown)) > 0);
+        assert_eq!(assert_fold_is_horner(&store(0, None, &[], &[])), 0);
+    }
+
+    proptest! {
+        /// The chunk fold is Horner's rule, whatever the store's runs.
+        #[test]
+        fn fold_is_horner_over_hops(
+            m in 0u32..80,
+            shuffled in any::<bool>(),
+            seed in any::<u64>(),
+            broken in prop::collection::vec(0u32..80, 0..12),
+            grown in prop::collection::vec(0u32..80, 0..12),
+        ) {
+            assert_fold_is_horner(&store(m, shuffled.then_some(seed), &broken, &grown));
+        }
+    }
+
     /// Entries of a `wire_kv` SCAN, the one the gate is sized for.
     const SCAN_LEN: usize = 2_000;
 
@@ -302,13 +456,15 @@ mod tests {
         use tq_instrument::exec::{execute, ExecConfig};
         use tq_instrument::ir::{Function, Inst, Node, Probe, Program, TripSpec};
         use tq_instrument::passes::tq::{instrument, TqPassConfig};
-        // The costs, in picoseconds (EXPERIMENTS.md, "A SCAN reads runs
-        // as an array" and "A SCAN hop is a load"; Xeon, 2.0 GHz TSC):
+        // The costs, in picoseconds, measured on this loop in one process
+        // (EXPERIMENTS.md, "A SCAN entry is one span"; Xeon, 2.0 GHz TSC):
         // one entry of a gated SCAN through `Box<dyn Job>` on `wire_kv`'s
         // store, with a quantum that never expires, and one
-        // `QuantumCtx::probe` (`job.probe_ns`).
-        const ENTRY_PS: u32 = 1_190;
-        const PROBE_PS: u64 = 18_200;
+        // `QuantumCtx::probe` (`job.probe_ns`). Both are a quiet host's; in
+        // its slow state both grow (≈ 1.8 ns, ≈ 24 ns) and the pass still
+        // returns 512.
+        const ENTRY_PS: u32 = 970;
+        const PROBE_PS: u64 = 18_500;
         const TARGET_PCT: f64 = 3.0;
         // One model cycle is a picosecond: the costs keep their precision,
         // and the pass's one-cycle induction gate is as free as the real
@@ -360,17 +516,14 @@ mod tests {
         );
     }
 
-    /// The same walk and checksum as a SCAN, with no probe.
+    /// The same walk and checksum as a SCAN, folded eight entries a step
+    /// the same way, with no probe.
     #[inline(never)]
     fn ungated_walk(store: &KvStore, start: u64) -> u64 {
         let mut cur = store.cursor_before(&KvStore::nth_key_bytes(start));
-        let mut sum = 0u64;
-        store.walk(&mut cur, SCAN_LEN, |k, v| {
-            sum = sum
-                .wrapping_mul(31)
-                .wrapping_add(v.len() as u64 + k.len() as u64);
-        });
-        sum
+        let mut sum = Checksum(0);
+        store.walk(&mut cur, SCAN_LEN, &mut sum);
+        sum.0
     }
 
     /// The gate costs what the pass budgets, and a walk is not a call: a
