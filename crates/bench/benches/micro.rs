@@ -178,10 +178,14 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 
     // Steady-state pop-then-push at a fixed fill level — the engines'
-    // regime (the queue holds at most one event per worker/dispatcher).
-    // Pushed times jump pseudo-randomly ahead of the popped time so both
-    // the front-slot fast path and real heap sifts are exercised.
-    for fill in [8u64, 64, 512] {
+    // regime (the queue holds at most one event per worker/dispatcher:
+    // 18 in `sim_sweep`'s servers). In `*_steady_*` each payload jumps
+    // ahead by its own fixed step, so the pop order is periodic and a
+    // branch predictor learns the heap's sifts; `tag_queue_random_*`
+    // draws each step from xorshift64, as an engine's service times do.
+    // At 512 the sorted array's O(n) shift loses to the heap: it is
+    // there to show where.
+    for fill in [8u64, 18, 64, 512] {
         let mut q = EventQueue::with_capacity(fill as usize);
         for i in 0..fill {
             q.push(Nanos::from_nanos(1_000 + (i * 7919) % 4_096), i);
@@ -202,6 +206,22 @@ fn bench_event_queue(c: &mut Criterion) {
             b.iter(|| {
                 let (t, tag) = q.pop().expect("steady queue never empties");
                 q.push(t + Nanos::from_nanos((u64::from(tag) * 7919) % 4_096 + 1), tag);
+                black_box(tag)
+            });
+        });
+
+        let mut q = TagQueue::with_capacity(fill as usize);
+        for i in 0..fill {
+            q.push(Nanos::from_nanos(1_000 + (i * 7919) % 4_096), i as u16);
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        c.bench_function(&format!("tag_queue_random_fill_{fill}"), |b| {
+            b.iter(|| {
+                let (t, tag) = q.pop().expect("steady queue never empties");
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                q.push(t + Nanos::from_nanos(x % 4_096 + 1), tag);
                 black_box(tag)
             });
         });

@@ -1,16 +1,20 @@
-//! The min-queue every scheduler in the workspace pops from.
+//! The min-queue whose depth has no bound.
 //!
 //! Both halves of TQ take a minimum: a simulator its next event, a
-//! ranked worker its next job. [`KeyHeap`] is that one datapath, and
-//! `tq_sim::EventQueue`, `tq_sim::TagQueue` and
-//! [`RankQueue`](crate::policy::RankQueue) are keyings of it — each packs
-//! its order into one `u128` key and pushes that with its payload:
+//! ranked worker its next job. Where the queue can grow without limit
+//! (a rack server's inbox, a worker's resident jobs under overload),
+//! [`KeyHeap`] is that datapath, with O(log n) pushes, and
+//! `tq_sim::EventQueue` and [`RankQueue`](crate::policy::RankQueue) are
+//! keyings of it — each packs its order into one `u128` key and pushes
+//! that with its payload:
 //!
 //! | queue | key |
 //! |---|---|
 //! | `EventQueue<E>` | `time << 64 \| seq` |
-//! | `TagQueue` | `time << 64 \| seq << 16 \| tag` (payload `()`) |
 //! | `RankQueue<T>` | `rank << 64 \| seq` |
+//!
+//! (The serving engines' `tq_sim::TagQueue` is bounded by the core count
+//! and is a sorted array instead: DESIGN.md "Packed event keys".)
 //!
 //! `seq` is [`KeyHeap::pushed`], so keys are unique and equal times or
 //! ranks pop in push order. Unique keys make the pop order a total order
@@ -24,10 +28,9 @@
 //! * **4-ary layout + front slot.** The heap is 4-ary (shallower, and
 //!   sift-downs touch cache-adjacent children), and the current minimum
 //!   is held in a dedicated *front slot* outside the heap. A push smaller
-//!   than everything queued — the common Arrival → DispatchDone →
-//!   SliceDone chain, where each event schedules its immediate successor
-//!   — lands in the front slot and is popped again without ever touching
-//!   the heap.
+//!   than everything queued (a fresh job when every queued one has run,
+//!   under least-attained service) lands in the front slot and is popped
+//!   again without ever touching the heap.
 
 /// Packs two words into one key that orders by `hi`, then by `lo`.
 #[inline(always)]

@@ -16,7 +16,7 @@
 //! resident job to a `u64` rank (see `WorkerPolicy::job_rank`) and every
 //! worker, simulated or live, pops the minimum from one generic packed
 //! min-rank queue, [`RankQueue`] (the ranked arm of [`RunQueue`]) — the
-//! [`KeyHeap`] the simulators' event queues use too, keyed by
+//! [`KeyHeap`] the simulators' `EventQueue` uses too, keyed by
 //! `(rank, admission seq)` instead of virtual time.
 //!
 //! [`Dispatcher`]: super::Dispatcher

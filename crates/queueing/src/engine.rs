@@ -180,7 +180,7 @@ impl<M: Model> Engine<M> {
             model: M::new(cfg, seed),
             sh: Shell {
                 // At most one pending event per worker and per dispatcher
-                // core, plus the next arrival.
+                // core, plus the next arrival; each push debug-asserts it.
                 events: TagQueue::with_capacity(cfg.n_workers + cfg.n_dispatchers + 1),
                 cfg: owned,
                 horizon,

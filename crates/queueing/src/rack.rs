@@ -342,34 +342,17 @@ fn run_rack<M: Model>(
 
 /// Appends the completions of `streams`, each in finish order, to `out`
 /// in `(finish, stream)` order with each stream's own order kept: what a
-/// stable sort by finish of the streams laid end to end gives. Each step
-/// takes the run of the stream that sorts first up to where another
-/// stream's next completion sorts before it.
+/// stable sort by finish of the streams laid end to end gives. Each
+/// completion is the head of the lowest-numbered stream whose head
+/// finishes first (`min_by_key` keeps the first of equal minima).
 fn merge_by_finish(streams: &mut [&[Completion]], out: &mut Vec<Completion>) {
-    let head = |streams: &[&[Completion]]| {
-        streams
-            .iter()
-            .filter_map(|s| s.first())
-            .map(|c| c.finish)
-            .min()
-    };
-    loop {
-        let Some(first) = (0..streams.len())
-            .filter(|&i| !streams[i].is_empty())
-            .min_by_key(|&i| (streams[i][0].finish, i))
-        else {
-            return;
-        };
-        // A lower-numbered stream's next completion ends the run on a tie,
-        // a higher-numbered one's does not.
-        let before = head(&streams[..first]);
-        let after = head(&streams[first + 1..]);
-        let s = streams[first];
-        let run = s.partition_point(|c| {
-            before.is_none_or(|b| c.finish < b) && after.is_none_or(|a| c.finish <= a)
-        });
-        out.extend_from_slice(&s[..run]);
-        streams[first] = &s[run..];
+    while let Some(s) = streams
+        .iter_mut()
+        .filter(|s| !s.is_empty())
+        .min_by_key(|s| s[0].finish)
+    {
+        out.push(s[0]);
+        *s = &s[1..];
     }
 }
 

@@ -3,11 +3,18 @@
 //! Future-event lists keyed by `(time, sequence)`: the monotonically
 //! increasing sequence number makes simultaneous events pop in insertion
 //! order, which is what makes whole simulations bit-for-bit reproducible
-//! across runs and platforms. Both queues here are keyings of
-//! [`tq_core::heap::KeyHeap`] (packed `u128` keys, a 4-ary heap and a
-//! front slot; see that module for why it is several times cheaper per
-//! event than the seed's `BinaryHeap`, kept in the integration tests as
-//! `tq_integration::oracle::events`).
+//! across runs and platforms. Both queues pack that order into one
+//! unique `u128` key; the seed's `BinaryHeap` queue, kept in the
+//! integration tests as `tq_integration::oracle::events`, pins both to
+//! the same stream. Their layouts differ with their depth:
+//!
+//! * [`EventQueue`] (a rack server's inbox) has no bound, so it is a
+//!   keying of [`tq_core::heap::KeyHeap`] with O(log n) pushes.
+//! * [`TagQueue`], the serving engines' list, holds at most one event
+//!   per worker and per dispatcher core plus the next arrival: 18 in
+//!   `sim_sweep`, 69 at most in the tree. At that depth a sorted array,
+//!   whose push counts and shifts without a data-dependent branch,
+//!   beats the heap's sifts (DESIGN.md "Packed event keys").
 
 use tq_core::heap::{pack, KeyHeap};
 use tq_core::Nanos;
@@ -167,29 +174,29 @@ const TAG_BITS: u32 = 16;
 ///
 /// Same ordering contract as [`EventQueue`] (`(time, sequence)`, FIFO
 /// among simultaneous events), but the payload rides in the packed key
-/// itself: `time << 64 | seq << 16 | tag`. The heap's payload is `()`,
-/// so its elements are bare 16-byte keys, half the size of
-/// `EventQueue`'s `(key, event)` pairs: a sift-down's four-child scan
-/// reads a single cache line, and every swap moves 16 bytes. The
-/// sequence number still occupies the bits above the tag, so ties
-/// between simultaneous events break by insertion order exactly as in
-/// [`EventQueue`] and the seed queue.
+/// itself: `time << 64 | seq << 16 | tag`. The sequence number occupies
+/// the bits above the tag, so ties between simultaneous events break by
+/// insertion order exactly as in [`EventQueue`] and the seed queue.
 ///
-/// Capacity: tags are 16 bits (engines encode "event kind + worker
-/// index" in them) and the sequence counter has 48 bits — ~2.8 × 10¹⁴
-/// pushes per queue, far beyond any simulation run.
+/// Capacity: the `cap` pending events it was created for (a push shifts
+/// every key that pops after the new one). Tags are 16 bits (engines
+/// encode "event kind + worker index" in them) and the sequence counter
+/// has 48 bits — ~2.8 × 10¹⁴ pushes, far beyond any simulation run.
 #[derive(Debug)]
 pub struct TagQueue {
-    heap: KeyHeap<()>,
+    /// Pending keys in descending order: the next event is the last.
+    keys: Vec<u128>,
+    pushed: u64,
     last_popped: Nanos,
     popped: u64,
 }
 
 impl TagQueue {
-    /// Creates an empty queue with capacity for `cap` pending events.
+    /// Creates an empty queue for at most `cap` pending events.
     pub fn with_capacity(cap: usize) -> Self {
         TagQueue {
-            heap: KeyHeap::with_capacity(cap),
+            keys: Vec::with_capacity(cap),
+            pushed: 0,
             last_popped: Nanos::ZERO,
             popped: 0,
         }
@@ -201,6 +208,7 @@ impl TagQueue {
     ///
     /// Panics if `time` is earlier than the last popped time (scheduling
     /// into the past is always a model bug), or — in debug builds — if
+    /// the queue already holds the `cap` events it was created for or
     /// the 48-bit sequence space is exhausted.
     #[inline(always)]
     pub fn push(&mut self, time: Nanos, tag: u16) {
@@ -209,19 +217,24 @@ impl TagQueue {
             "event scheduled into the past: {time} < now {}",
             self.last_popped
         );
-        let seq = self.heap.pushed();
+        debug_assert!(self.keys.len() < self.keys.capacity(), "queue full");
+        let seq = self.pushed;
         debug_assert!(seq < 1 << (64 - TAG_BITS), "sequence space exhausted");
+        self.pushed += 1;
         let key = pack(time.as_nanos(), (seq << TAG_BITS) | tag as u64);
-        self.heap.push(key, ());
+        // Keys are unique, so the ones above `key` are exactly those that
+        // pop after it. Count them all, with no early exit.
+        let at = self.keys.iter().map(|&k| usize::from(k > key)).sum();
+        self.keys.insert(at, key);
     }
 
     /// Removes and returns the earliest event as `(time, tag)`, advancing
     /// the queue's notion of "now".
     #[inline(always)]
     pub fn pop(&mut self) -> Option<(Nanos, u16)> {
-        let (key, ()) = self.heap.pop()?;
+        let key = self.keys.pop()?;
         let time = key_time(key);
-        debug_assert!(time >= self.last_popped, "heap violated time order");
+        debug_assert!(time >= self.last_popped, "queue violated time order");
         self.last_popped = time;
         self.popped += 1;
         Some((time, key as u16))
@@ -235,7 +248,7 @@ impl TagQueue {
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<Nanos> {
-        self.heap.peek_key().map(key_time)
+        self.keys.last().copied().map(key_time)
     }
 
     /// The virtual time of the most recently popped event.
@@ -245,12 +258,12 @@ impl TagQueue {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.keys.len()
     }
 
     /// Whether no events are pending (the simulation has quiesced).
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.keys.is_empty()
     }
 }
 
@@ -355,12 +368,46 @@ mod tests {
 
     #[test]
     fn tag_queue_ties_pop_fifo() {
-        let mut q = TagQueue::with_capacity(4);
+        let mut q = TagQueue::with_capacity(100);
         let t = Nanos::from_nanos(7);
         for i in 0..100u16 {
             q.push(t, i);
         }
         let order: Vec<u16> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn full_tag_queues_pop_in_key_order() {
+        // Full at `sim_sweep`'s bound (16 workers, one dispatcher, the
+        // arrival), at a 64-worker server's and at the tree's largest:
+        // times pushed out of order with ties among them, each tie in
+        // push order.
+        for n in [18u16, 65, 69] {
+            let mut q = TagQueue::with_capacity(n.into());
+            let times: Vec<u64> = (0..u64::from(n)).map(|i| (i * 7) % 5).collect();
+            for (tag, &t) in times.iter().enumerate() {
+                q.push(Nanos::from_nanos(t), tag as u16);
+            }
+            assert_eq!(q.len(), n.into());
+            let mut want: Vec<(Nanos, u16)> = times
+                .iter()
+                .enumerate()
+                .map(|(tag, &t)| (Nanos::from_nanos(t), tag as u16))
+                .collect();
+            want.sort();
+            let got: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+            assert_eq!(got, want, "fill {n}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "queue full")]
+    fn tag_queue_rejects_a_push_past_its_capacity() {
+        let mut q = TagQueue::with_capacity(2);
+        for t in 0..3 {
+            q.push(Nanos::from_nanos(t), 0);
+        }
     }
 }

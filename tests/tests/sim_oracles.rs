@@ -1,6 +1,6 @@
 //! `tq_sim`'s event queues and single-pass metrics against the seed
 //! implementations kept in `tq_integration::oracle`: the packed 4-ary
-//! `EventQueue` and the tag-in-key `TagQueue` must deliver the seed
+//! `EventQueue` and the sorted-array `TagQueue` must deliver the seed
 //! `BinaryHeap` queue's exact `(time, event)` stream, and
 //! `ClassRecorder::summarize_all` must reproduce the seed's multi-pass
 //! percentiles exactly.
@@ -39,9 +39,9 @@ mod events {
     #[test]
     fn tag_queue_matches_reference_on_mixed_workload() {
         // The tag-in-key packing must not change the delivery order in
-        // any way.
+        // any way. Two pushes in three: sized for the script's length.
         assert_matches(
-            &mut TagQueue::with_capacity(8),
+            &mut TagQueue::with_capacity(10_000),
             xorshift_script(0xFEED5EED, 10_000),
         );
     }
@@ -54,6 +54,17 @@ mod events {
             ops in prop::collection::vec((any::<bool>(), 0u64..200), 1..400),
         ) {
             assert_matches(&mut EventQueue::new(), ops);
+        }
+
+        /// The same for `TagQueue`: tags below 2^14 (the engines' index
+        /// space), times at most 7 ns apart so most pushes tie with
+        /// some queued event, and peeks after every step.
+        #[test]
+        fn tag_queue_matches_reference(
+            ops in prop::collection::vec((any::<bool>(), 0u64..8), 1..2_000),
+        ) {
+            let mut q = TagQueue::with_capacity(ops.len());
+            assert_matches(&mut q, ops);
         }
     }
 }
